@@ -6,7 +6,7 @@
 //
 // The shards' sub-problems are disjoint (private per-shard roots, views
 // based at i * span), so worker threads share no mutable storage state and
-// the only serialization is the MPSC queue hop. Per-shard op streams are
+// the only serialization is the hop through each shard's lock-free queue. Per-shard op streams are
 // identical across modes, which makes the W=1 run op-for-op comparable to
 // the single-threaded facade: same moves, same bytes, same per-shard
 // footprints — that identity is this experiment's CI guard.
@@ -27,7 +27,8 @@
 // scaling is only meaningful with >= W cores). --smoke shrinks the traces
 // ~20x and turns the run into the CI gate: the exit code asserts the W=1
 // concurrent mode matches the single-threaded facade's footprint/move/byte
-// counts exactly, that no op failed in any closed-loop cell, and that
+// counts exactly, that every W=1 op (per-op and batched) travelled the
+// remote queues, that no op failed in any closed-loop cell, and that
 // every cell's latency accounting is exact (tracked-op histogram counts ==
 // executed operations).
 //
@@ -80,8 +81,9 @@ struct Row {
   std::string scenario;
   std::string algorithm;
   std::uint32_t workers = 0;  // 0 = single-threaded facade
-  /// Concurrent rows only: per-op Submit (the mutex queue hop per op) vs
-  /// OpBuffer/SubmitMany over the lock-free remote queues.
+  /// Concurrent rows only: per-op Submit (one remote-queue push per op,
+  /// a batch of one) vs OpBuffer/SubmitMany (one push per batch per
+  /// shard). Both ride the same per-shard lock-free queues.
   bool batched = false;
   /// Open-loop burst rows: paced arrivals at offered_ratio x capacity.
   bool burst = false;
@@ -100,6 +102,7 @@ struct Row {
   std::uint64_t global_max_end = 0;
   std::uint64_t failed_ops = 0;
   std::uint64_t batched_ops = 0;  // ops that arrived via remote queues
+                                  // (every executed op, on both paths)
   std::uint64_t dropped_ops = 0;  // bounded-retry drops (burst rows only)
   std::vector<std::uint64_t> per_shard_reserved;
   std::vector<std::uint64_t> per_shard_peak;
@@ -208,8 +211,8 @@ Row RunConcurrent(const Scenario& scenario, const std::string& algorithm,
   const auto start = Clock::now();
   if (batched) {
     // The batched producer path: ops accumulate in a producer-local
-    // OpBuffer and go out as SubmitMany batches over the lock-free
-    // remote queues — one queue hop per batch per shard.
+    // OpBuffer and go out as SubmitMany batches — one queue hop per batch
+    // per shard instead of one per op.
     OpBuffer buffer(facade.get(), OpBuffer::kMaxCapacity);
     for (const Request& request : scenario.trace.requests()) {
       COSR_CHECK_OK(buffer.Add(request));
@@ -388,7 +391,7 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
   const bool scaling_meaningful = std::thread::hardware_concurrency() > 1;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    // Speedup compares against the same submit path's W=1 row, so the
+    // Speedup compares against the same submit style's W=1 row, so the
     // batched column measures thread scaling, not batching itself (the
     // batched-vs-per-op ratio is the two paths' ops_per_sec at equal W).
     const Row* w1 = Find(rows, row.scenario, row.algorithm, 1, row.batched);
@@ -585,7 +588,7 @@ int main(int argc, char** argv) {
 
   // The open-loop burst grid: steady-churn only (the trace whose offered
   // load is stationary), checkpointed vs deamortized inner algorithms,
-  // both submit paths. Capacity is calibrated per (algorithm, path) by a
+  // both submit styles. Capacity is calibrated per (algorithm, style) by a
   // closed-loop run at the same W — those calibration rows join the
   // artifact as ordinary concurrent cells.
   const cosr::Scenario& burst_scenario = scenarios.front();
@@ -627,7 +630,7 @@ int main(int argc, char** argv) {
   }
   burst_table.Print();
 
-  // The CI guard: W=1 concurrent mode — on BOTH submit paths — is
+  // The CI guard: W=1 concurrent mode — per-op and batched — is
   // op-for-op identical to the single-threaded facade, per scenario and
   // algorithm. A single producer's per-shard op streams are order-
   // preserved through the remote queues, so batching may change nothing.
@@ -646,13 +649,18 @@ int main(int argc, char** argv) {
       }
       const bool identity = cosr::CheckW1Identity(*facade, *w1);
       const bool batched_identity = cosr::CheckW1Identity(*facade, *w1_batched);
-      // The batched W=1 row must also have routed every op remotely.
-      const bool all_remote = w1_batched->batched_ops == w1_batched->operations;
-      if (!all_remote) {
-        std::printf("  BATCHED PATH UNUSED: %s/%s (%llu of %llu ops remote)\n",
+      // Both W=1 rows must have routed every op through the remote
+      // queues: there is no other path.
+      bool all_remote = true;
+      for (const cosr::Row* row : {w1, w1_batched}) {
+        if (row->batched_ops == row->operations) continue;
+        all_remote = false;
+        std::printf("  REMOTE QUEUES BYPASSED: %s/%s %s (%llu of %llu ops "
+                    "remote)\n",
                     scenario.name.c_str(), algorithm.c_str(),
-                    static_cast<unsigned long long>(w1_batched->batched_ops),
-                    static_cast<unsigned long long>(w1_batched->operations));
+                    row->Label().c_str(),
+                    static_cast<unsigned long long>(row->batched_ops),
+                    static_cast<unsigned long long>(row->operations));
       }
       ok &= identity && batched_identity && all_remote;
       std::printf(
@@ -675,7 +683,7 @@ int main(int argc, char** argv) {
       ok,
       "all closed-loop cells ran with zero failed ops; W=1 concurrent mode "
       "— per-op and batched — matches the single-threaded facade's "
-      "footprint/move/byte counts exactly; latency histogram counts match "
-      "executed ops in every cell");
+      "footprint/move/byte counts exactly with every op through the remote "
+      "queues; latency histogram counts match executed ops in every cell");
   return ok ? 0 : 1;
 }

@@ -84,6 +84,16 @@ Status DeamortizedReallocator::Insert(ObjectId id, std::uint64_t size) {
 void DeamortizedReallocator::TailInsert(ObjectId id, std::uint64_t size,
                                         int cls, bool already_placed) {
   const std::uint64_t offset = TailStart() + tail_used_;
+  if (already_placed && space_->extent_of(id).Overlaps(Extent{offset, size})) {
+    // A logged object larger than the ∆ reserved when the flush began can
+    // sit closer to its tail slot than its own length. Moves must not
+    // overlap (Lemma 3.2), so hop past the log end first — disjoint from
+    // both the log copy and the slot — and checkpoint before the final
+    // move reuses the range the hop freed.
+    MoveTracked(id, Extent{log_cursor_, size});
+    NoteTempFootprint(log_cursor_ + size);
+    CheckpointNow();
+  }
   PlaceOrMove(id, Extent{offset, size}, already_placed);
   NoteTempFootprint(offset + size);
   tail_entries_.push_back(BufferEntry{id, size, cls});

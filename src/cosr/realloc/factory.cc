@@ -132,7 +132,6 @@ Status MakeConcurrentReallocator(
   options.shard_count = spec.shard_count;
   options.worker_threads = spec.worker_threads;
   options.routing = spec.routing;
-  options.submit_path = spec.submit_path;
   return ConcurrentShardedReallocator::Make(spec, options, out);
 }
 

@@ -43,10 +43,6 @@ struct ReallocatorSpec {
   /// MakeConcurrentReallocator (no Space argument); MakeReallocator
   /// rejects a spec with worker_threads != 0. 0 = single-threaded.
   std::uint32_t worker_threads = 0;
-  /// Concurrent mode only: which delivery mechanism the facade's
-  /// SubmitMany uses — the lock-free batched path (default) or the mutex
-  /// queue kept as the differential oracle. Ignored single-threaded.
-  SubmitPath submit_path = SubmitPath::kRemoteBatched;
   /// Durability tier: when non-null, every shard journals its storage
   /// events and checkpoints into the hub's per-shard MoveLogs (shard i
   /// writes log i; a single-instance build writes log 0). Requires a

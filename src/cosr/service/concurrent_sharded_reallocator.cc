@@ -106,7 +106,6 @@ Status ConcurrentShardedReallocator::Make(
   facade->name_ =
       "concurrent-sharded[" + std::to_string(options.shard_count) + "x" +
       std::to_string(workers) + "," + RoutingPolicyName(options.routing) +
-      (options.submit_path == SubmitPath::kMutexQueue ? ",mutex-queue" : "") +
       (options.rebalance ? ",rebalance" : "") + "]/" + spec.algorithm;
 
   facade->workers_.reserve(workers);
@@ -141,69 +140,18 @@ ConcurrentShardedReallocator::~ConcurrentShardedReallocator() {
   }
 }
 
-Status ConcurrentShardedReallocator::SubmitOp(const Request& op,
-                                              std::shared_ptr<OpToken> token) {
+ConcurrentShardedReallocator::Item ConcurrentShardedReallocator::MakeItem(
+    const Request& op, std::uint32_t shard, std::uint64_t submit_ns,
+    std::shared_ptr<OpToken> token) {
   Item item;
   item.kind =
       op.type == Request::Type::kInsert ? OpKind::kInsert : OpKind::kDelete;
+  item.shard = shard;
   item.id = op.id;
   item.size = op.size;
-  item.submit_ns = MonotonicNanos();
+  item.submit_ns = submit_ns;
   item.token = std::move(token);
-
-  if (!needs_routing_map_) {
-    item.shard = shard_for(op.id, op.size);
-    return Enqueue(item.shard, std::move(item), /*ticketed=*/false, 0);
-  }
-
-  // Map-keeping modes cannot re-derive an op's shard from the id alone
-  // (size-class deletes carry no size; least-loaded decisions depended on
-  // load; migrated ids' hashes are stale), so the facade keeps an
-  // id -> shard map, maintained at submit time. The map update no longer
-  // holds routing_mu_ across the enqueue: it stamps the op with the
-  // target shard's next admission ticket instead, and Enqueue admits
-  // ticketed items in ticket order (see the routing_mu_ field comment for
-  // the order proof). Ticketed items never drop, so the map is still a
-  // faithful prediction of execution: an op that reaches its shard always
-  // succeeds (Make rejects inner algorithms whose inserts can fail on a
-  // fresh id, see AlgorithmInsertCanFailOnFreshId).
-  if (op.type == Request::Type::kInsert && op.size == 0) {
-    return Status::InvalidArgument("size must be positive");
-  }
-  std::uint64_t ticket = 0;
-  {
-    std::lock_guard<std::mutex> lock(routing_mu_);
-    if (op.type == Request::Type::kInsert) {
-      const std::uint32_t target = RouteInsertLocked(op.id, op.size);
-      if (!placement_.TryAssign(op.id, target)) {
-        return Status::AlreadyExists(
-            "object " + std::to_string(op.id) + " is live on shard " +
-            std::to_string(placement_.Lookup(op.id, shard_count())));
-      }
-      if (!predicted_volume_.empty()) {
-        predicted_volume_[target] += op.size;
-        sizes_.emplace(op.id, op.size);
-      }
-      item.shard = target;
-    } else {
-      const std::uint32_t holder = placement_.Lookup(op.id, shard_count());
-      if (holder == shard_count()) {
-        return Status::NotFound("object " + std::to_string(op.id) +
-                                " is not live on any shard");
-      }
-      placement_.Erase(op.id);
-      if (!predicted_volume_.empty()) {
-        auto it = sizes_.find(op.id);
-        predicted_volume_[holder] -= it->second;
-        sizes_.erase(it);
-      }
-      item.shard = holder;
-    }
-    ticket = shards_[item.shard].tickets_issued++;
-    ++stamped_requests_[item.shard];
-  }
-  const std::uint32_t shard = item.shard;
-  return Enqueue(shard, std::move(item), /*ticketed=*/true, ticket);
+  return item;
 }
 
 void ConcurrentShardedReallocator::RecordDrop(std::uint32_t shard,
@@ -214,334 +162,304 @@ void ConcurrentShardedReallocator::RecordDrop(std::uint32_t shard,
   last_drop_status_ = status;
 }
 
-Status ConcurrentShardedReallocator::Enqueue(std::uint32_t shard, Item item,
-                                             bool ticketed,
-                                             std::uint64_t ticket) {
-  Worker& worker = *workers_[shards_[shard].worker];
-  // Only real requests gate AddShardListener; internal markers
-  // (quiesce/checkpoint/snapshot) leave the facade as listener-attachable
-  // as before.
-  const bool is_request =
-      item.kind == OpKind::kInsert || item.kind == OpKind::kDelete;
-  if (is_request) {
-    requests_submitted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Ticketed (size-class) items are never droppable: a drop would leave
-  // the routing map claiming a ghost (dropped insert) or a leak (dropped
-  // delete), and the admission counter would wedge behind the missing
-  // ticket. Size-class keeps pure backpressure by contract.
-  const bool droppable = is_request && !ticketed && item.token == nullptr &&
-                         options_.submit_max_retries > 0;
-  {
-    std::unique_lock<std::mutex> lock(worker.mu);
-    // Ticketed items wait for their turn as well as for space, so a
-    // shard's queue arrival order is exactly its ticket-issue order even
-    // though routing_mu_ was released before this point.
-    const auto can_admit = [&] {
-      return worker.queue.size() < options_.queue_capacity &&
-             (!ticketed || shards_[shard].tickets_admitted == ticket);
-    };
-    if (droppable) {
-      // Bounded backpressure: wait-with-doubling-backoff up to the retry
-      // budget, then drop rather than stall the producer forever.
-      auto backoff = options_.submit_retry_backoff;
-      std::size_t attempts = 0;
-      while (!can_admit()) {
-        if (attempts == options_.submit_max_retries) {
-          lock.unlock();
-          Status dropped = Status::ResourceExhausted(
-              "shard " + std::to_string(shard) + " queue full after " +
-              std::to_string(attempts) + " bounded retries");
-          RecordDrop(shard, 1, dropped);
-          return dropped;
-        }
-        ++attempts;
-        worker.cv_space.wait_for(lock, backoff, can_admit);
-        backoff *= 2;
-      }
-    } else {
-      worker.cv_space.wait(lock, can_admit);
+bool ConcurrentShardedReallocator::HasRoom(const Worker& worker) const {
+  // `completed` is read first: it only counts ops `submitted` already
+  // counted, so the difference never underflows; reading it early at
+  // worst overestimates in-flight, which is the safe direction.
+  const std::uint64_t completed =
+      worker.completed.load(std::memory_order_acquire);
+  return worker.submitted.load(std::memory_order_relaxed) - completed <
+         options_.queue_capacity;
+}
+
+std::size_t ConcurrentShardedReallocator::Reserve(Worker& worker,
+                                                  std::size_t want) const {
+  const std::uint64_t completed =
+      worker.completed.load(std::memory_order_acquire);
+  std::uint64_t submitted = worker.submitted.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::uint64_t in_flight = submitted - completed;  // see HasRoom
+    if (in_flight >= options_.queue_capacity) return 0;
+    const std::uint64_t granted = std::min<std::uint64_t>(
+        want, options_.queue_capacity - in_flight);
+    // A failed CAS reloads `submitted`, which only grows, so the stale
+    // `completed` keeps erring on the safe side.
+    if (worker.submitted.compare_exchange_weak(submitted, submitted + granted,
+                                               std::memory_order_relaxed)) {
+      return static_cast<std::size_t>(granted);
     }
-    worker.queue.push_back(std::move(item));
-    if (ticketed) ++shards_[shard].tickets_admitted;
-    worker.enqueued.fetch_add(1, std::memory_order_relaxed);
   }
-  worker.cv_ready.notify_one();
-  // The next ticket holder may already be parked on cv_space waiting for
-  // its turn (not for capacity), so admission itself must wake waiters.
-  if (ticketed) worker.cv_space.notify_all();
-  return Status::Ok();
 }
 
-Status ConcurrentShardedReallocator::Submit(const Request& op) {
-  return SubmitOp(op, nullptr);
+void ConcurrentShardedReallocator::Push(std::uint32_t shard,
+                                        std::vector<Item> items) {
+  Worker& worker = WorkerOf(shard);
+  const bool was_empty = shards_[shard].remote->Push(
+      new RemoteQueue<std::vector<Item>>::Node(std::move(items)));
+  if (was_empty) {
+    // Empty -> non-empty is the only transition that can race a worker
+    // going to sleep. The empty critical section pairs our release-push
+    // with the worker's under-lock predicate check: either the worker
+    // sees the push, or it is already waiting and the notify lands.
+    { std::lock_guard<std::mutex> lock(worker.mu); }
+    worker.cv_ready.notify_one();
+  }
 }
 
-std::shared_ptr<OpToken> ConcurrentShardedReallocator::SubmitTracked(
-    const Request& op) {
-  auto token = std::make_shared<OpToken>();
-  Status routed = SubmitOp(op, token);
-  if (!routed.ok()) token->Complete(std::move(routed));
-  return token;
-}
-
-Status ConcurrentShardedReallocator::PushRemote(std::uint32_t shard,
-                                                std::vector<Item> items,
-                                                std::size_t* delivered) {
+Status ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
+                                             std::vector<Item> items,
+                                             bool may_drop,
+                                             std::size_t* delivered) {
   *delivered = 0;
-  if (items.empty()) return Status::Ok();
-  Worker& worker = *workers_[shards_[shard].worker];
-  requests_submitted_.fetch_add(items.size(), std::memory_order_relaxed);
-  // Soft in-flight bound: the remote path has no queue to measure, so it
-  // gates on enqueued + remote_enqueued - completed. `completed` is read
-  // first — it only counts ops the other two already counted, so the
-  // subtraction can never underflow even with racy reads; reading it
-  // early at worst overestimates in-flight, which is the safe direction.
-  const std::size_t capacity = options_.queue_capacity;
-  const auto room = [&]() -> std::size_t {
-    const std::uint64_t completed =
-        worker.completed.load(std::memory_order_acquire);
-    const std::uint64_t in_flight =
-        worker.enqueued.load(std::memory_order_relaxed) +
-        worker.remote_enqueued.load(std::memory_order_relaxed) - completed;
-    return in_flight >= capacity ? 0 : capacity - in_flight;
-  };
-  // Unlike the per-op path, batches follow the bounded-retry drop policy
-  // even when tracked: the suffix tokens complete with the drop status,
-  // so nothing fails silently.
-  const bool droppable = options_.submit_max_retries > 0;
+  const std::size_t total = items.size();
+  Worker& worker = WorkerOf(shard);
+  const bool droppable = may_drop && options_.submit_max_retries > 0;
   auto backoff = options_.submit_retry_backoff;
   std::size_t attempts = 0;
-  while (*delivered < items.size()) {
-    const std::size_t space = room();
-    if (space == 0) {
-      if (droppable) {
-        if (attempts == options_.submit_max_retries) break;  // drop suffix
-        ++attempts;
-        std::unique_lock<std::mutex> lock(worker.mu);
-        worker.cv_space.wait_for(lock, backoff, [&] { return room() > 0; });
-        backoff *= 2;
-      } else {
-        std::unique_lock<std::mutex> lock(worker.mu);
-        worker.cv_space.wait(lock, [&] { return room() > 0; });
+  while (*delivered < total) {
+    const std::size_t granted = Reserve(worker, total - *delivered);
+    if (granted == 0) {
+      std::unique_lock<std::mutex> lock(worker.mu);
+      const auto room = [&] { return HasRoom(worker); };
+      if (!droppable) {
+        worker.cv_space.wait(lock, room);
+        continue;
       }
+      if (attempts == options_.submit_max_retries) break;  // drop suffix
+      ++attempts;
+      worker.cv_space.wait_for(lock, backoff, room);
+      backoff *= 2;
       continue;
     }
-    // Chunked delivery: never push more than the room observed, so a
+    // Chunked delivery: never push more than the room reserved, so a
     // retry exhaustion drops exactly the undelivered suffix.
-    const std::size_t chunk = std::min(space, items.size() - *delivered);
-    const auto first = items.begin() + static_cast<std::ptrdiff_t>(*delivered);
-    auto* node = new RemoteQueue<std::vector<Item>>::Node(std::vector<Item>(
-        std::make_move_iterator(first),
-        std::make_move_iterator(first + static_cast<std::ptrdiff_t>(chunk))));
-    // Counted before the push so a Flush that captures its target after
-    // observing the push always waits for these ops; nothing blocks
-    // between the increment and the push, so the target stays reachable.
-    worker.remote_enqueued.fetch_add(chunk, std::memory_order_relaxed);
-    const bool was_empty = shards_[shard].remote->Push(node);
-    *delivered += chunk;
+    if (granted == total) {
+      Push(shard, std::move(items));
+    } else {
+      const auto first =
+          items.begin() + static_cast<std::ptrdiff_t>(*delivered);
+      Push(shard, std::vector<Item>(
+                      std::make_move_iterator(first),
+                      std::make_move_iterator(
+                          first + static_cast<std::ptrdiff_t>(granted))));
+    }
+    *delivered += granted;
     attempts = 0;
     backoff = options_.submit_retry_backoff;
-    if (was_empty) {
-      // Empty -> non-empty is the only transition that can race a worker
-      // going to sleep. The empty critical section pairs our release-push
-      // with the worker's under-lock predicate check: either the worker
-      // sees the push, or it is already waiting and the notify lands.
-      { std::lock_guard<std::mutex> lock(worker.mu); }
-      worker.cv_ready.notify_one();
-    }
   }
-  if (*delivered == items.size()) return Status::Ok();
-  const std::size_t dropped = items.size() - *delivered;
+  if (*delivered == total) return Status::Ok();
+  const std::size_t dropped = total - *delivered;
   Status status = Status::ResourceExhausted(
       "shard " + std::to_string(shard) + " queue full after " +
       std::to_string(options_.submit_max_retries) +
       " bounded retries; dropped batch suffix of " + std::to_string(dropped) +
       " ops");
   RecordDrop(shard, dropped, status);
-  for (std::size_t i = *delivered; i < items.size(); ++i) {
+  for (std::size_t i = *delivered; i < total; ++i) {
     if (items[i].token != nullptr) items[i].token->Complete(status);
   }
   return status;
 }
 
-Status ConcurrentShardedReallocator::SubmitBatch(
-    const Request* ops, std::size_t count,
-    std::vector<std::shared_ptr<OpToken>>* tokens, std::size_t* accepted) {
-  if (tokens != nullptr) {
-    tokens->clear();
-    tokens->reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      tokens->push_back(std::make_shared<OpToken>());
-    }
-  }
-  std::size_t delivered_total = 0;
-  Status first_error;
+void ConcurrentShardedReallocator::SubmitMarker(Item item) {
+  const std::uint32_t shard = item.shard;
+  std::vector<Item> items;
+  items.push_back(std::move(item));
+  std::size_t delivered = 0;
+  Deliver(shard, std::move(items), /*may_drop=*/false, &delivered);
+}
 
-  // One submit stamp for the whole batch: the batch is the submission
-  // event, and a per-op clock read would cost more than the mutex hop the
-  // batched path exists to amortize.
-  const std::uint64_t submit_ns = MonotonicNanos();
-  const auto make_item = [&](std::size_t i) {
-    Item item;
-    item.kind = ops[i].type == Request::Type::kInsert ? OpKind::kInsert
-                                                      : OpKind::kDelete;
-    item.id = ops[i].id;
-    item.size = ops[i].size;
-    item.submit_ns = submit_ns;
-    if (tokens != nullptr) item.token = (*tokens)[i];
-    return item;
-  };
+Status ConcurrentShardedReallocator::Submit(const Request& op) {
+  return SubmitBatch(&op, 1, /*tokens=*/nullptr, /*may_drop=*/true,
+                     /*accepted=*/nullptr);
+}
 
-  if (options_.submit_path == SubmitPath::kMutexQueue) {
-    // The differential oracle: each op rides the mutex queue exactly as a
-    // per-op Submit would (tracked items never drop — a token must
-    // retire — matching SubmitTracked).
-    for (std::size_t i = 0; i < count; ++i) {
-      std::shared_ptr<OpToken> token =
-          tokens != nullptr ? (*tokens)[i] : nullptr;
-      Status status = SubmitOp(ops[i], token);
-      if (status.ok()) {
-        ++delivered_total;
-      } else {
-        if (token != nullptr) token->Complete(status);
-        if (first_error.ok()) first_error = status;
-      }
-    }
-    if (accepted != nullptr) *accepted = delivered_total;
-    return first_error;
-  }
-
-  if (!needs_routing_map_) {
-    // Hash routing: bucket the batch per shard (preserving op order within
-    // each shard) and deliver each bucket with one capacity-gated
-    // lock-free push per chunk — no producer-side lock anywhere.
-    std::vector<std::vector<Item>> buckets(shard_count());
-    std::vector<std::vector<std::size_t>> bucket_index(shard_count());
-    for (std::size_t i = 0; i < count; ++i) {
-      Item item = make_item(i);
-      item.shard = shard_for(item.id, item.size);
-      bucket_index[item.shard].push_back(i);
-      buckets[item.shard].push_back(std::move(item));
-    }
-    // A drop statuses the batch with the failure of the *earliest* op (in
-    // batch order) that failed to deliver, across all shard buckets.
-    std::size_t first_error_index = count;
-    for (std::uint32_t s = 0; s < shard_count(); ++s) {
-      if (buckets[s].empty()) continue;
-      std::size_t delivered = 0;
-      Status status = PushRemote(s, std::move(buckets[s]), &delivered);
-      delivered_total += delivered;
-      if (!status.ok() && bucket_index[s][delivered] < first_error_index) {
-        first_error_index = bucket_index[s][delivered];
-        first_error = status;
-      }
-    }
-    if (accepted != nullptr) *accepted = delivered_total;
-    return first_error;
-  }
-
-  // Map-keeping routing: the batch amortizes routing_mu_ to ONE critical
-  // section for all its map updates and ticket grabs, then enqueues
-  // outside the lock on the ticketed mutex path (ticket order == map
-  // order, and ticketed items never drop, so the map stays exact).
-  struct Staged {
-    Item item;
-    std::uint64_t ticket;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(count);
-  {
-    std::lock_guard<std::mutex> lock(routing_mu_);
-    for (std::size_t i = 0; i < count; ++i) {
-      Status rejected;
-      Item item = make_item(i);
-      if (ops[i].type == Request::Type::kInsert) {
-        if (ops[i].size == 0) {
-          rejected = Status::InvalidArgument("size must be positive");
-        } else {
-          const std::uint32_t target = RouteInsertLocked(ops[i].id,
-                                                         ops[i].size);
-          if (!placement_.TryAssign(ops[i].id, target)) {
-            rejected = Status::AlreadyExists(
-                "object " + std::to_string(ops[i].id) + " is live on shard " +
-                std::to_string(placement_.Lookup(ops[i].id, shard_count())));
-          } else {
-            if (!predicted_volume_.empty()) {
-              predicted_volume_[target] += ops[i].size;
-              sizes_.emplace(ops[i].id, ops[i].size);
-            }
-            item.shard = target;
-          }
-        }
-      } else {
-        const std::uint32_t holder =
-            placement_.Lookup(ops[i].id, shard_count());
-        if (holder == shard_count()) {
-          rejected = Status::NotFound("object " + std::to_string(ops[i].id) +
-                                      " is not live on any shard");
-        } else {
-          placement_.Erase(ops[i].id);
-          if (!predicted_volume_.empty()) {
-            auto it = sizes_.find(ops[i].id);
-            predicted_volume_[holder] -= it->second;
-            sizes_.erase(it);
-          }
-          item.shard = holder;
-        }
-      }
-      if (!rejected.ok()) {
-        // Submit-time rejection skips just this op; the batch continues.
-        if (item.token != nullptr) item.token->Complete(rejected);
-        if (first_error.ok()) first_error = std::move(rejected);
-        continue;
-      }
-      const std::uint64_t ticket = shards_[item.shard].tickets_issued++;
-      ++stamped_requests_[item.shard];
-      staged.push_back(Staged{std::move(item), ticket});
-    }
-  }
-  for (Staged& s : staged) {
-    const std::uint32_t shard = s.item.shard;
-    // Ticketed enqueues always succeed (pure backpressure).
-    Enqueue(shard, std::move(s.item), /*ticketed=*/true, s.ticket);
-    ++delivered_total;
-  }
-  if (accepted != nullptr) *accepted = delivered_total;
-  return first_error;
+std::shared_ptr<OpToken> ConcurrentShardedReallocator::SubmitTracked(
+    const Request& op) {
+  auto token = std::make_shared<OpToken>();
+  // A token must retire, so a tracked single op never drops.
+  SubmitBatch(&op, 1, &token, /*may_drop=*/false, /*accepted=*/nullptr);
+  return token;
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const Request* ops,
                                                 std::size_t count,
                                                 std::size_t* accepted) {
-  return SubmitBatch(ops, count, /*tokens=*/nullptr, accepted);
+  return SubmitBatch(ops, count, /*tokens=*/nullptr, /*may_drop=*/true,
+                     accepted);
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
                                                 std::size_t* accepted) {
-  return SubmitBatch(ops.data(), ops.size(), /*tokens=*/nullptr, accepted);
+  return SubmitMany(ops.data(), ops.size(), accepted);
 }
 
 std::vector<std::shared_ptr<OpToken>>
 ConcurrentShardedReallocator::SubmitManyTracked(const Request* ops,
                                                 std::size_t count) {
   std::vector<std::shared_ptr<OpToken>> tokens;
-  SubmitBatch(ops, count, &tokens, /*accepted=*/nullptr);
+  tokens.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    tokens.push_back(std::make_shared<OpToken>());
+  }
+  SubmitBatch(ops, count, tokens.data(), /*may_drop=*/true,
+              /*accepted=*/nullptr);
   return tokens;
 }
 
+Status ConcurrentShardedReallocator::SubmitBatch(
+    const Request* ops, std::size_t count, std::shared_ptr<OpToken>* tokens,
+    bool may_drop, std::size_t* accepted) {
+  requests_submitted_.fetch_add(count, std::memory_order_relaxed);
+  // One submit stamp for the whole batch: the batch is the submission
+  // event, and a per-op clock read would cost more than the queue hop the
+  // batch exists to amortize. Taken before any routing or backpressure
+  // wait, so the recorded queue-wait includes producer-side stalls.
+  const std::uint64_t submit_ns = MonotonicNanos();
+  std::size_t delivered = 0;
+  const Status status =
+      needs_routing_map_
+          ? SubmitMapped(ops, count, tokens, submit_ns, &delivered)
+          : SubmitHashed(ops, count, tokens, submit_ns, may_drop, &delivered);
+  if (accepted != nullptr) *accepted = delivered;
+  return status;
+}
+
+Status ConcurrentShardedReallocator::SubmitHashed(
+    const Request* ops, std::size_t count, std::shared_ptr<OpToken>* tokens,
+    std::uint64_t submit_ns, bool may_drop, std::size_t* accepted) {
+  // Bucket the batch per shard, preserving op order within each shard,
+  // and deliver each bucket with capacity-gated lock-free pushes — no
+  // producer-side lock anywhere.
+  std::vector<std::vector<Item>> buckets(shard_count());
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t shard = shard_for(ops[i].id, ops[i].size);
+    buckets[shard].push_back(MakeItem(ops[i], shard, submit_ns,
+                                      tokens != nullptr ? tokens[i] : nullptr));
+  }
+  // A drop statuses the batch with the failure of the *earliest* op (in
+  // batch order) that failed to deliver, across all shard buckets.
+  std::size_t first_error_index = count;
+  Status first_error;
+  for (std::uint32_t s = 0; s < shard_count(); ++s) {
+    if (buckets[s].empty()) continue;
+    std::size_t delivered = 0;
+    Status status = Deliver(s, std::move(buckets[s]), may_drop, &delivered);
+    *accepted += delivered;
+    if (status.ok()) continue;
+    // Cold path: find the batch index of shard s's first undelivered op.
+    std::size_t seen = 0;
+    for (std::size_t i = 0; i < first_error_index; ++i) {
+      if (shard_for(ops[i].id, ops[i].size) == s && seen++ == delivered) {
+        first_error_index = i;
+        first_error = std::move(status);
+        break;
+      }
+    }
+  }
+  return first_error;
+}
+
+Status ConcurrentShardedReallocator::SubmitMapped(
+    const Request* ops, std::size_t count, std::shared_ptr<OpToken>* tokens,
+    std::uint64_t submit_ns, std::size_t* accepted) {
+  // Map-keeping modes cannot re-derive an op's shard from the id alone
+  // (size-class deletes carry no size; least-loaded decisions depended on
+  // load; migrated ids' hashes are stale), so the facade keeps an
+  // id -> shard map, maintained at submit time. An op that reaches its
+  // shard always succeeds (Make rejects inner algorithms whose inserts
+  // can fail on a fresh id), and nothing here drops, so the map stays a
+  // faithful prediction of execution.
+  Status first_error;
+  std::vector<std::vector<Item>> staged(shard_count());
+  const auto push_staged = [&] {
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      if (staged[s].empty()) continue;
+      Push(s, std::move(staged[s]));
+      staged[s].clear();
+    }
+  };
+  std::unique_lock<std::mutex> lock(routing_mu_);
+  for (std::size_t i = 0; i < count;) {
+    const Request& op = ops[i];
+    const bool is_insert = op.type == Request::Type::kInsert;
+    const std::uint32_t holder = placement_.Lookup(op.id, shard_count());
+    Status rejected;
+    if (is_insert && op.size == 0) {
+      rejected = Status::InvalidArgument("size must be positive");
+    } else if (is_insert && holder != shard_count()) {
+      rejected = Status::AlreadyExists("object " + std::to_string(op.id) +
+                                       " is live on shard " +
+                                       std::to_string(holder));
+    } else if (!is_insert && holder == shard_count()) {
+      rejected = Status::NotFound("object " + std::to_string(op.id) +
+                                  " is not live on any shard");
+    }
+    if (!rejected.ok()) {
+      // Submit-time rejection skips just this op; the batch continues.
+      if (tokens != nullptr) tokens[i]->Complete(rejected);
+      if (first_error.ok()) first_error = std::move(rejected);
+      ++i;
+      continue;
+    }
+    const std::uint32_t target =
+        is_insert ? RouteInsertLocked(op.id, op.size) : holder;
+    Worker& worker = WorkerOf(target);
+    if (Reserve(worker, 1) == 0) {
+      // Full: hand over what is staged (it holds reservations), then wait
+      // with the map lock released. Op i is routed afresh afterwards —
+      // other producers may have moved the map meanwhile.
+      push_staged();
+      lock.unlock();
+      {
+        std::unique_lock<std::mutex> worker_lock(worker.mu);
+        worker.cv_space.wait(worker_lock, [&] { return HasRoom(worker); });
+      }
+      lock.lock();
+      continue;
+    }
+    if (is_insert) {
+      placement_.TryAssign(op.id, target);
+      if (!predicted_volume_.empty()) {
+        predicted_volume_[target] += op.size;
+        sizes_.emplace(op.id, op.size);
+      }
+    } else {
+      placement_.Erase(op.id);
+      if (!predicted_volume_.empty()) {
+        auto it = sizes_.find(op.id);
+        predicted_volume_[target] -= it->second;
+        sizes_.erase(it);
+      }
+    }
+    ++stamped_requests_[target];
+    staged[target].push_back(MakeItem(op, target, submit_ns,
+                                      tokens != nullptr ? tokens[i] : nullptr));
+    ++*accepted;
+    ++i;
+  }
+  push_staged();
+  return first_error;
+}
+
 void ConcurrentShardedReallocator::Flush() {
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    std::unique_lock<std::mutex> lock(worker->mu);
-    // Both paths count toward the drain target. remote_enqueued is bumped
-    // just before each lock-free push with nothing blocking in between,
-    // so a captured target is always eventually completed.
-    const std::uint64_t target =
-        worker->enqueued.load(std::memory_order_relaxed) +
-        worker->remote_enqueued.load(std::memory_order_relaxed);
-    worker->cv_drained.wait(lock, [&] {
-      return worker->completed.load(std::memory_order_acquire) >= target;
-    });
+  // With rebalancing, a drain cycle publishes its completions only after
+  // its rebalance scan pushed any migrations it started, possibly onto a
+  // worker this pass already checked; a second pass drains those. Their
+  // cycles carry no requests and never scan, so no third pass is needed.
+  const int passes = options_.rebalance ? 2 : 1;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (std::unique_ptr<Worker>& worker : workers_) {
+      std::unique_lock<std::mutex> lock(worker->mu);
+      // `submitted` is reserved just before each push, and a producer
+      // pushes everything it reserved before it can block, so a captured
+      // target is always eventually completed.
+      const std::uint64_t target =
+          worker->submitted.load(std::memory_order_relaxed);
+      worker->cv_drained.wait(lock, [&] {
+        return worker->completed.load(std::memory_order_acquire) >= target;
+      });
+    }
   }
 }
 
@@ -567,7 +485,7 @@ void ConcurrentShardedReallocator::Quiesce() {
     Item item;
     item.kind = OpKind::kQuiesce;
     item.shard = i;
-    Enqueue(i, std::move(item), /*ticketed=*/false, 0);
+    SubmitMarker(std::move(item));
   }
   Flush();
 }
@@ -579,14 +497,15 @@ void ConcurrentShardedReallocator::CheckpointAll() {
     Item item;
     item.kind = OpKind::kCheckpoint;
     item.shard = i;
-    Enqueue(i, std::move(item), /*ticketed=*/false, 0);
+    SubmitMarker(std::move(item));
   }
   Flush();
 }
 
 ShardStats ConcurrentShardedReallocator::Stats() {
   // Each shard is snapshotted *on its owning worker* by a queued marker
-  // op: FIFO puts the marker behind every op submitted before this call,
+  // op: the shard's FIFO puts the marker behind every op submitted before
+  // this call, whichever entry point submitted it,
   // and only the owner ever touches the shard's mutable state, so the
   // read is race-free even while other producers keep submitting (their
   // later ops simply land behind the marker).
@@ -602,7 +521,7 @@ ShardStats ConcurrentShardedReallocator::Stats() {
     item.max_end_out = &max_end[i];
     item.token = std::make_shared<OpToken>();
     tokens.push_back(item.token);
-    Enqueue(i, std::move(item), /*ticketed=*/false, 0);
+    SubmitMarker(std::move(item));
   }
   for (const auto& token : tokens) token->Wait();
 
@@ -711,7 +630,7 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
       counters_[plan.hot].ops.load(std::memory_order_relaxed)) {
     return;
   }
-  Worker& dest_worker = *workers_[shards_[plan.cold].worker];
+  std::vector<Item> arrivals;
   for (const std::pair<ObjectId, Extent>& victim : victims) {
     const ObjectId id = victim.first;
     const std::uint64_t size = victim.second.length;
@@ -728,100 +647,92 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
       predicted_volume_[plan.hot] -= size;
       predicted_volume_[plan.cold] += size;
     }
-    // Destination side: a kMigrateIn pushed straight into the owning
-    // worker's queue under its mu — capacity-exempt (a worker must never
-    // park on a producer-side backpressure wait) and unticketed, but
-    // ordered before any later-submitted op for this id because such an
-    // op can only be stamped under the routing_mu_ we hold, and will
-    // land behind us in the same FIFO. Lock order routing_mu_ ->
-    // worker.mu matches the submit path, and the push never blocks, so
-    // two workers rebalancing toward each other cannot deadlock.
     Item item;
     item.kind = OpKind::kMigrateIn;
     item.shard = plan.cold;
     item.id = id;
     item.size = size;
-    {
-      std::lock_guard<std::mutex> dest_lock(dest_worker.mu);
-      dest_worker.queue.push_back(std::move(item));
-      dest_worker.enqueued.fetch_add(1, std::memory_order_relaxed);
-    }
-    dest_worker.cv_ready.notify_one();
+    arrivals.push_back(std::move(item));
   }
+  if (arrivals.empty()) return;
+  // Destination side: one batch of kMigrateIn ops on the cold shard's
+  // queue — capacity-exempt (a worker must never park on a producer-side
+  // backpressure wait), but ordered before any later-submitted op for
+  // these ids, because such an op can only be routed under the
+  // routing_mu_ we hold and lands behind us in the same FIFO. Lock order
+  // routing_mu_ -> worker.mu matches the submit path, and the push never
+  // blocks, so two workers rebalancing toward each other cannot deadlock.
+  WorkerOf(plan.cold).submitted.fetch_add(arrivals.size(),
+                                          std::memory_order_relaxed);
+  Push(plan.cold, std::move(arrivals));
 }
 
 void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
-  std::vector<Item> batch;
-  const auto remote_pending = [&] {
+  const auto pending = [&] {
     for (std::uint32_t s : worker.owned_shards) {
       if (!shards_[s].remote->empty()) return true;
     }
     return false;
   };
+  const auto is_request = [](const Item& item) {
+    return item.kind == OpKind::kInsert || item.kind == OpKind::kDelete;
+  };
   for (;;) {
-    bool took_mutex_batch = false;
     bool stopping = false;
     {
       std::unique_lock<std::mutex> lock(worker.mu);
-      worker.cv_ready.wait(lock, [&] {
-        return !worker.queue.empty() || remote_pending() || worker.stop;
-      });
-      // Stop only once BOTH paths are drained: the mutex queue and every
-      // owned shard's remote queue.
-      if (worker.queue.empty() && !remote_pending()) break;
+      worker.cv_ready.wait(lock, [&] { return pending() || worker.stop; });
+      // Stop only once every owned shard's queue is drained.
+      if (!pending()) break;
       stopping = worker.stop;
-      if (!worker.queue.empty()) {
-        batch.assign(std::make_move_iterator(worker.queue.begin()),
-                     std::make_move_iterator(worker.queue.end()));
-        worker.queue.clear();
-        took_mutex_batch = true;
-      }
     }
-    if (took_mutex_batch) worker.cv_space.notify_all();
-    // One clock read per drained item, not two: each op's end timestamp is
-    // the next op's start (the worker runs them back to back).
-    std::uint64_t now = MonotonicNanos();
-    for (const Item& item : batch) {
-      now = ExecuteTimed(item, now);
-      // Release pairs with Flush's acquire: once a flusher observes the
-      // count, every effect of the op is visible to it.
-      worker.completed.fetch_add(1, std::memory_order_release);
-    }
-    batch.clear();
-    // Alternate with the remote path: take each owned shard's whole list
-    // in one acquire-exchange, then execute node-by-node in arrival
-    // order. Only this thread ever takes, so no other synchronization.
+    // Take each owned shard's whole list in one acquire-exchange, then
+    // execute node-by-node in arrival order. Only this thread ever takes,
+    // so no other synchronization.
+    std::uint64_t executed = 0;
+    std::uint64_t requests = 0;
     for (std::uint32_t s : worker.owned_shards) {
       auto* node = shards_[s].remote->TakeAll();
       while (node != nullptr) {
-        counters_[s].RecordRemoteBatch(node->value.size());
-        now = MonotonicNanos();
-        for (const Item& item : node->value) {
-          now = ExecuteTimed(item, now);
-          worker.completed.fetch_add(1, std::memory_order_release);
-        }
+        // Counted before executing, so a snapshot marker later in the
+        // FIFO sees every earlier batch. Marker and migration nodes carry
+        // no requests and do not count.
+        const std::uint64_t node_requests = static_cast<std::uint64_t>(
+            std::count_if(node->value.begin(), node->value.end(), is_request));
+        if (node_requests > 0) counters_[s].RecordRemoteBatch(node_requests);
+        requests += node_requests;
+        // One clock read per item, not two: each op's end timestamp is
+        // the next op's start (the worker runs them back to back).
+        std::uint64_t now = MonotonicNanos();
+        for (const Item& item : node->value) now = ExecuteTimed(item, now);
+        executed += node->value.size();
         auto* next = node->next;
         delete node;
         node = next;
       }
     }
+    // Background rebalancing rides the drain cadence: a scan every
+    // check_interval cycles that executed requests (a cycle of markers or
+    // migrations never starts one), skipped once shutdown has begun (a
+    // migration must never land in a queue whose worker already exited).
+    if (options_.rebalance && !stopping && requests > 0 &&
+        ++worker.drain_cycles >= options_.rebalance_options.check_interval) {
+      worker.drain_cycles = 0;
+      MaybeRebalance(worker);
+    }
+    // Completions publish after the scan, so a flusher that sees them also
+    // sees the scan's effects and its migration pushes (see Flush). The
+    // release pairs with Flush's acquire: once a flusher observes the
+    // count, every effect of the cycle is visible to it.
+    worker.completed.fetch_add(executed, std::memory_order_release);
     {
       // Notify under the lock so a flusher can never check its predicate
       // between our increment and our notify and then sleep forever.
       std::lock_guard<std::mutex> lock(worker.mu);
     }
     worker.cv_drained.notify_all();
-    // Completions also free in-flight room for the batched producers'
-    // soft capacity gate, not just mutex-queue slots.
+    // Completions also free in-flight room for waiting producers.
     worker.cv_space.notify_all();
-    // Background rebalancing rides the drain cadence: a scan every
-    // check_interval cycles, skipped once shutdown has begun (a migration
-    // must never land in a queue whose worker already exited).
-    if (options_.rebalance && !stopping &&
-        ++worker.drain_cycles >= options_.rebalance_options.check_interval) {
-      worker.drain_cycles = 0;
-      MaybeRebalance(worker);
-    }
   }
 }
 
@@ -912,8 +823,8 @@ std::uint64_t ConcurrentShardedReallocator::ExecuteTimed(
   const std::uint64_t end_ns = MonotonicNanos();
   ShardLatencyRecorders& lat = latency_[item.shard];
   // queue_wait spans submit stamp -> execution start, so it includes any
-  // backpressure stall the producer ate inside Enqueue, not just the time
-  // the item sat in a queue.
+  // backpressure stall the producer ate before the push, not just the
+  // time the item sat in a queue.
   lat.queue_wait.Record(SaturatingElapsed(start_ns, item.submit_ns));
   lat.service.Record(SaturatingElapsed(end_ns, start_ns));
   lat.total.Record(SaturatingElapsed(end_ns, item.submit_ns));

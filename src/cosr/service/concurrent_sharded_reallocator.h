@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,8 +69,10 @@ class OpToken {
 
 /// The concurrent execution mode of the service layer: K shards as in
 /// ShardedReallocator, but each shard's inner reallocator is driven by one
-/// of W worker threads over a bounded MPSC request queue, so the K
-/// reallocators genuinely run in parallel.
+/// of W worker threads, so the K reallocators genuinely run in parallel.
+/// Every op reaches its shard the same way: pushed onto that shard's
+/// lock-free RemoteQueue (one FIFO per shard), which only the owning
+/// worker drains.
 ///
 /// Why that is sound: the source paper's guarantees are per-allocator, and
 /// the shards' sub-problems are disjoint by construction. In concurrent
@@ -85,23 +86,18 @@ class OpToken {
 /// slot tables instead of one shared one.
 ///
 /// Thread-safety contract, per surface:
-///   * Submit / SubmitTracked / Insert / Delete — thread-safe (MPSC: any
-///     number of producers). Per-shard request order follows producer
-///     submission order; with multiple producers racing, cross-producer
-///     order per shard is the queue arrival order.
-///   * SubmitMany / SubmitManyTracked — thread-safe. One batch's ops for
-///     one shard execute in batch order; batches from one producer to one
-///     shard execute in submission order. Ordering ACROSS the two paths
-///     (a producer mixing SubmitMany with per-op Submit) is only defined
-///     through a Flush barrier between them — the batched path rides
-///     per-shard lock-free RemoteQueues, the per-op path rides the mutex
-///     queue, and the worker drains them alternately.
+///   * Submit / SubmitTracked / Insert / Delete / SubmitMany /
+///     SubmitManyTracked — thread-safe (MPSC: any number of producers).
+///     A per-op submission is a batch of one, so all of them share the
+///     shard's FIFO: one producer's ops for one shard execute in
+///     submission order whichever entry points it mixes; with producers
+///     racing, cross-producer order per shard is the queue arrival order.
 ///   * Flush / Quiesce — thread-safe; they drain everything submitted
 ///     before the call (release/acquire on the completion counters).
 ///   * Stats — thread-safe even while other producers keep submitting:
 ///     each shard is snapshotted *on its owning worker* by a marker op
-///     that rides the queue, so it reflects every op enqueued before the
-///     call (plus possibly some concurrent ones) with no racy reads.
+///     that rides the same FIFO, so it reflects every op enqueued before
+///     the call (plus possibly some concurrent ones) with no racy reads.
 ///   * volume / reserved_footprint / counters — thread-safe at any time:
 ///     relaxed reads of per-shard single-writer accumulators
 ///     (ShardCounters), merged on read; exact once drained.
@@ -127,41 +123,38 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// Width of each shard's sub-range (same default as the single-threaded
     /// facade, so layouts are comparable across modes).
     std::uint64_t subrange_span = 1ull << 44;
-    /// Bound of each worker's request queue, in ops; producers block when
-    /// the target worker's queue is full (backpressure, not drop).
+    /// Bound on each worker's in-flight ops (submitted - completed,
+    /// summed over its shards; the op executing right now counts).
+    /// Producers block when the target worker is full (backpressure, not
+    /// drop). Migrations are exempt: a worker never waits on capacity.
     std::size_t queue_capacity = 4096;
-    /// Overload policy for fire-and-forget Submit when the target queue is
-    /// full. 0 (default) keeps pure backpressure: block until space frees
-    /// up. With N >= 1 the producer retries up to N bounded waits with
-    /// doubling backoff (starting at submit_retry_backoff); if the queue
-    /// is still full the op is DROPPED: Submit returns ResourceExhausted
-    /// and the drop is recorded in Stats() (per-shard dropped_ops plus the
-    /// facade-wide last_drop_status). Per-op tracked/synchronous
-    /// submissions and internal markers always block — a token must
-    /// retire. SubmitMany batches (tracked or not) follow the policy too:
-    /// a batch that exhausts its retries drops exactly its undelivered
-    /// suffix, counted per shard, with any suffix tokens completed as
-    /// ResourceExhausted. Size-class routing never drops: its id map is a
+    /// Overload policy for fire-and-forget Submit when the target worker
+    /// is full. 0 (default) keeps pure backpressure: block until room
+    /// frees up. With N >= 1 the producer retries up to N bounded waits
+    /// with doubling backoff (starting at submit_retry_backoff); if the
+    /// worker is still full the op is DROPPED: Submit returns
+    /// ResourceExhausted and the drop is recorded in Stats() (per-shard
+    /// dropped_ops plus the facade-wide last_drop_status). Per-op
+    /// tracked/synchronous submissions and internal markers always block
+    /// — a token must retire. SubmitMany batches (tracked or not) follow
+    /// the policy too: a batch that exhausts its retries drops exactly its
+    /// undelivered suffix, counted per shard, with any suffix tokens
+    /// completed as ResourceExhausted. Map-keeping modes (size-class or
+    /// least-loaded routing, or rebalance) never drop: the id map is a
     /// submit-time prediction of execution that a drop would falsify
-    /// (ghost/leaked map entries), so that routing mode always keeps pure
-    /// backpressure regardless of this knob.
+    /// (ghost/leaked map entries), so they keep pure backpressure
+    /// regardless of this knob.
     std::size_t submit_max_retries = 0;
     std::chrono::microseconds submit_retry_backoff{50};
-    /// Which delivery mechanism SubmitMany uses (per-op Submit always
-    /// rides the mutex queue). kRemoteBatched is the production default;
-    /// kMutexQueue is the PR 5 differential oracle. Map-keeping
-    /// configurations (size-class or least-loaded routing, or rebalance
-    /// enabled) always deliver batches over the ticketed mutex path —
-    /// the placement map's order proof lives there.
-    SubmitPath submit_path = SubmitPath::kRemoteBatched;
     /// Enables background rebalancing: every
-    /// rebalance_options.check_interval drain cycles, each worker scans
+    /// rebalance_options.check_interval drain cycles that executed
+    /// requests, each worker scans
     /// the facade's load and — when it owns the hottest shard — drains a
     /// bounded batch of that shard's frontier objects to the coldest
     /// shard (kMigrateIn ops delivered straight to the destination's
     /// owner). Forces the id placement map (a migrated id's hash no
-    /// longer names its shard), which in turn forces pure backpressure
-    /// and the ticketed mutex batch path. Rejected for inner algorithms
+    /// longer names its shard), which in turn forces pure backpressure.
+    /// Rejected for inner algorithms
     /// whose inserts can fail on a fresh id (the destination insert of a
     /// migration must not fail).
     bool rebalance = false;
@@ -178,12 +171,12 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Drains all queues, stops and joins the workers.
   ~ConcurrentShardedReallocator() override;
 
-  /// Fire-and-forget submission. Ok means "accepted and enqueued"; the
-  /// op's own outcome lands in the shard's failed_ops counter if it fails.
-  /// A non-ok return is a submit-time rejection (size-class routing
-  /// validates against its id map before enqueueing) or — only with
-  /// Options::submit_max_retries > 0 — a ResourceExhausted drop after the
-  /// bounded backpressure retries ran out.
+  /// Fire-and-forget submission, a batch of one. Ok means "accepted and
+  /// enqueued"; the op's own outcome lands in the shard's failed_ops
+  /// counter if it fails. A non-ok return is a submit-time rejection
+  /// (map-keeping routing validates against its id map before enqueueing)
+  /// or — only with Options::submit_max_retries > 0 — a ResourceExhausted
+  /// drop after the bounded backpressure retries ran out.
   Status Submit(const Request& op);
 
   /// Like Submit, but returns a completion token carrying the op's final
@@ -191,16 +184,14 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::shared_ptr<OpToken> SubmitTracked(const Request& op);
 
   /// Batched fire-and-forget submission: semantically `Submit(op)` for
-  /// each op in order, delivered over the path Options::submit_path
-  /// selects. On the default kRemoteBatched path a batch costs its
-  /// producer one routing pass plus one lock-free push per target shard
-  /// (size-class routing: one id-map lock per batch instead of per op) —
-  /// the ~100 ns mutex hop amortizes to noise against the ~0.6-1.5 us of
-  /// per-op reallocation work.
+  /// each op in order. A batch costs its producer one routing pass plus
+  /// one lock-free push per target shard (map-keeping routing: one id-map
+  /// lock per batch instead of per op) — the queue hop amortizes to noise
+  /// against the ~0.6-1.5 us of per-op reallocation work.
   ///
   /// Returns Ok when every op was enqueued. Submit-time rejections
-  /// (size-class map validation) skip just that op and the batch
-  /// continues; a bounded-retry drop (hash routing only, see Options)
+  /// (map validation) skip just that op and the batch continues; a
+  /// bounded-retry drop (hash routing without rebalance, see Options)
   /// stops that shard's delivery and drops the undelivered suffix,
   /// counted in dropped_ops. Either way the first non-ok status in op
   /// order is returned and `*accepted` (when non-null) reports how many
@@ -216,7 +207,8 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::vector<std::shared_ptr<OpToken>> SubmitManyTracked(const Request* ops,
                                                           std::size_t count);
 
-  /// Blocks until every op submitted before this call has retired.
+  /// Blocks until every op submitted before this call has retired, along
+  /// with any rebalance migrations their drain cycles started.
   void Flush();
 
   // Reallocator interface: synchronous semantics via an internal token
@@ -256,7 +248,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
     return static_cast<std::uint32_t>(workers_.size());
   }
   RoutingPolicy routing() const { return options_.routing; }
-  SubmitPath submit_path() const { return options_.submit_path; }
 
   /// The static routing prediction for an (id, size) insert. For
   /// kLeastLoaded this is only the hash fallback: the live decision
@@ -296,10 +287,10 @@ class ConcurrentShardedReallocator final : public Reallocator {
     kCheckpoint,
     kSnapshot,
     /// A migrated object arriving on its destination shard. Pushed by the
-    /// SOURCE shard's owner straight into the destination worker's queue
-    /// (capacity-exempt, unticketed) under routing_mu_, so it is ordered
-    /// before any later-submitted op for the same id (which must route
-    /// through the already-repointed map).
+    /// SOURCE shard's owner onto the destination shard's queue
+    /// (capacity-exempt) under routing_mu_, so it is ordered before any
+    /// later-submitted op for the same id (which must route through the
+    /// already-repointed map).
     kMigrateIn,
   };
 
@@ -331,35 +322,26 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// counters into Stats() race-free).
     class MoveLog* log = nullptr;
     std::uint32_t worker = 0;
-    /// The shard's lock-free remote queue: producers push op batches
-    /// (SubmitMany, hash routing), only the owning worker takes. Behind a
-    /// pointer only because the atomic head would otherwise pin Shard as
-    /// immovable; allocated once in Make, never null afterwards.
+    /// The shard's FIFO: every op for the shard — requests, markers,
+    /// migrations — is pushed here as a batch; only the owning worker
+    /// takes. Behind a pointer only because the atomic head would
+    /// otherwise pin Shard as immovable; allocated once in Make, never
+    /// null afterwards.
     std::unique_ptr<RemoteQueue<std::vector<Item>>> remote;
-    /// Size-class admission tickets. `tickets_issued` is the per-shard
-    /// order stamped under routing_mu_ at the same instant as the id-map
-    /// update; `tickets_admitted` (guarded by the owning worker's mu)
-    /// gates queue insertion so arrival order can never diverge from map
-    /// order even though the map lock no longer spans the enqueue.
-    std::uint64_t tickets_issued = 0;
-    std::uint64_t tickets_admitted = 0;
   };
 
-  /// One worker: a bounded MPSC queue plus its drain accounting.
-  /// `queue`/`stop` are guarded by `mu`. `enqueued` is written under `mu`
-  /// but atomic so the batched path's in-flight gate reads it lock-free;
-  /// `remote_enqueued` is bumped by producers right before a lock-free
-  /// push; `completed` counts every executed op (both paths), so Flush's
-  /// wait predicate and the in-flight gate never need the worker's lock.
+  /// One worker: its shards' drain loop plus the in-flight accounting.
+  /// `submitted` is reserved (Reserve) or bumped (migrations) right
+  /// before each push; `completed` counts every executed op, published
+  /// once per drain cycle after its rebalance scan. Both are
+  /// atomic, so Flush's wait predicate and the capacity gate never need
+  /// the worker's lock; `mu` guards only `stop` and the condition waits.
   struct Worker {
     std::mutex mu;
     std::condition_variable cv_ready;    // worker waits: work available
-    std::condition_variable cv_space;    // producers wait: queue full /
-                                         // not their ticket's turn yet
+    std::condition_variable cv_space;    // producers wait: in-flight room
     std::condition_variable cv_drained;  // flushers wait: batch retired
-    std::deque<Item> queue;
-    std::atomic<std::uint64_t> enqueued{0};
-    std::atomic<std::uint64_t> remote_enqueued{0};
+    std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> completed{0};
     bool stop = false;
     std::vector<std::uint32_t> owned_shards;
@@ -373,30 +355,48 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
-  /// Routing + submit-time validation + enqueue. For size-class routing
-  /// the id-map critical section covers only the map update plus a
-  /// per-shard ticket grab; the enqueue happens outside the lock, with
-  /// the ticket enforcing map-order == arrival-order (see Enqueue). A
-  /// non-ok return means nothing was enqueued.
-  Status SubmitOp(const Request& op, std::shared_ptr<OpToken> token);
-  /// Shared implementation of SubmitMany / SubmitManyTracked.
+  static Item MakeItem(const Request& op, std::uint32_t shard,
+                       std::uint64_t submit_ns,
+                       std::shared_ptr<OpToken> token);
+  /// The one submission path behind every public submit: `tokens` is
+  /// null or holds `count` position-matched tokens; `may_drop` lets a
+  /// full worker drop under the bounded-retry policy (per-op tracked
+  /// submissions pass false). Returns the first error in op order and
+  /// reports the enqueued count in `*accepted` (when non-null).
   Status SubmitBatch(const Request* ops, std::size_t count,
-                     std::vector<std::shared_ptr<OpToken>>* tokens,
+                     std::shared_ptr<OpToken>* tokens, bool may_drop,
                      std::size_t* accepted);
-  /// Mutex-queue insertion. Ticketed items (size-class) are admitted in
-  /// per-shard ticket order and never drop; non-ticketed fire-and-forget
-  /// items with submit_max_retries > 0 may drop after bounded retries
-  /// (the only non-ok return); everything else blocks until enqueued.
-  Status Enqueue(std::uint32_t shard, Item item, bool ticketed,
-                 std::uint64_t ticket);
-  /// Batched path: capacity-gated lock-free delivery of `items` (in
-  /// order) to `shard`'s RemoteQueue, chunked to the soft in-flight
-  /// bound. On a bounded-retry drop the undelivered suffix is counted per
-  /// shard and any suffix tokens (carried inside the items) complete with
-  /// the drop status, which is also returned. `*delivered` reports how
-  /// many leading items actually reached the queue.
-  Status PushRemote(std::uint32_t shard, std::vector<Item> items,
-                    std::size_t* delivered);
+  /// Hash routing without a map: bucket per shard, then Deliver each.
+  Status SubmitHashed(const Request* ops, std::size_t count,
+                      std::shared_ptr<OpToken>* tokens,
+                      std::uint64_t submit_ns, bool may_drop,
+                      std::size_t* accepted);
+  /// Map-keeping routing: map update, capacity reservation and push all
+  /// under routing_mu_ (see the field comment for the order argument).
+  /// Never drops.
+  Status SubmitMapped(const Request* ops, std::size_t count,
+                      std::shared_ptr<OpToken>* tokens,
+                      std::uint64_t submit_ns, std::size_t* accepted);
+  /// Capacity-gated delivery of `items` (in order) to `shard`'s queue,
+  /// chunked to the room reserved. With `may_drop` and bounded retries
+  /// configured, gives up once the retries run out: the undelivered
+  /// suffix is counted per shard and its tokens complete with the drop
+  /// status, which is also returned. `*delivered` reports how many
+  /// leading items actually reached the queue.
+  Status Deliver(std::uint32_t shard, std::vector<Item> items, bool may_drop,
+                 std::size_t* delivered);
+  /// Delivers one internal marker; markers never drop.
+  void SubmitMarker(Item item);
+  /// Pushes `items` onto `shard`'s queue, waking its worker if the queue
+  /// was empty. The caller has already counted them in `submitted`.
+  void Push(std::uint32_t shard, std::vector<Item> items);
+  /// Claims up to `want` ops of `worker`'s in-flight room; returns how
+  /// many (0 when full).
+  std::size_t Reserve(Worker& worker, std::size_t want) const;
+  bool HasRoom(const Worker& worker) const;
+  Worker& WorkerOf(std::uint32_t shard) {
+    return *workers_[shards_[shard].worker];
+  }
   void RecordDrop(std::uint32_t shard, std::uint64_t count,
                   const Status& status);
   void WorkerLoop(Worker& worker);
@@ -432,16 +432,15 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// rebalance enabled): id -> shard, maintained at submit time (deletes
   /// cannot re-derive their shard; migrated ids' hashes are stale).
   /// routing_mu_ — the one producer-side serialization point, and only
-  /// for these modes — covers just the map update plus the per-shard
-  /// ticket grab (tens of ns), NOT the enqueue: the ticket carries the
-  /// map order to the queue, so a backpressure stall on one shard no
-  /// longer serializes every other shard's routing behind it. Order
-  /// proof: routing_mu_ totally orders map updates and stamps each with
-  /// the target shard's next ticket; Enqueue admits a shard's ticketed
-  /// items into the worker's FIFO queue strictly in ticket order; the
-  /// worker executes FIFO. Hence per-shard execution order == ticket
-  /// order == map-update order, which is the invariant that makes the
-  /// map exact.
+  /// for these modes — covers each op's map update, its in-flight
+  /// reservation and its lock-free push, but never a wait: when the
+  /// target worker is full the producer pushes what it staged, releases
+  /// the lock, waits for room, and re-routes the op from scratch. Order
+  /// argument: every map update and the push of its op happen in one
+  /// routing_mu_ critical section, and the shard's queue is FIFO, so
+  /// per-shard execution order == arrival order == map-update order —
+  /// the invariant that makes the map exact. Migrations push under the
+  /// same lock, so they order the same way.
   std::mutex routing_mu_;
   IdPlacementMap placement_;
   bool needs_routing_map_ = false;

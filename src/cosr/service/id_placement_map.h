@@ -20,8 +20,9 @@ namespace cosr {
 /// live on its shard before the insert executes, Erase frees it at delete
 /// submit time, and Reassign repoints it when the rebalancer migrates it.
 /// Keeping the prediction exact is the caller's contract (the concurrent
-/// facade's ticketed admission orders execution to match; the
-/// single-threaded facade updates it only after the inner call succeeded).
+/// facade pushes each op to its shard's FIFO under the same lock as the
+/// map update, so execution order matches; the single-threaded facade
+/// updates it only after the inner call succeeded).
 ///
 /// Thread-compatible: no internal locking. The single-threaded facade calls
 /// it from its one owner thread; the concurrent facade guards every access

@@ -9,9 +9,10 @@ namespace cosr {
 /// Lock-free MPSC hand-off list, llheap-style: any number of producers
 /// push nodes with a Treiber-stack CAS; the single owning consumer takes
 /// the *whole* list in one exchange and walks it in arrival order. This is
-/// the per-shard "remote queue" of the batched submission path — producers
-/// never touch a mutex on the hot path, and the owner pays one atomic
-/// exchange per drain regardless of how many batches landed.
+/// the per-shard "remote queue" of the concurrent facade, its one
+/// submission path — producers never touch a mutex on the hot path, and
+/// the owner pays one atomic exchange per drain regardless of how many
+/// batches landed.
 ///
 /// Memory-ordering argument (the whole of it — there are only two edges):
 ///

@@ -40,16 +40,6 @@ std::uint32_t LeastLoadedShard(const std::vector<std::uint64_t>& loads) {
   return best;
 }
 
-const char* SubmitPathName(SubmitPath path) {
-  switch (path) {
-    case SubmitPath::kRemoteBatched:
-      return "batched";
-    case SubmitPath::kMutexQueue:
-      return "mutex-queue";
-  }
-  return "?";
-}
-
 std::uint32_t RouteToShard(RoutingPolicy routing, std::uint32_t shard_count,
                            ObjectId id, std::uint64_t size) {
   COSR_CHECK(shard_count > 0);

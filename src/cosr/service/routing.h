@@ -45,23 +45,6 @@ inline bool RoutingNeedsPlacementMap(RoutingPolicy routing) {
 /// choice is deterministic given the scores). `loads` must be non-empty.
 std::uint32_t LeastLoadedShard(const std::vector<std::uint64_t>& loads);
 
-/// How ConcurrentShardedReallocator::SubmitMany delivers a batch to the
-/// shards' workers.
-enum class SubmitPath {
-  /// The production path: per-shard lock-free RemoteQueues (Treiber push,
-  /// owner-side whole-list take) for map-free routing; size-class batches
-  /// take the ticketed mutex path with one id-map lock per batch. Producer
-  /// cost per op amortizes to ~1/batch of a queue hop.
-  kRemoteBatched,
-  /// The differential oracle: every batch op rides the bounded mutex MPSC
-  /// queue exactly as a per-op Submit would. Kept so the batched path is
-  /// forever testable against the PR 5 semantics it must preserve.
-  kMutexQueue,
-};
-
-/// Display name: "batched" / "mutex-queue".
-const char* SubmitPathName(SubmitPath path);
-
 /// The static routing function, shared by the facades and their tests:
 /// which of `shard_count` shards an (id, size) insert goes to.
 /// Thread-safe: pure function of its arguments. kLeastLoaded falls back to

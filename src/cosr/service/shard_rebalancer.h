@@ -33,7 +33,7 @@ struct RebalanceOptions {
   std::size_t max_batch_objects = 32;
   std::uint64_t max_batch_bytes = 1u << 16;
   /// Concurrent facade only: a worker scans its owned shards every this
-  /// many drain cycles.
+  /// many drain cycles that executed requests.
   std::uint32_t check_interval = 16;
 };
 

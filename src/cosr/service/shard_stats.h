@@ -50,9 +50,11 @@ struct ShardStats {
     /// (concurrent facade only; zero elsewhere).
     std::uint64_t peak_reserved_footprint = 0;
     /// Batched-submission accounting (concurrent facade only): remote
-    /// batches the owning worker drained from this shard's RemoteQueue,
-    /// and how many of the shard's ops arrived inside them (the rest came
-    /// one-by-one through the mutex queue).
+    /// batches carrying requests that the owning worker drained from this
+    /// shard's RemoteQueue, and how many requests arrived inside them.
+    /// Every request rides that queue (a per-op Submit is a batch of one),
+    /// so batched_ops == ops; ops / remote_batches is the batching
+    /// factor.
     std::uint64_t remote_batches = 0;
     std::uint64_t batched_ops = 0;
     /// Rebalancer accounting: objects (and their bytes) the rebalancer

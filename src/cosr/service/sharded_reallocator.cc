@@ -123,7 +123,6 @@ Status ShardedReallocator::Insert(ObjectId id, std::uint64_t size) {
   Status status = shards_[target].inner->Insert(id, size);
   const std::uint64_t elapsed =
       SaturatingElapsed(MonotonicNanos(), start_ns);
-  latency_[target].total.Record(elapsed);
   latency_[target].service.Record(elapsed);
   ++counters_[target].ops;
   if (status.ok() && needs_shard_map_) placement_.TryAssign(id, target);
@@ -146,7 +145,6 @@ Status ShardedReallocator::Delete(ObjectId id) {
   Status status = shards_[target].inner->Delete(id);
   const std::uint64_t elapsed =
       SaturatingElapsed(MonotonicNanos(), start_ns);
-  latency_[target].total.Record(elapsed);
   latency_[target].service.Record(elapsed);
   ++counters_[target].ops;
   if (status.ok() && needs_shard_map_) placement_.Erase(id);
@@ -256,9 +254,10 @@ ShardStats ShardedReallocator::Stats() const {
     per.migrations = counters_[i].migrations;
     per.migrated_bytes = counters_[i].migrated_bytes;
     per.migrations_in = counters_[i].migrations_in;
-    per.latency_total = latency_[i].total.Snapshot();
-    per.latency_queue_wait = latency_[i].queue_wait.Snapshot();
+    // No queue: an op's total latency is its service time, recorded once.
     per.latency_service = latency_[i].service.Snapshot();
+    per.latency_total = per.latency_service;
+    per.latency_queue_wait = latency_[i].queue_wait.Snapshot();
     stats.latency_total.MergeFrom(per.latency_total);
     stats.latency_queue_wait.MergeFrom(per.latency_queue_wait);
     stats.latency_service.MergeFrom(per.latency_service);

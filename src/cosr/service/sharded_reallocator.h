@@ -174,9 +174,10 @@ class ShardedReallocator final : public Reallocator {
   bool needs_shard_map_ = false;
   std::vector<LocalCounters> counters_;  // parallel to shards_
   /// Per-shard wall-clock op latency, parallel to shards_. On this
-  /// synchronous facade there is no queue, so total == service per sample
-  /// and the queue_wait histogram stays empty — the same ShardStats shape
-  /// as the concurrent facade, with the split degenerating naturally.
+  /// synchronous facade there is no queue, so each sample is recorded once
+  /// into `service`, Stats() reports it as the total too, and queue_wait
+  /// stays empty — the same ShardStats shape as the concurrent facade,
+  /// with the split degenerating naturally.
   std::vector<ShardLatencyRecorders> latency_;
   std::string name_;
 };

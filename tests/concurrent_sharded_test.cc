@@ -16,6 +16,7 @@
 //    failures are counted per shard.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -343,7 +344,7 @@ TEST(ConcurrentMpsc, SizeClassRoutingSurvivesProducerRaces) {
   options.shard_count = 8;
   options.worker_threads = 4;
   options.routing = RoutingPolicy::kSizeClass;
-  options.queue_capacity = 32;  // frequent backpressure under routing_mu_
+  options.queue_capacity = 32;  // frequent backpressure while routing
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
@@ -394,16 +395,17 @@ TEST(ConcurrentMpsc, SizeClassRoutingSurvivesProducerRaces) {
   EXPECT_EQ(concurrent->volume(), 0u);
 }
 
-TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
-  // Regression for the routing lock-scope fix: routing_mu_ no longer
-  // spans the enqueue, so map-order == arrival-order now rests on the
-  // per-shard admission tickets. 4 producers churn ids through
-  // alternating size classes — the delete and the next insert usually
-  // target different shards/workers — through a MIX of per-op Submit and
-  // SubmitMany batches, with a tiny queue capacity so admission stalls
-  // mid-route constantly. Any divergence of a shard's arrival order from
-  // the map's update order executes some delete before its insert (or an
-  // insert before the prior delete) and surfaces as failed_ops.
+/// Map-keeping admission under races: 4 producers churn ids through
+/// alternating size classes — the delete and the next insert usually
+/// target different shards/workers — through a MIX of per-op Submit and
+/// SubmitMany batches, at an in-flight capacity of 8, so the
+/// reserve / push-staged / wait / re-route loop under routing_mu_ runs
+/// constantly. Any divergence of a shard's arrival order from the map's
+/// update order executes some delete before its insert (or an insert
+/// before the prior delete) and surfaces as failed_ops.
+void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
+  SCOPED_TRACE(std::string(RoutingPolicyName(routing)) +
+               (rebalance ? "+rebalance" : ""));
   constexpr std::uint32_t kProducers = 4;
   constexpr std::uint64_t kIdsPerProducer = 300;
 
@@ -412,7 +414,9 @@ TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 8;
   options.worker_threads = 4;
-  options.routing = RoutingPolicy::kSizeClass;
+  options.routing = routing;
+  options.rebalance = rebalance;
+  options.rebalance_options.check_interval = 1;
   options.queue_capacity = 8;  // constant backpressure during admission
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
@@ -429,8 +433,8 @@ TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
         const ObjectId id = base + j;
         const std::uint64_t final_size = 1 + j % 64;
         if (j % 2 == 0) {
-          // Batched incarnations: one SubmitMany (one routing_mu_ hold)
-          // stages tickets on several shards at once.
+          // Batched incarnations: one SubmitMany (one routing_mu_ hold
+          // unless a worker fills up) stages ops on several shards.
           batch.clear();
           for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
             batch.push_back(Request::Insert(id, size));
@@ -439,7 +443,7 @@ TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
           batch.push_back(Request::Insert(id, final_size));
           std::size_t accepted = 0;
           ASSERT_TRUE(concurrent->SubmitMany(batch, &accepted).ok());
-          ASSERT_EQ(accepted, batch.size());  // size-class never drops
+          ASSERT_EQ(accepted, batch.size());  // map-keeping never drops
         } else {
           for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
             ASSERT_TRUE(concurrent->Submit(Request::Insert(id, size)).ok());
@@ -476,6 +480,18 @@ TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
   }
   concurrent->Flush();
   EXPECT_EQ(concurrent->volume(), 0u);
+}
+
+TEST(ConcurrentMpsc, SizeClassAdmissionKeepsMapOrderUnderRaces) {
+  RunMapOrderUnderRaces(RoutingPolicy::kSizeClass, /*rebalance=*/false);
+}
+
+TEST(ConcurrentMpsc, LeastLoadedAdmissionKeepsMapOrderUnderRaces) {
+  RunMapOrderUnderRaces(RoutingPolicy::kLeastLoaded, /*rebalance=*/false);
+}
+
+TEST(ConcurrentMpsc, RebalancedHashAdmissionKeepsMapOrderUnderRaces) {
+  RunMapOrderUnderRaces(RoutingPolicy::kHashId, /*rebalance=*/true);
 }
 
 // ------------------------------------------------ drain / shutdown ordering
@@ -620,7 +636,9 @@ TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 1;
   options.worker_threads = 1;
-  options.queue_capacity = 1;
+  // In-flight capacity 2: the executing op counts, so one queued op fills
+  // it.
+  options.queue_capacity = 2;
   options.submit_max_retries = 2;
   options.submit_retry_backoff = std::chrono::microseconds(100);
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
@@ -631,14 +649,14 @@ TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
   concurrent->AddShardListener(0, &stall);
 
   // Op 1 is picked up by the worker and wedges inside the listener; op 2
-  // then fills the (capacity-1) queue.
+  // then fills the worker's in-flight room.
   ASSERT_TRUE(concurrent->Submit(Request::Insert(1, 8)).ok());
   while (!stall.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(concurrent->Submit(Request::Insert(2, 8)).ok());
 
-  // Op 3 finds the queue full, burns its bounded retries, and is dropped.
+  // Op 3 finds the worker full, burns its bounded retries, and is dropped.
   const Status dropped = concurrent->Submit(Request::Insert(3, 8));
   EXPECT_EQ(dropped.code(), StatusCode::kResourceExhausted);
 
@@ -719,18 +737,19 @@ TEST(ConcurrentDropPolicy, BatchDropsExactlyTheUndeliveredSuffix) {
   // Ids 1 and 2 executed; the dropped suffix (3, 4, 5) never did.
   EXPECT_EQ(stats.volume, 2u * 8);
   EXPECT_EQ(stats.shards[0].failed_ops, 0u);
-  EXPECT_EQ(stats.shards[0].batched_ops, 1u);  // the delivered prefix
+  // Op 1 (a batch of one) plus the delivered prefix.
+  EXPECT_EQ(stats.shards[0].batched_ops, 2u);
 }
 
 TEST(ConcurrentDropPolicy, DefaultPolicyIsPureBackpressure) {
-  // With submit_max_retries at its default 0, a full queue blocks the
+  // With submit_max_retries at its default 0, a full worker blocks the
   // producer instead of dropping — the pre-existing contract.
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 1;
   options.worker_threads = 1;
-  options.queue_capacity = 1;
+  options.queue_capacity = 2;  // the executing op counts
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
@@ -757,6 +776,41 @@ TEST(ConcurrentDropPolicy, DefaultPolicyIsPureBackpressure) {
   const ShardStats stats = concurrent->Stats();
   EXPECT_EQ(stats.dropped_ops, 0u);
   EXPECT_EQ(stats.volume, 3u * 8);
+}
+
+TEST(ConcurrentStatus, StatsSeesBatchedOpsSubmittedBefore) {
+  // Stats() snapshots each shard with a marker riding the shard's FIFO, so
+  // the snapshot reflects every op enqueued before the call — including
+  // SubmitMany batches still queued behind a wedged worker.
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ConcurrentShardedReallocator::Options options;
+  options.shard_count = 1;
+  options.worker_threads = 1;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+
+  StallingListener stall;
+  concurrent->AddShardListener(0, &stall);
+  const std::vector<Request> first = {Request::Insert(0, 8)};
+  ASSERT_TRUE(concurrent->SubmitMany(first).ok());
+  while (!stall.entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  std::vector<Request> more;
+  for (ObjectId id = 1; id <= 100; ++id) more.push_back(Request::Insert(id, 8));
+  ASSERT_TRUE(concurrent->SubmitMany(more).ok());
+
+  ShardStats stats;
+  std::thread reader([&] { stats = concurrent->Stats(); });
+  // Let the marker land while the worker is still wedged.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  stall.release.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].ops, 101u);
+  EXPECT_EQ(stats.volume, 101u * 8);
 }
 
 // --------------------------------------------------- durability integration

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "cosr/common/random.h"
 #include "cosr/cost/cost_battery.h"
 #include "cosr/metrics/run_harness.h"
+#include "cosr/realloc/factory.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/workload_generator.h"
 
@@ -240,6 +242,56 @@ TEST(DeamortizedTest, NewLargestClassViaTail) {
   EXPECT_TRUE(space.contains(3));
   EXPECT_EQ(realloc.volume(), 8u + 8u + 4096u);
   ASSERT_EQ(realloc.CheckInvariants().ToString(), "Ok");
+}
+
+TEST(DeamortizedTest, LoggedInsertLargerThanFlushDeltaReachesTailDisjointly) {
+  // Insert(10, 7254) arrives mid-flush, larger than the ∆ the flush
+  // reserved between its working space and its log, so the log copy sits
+  // closer to its tail slot than its own length. The drain used to move
+  // it there in one overlapping move, which the checkpoint policy rejects.
+  CheckpointManager manager;
+  AddressSpace space(&manager);
+  DeamortizedReallocator realloc(&space);
+  ASSERT_TRUE(realloc.Insert(2, 185).ok());
+  ASSERT_TRUE(realloc.Insert(4, 2323).ok());
+  ASSERT_TRUE(realloc.Insert(5, 293).ok());
+  ASSERT_TRUE(realloc.Insert(8, 322).ok());
+  ASSERT_TRUE(realloc.flush_in_progress());
+  ASSERT_TRUE(realloc.Insert(10, 7254).ok());
+  realloc.Quiesce();
+  EXPECT_EQ(realloc.volume(), 185u + 2323u + 293u + 322u + 7254u);
+  EXPECT_EQ(space.extent_of(10).length, 7254u);
+  ASSERT_EQ(realloc.CheckInvariants().ToString(), "Ok");
+}
+
+TEST(DeamortizedTest, ShardedDatabaseBlockTraceRunsToCompletion) {
+  // The same defect behind the sync facade: four deamortized shards over
+  // a short database-block trace; one shard sees exactly the trace above.
+  const Trace trace = MakeDatabaseBlockTrace({.operations = 10,
+                                              .blocks = 65536,
+                                              .min_size = 64,
+                                              .max_size = 8192,
+                                              .zipf_s = 0.9,
+                                              .seed = 13});
+  AddressSpace parent;
+  ReallocatorSpec spec;
+  spec.algorithm = "deamortized";
+  spec.shard_count = 4;
+  std::unique_ptr<Reallocator> sharded;
+  ASSERT_TRUE(MakeReallocator(spec, &parent, &sharded).ok());
+  std::uint64_t live = 0;
+  for (const Request& request : trace.requests()) {
+    if (request.type == Request::Type::kInsert) {
+      ASSERT_TRUE(sharded->Insert(request.id, request.size).ok());
+      live += request.size;
+    } else {
+      live -= parent.extent_of(request.id).length;
+      ASSERT_TRUE(sharded->Delete(request.id).ok());
+    }
+  }
+  sharded->Quiesce();
+  EXPECT_EQ(sharded->volume(), live);
+  EXPECT_TRUE(parent.SelfCheck());
 }
 
 TEST(DeamortizedTest, ErrorCases) {

@@ -293,6 +293,42 @@ TEST(ShardedFuzz, CheckpointedK4Hash) {
   RunFuzzChurn("checkpointed", 4, RoutingPolicy::kHashId, 104);
 }
 
+TEST(ShardedLatency, EachOpIsSampledOnceWithNoQueueWait) {
+  // No queue on the synchronous facade: every executed op (failed ones
+  // included) is one service sample, reported as the total as well.
+  AddressSpace parent;
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ShardedReallocator::Options options;
+  options.shard_count = 4;
+  std::unique_ptr<ShardedReallocator> sharded;
+  ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
+  std::uint64_t ops = 0;
+  for (ObjectId id = 0; id < 200; ++id) {
+    ASSERT_TRUE(sharded->Insert(id, 1 + id % 64).ok());
+    ++ops;
+    if (id % 3 == 0) {
+      ASSERT_TRUE(sharded->Delete(id).ok());
+      ++ops;
+    }
+  }
+  EXPECT_FALSE(sharded->Delete(0).ok());  // reaches its shard and fails
+  ++ops;
+
+  const ShardStats stats = sharded->Stats();
+  std::uint64_t shard_ops = 0;
+  for (const ShardStats::PerShard& shard : stats.shards) {
+    EXPECT_EQ(shard.latency_total.count, shard.ops);
+    EXPECT_EQ(shard.latency_service.count, shard.ops);
+    EXPECT_EQ(shard.latency_queue_wait.count, 0u);
+    shard_ops += shard.ops;
+  }
+  EXPECT_EQ(shard_ops, ops);
+  EXPECT_EQ(stats.latency_total.count, ops);
+  EXPECT_EQ(stats.latency_service.count, ops);
+  EXPECT_EQ(stats.latency_queue_wait.count, 0u);
+}
+
 // ------------------------------------------------------ routing properties
 
 TEST(RoutingPolicyTest, SizeClassSegregatesClasses) {

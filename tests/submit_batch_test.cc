@@ -1,12 +1,12 @@
-// SubmitMany / OpBuffer — the batched submission path, proven against
-// its oracles:
+// SubmitMany / OpBuffer — batched submission, proven against its oracles:
 //
-//  * Differential grid (K x W x routing): one trace driven through the
-//    batched path must land in exactly the per-shard stats the
-//    mutex-queue oracle (Options::submit_path = kMutexQueue) and the
-//    single-threaded ShardedReallocator produce. At W=1 the guarantee
-//    sharpens to per-shard *event-sequence* equality — op-for-op, the
-//    lock-free path changes nothing.
+//  * Differential grid (K x W x routing): one trace driven through
+//    SubmitMany batches must land in exactly the per-shard stats that the
+//    same trace driven op-by-op through Submit and the single-threaded
+//    ShardedReallocator produce. At W=1 the guarantee sharpens to
+//    per-shard *event-sequence* equality — op-for-op, batching changes
+//    nothing. Both drives ride the shards' remote queues (a per-op Submit
+//    is a batch of one), so every op counts in batched_ops.
 //  * Multi-producer OpBuffers: K producers batching through thread-local
 //    buffers lose nothing — every op executes exactly once, per-shard
 //    conservation totals hold.
@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,14 +76,13 @@ class EventRecorder : public SpaceListener {
 
 std::unique_ptr<ConcurrentShardedReallocator> MakeFacade(
     std::uint32_t shard_count, std::uint32_t worker_threads,
-    RoutingPolicy routing, SubmitPath path) {
+    RoutingPolicy routing) {
   ReallocatorSpec spec;
   spec.algorithm = "cost-oblivious";
   ConcurrentShardedReallocator::Options options;
   options.shard_count = shard_count;
   options.worker_threads = worker_threads;
   options.routing = routing;
-  options.submit_path = path;
   std::unique_ptr<ConcurrentShardedReallocator> facade;
   EXPECT_TRUE(ConcurrentShardedReallocator::Make(spec, options, &facade).ok());
   return facade;
@@ -99,6 +99,14 @@ void DriveBatches(ConcurrentShardedReallocator* facade, const Trace& trace) {
     std::size_t accepted = 0;
     ASSERT_TRUE(facade->SubmitMany(requests.data() + i, n, &accepted).ok());
     ASSERT_EQ(accepted, n);
+  }
+  facade->Quiesce();
+}
+
+/// Drives the same trace one Submit per op, then drains.
+void DrivePerOp(ConcurrentShardedReallocator* facade, const Trace& trace) {
+  for (const Request& request : trace.requests()) {
+    ASSERT_TRUE(facade->Submit(request).ok());
   }
   facade->Quiesce();
 }
@@ -144,12 +152,12 @@ void ExpectShardStatsEqual(const ShardStats& actual,
   EXPECT_EQ(actual.dropped_ops, 0u);
 }
 
-/// The differential: batched vs mutex-queue oracle vs sequential facade,
+/// The differential: SubmitMany vs per-op Submit vs sequential facade,
 /// one configuration. At W=1 both concurrent runs also record per-shard
 /// event streams, which must agree event-for-event (the op-for-op
 /// identity); at W>1 inter-shard interleaving varies but every per-shard
 /// outcome is pinned by the stats equality above (a single producer's
-/// per-shard op order is deterministic on both paths).
+/// per-shard op order is deterministic on both drives).
 void RunBatchDifferential(std::uint32_t shard_count,
                           std::uint32_t worker_threads, RoutingPolicy routing,
                           std::uint64_t seed) {
@@ -159,68 +167,63 @@ void RunBatchDifferential(std::uint32_t shard_count,
   const Trace trace = TestTrace(seed);
   const ShardStats expected = SequentialReplay(shard_count, routing, trace);
 
-  auto batched = MakeFacade(shard_count, worker_threads, routing,
-                            SubmitPath::kRemoteBatched);
-  auto oracle = MakeFacade(shard_count, worker_threads, routing,
-                           SubmitPath::kMutexQueue);
-  ASSERT_EQ(batched->submit_path(), SubmitPath::kRemoteBatched);
-  ASSERT_EQ(oracle->submit_path(), SubmitPath::kMutexQueue);
+  auto batched = MakeFacade(shard_count, worker_threads, routing);
+  auto per_op = MakeFacade(shard_count, worker_threads, routing);
 
   const bool record_events = worker_threads == 1;
-  std::vector<std::unique_ptr<EventRecorder>> batched_events, oracle_events;
+  std::vector<std::unique_ptr<EventRecorder>> batched_events, per_op_events;
   if (record_events) {
     for (std::uint32_t i = 0; i < shard_count; ++i) {
       batched_events.push_back(std::make_unique<EventRecorder>());
       batched->AddShardListener(i, batched_events[i].get());
-      oracle_events.push_back(std::make_unique<EventRecorder>());
-      oracle->AddShardListener(i, oracle_events[i].get());
+      per_op_events.push_back(std::make_unique<EventRecorder>());
+      per_op->AddShardListener(i, per_op_events[i].get());
     }
   }
 
   DriveBatches(batched.get(), trace);
-  DriveBatches(oracle.get(), trace);
+  DrivePerOp(per_op.get(), trace);
 
   const ShardStats batched_stats = batched->Stats();
-  const ShardStats oracle_stats = oracle->Stats();
+  const ShardStats per_op_stats = per_op->Stats();
   {
     SCOPED_TRACE("batched vs sequential");
     ExpectShardStatsEqual(batched_stats, expected);
   }
   {
-    SCOPED_TRACE("oracle vs sequential");
-    ExpectShardStatsEqual(oracle_stats, expected);
+    SCOPED_TRACE("per-op vs sequential");
+    ExpectShardStatsEqual(per_op_stats, expected);
   }
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     EXPECT_TRUE(batched->shard_space(i).SelfCheck());
     // Identical final placements, coordinate for coordinate.
     EXPECT_EQ(batched->shard_space(i).Snapshot(),
-              oracle->shard_space(i).Snapshot());
+              per_op->shard_space(i).Snapshot());
   }
 
-  // The batched facade actually used the remote path (hash routing; the
-  // size-class batched path amortizes the routing lock but still rides
-  // the ticketed mutex queue, so its remote counters stay zero).
-  std::uint64_t remote_ops = 0;
-  for (const ShardStats::PerShard& shard : batched_stats.shards) {
-    remote_ops += shard.batched_ops;
-  }
-  if (routing == RoutingPolicy::kHashId) {
-    EXPECT_EQ(remote_ops, trace.requests().size());
-  } else {
-    EXPECT_EQ(remote_ops, 0u);
-  }
-  for (const ShardStats::PerShard& shard : oracle_stats.shards) {
-    EXPECT_EQ(shard.remote_batches, 0u);
-    EXPECT_EQ(shard.batched_ops, 0u);
-  }
+  // One submit path: every op of both drives, under every routing,
+  // arrived through a remote queue. Per-op Submit pushes one batch per op.
+  const auto totals = [](const ShardStats& stats) {
+    std::uint64_t batched_ops = 0, batches = 0;
+    for (const ShardStats::PerShard& shard : stats.shards) {
+      batched_ops += shard.batched_ops;
+      batches += shard.remote_batches;
+    }
+    return std::make_pair(batched_ops, batches);
+  };
+  const std::uint64_t ops = trace.requests().size();
+  EXPECT_EQ(totals(batched_stats).first, ops);
+  EXPECT_LT(totals(batched_stats).second, ops);
+  EXPECT_EQ(totals(per_op_stats).first, ops);
+  EXPECT_EQ(totals(per_op_stats).second, ops);
 
   if (record_events) {
     for (std::uint32_t i = 0; i < shard_count; ++i) {
       SCOPED_TRACE("shard " + std::to_string(i) + " events");
       ASSERT_EQ(batched_events[i]->events.size(),
-                oracle_events[i]->events.size());
-      for (std::size_t e = 0; e < oracle_events[i]->events.size(); ++e) {
-        ASSERT_EQ(batched_events[i]->events[e], oracle_events[i]->events[e])
+                per_op_events[i]->events.size());
+      for (std::size_t e = 0; e < per_op_events[i]->events.size(); ++e) {
+        ASSERT_EQ(batched_events[i]->events[e], per_op_events[i]->events[e])
             << "event " << e;
       }
     }
@@ -249,6 +252,14 @@ TEST(SubmitBatchDifferential, K4W1SizeClass) {
 
 TEST(SubmitBatchDifferential, K4W4SizeClass) {
   RunBatchDifferential(4, 4, RoutingPolicy::kSizeClass, 36);
+}
+
+TEST(SubmitBatchDifferential, K4W1LeastLoaded) {
+  RunBatchDifferential(4, 1, RoutingPolicy::kLeastLoaded, 37);
+}
+
+TEST(SubmitBatchDifferential, K4W4LeastLoaded) {
+  RunBatchDifferential(4, 4, RoutingPolicy::kLeastLoaded, 38);
 }
 
 // ------------------------------------------------ multi-producer OpBuffers
