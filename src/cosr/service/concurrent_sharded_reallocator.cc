@@ -8,7 +8,40 @@
 #include "cosr/durability/durability_hub.h"
 #include "cosr/realloc/factory.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace cosr {
+namespace {
+
+/// Polls `ready` for up to kSpinBeforePark, with a CPU pause between
+/// polls; returns whether it became true. On false the caller parks on
+/// its condvar with the same predicate, so an event that lands after the
+/// last poll is still seen.
+template <typename Ready>
+bool SpinUntil(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBeforePark;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+  return true;
+}
+
+}  // namespace
+
+const Status& OpToken::Wait() const {
+  if (!SpinUntil([&] { return done(); })) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return done(); });
+  }
+  return status_;
+}
 
 Status ConcurrentShardedReallocator::Make(
     const ReallocatorSpec& inner_spec, const Options& options,
@@ -679,6 +712,10 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
   };
   for (;;) {
     bool stopping = false;
+    // Spin before parking: work that lands within the window is taken
+    // without a wake-up. The predicate is re-checked under the lock below,
+    // so Push's empty-transition notify still covers the park.
+    SpinUntil(pending);
     {
       std::unique_lock<std::mutex> lock(worker.mu);
       worker.cv_ready.wait(lock, [&] { return pending() || worker.stop; });

@@ -14,6 +14,8 @@
 //    it; destruction drains pending queues before joining the workers.
 //  * Statuses never vanish: tokens carry per-op results, fire-and-forget
 //    failures are counted per shard.
+//  * The spin-then-park hand-off — synchronous Insert/Delete from many
+//    threads, completing both mid-spin and after a park, loses nothing.
 
 #include <atomic>
 #include <chrono>
@@ -612,6 +614,71 @@ TEST(ConcurrentStatus, SizeClassRoutingValidatesAtSubmit) {
   EXPECT_TRUE(concurrent->Submit(Request::Delete(1)).ok());
   concurrent->Flush();
   EXPECT_EQ(concurrent->volume(), 0u);
+}
+
+TEST(ConcurrentStatus, SyncRoundTripsFromManyThreads) {
+  // Synchronous Insert/Delete from several threads at once, each call one
+  // token round trip. A seeded pattern of pauses longer than the spin
+  // window makes tokens complete both while their waiter spins and after
+  // it parked, and makes workers both catch work mid-spin and wake from a
+  // park — every hand-off path of the spin-then-park protocol.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kCallsPerThread = 3000;
+
+  ReallocatorSpec spec;
+  spec.algorithm = "cost-oblivious";
+  ConcurrentShardedReallocator::Options options;
+  options.shard_count = 8;
+  options.worker_threads = 3;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+
+  std::atomic<std::uint64_t> expected_volume{0};
+  std::atomic<std::uint64_t> failures{0};
+  std::vector<std::thread> callers;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      const ObjectId base = ObjectId{t} * 1000000;
+      ObjectId next_id = base;
+      std::vector<std::pair<ObjectId, std::uint64_t>> live;
+      std::uint64_t volume = 0;
+      for (std::uint64_t call = 0; call < kCallsPerThread; ++call) {
+        if (rng.Bernoulli(0.125)) {
+          std::this_thread::sleep_for(2 * kSpinBeforePark);
+        }
+        Status status;
+        if (live.empty() || rng.Bernoulli(0.6)) {
+          const std::uint64_t size = rng.UniformRange(1, 4096);
+          status = concurrent->Insert(next_id, size);
+          live.emplace_back(next_id++, size);
+          volume += size;
+        } else {
+          const std::size_t victim = rng.UniformU64(live.size());
+          status = concurrent->Delete(live[victim].first);
+          volume -= live[victim].second;
+          live[victim] = live.back();
+          live.pop_back();
+        }
+        if (!status.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      expected_volume.fetch_add(volume, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(concurrent->volume(), expected_volume.load());
+  const ShardStats stats = concurrent->Stats();
+  std::uint64_t ops = 0;
+  for (const ShardStats::PerShard& shard : stats.shards) ops += shard.ops;
+  EXPECT_EQ(ops, kThreads * kCallsPerThread);
+  EXPECT_EQ(stats.latency_total.count, kThreads * kCallsPerThread);
+  for (std::uint32_t s = 0; s < concurrent->shard_count(); ++s) {
+    EXPECT_TRUE(concurrent->shard_space(s).SelfCheck());
+    EXPECT_TRUE(concurrent->shard_view(s).SelfCheck());
+  }
 }
 
 // ------------------------------------------------- bounded-retry drop policy
