@@ -161,8 +161,8 @@ void BinnedFreeIndex::InsertGap(std::uint64_t offset, std::uint64_t length) {
   bin_bitmap_[group] |=
       static_cast<std::uint8_t>(1u << (gap.bin & kMantissaMask));
   group_bitmap_ |= std::uint64_t{1} << group;
-  by_start_.emplace(offset, index);
-  by_end_.emplace(offset + length, index);
+  by_start_.Insert(offset, index);
+  by_end_.Insert(offset + length, index);
   free_volume_ += length;
   ++gap_count_;
 }
@@ -187,8 +187,8 @@ void BinnedFreeIndex::RemoveGap(std::uint32_t index) {
       group_bitmap_ &= ~(std::uint64_t{1} << group);
     }
   }
-  by_start_.erase(gap.offset);
-  by_end_.erase(gap.offset + gap.length);
+  by_start_.Erase(gap.offset);
+  by_end_.Erase(gap.offset + gap.length);
   free_volume_ -= gap.length;
   --gap_count_;
   free_nodes_.push_back(index);
@@ -203,31 +203,20 @@ void BinnedFreeIndex::Reserve(std::uint64_t offset, std::uint64_t size) {
     frontier_ = offset + size;
     return;
   }
-  std::uint64_t gap_offset;
-  std::uint64_t gap_length;
-  auto it = by_start_.find(offset);
-  if (it != by_start_.end()) {
-    const Gap& gap = nodes_[it->second];
-    gap_offset = gap.offset;
-    gap_length = gap.length;
-    RemoveGap(it->second);
-  } else {
+  std::uint32_t found = by_start_.Find(offset);
+  if (found == kNil) {
     // Interior reserve (tests/diagnostics only — the allocators always
     // reserve at a gap start): probe every gap for the containing one.
-    std::uint32_t found = kNil;
-    for (const auto& [start, index] : by_start_) {
-      const Gap& gap = nodes_[index];
-      if (start < offset && offset + size <= start + gap.length) {
+    by_start_.ForEach([&](std::uint64_t start, std::uint32_t index) {
+      if (start < offset && offset + size <= start + nodes_[index].length) {
         found = index;
-        break;
       }
-    }
+    });
     COSR_CHECK_MSG(found != kNil, "reserve outside any gap");
-    const Gap& gap = nodes_[found];
-    gap_offset = gap.offset;
-    gap_length = gap.length;
-    RemoveGap(found);
   }
+  const std::uint64_t gap_offset = nodes_[found].offset;
+  const std::uint64_t gap_length = nodes_[found].length;
+  RemoveGap(found);
   COSR_CHECK_LE(offset + size, gap_offset + gap_length);
   if (offset > gap_offset) InsertGap(gap_offset, offset - gap_offset);
   const std::uint64_t tail_offset = offset + size;
@@ -242,18 +231,16 @@ void BinnedFreeIndex::Release(const Extent& extent) {
   std::uint64_t end = extent.end();
 
   // Merge with the following gap if adjacent.
-  auto next = by_start_.find(end);
-  if (next != by_start_.end()) {
-    const std::uint32_t index = next->second;
-    end = nodes_[index].offset + nodes_[index].length;
-    RemoveGap(index);
+  const std::uint32_t next = by_start_.Find(end);
+  if (next != kNil) {
+    end = nodes_[next].offset + nodes_[next].length;
+    RemoveGap(next);
   }
   // Merge with the preceding gap if adjacent.
-  auto prev = by_end_.find(offset);
-  if (prev != by_end_.end()) {
-    const std::uint32_t index = prev->second;
-    offset = nodes_[index].offset;
-    RemoveGap(index);
+  const std::uint32_t prev = by_end_.Find(offset);
+  if (prev != kNil) {
+    offset = nodes_[prev].offset;
+    RemoveGap(prev);
   }
   if (end == frontier_) {
     frontier_ = offset;  // trailing gap: shrink the frontier
@@ -265,9 +252,9 @@ void BinnedFreeIndex::Release(const Extent& extent) {
 std::vector<Extent> BinnedFreeIndex::Gaps() const {
   std::vector<Extent> gaps;
   gaps.reserve(gap_count_);
-  for (const auto& [start, index] : by_start_) {
+  by_start_.ForEach([&](std::uint64_t start, std::uint32_t index) {
     gaps.push_back(Extent{start, nodes_[index].length});
-  }
+  });
   std::sort(gaps.begin(), gaps.end(),
             [](const Extent& a, const Extent& b) { return a.offset < b.offset; });
   return gaps;
@@ -302,13 +289,10 @@ Status BinnedFreeIndex::CheckIntegrity() const {
       if (gap_end == frontier_) {
         return Status::Internal("gap touches the frontier");
       }
-      auto s = by_start_.find(gap.offset);
-      auto e = by_end_.find(gap_end);
-      if (s == by_start_.end() || s->second != i || e == by_end_.end() ||
-          e->second != i) {
+      if (by_start_.Find(gap.offset) != i || by_end_.Find(gap_end) != i) {
         return Status::Internal("boundary tables disagree with gap");
       }
-      if (by_start_.count(gap_end) > 0 || by_end_.count(gap.offset) > 0) {
+      if (by_start_.Find(gap_end) != kNil || by_end_.Find(gap.offset) != kNil) {
         return Status::Internal("adjacent gaps left uncoalesced");
       }
       volume += gap.length;

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "cosr/alloc/boundary_table.h"
 #include "cosr/common/status.h"
 #include "cosr/storage/extent.h"
 
@@ -38,8 +38,10 @@ const char* BinDisciplineName(BinDiscipline discipline);
 /// (exponent + mantissa) bins, a two-level bitmap (one bit per bin group,
 /// one byte of bin bits per group) is walked with tzcnt to find the
 /// smallest bin whose gaps are guaranteed to fit, and gaps are held in
-/// intrusive per-bin lists backed by a recycling node pool. Boundary
-/// hash tables keyed by gap start/end give O(1) coalescing on Release.
+/// intrusive per-bin lists backed by a recycling node pool. Two
+/// open-addressed boundary tables (BoundaryTable, keyed by gap start and
+/// by gap end) give O(1) coalescing on Release without allocating a hash
+/// node per gap.
 ///
 /// Compared to the ordered-map scan it replaces, FindFit is O(1) instead of
 /// O(#gaps) and every mutation is O(1) expected. The price is bin-granular
@@ -104,7 +106,7 @@ class BinnedFreeIndex {
   Status CheckIntegrity() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint32_t kNil = BoundaryTable::kNil;
 
   struct Gap {
     std::uint64_t offset = 0;
@@ -127,8 +129,8 @@ class BinnedFreeIndex {
   std::uint32_t bin_tail_[kNumBins];
   std::uint64_t group_bitmap_ = 0;              // bit g: group g nonempty
   std::uint8_t bin_bitmap_[kNumGroups] = {};    // bit m: bin (g<<3)|m nonempty
-  std::unordered_map<std::uint64_t, std::uint32_t> by_start_;
-  std::unordered_map<std::uint64_t, std::uint32_t> by_end_;
+  BoundaryTable by_start_;  // gap offset -> node
+  BoundaryTable by_end_;    // gap offset + length -> node
   std::uint64_t frontier_ = 0;
   std::uint64_t free_volume_ = 0;  // tracked gaps only (below frontier)
   std::size_t gap_count_ = 0;

@@ -172,8 +172,9 @@ class AddressSpace final : public Space {
   std::vector<SpaceListener*> listeners_;
   std::uint64_t live_volume_ = 0;
 
-  // kFlat engine state. A deque keeps references stable while the dense
-  // table grows at the back (extent_of hands out references).
+  // kFlat engine state. The dense table is a deque so it grows at the back
+  // in fixed-size blocks: existing slots are never relocated or copied, and
+  // growth costs no transient second copy of the table.
   std::deque<Extent> slots_;  // length == 0 means the slot is empty
   std::unordered_map<ObjectId, Extent> flat_overflow_;
   OffsetIndex index_;

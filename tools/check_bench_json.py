@@ -48,6 +48,17 @@ def check_free_index(data, path):
         "gaps", "binned_queries_per_sec", "map_queries_per_sec",
         "binned_churn_per_sec", "map_churn_per_sec",
     })
+    # The artifact's headline: the binned index out-churns the map scan at
+    # every population, from the smallest (1e2) to the largest (1e6) gaps.
+    populations = {row["gaps"] for row in data["rows"]}
+    for expected in (100, 1000000):
+        require(expected in populations, path,
+                f"row at {expected} gaps missing")
+    for row in data["rows"]:
+        require(row["binned_churn_per_sec"] > row["map_churn_per_sec"], path,
+                f"{row['gaps']} gaps: binned churn "
+                f"{row['binned_churn_per_sec']} <= map churn "
+                f"{row['map_churn_per_sec']}")
 
 
 def check_address_space(data, path):
