@@ -1,15 +1,17 @@
-// EXP-ADDRESS-SPACE — op-level storage-engine microbench: the flat
-// (slot-table + paged offset index) AddressSpace engine against the map
-// (std::map + unordered_map) engine, at 1e3..1e6 live objects, for the
+// EXP-ADDRESS-SPACE — op-level storage microbench: AddressSpace ("flat":
+// slot table + paged offset index, batch-level ApplyMoves validation)
+// against the std::map + unordered_map model it replaced ("map": the
+// test-side reference tests/reference/reference_space.h, which validates
+// every move of a batch on its own), at 1e3..1e6 live objects, for the
 // three primitive ops and for the move-storm workload shaped like the
 // paper's flush procedures (crunch right, unpack left — the Figure 3
-// traffic), per-move vs batched ApplyMoves. The map engine doubles as the
+// traffic), per-move vs batched ApplyMoves. The map model doubles as the
 // ordered-tree alternative for the neighbor index, so this bench is also
 // the "pick the ordered structure with a micro bench" evidence.
 //
 // Writes BENCH_address_space.json (run from the repo root to refresh the
-// committed artifact). Exit code asserts the flat engine's batched
-// move-storm beats the map engine's per-move storm by the threshold:
+// committed artifact). Exit code asserts the flat space's batched
+// move-storm beats the map model's per-move storm by the threshold:
 // >= 2.0x in full mode (the PR acceptance bar), >= 1.0x in --smoke (the
 // CI regression guard, generous to tolerate shared-runner noise).
 //
@@ -21,11 +23,13 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/storage/checkpoint_manager.h"
+#include "reference/reference_space.h"
 
 namespace cosr {
 namespace {
@@ -35,8 +39,9 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kLength = 8;   // object size
 constexpr std::uint64_t kStride = 32;  // slot pitch (>= 2 * kLength)
 
-const char* EngineName(AddressSpace::Engine engine) {
-  return engine == AddressSpace::Engine::kFlat ? "flat" : "map";
+template <typename SpaceType>
+const char* EngineName() {
+  return std::is_same_v<SpaceType, AddressSpace> ? "flat" : "map";
 }
 
 double Seconds(Clock::time_point start) {
@@ -58,16 +63,17 @@ struct Row {
 /// Layout: object i at [i*kStride, i*kStride + kLength); moves ping-pong
 /// each object between the two halves of its slot (the sequential sweep
 /// pattern of a flush).
-std::vector<Row> RunPrimitiveOps(AddressSpace::Engine engine, std::uint64_t n,
-                                 std::uint64_t move_ops) {
+template <typename SpaceType>
+std::vector<Row> RunPrimitiveOps(std::uint64_t n, std::uint64_t move_ops) {
+  const char* engine = EngineName<SpaceType>();
   std::vector<Row> rows;
-  AddressSpace space(engine);
+  SpaceType space;
 
   auto start = Clock::now();
   for (std::uint64_t i = 0; i < n; ++i) {
     space.Place(i + 1, Extent{i * kStride, kLength});
   }
-  rows.push_back({"place", EngineName(engine), "-", false, n, n,
+  rows.push_back({"place", engine, "-", false, n, n,
                   Seconds(start)});
 
   std::uint64_t done = 0;
@@ -80,14 +86,14 @@ std::vector<Row> RunPrimitiveOps(AddressSpace::Engine engine, std::uint64_t n,
     }
     upper = !upper;
   }
-  rows.push_back({"move", EngineName(engine), "per-move", false, n, done,
+  rows.push_back({"move", engine, "per-move", false, n, done,
                   Seconds(start)});
 
   start = Clock::now();
   for (std::uint64_t i = 0; i < n; ++i) {
     space.Remove(i + 1);
   }
-  rows.push_back({"remove", EngineName(engine), "-", false, n, n,
+  rows.push_back({"remove", engine, "-", false, n, n,
                   Seconds(start)});
   return rows;
 }
@@ -98,11 +104,13 @@ std::vector<Row> RunPrimitiveOps(AddressSpace::Engine engine, std::uint64_t n,
 /// flush step 3). `batched` stages each pass as one ApplyMoves plan;
 /// `checkpointed` runs the durability model with a checkpoint after every
 /// pass (passes are nonoverlapping, so one window per pass suffices).
-Row RunMoveStorm(AddressSpace::Engine engine, bool batched, bool checkpointed,
-                 std::uint64_t n, std::uint64_t target_moves) {
+template <typename SpaceType>
+Row RunMoveStorm(bool batched, bool checkpointed, std::uint64_t n,
+                 std::uint64_t target_moves) {
+  const char* engine = EngineName<SpaceType>();
   std::unique_ptr<CheckpointManager> manager;
   if (checkpointed) manager = std::make_unique<CheckpointManager>();
-  AddressSpace space(manager.get(), engine);
+  SpaceType space(manager.get());
   for (std::uint64_t i = 0; i < n; ++i) {
     space.Place(i + 1, Extent{i * kLength, kLength});
   }
@@ -144,7 +152,7 @@ Row RunMoveStorm(AddressSpace::Engine engine, bool batched, bool checkpointed,
     pass(to_upper);
     to_upper = !to_upper;
   }
-  Row row{"move-storm", EngineName(engine),
+  Row row{"move-storm", engine,
           batched ? "batched" : "per-move", checkpointed, n, moves,
           Seconds(start)};
   return row;
@@ -189,7 +197,7 @@ int main(int argc, char** argv) {
   }
 
   cosr::bench::Banner(
-      "EXP-ADDRESS-SPACE — flat vs map storage engine, per-move vs batched",
+      "EXP-ADDRESS-SPACE — flat AddressSpace vs map model, per-move vs batched",
       "flush move storms should run at memory speed, not rb-tree speed");
 
   const std::vector<std::uint64_t> sizes =
@@ -202,11 +210,10 @@ int main(int argc, char** argv) {
     cosr::bench::Table table(
         {"n", "engine", "place Mops/s", "move Mops/s", "remove Mops/s"});
     for (const std::uint64_t n : sizes) {
-      for (const auto engine : {cosr::AddressSpace::Engine::kMap,
-                                cosr::AddressSpace::Engine::kFlat}) {
-        const std::vector<cosr::Row> r =
-            cosr::RunPrimitiveOps(engine, n, move_ops);
-        table.AddRow({std::to_string(n), cosr::EngineName(engine),
+      for (const std::vector<cosr::Row>& r :
+           {cosr::RunPrimitiveOps<cosr::ReferenceSpace>(n, move_ops),
+            cosr::RunPrimitiveOps<cosr::AddressSpace>(n, move_ops)}) {
+        table.AddRow({std::to_string(n), r[0].engine,
                       cosr::bench::Fmt(r[0].ops_per_sec() / 1e6, 2),
                       cosr::bench::Fmt(r[1].ops_per_sec() / 1e6, 2),
                       cosr::bench::Fmt(r[2].ops_per_sec() / 1e6, 2)});
@@ -226,21 +233,20 @@ int main(int argc, char** argv) {
     cosr::bench::Table table(
         {"engine", "mode", "ckpt", "moves", "Mmoves/s"});
     for (const bool checkpointed : {false, true}) {
-      for (const auto engine : {cosr::AddressSpace::Engine::kMap,
-                                cosr::AddressSpace::Engine::kFlat}) {
+      for (const bool flat : {false, true}) {
         for (const bool batched : {false, true}) {
-          const cosr::Row row = cosr::RunMoveStorm(engine, batched,
-                                                   checkpointed, storm_n,
-                                                   move_ops);
-          table.AddRow({cosr::EngineName(engine), batched ? "batched" : "per-move",
+          const cosr::Row row =
+              flat ? cosr::RunMoveStorm<cosr::AddressSpace>(
+                         batched, checkpointed, storm_n, move_ops)
+                   : cosr::RunMoveStorm<cosr::ReferenceSpace>(
+                         batched, checkpointed, storm_n, move_ops);
+          table.AddRow({row.engine, batched ? "batched" : "per-move",
                         checkpointed ? "yes" : "no", std::to_string(row.ops),
                         cosr::bench::Fmt(row.ops_per_sec() / 1e6, 2)});
-          if (!checkpointed && engine == cosr::AddressSpace::Engine::kMap &&
-              !batched) {
+          if (!checkpointed && !flat && !batched) {
             map_per_move = row.ops_per_sec();
           }
-          if (!checkpointed && engine == cosr::AddressSpace::Engine::kFlat &&
-              batched) {
+          if (!checkpointed && flat && batched) {
             flat_batched = row.ops_per_sec();
           }
           rows.push_back(row);
@@ -259,7 +265,7 @@ int main(int argc, char** argv) {
   const bool ok = speedup >= threshold;
   cosr::bench::Verdict(
       ok, "flat+batched move storm at " + cosr::bench::Fmt(speedup, 2) +
-              "x the map engine's per-move storm (threshold " +
+              "x the map model's per-move storm (threshold " +
               cosr::bench::Fmt(threshold, 1) + "x)");
   return ok ? 0 : 1;
 }

@@ -1,19 +1,23 @@
-// EXP-FREE-INDEX — fit-query and churn throughput of the two FreeList
-// engines across gap-population sizes. The map-scan policy walks the
-// ordered gap map (O(#gaps) per query: first-fit churn leaves mostly small
-// remnant gaps, so mid/large requests scan far); the binned policy answers
-// from the two-level bin bitmap in O(1). The populations here reproduce
-// that remnant-skew: many small gaps, queries drawn wider than most gaps.
+// EXP-FREE-INDEX — fit-query and churn throughput of the production
+// BinnedFreeIndex against the exact map-scan free list it replaced (kept as
+// the test-side reference tests/reference/map_free_list.h) across
+// gap-population sizes. The map scan walks the ordered gap map (O(#gaps)
+// per query: first-fit churn leaves mostly small remnant gaps, so
+// mid/large requests scan far); the binned index answers from the
+// two-level bin bitmap in O(1). The populations here reproduce that
+// remnant-skew: many small gaps, queries drawn wider than most gaps.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "cosr/alloc/free_list.h"
+#include "cosr/alloc/binned_free_index.h"
 #include "cosr/common/random.h"
+#include "reference/map_free_list.h"
 
 namespace cosr {
 namespace {
@@ -23,12 +27,21 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kMaxGapSize = 1024;
 constexpr std::uint64_t kMaxQuerySize = 1536;  // ~1/3 of queries miss all bins
 
+/// The first-fit query of each free list.
+std::optional<std::uint64_t> Fit(const MapFreeList& list, std::uint64_t size) {
+  return list.FindFirstFit(size);
+}
+std::optional<std::uint64_t> Fit(const BinnedFreeIndex& list,
+                                 std::uint64_t size) {
+  return list.FindFit(size);
+}
+
 /// Builds a free list with exactly `gaps` isolated gaps of random size in
 /// [1, kMaxGapSize], separated by 16-cell live blocks.
-FreeList BuildPopulation(FreeList::Policy policy, std::size_t gaps,
-                         std::uint64_t seed) {
+template <typename List>
+List BuildPopulation(std::size_t gaps, std::uint64_t seed) {
   Rng rng(seed);
-  FreeList list(policy);
+  List list;
   std::uint64_t offset = 0;
   std::vector<Extent> holes;
   holes.reserve(gaps);
@@ -45,8 +58,9 @@ FreeList BuildPopulation(FreeList::Policy policy, std::size_t gaps,
   return list;
 }
 
-/// Query throughput: FindFirstFit over random sizes, no mutation.
-double MeasureQueries(const FreeList& list, std::uint64_t seed,
+/// Query throughput: first-fit queries over random sizes, no mutation.
+template <typename List>
+double MeasureQueries(const List& list, std::uint64_t seed,
                       double min_seconds, std::size_t min_ops) {
   Rng rng(seed);
   std::size_t ops = 0;
@@ -56,7 +70,7 @@ double MeasureQueries(const FreeList& list, std::uint64_t seed,
   do {
     for (std::size_t i = 0; i < 64; ++i) {
       const std::uint64_t size = rng.UniformRange(1, kMaxQuerySize);
-      sink += list.FindFirstFit(size).value_or(list.frontier());
+      sink += Fit(list, size).value_or(list.frontier());
     }
     ops += 64;
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
@@ -68,7 +82,8 @@ double MeasureQueries(const FreeList& list, std::uint64_t seed,
 
 /// Steady-state churn throughput: each op is one insert (find+reserve) or
 /// one delete (release), keeping the population near its starting size.
-double MeasureChurn(FreeList list, std::uint64_t seed, double min_seconds,
+template <typename List>
+double MeasureChurn(List list, std::uint64_t seed, double min_seconds,
                     std::size_t min_ops) {
   Rng rng(seed);
   std::vector<Extent> live;
@@ -80,8 +95,7 @@ double MeasureChurn(FreeList list, std::uint64_t seed, double min_seconds,
     for (std::size_t i = 0; i < 64; ++i) {
       if (live.empty() || rng.Bernoulli(0.5)) {
         const std::uint64_t size = rng.UniformRange(1, kMaxQuerySize);
-        const std::uint64_t offset =
-            list.FindFirstFit(size).value_or(list.frontier());
+        const std::uint64_t offset = Fit(list, size).value_or(list.frontier());
         list.Reserve(offset, size);
         live.push_back(Extent{offset, size});
       } else {
@@ -102,7 +116,8 @@ double MeasureChurn(FreeList list, std::uint64_t seed, double min_seconds,
 }  // namespace cosr
 
 int main() {
-  using cosr::FreeList;
+  using cosr::BinnedFreeIndex;
+  using cosr::MapFreeList;
   cosr::bench::Banner(
       "EXP-FREE-INDEX — binned bitmap index vs ordered-map scan",
       "fit queries drop from O(#gaps) to O(1); >=5x items/sec at 1e4 gaps");
@@ -123,18 +138,18 @@ int main() {
     const double min_seconds = 0.15;
     const std::size_t min_ops = gaps >= 100000 ? 64 : 4096;
 
-    const FreeList map_list =
-        cosr::BuildPopulation(FreeList::Policy::kMapScan, gaps, 42 + gaps);
-    const FreeList bin_list =
-        cosr::BuildPopulation(FreeList::Policy::kBinned, gaps, 42 + gaps);
+    const auto map_list =
+        cosr::BuildPopulation<MapFreeList>(gaps, 42 + gaps);
+    const auto bin_list =
+        cosr::BuildPopulation<BinnedFreeIndex>(gaps, 42 + gaps);
 
     const double map_q = cosr::MeasureQueries(map_list, 7, min_seconds, min_ops);
     const double bin_q = cosr::MeasureQueries(bin_list, 7, min_seconds, min_ops);
     const double map_c = cosr::MeasureChurn(
-        cosr::BuildPopulation(FreeList::Policy::kMapScan, gaps, 42 + gaps), 9,
-        min_seconds, min_ops);
+        cosr::BuildPopulation<MapFreeList>(gaps, 42 + gaps), 9, min_seconds,
+        min_ops);
     const double bin_c = cosr::MeasureChurn(
-        cosr::BuildPopulation(FreeList::Policy::kBinned, gaps, 42 + gaps), 9,
+        cosr::BuildPopulation<BinnedFreeIndex>(gaps, 42 + gaps), 9,
         min_seconds, min_ops);
 
     const double q_speedup = bin_q / map_q;

@@ -1,13 +1,12 @@
 // EXP-SCENARIOS — the standing scenario-diversity battery: every
-// reallocator × free-list policy × bin-discipline cell — plus the
-// service-layer sharded cells (cost-oblivious behind ShardedReallocator at
-// K ∈ {1, 4, 16}) — replayed over every scenario in workload/scenario.h
-// (steady churn, ramp-collapse, bimodal sizes, Zipf churn, the
-// database-block replay, and the four adversarial traces), recording
-// footprint ratios, moved volume, and throughput via RunHarness/CostMeter.
-// Writes one JSON row per cell to BENCH_scenarios.json (run from the repo
-// root to refresh the committed artifact) and prints a per-scenario table
-// plus the bin-discipline verdict the ROADMAP asks for.
+// reallocator — plus the service-layer sharded cells (cost-oblivious
+// behind ShardedReallocator at K ∈ {1, 4, 16}) — replayed over every
+// scenario in workload/scenario.h (steady churn, ramp-collapse, bimodal
+// sizes, Zipf churn, the database-block replay, and the four adversarial
+// traces), recording footprint ratios, moved volume, and throughput via
+// RunHarness/CostMeter. Writes one JSON row per cell to
+// BENCH_scenarios.json (run from the repo root to refresh the committed
+// artifact) and prints a per-scenario table.
 //
 // Usage: exp_scenarios [--smoke]   (--smoke: ~20x smaller traces for CI)
 
@@ -15,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <utility>
 #include <memory>
 #include <string>
@@ -36,15 +34,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One reallocator configuration of the battery. `policy`/`discipline` are
-/// display labels ("-" where the knob does not exist for the algorithm).
-/// Cells with `sharded` set run behind a ShardedReallocator facade of
-/// `spec.shard_count` shards — including K=1, so the wrapper itself is a
-/// measured battery citizen, not a special case.
+/// One reallocator configuration of the battery. Cells with `sharded` set
+/// run behind a ShardedReallocator facade of `spec.shard_count` shards —
+/// including K=1, so the wrapper itself is a measured battery citizen, not
+/// a special case.
 struct Cell {
   ReallocatorSpec spec;
-  std::string policy;
-  std::string discipline;
   bool sharded = false;
 
   std::string RoutingLabel() const {
@@ -53,8 +48,6 @@ struct Cell {
 
   std::string Label() const {
     std::string label = spec.algorithm;
-    if (policy != "-") label += "/" + policy;
-    if (discipline != "-") label += "/" + discipline;
     if (sharded) {
       label += "/K" + std::to_string(spec.shard_count) + "-" + RoutingLabel();
     }
@@ -62,39 +55,15 @@ struct Cell {
   }
 };
 
-/// Every cell the battery runs. The free-list knobs exist only on the
-/// FreeList-backed allocators (first-fit, best-fit): those expand into the
-/// full policy × discipline product (mapscan is exact, so the discipline
-/// axis collapses to one cell there). "pma" is excluded: the classical
-/// sparse table holds uniform-slot objects only and rejects these traces.
+/// Every cell the battery runs. "pma" is excluded: the classical sparse
+/// table holds uniform-slot objects only and rejects these traces.
 std::vector<Cell> MakeCells() {
   std::vector<Cell> cells;
-  for (const std::string algorithm : {"first-fit", "best-fit"}) {
-    Cell exact;
-    exact.spec.algorithm = algorithm;
-    exact.spec.free_list_policy = FreeList::Policy::kMapScan;
-    exact.policy = "mapscan";
-    exact.discipline = "-";
-    cells.push_back(exact);
-    for (const BinDiscipline discipline :
-         {BinDiscipline::kFifo, BinDiscipline::kLifo,
-          BinDiscipline::kAddressOrdered}) {
-      Cell binned;
-      binned.spec.algorithm = algorithm;
-      binned.spec.free_list_policy = FreeList::Policy::kBinned;
-      binned.spec.discipline = discipline;
-      binned.policy = "binned";
-      binned.discipline = BinDisciplineName(discipline);
-      cells.push_back(binned);
-    }
-  }
   for (const std::string algorithm :
-       {"buddy", "log-compact", "size-class", "oracle", "cost-oblivious",
-        "checkpointed", "deamortized"}) {
+       {"first-fit", "best-fit", "buddy", "log-compact", "size-class",
+        "oracle", "cost-oblivious", "checkpointed", "deamortized"}) {
     Cell cell;
     cell.spec.algorithm = algorithm;
-    cell.policy = "-";
-    cell.discipline = "-";
     cells.push_back(cell);
   }
   // The service layer: cost-oblivious behind the sharded facade at
@@ -105,8 +74,6 @@ std::vector<Cell> MakeCells() {
     cell.spec.algorithm = "cost-oblivious";
     cell.spec.shard_count = shards;
     cell.spec.routing = RoutingPolicy::kHashId;
-    cell.policy = "-";
-    cell.discipline = "-";
     cell.sharded = true;
     cells.push_back(cell);
   }
@@ -115,8 +82,6 @@ std::vector<Cell> MakeCells() {
     cell.spec.algorithm = "cost-oblivious";
     cell.spec.shard_count = 4;
     cell.spec.routing = RoutingPolicy::kSizeClass;
-    cell.policy = "-";
-    cell.discipline = "-";
     cell.sharded = true;
     cells.push_back(cell);
   }
@@ -179,7 +144,7 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
     std::printf("cannot open BENCH_scenarios.json for writing\n");
     return;
   }
-  std::fprintf(json, "{\n  \"schema_version\": 2,\n  \"smoke\": %s,\n",
+  std::fprintf(json, "{\n  \"schema_version\": 3,\n  \"smoke\": %s,\n",
                smoke ? "true" : "false");
   std::fprintf(json,
                "  \"excluded\": [{\"algorithm\": \"pma\", \"reason\": "
@@ -191,7 +156,6 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
     std::fprintf(
         json,
         "    {\"scenario\": \"%s\", \"algorithm\": \"%s\", "
-        "\"policy\": \"%s\", \"discipline\": \"%s\", "
         "\"shards\": %u, \"routing\": \"%s\", "
         "\"operations\": %llu, "
         "\"max_footprint_ratio\": %.4f, \"avg_footprint_ratio\": %.4f, "
@@ -201,7 +165,6 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
         "\"linear_cost_ratio\": %.4f, \"linear_realloc_ratio\": %.4f, "
         "\"wall_seconds\": %.4f, \"ops_per_sec\": %.0f}%s\n",
         row.scenario.c_str(), row.cell.spec.algorithm.c_str(),
-        row.cell.policy.c_str(), row.cell.discipline.c_str(),
         row.cell.sharded ? row.cell.spec.shard_count : 1,
         row.cell.RoutingLabel().c_str(),
         static_cast<unsigned long long>(row.report.operations),
@@ -221,46 +184,6 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
   std::printf("wrote BENCH_scenarios.json (%zu rows)\n", rows.size());
 }
 
-struct DisciplineScore {
-  double footprint_vs_best = 0;  // mean of (peak ratio / best discipline's)
-  double mean_kops = 0;
-};
-
-/// Scores the binned first-/best-fit cells per discipline — the numbers the
-/// ROADMAP's bin-discipline open item asks for. Peak footprint is
-/// normalized against the best discipline of the same (scenario, algorithm)
-/// pair, so scenarios where placement is discipline-blind (no gap reuse,
-/// e.g. pure ramp phases) contribute 1.0 instead of swamping the mean.
-std::map<std::string, DisciplineScore> ScoreDisciplines(
-    const std::vector<Row>& rows) {
-  std::map<std::string, std::vector<const Row*>> groups;  // scenario|algo
-  for (const Row& row : rows) {
-    if (row.cell.policy != "binned") continue;
-    groups[row.scenario + "|" + row.cell.spec.algorithm].push_back(&row);
-  }
-  std::map<std::string, DisciplineScore> sum;
-  std::map<std::string, int> count;
-  for (const auto& [key, group] : groups) {
-    double best = 0;
-    for (const Row* row : group) {
-      if (best == 0 || row->report.max_footprint_ratio < best) {
-        best = row->report.max_footprint_ratio;
-      }
-    }
-    for (const Row* row : group) {
-      DisciplineScore& score = sum[row->cell.discipline];
-      score.footprint_vs_best += row->report.max_footprint_ratio / best;
-      score.mean_kops += row->ops_per_sec / 1000.0;
-      ++count[row->cell.discipline];
-    }
-  }
-  for (auto& [discipline, score] : sum) {
-    score.footprint_vs_best /= count[discipline];
-    score.mean_kops /= count[discipline];
-  }
-  return sum;
-}
-
 }  // namespace
 }  // namespace cosr
 
@@ -271,8 +194,9 @@ int main(int argc, char** argv) {
   }
 
   cosr::bench::Banner(
-      "EXP-SCENARIOS — reallocator x policy x discipline x scenario battery",
-      "bin discipline is the placement knob; measure its footprint impact");
+      "EXP-SCENARIOS — reallocator x scenario battery",
+      "footprint, moved volume and throughput of every reallocator on "
+      "every scenario");
 
   const cosr::ScenarioBatteryOptions options =
       smoke ? cosr::ScenarioBatteryOptions::Smoke()
@@ -307,29 +231,10 @@ int main(int argc, char** argv) {
     table.Print();
   }
 
-  const std::map<std::string, cosr::DisciplineScore> scores =
-      cosr::ScoreDisciplines(rows);
-  std::string best;
-  for (const auto& [discipline, score] : scores) {
-    if (best.empty() ||
-        score.footprint_vs_best < scores.at(best).footprint_vs_best) {
-      best = discipline;
-    }
-  }
-  std::printf(
-      "\nbinned first-/best-fit discipline scores (footprint normalized to "
-      "the per-scenario best):\n");
-  for (const auto& [discipline, score] : scores) {
-    std::printf("  %-5s peak footprint x%.4f of best, %8.0f kops/s%s\n",
-                discipline.c_str(), score.footprint_vs_best, score.mean_kops,
-                discipline == best ? "  <- lowest footprint" : "");
-  }
-
   cosr::WriteJson(rows, smoke);
   const bool complete = rows.size() == scenarios.size() * cells.size();
-  cosr::bench::Verdict(
-      complete,
-      "battery complete; lowest normalized peak footprint: " + best + " (x" +
-          cosr::bench::Fmt(scores.at(best).footprint_vs_best) + ")");
+  cosr::bench::Verdict(complete,
+                       "battery complete: " + std::to_string(rows.size()) +
+                           " rows");
   return complete ? 0 : 1;
 }

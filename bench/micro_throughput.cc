@@ -24,17 +24,6 @@
 namespace cosr {
 namespace {
 
-/// Map-scan-policy wrappers so BM_Churn can compare the binned free-space
-/// index (the allocators' default) against the ordered-map baseline.
-struct FirstFitMapScan : FirstFitAllocator {
-  explicit FirstFitMapScan(AddressSpace* space)
-      : FirstFitAllocator(space, FreeList::Policy::kMapScan) {}
-};
-struct BestFitMapScan : BestFitAllocator {
-  explicit BestFitMapScan(AddressSpace* space)
-      : BestFitAllocator(space, FreeList::Policy::kMapScan) {}
-};
-
 Trace SharedTrace() {
   return MakeChurnTrace({.operations = 20000,
                          .target_live_volume = 1u << 20,
@@ -79,47 +68,14 @@ void BM_ChurnCheckpointed(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 
-/// Same churn, but on the legacy map-based AddressSpace engine — the PR 2
-/// baseline the flat engine is measured against.
-template <typename Realloc>
-void BM_ChurnMapEngine(benchmark::State& state) {
-  const Trace trace = SharedTrace();
-  for (auto _ : state) {
-    AddressSpace space(AddressSpace::Engine::kMap);
-    Realloc realloc(&space);
-    Replay(realloc, trace);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-template <typename Realloc>
-void BM_ChurnCheckpointedMapEngine(benchmark::State& state) {
-  const Trace trace = SharedTrace();
-  for (auto _ : state) {
-    CheckpointManager manager;
-    AddressSpace space(&manager, AddressSpace::Engine::kMap);
-    Realloc realloc(&space);
-    Replay(realloc, trace);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
 BENCHMARK(BM_Churn<FirstFitAllocator>)->Name("churn/first-fit");
-BENCHMARK(BM_Churn<FirstFitMapScan>)->Name("churn/first-fit-mapscan");
 BENCHMARK(BM_Churn<BestFitAllocator>)->Name("churn/best-fit");
-BENCHMARK(BM_Churn<BestFitMapScan>)->Name("churn/best-fit-mapscan");
 BENCHMARK(BM_Churn<BuddyAllocator>)->Name("churn/buddy");
 BENCHMARK(BM_Churn<LoggingCompactingReallocator>)->Name("churn/log-compact");
 BENCHMARK(BM_Churn<SizeClassReallocator>)->Name("churn/size-class");
 BENCHMARK(BM_Churn<CostObliviousReallocator>)->Name("churn/cost-oblivious");
-BENCHMARK(BM_ChurnMapEngine<CostObliviousReallocator>)
-    ->Name("churn/cost-oblivious-mapengine");
 BENCHMARK(BM_ChurnCheckpointed<CheckpointedReallocator>)
     ->Name("churn/checkpointed");
-BENCHMARK(BM_ChurnCheckpointedMapEngine<CheckpointedReallocator>)
-    ->Name("churn/checkpointed-mapengine");
 BENCHMARK(BM_ChurnCheckpointed<DeamortizedReallocator>)
     ->Name("churn/deamortized");
 

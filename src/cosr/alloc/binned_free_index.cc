@@ -20,20 +20,7 @@ inline std::uint32_t TrailingZeros8(std::uint8_t v) {
 
 }  // namespace
 
-const char* BinDisciplineName(BinDiscipline discipline) {
-  switch (discipline) {
-    case BinDiscipline::kFifo:
-      return "fifo";
-    case BinDiscipline::kLifo:
-      return "lifo";
-    case BinDiscipline::kAddressOrdered:
-      return "addr";
-  }
-  return "?";
-}
-
-BinnedFreeIndex::BinnedFreeIndex(BinDiscipline discipline)
-    : discipline_(discipline) {
+BinnedFreeIndex::BinnedFreeIndex() {
   std::fill(bin_head_, bin_head_ + kNumBins, kNil);
   std::fill(bin_tail_, bin_tail_ + kNumBins, kNil);
 }
@@ -120,43 +107,15 @@ void BinnedFreeIndex::InsertGap(std::uint64_t offset, std::uint64_t length) {
   gap.offset = offset;
   gap.length = length;
   gap.bin = SizeToBinRoundDown(length);
-  // FindFit always serves the bin head; the discipline decides where a new
-  // gap links in, and therefore which gap the head is.
-  switch (discipline_) {
-    case BinDiscipline::kFifo:
-      // Append at the tail: the oldest gap serves the next FindFit.
-      gap.prev = bin_tail_[gap.bin];
-      gap.next = kNil;
-      break;
-    case BinDiscipline::kLifo:
-      // Push at the head: the newest gap serves the next FindFit.
-      gap.prev = kNil;
-      gap.next = bin_head_[gap.bin];
-      break;
-    case BinDiscipline::kAddressOrdered: {
-      // Walk to the first member above `offset` and link in before it, so
-      // the head is always the lowest-addressed gap in the bin.
-      std::uint32_t after = kNil;
-      std::uint32_t before = bin_head_[gap.bin];
-      while (before != kNil && nodes_[before].offset < offset) {
-        after = before;
-        before = nodes_[before].next;
-      }
-      gap.prev = after;
-      gap.next = before;
-      break;
-    }
-  }
+  // Append at the tail: FindFit serves the head, the oldest gap.
+  gap.prev = bin_tail_[gap.bin];
+  gap.next = kNil;
   if (gap.prev != kNil) {
     nodes_[gap.prev].next = index;
   } else {
     bin_head_[gap.bin] = index;
   }
-  if (gap.next != kNil) {
-    nodes_[gap.next].prev = index;
-  } else {
-    bin_tail_[gap.bin] = index;
-  }
+  bin_tail_[gap.bin] = index;
   const std::uint32_t group = gap.bin >> kMantissaBits;
   bin_bitmap_[group] |=
       static_cast<std::uint8_t>(1u << (gap.bin & kMantissaMask));
@@ -274,10 +233,6 @@ Status BinnedFreeIndex::CheckIntegrity() const {
     for (std::uint32_t i = bin_head_[bin]; i != kNil; i = nodes_[i].next) {
       const Gap& gap = nodes_[i];
       if (gap.prev != prev) return Status::Internal("broken bin list links");
-      if (discipline_ == BinDiscipline::kAddressOrdered && prev != kNil &&
-          nodes_[prev].offset >= gap.offset) {
-        return Status::Internal("address-ordered bin out of order");
-      }
       if (gap.bin != bin) return Status::Internal("gap filed in wrong bin");
       if (SizeToBinRoundDown(gap.length) != bin) {
         return Status::Internal("gap bin does not match its length");

@@ -11,28 +11,6 @@
 
 namespace cosr {
 
-/// Ordering discipline of the intrusive gap list inside each size bin. The
-/// bin a gap files into is fixed by its length; the discipline decides which
-/// member of the qualifying bin a fit query hands out, which is exactly the
-/// placement-policy knob that drives footprint competitiveness under
-/// adversarial traces (see docs/ARCHITECTURE.md and BENCH_scenarios.json).
-enum class BinDiscipline {
-  /// Append at the tail, serve from the head: the oldest gap in the bin is
-  /// reused first. Spreads reuse across the address space; O(1) insert.
-  kFifo,
-  /// Push at the head, serve from the head: the most recently freed gap is
-  /// reused first. Maximizes temporal locality of reuse; O(1) insert.
-  kLifo,
-  /// Keep each bin sorted by ascending offset (sorted intrusive list), so
-  /// the lowest-addressed gap in the bin is reused first — the closest
-  /// bin-granular approximation of classical address-ordered first fit.
-  /// Insert is O(#gaps in the bin) worst case; queries stay O(1).
-  kAddressOrdered,
-};
-
-/// Display name for a discipline ("fifo", "lifo", "addr").
-const char* BinDisciplineName(BinDiscipline discipline);
-
 /// Binned free-space index in the style of Sebastian Aaltonen's
 /// OffsetAllocator: gap sizes are bucketed into floating-point-style
 /// (exponent + mantissa) bins, a two-level bitmap (one bit per bin group,
@@ -48,13 +26,12 @@ const char* BinDisciplineName(BinDiscipline discipline);
 /// fit semantics: FindFit only consults bins whose *smallest* member fits,
 /// so a request may fall through to the frontier even though one gap in the
 /// round-up bin (at most 12.5% larger than the bin floor, see
-/// src/cosr/alloc/README.md) could have held it. Within a qualifying bin
-/// the gap handed out is the bin-list head, whose identity the constructor's
-/// BinDiscipline fixes: oldest (kFifo, default), newest (kLifo), or
-/// lowest-addressed (kAddressOrdered).
+/// src/cosr/alloc/README.md) could have held it. Each bin is FIFO: the
+/// oldest gap of the qualifying bin is handed out. The exact map scan lives
+/// on as the test-side reference tests/reference/map_free_list.h.
 ///
-/// Mirrors FreeList's frontier contract: space at or beyond the frontier is
-/// implicitly free and unbounded; gaps touching the frontier shrink it
+/// Space at or beyond the frontier is implicitly free and unbounded (the
+/// paper's arbitrarily large array); gaps touching the frontier shrink it
 /// instead of being tracked.
 class BinnedFreeIndex {
  public:
@@ -67,9 +44,7 @@ class BinnedFreeIndex {
   static constexpr std::uint32_t kNumGroups = 64;
   static constexpr std::uint32_t kNumBins = kNumGroups * kMantissaValue;
 
-  explicit BinnedFreeIndex(BinDiscipline discipline = BinDiscipline::kFifo);
-
-  BinDiscipline discipline() const { return discipline_; }
+  BinnedFreeIndex();
 
   /// Smallest bin index whose floor size is >= `size` (callers quantize
   /// requests with this; the +mantissa overflow carries into the exponent).
@@ -116,13 +91,12 @@ class BinnedFreeIndex {
     std::uint32_t next = kNil;
   };
 
-  /// Links a gap known to be isolated (no free neighbors) into its bin at
-  /// the position the discipline dictates.
+  /// Links a gap known to be isolated (no free neighbors) at the tail of
+  /// its bin.
   void InsertGap(std::uint64_t offset, std::uint64_t length);
   /// Unlinks `index` from its bin, boundary tables, and the pool.
   void RemoveGap(std::uint32_t index);
 
-  BinDiscipline discipline_;
   std::vector<Gap> nodes_;
   std::vector<std::uint32_t> free_nodes_;  // recycled pool indices
   std::uint32_t bin_head_[kNumBins];  // kNil-filled by the constructor

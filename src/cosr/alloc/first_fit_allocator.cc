@@ -7,11 +7,11 @@ Status FirstFitAllocator::Insert(ObjectId id, std::uint64_t size) {
   // Query first (pure read), then TryPlace: the success path performs a
   // single hash probe and never materializes a std::string.
   const std::uint64_t offset =
-      free_list_.FindFirstFit(size).value_or(free_list_.frontier());
+      free_index_.FindFit(size).value_or(free_index_.frontier());
   if (!space_->TryPlace(id, Extent{offset, size})) {
     return Status::AlreadyExists("object " + std::to_string(id));
   }
-  free_list_.Reserve(offset, size);
+  free_index_.Reserve(offset, size);
   return Status::Ok();
 }
 
@@ -20,7 +20,7 @@ Status FirstFitAllocator::Delete(ObjectId id) {
   if (!space_->TryRemove(id, &extent)) {
     return Status::NotFound("object " + std::to_string(id));
   }
-  free_list_.Release(extent);
+  free_index_.Release(extent);
   return Status::Ok();
 }
 

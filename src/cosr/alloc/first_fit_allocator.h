@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-#include "cosr/alloc/free_list.h"
+#include "cosr/alloc/binned_free_index.h"
 #include "cosr/realloc/reallocator.h"
 #include "cosr/storage/space.h"
 
@@ -14,32 +14,28 @@ namespace cosr {
 /// regime of the paper's introduction, whose footprint competitive ratio has
 /// a logarithmic lower bound [Luby et al. 1996].
 ///
-/// With the default binned free-space policy the fit query is O(1) and
-/// bin-granular (the gap picked is guaranteed to fit but is not always the
-/// lowest-addressed candidate); pass FreeList::Policy::kMapScan for exact
-/// lowest-offset placement at O(#gaps) per insert. Under kBinned,
-/// `discipline` picks which gap of the qualifying bin is reused (oldest /
-/// newest / lowest-addressed — see alloc/README.md for measured trade-offs).
+/// Free space lives in a BinnedFreeIndex, so the fit query is O(1) and
+/// bin-granular: the gap picked is the oldest of the smallest size bin
+/// guaranteed to fit, not always the lowest-addressed candidate. This
+/// reproduces the exact rule's E4 table and never exceeds its peak
+/// footprint on the scenario battery (see alloc/README.md).
 class FirstFitAllocator : public Reallocator {
  public:
-  explicit FirstFitAllocator(
-      Space* space, FreeList::Policy policy = FreeList::Policy::kBinned,
-      BinDiscipline discipline = BinDiscipline::kFifo)
-      : space_(space), free_list_(policy, discipline) {}
+  explicit FirstFitAllocator(Space* space) : space_(space) {}
   FirstFitAllocator(const FirstFitAllocator&) = delete;
   FirstFitAllocator& operator=(const FirstFitAllocator&) = delete;
 
   Status Insert(ObjectId id, std::uint64_t size) override;
   Status Delete(ObjectId id) override;
   std::uint64_t reserved_footprint() const override {
-    return free_list_.frontier();
+    return free_index_.frontier();
   }
   std::uint64_t volume() const override { return space_->live_volume(); }
   const char* name() const override { return "first-fit"; }
 
  private:
   Space* space_;
-  FreeList free_list_;
+  BinnedFreeIndex free_index_;
 };
 
 }  // namespace cosr

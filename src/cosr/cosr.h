@@ -9,9 +9,9 @@
 /// "Cost-Oblivious Storage Reallocation", PODS 2014 (arXiv:1404.2019).
 
 #include "cosr/alloc/best_fit_allocator.h"    // IWYU pragma: export
+#include "cosr/alloc/binned_free_index.h"     // IWYU pragma: export
 #include "cosr/alloc/buddy_allocator.h"       // IWYU pragma: export
 #include "cosr/alloc/first_fit_allocator.h"   // IWYU pragma: export
-#include "cosr/alloc/free_list.h"             // IWYU pragma: export
 #include "cosr/common/check.h"                // IWYU pragma: export
 #include "cosr/common/math_util.h"            // IWYU pragma: export
 #include "cosr/common/random.h"               // IWYU pragma: export

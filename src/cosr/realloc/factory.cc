@@ -82,11 +82,9 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
         " uses overlapping slides; detach the CheckpointManager");
   }
   if (spec.algorithm == "first-fit") {
-    *out = std::make_unique<FirstFitAllocator>(space, spec.free_list_policy,
-                                               spec.discipline);
+    *out = std::make_unique<FirstFitAllocator>(space);
   } else if (spec.algorithm == "best-fit") {
-    *out = std::make_unique<BestFitAllocator>(space, spec.free_list_policy,
-                                              spec.discipline);
+    *out = std::make_unique<BestFitAllocator>(space);
   } else if (spec.algorithm == "buddy") {
     *out = std::make_unique<BuddyAllocator>(space);
   } else if (spec.algorithm == "log-compact") {

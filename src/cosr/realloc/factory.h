@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "cosr/alloc/free_list.h"
 #include "cosr/common/status.h"
 #include "cosr/realloc/reallocator.h"
 #include "cosr/service/routing.h"
@@ -26,10 +25,6 @@ struct ReallocatorSpec {
   double work_factor = 4.0;   // deamortized
   double threshold = 2.0;     // log-compact
   std::uint64_t slot_size = 1;  // pma (sparse tables hold uniform objects)
-  /// Free-space engine for first-fit / best-fit (others ignore both).
-  FreeList::Policy free_list_policy = FreeList::Policy::kBinned;
-  /// Per-bin gap ordering under kBinned; ignored by kMapScan.
-  BinDiscipline discipline = BinDiscipline::kFifo;
   /// Service layer: with shard_count > 1 the factory returns a
   /// ShardedReallocator routing over that many instances of `algorithm`,
   /// each on its own sub-range of `space` (which must then carry no

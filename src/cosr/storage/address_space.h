@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -26,18 +25,14 @@ namespace cosr {
 ///   * without a manager, a move may overlap its own source (memmove
 ///     semantics), matching the unconstrained model of Section 2.
 ///
-/// Two storage engines sit behind the API (mirroring FreeList::Policy):
-///   * kFlat (default) — a dense ObjectId-indexed slot table (ids are
-///     sequential uint64s from the workload layer; sparse ids spill into a
-///     small overflow map) plus a paged sorted-vector offset index
-///     (OffsetIndex). O(1) id lookups, cache-friendly neighbor checks, O(1)
-///     footprint, and a batched ApplyMoves that validates once per batch.
-///   * kMap — the original std::map/unordered_map engine, kept selectable
-///     as the conservative oracle: its ApplyMoves validates every move
-///     sequentially with the historical per-move rules, so all
-///     placement-sensitive reproductions stay bit-identical. Differential
-///     fuzzing (tests/address_space_engine_test.cc) drives both engines
-///     through identical traces.
+/// Storage is a dense ObjectId-indexed slot table (ids are sequential
+/// uint64s from the workload layer; sparse ids spill into a small overflow
+/// map) plus a paged sorted-vector offset index (OffsetIndex): O(1) id
+/// lookups, cache-friendly neighbor checks, O(1) footprint, and a batched
+/// ApplyMoves that validates once per batch. Differential fuzzing
+/// (tests/address_space_engine_test.cc) drives it against the test-side
+/// map model tests/reference/reference_space.h, whose ApplyMoves validates
+/// every move sequentially.
 ///
 /// Thread-compatible: no internal locking — all access (including const
 /// reads, which race with a concurrent mutator's index edits) must be
@@ -45,15 +40,8 @@ namespace cosr {
 /// threads by giving each shard a private instance, never by sharing one.
 class AddressSpace final : public Space {
  public:
-  enum class Engine {
-    kFlat,  // slot table + paged offset index, batched validation
-    kMap,   // ordered map + hash map, per-move validation (the oracle)
-  };
-
-  explicit AddressSpace(CheckpointManager* checkpoints = nullptr,
-                        Engine engine = Engine::kFlat)
-      : engine_(engine), checkpoints_(checkpoints) {}
-  explicit AddressSpace(Engine engine) : AddressSpace(nullptr, engine) {}
+  explicit AddressSpace(CheckpointManager* checkpoints = nullptr)
+      : checkpoints_(checkpoints) {}
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
@@ -72,17 +60,15 @@ class AddressSpace final : public Space {
   /// distinct; no-op plans (target == current position) are skipped.
   /// Listeners receive a single OnMoves with the applied records.
   ///
-  /// Validation is batch-level on the kFlat engine: the *final* layout must
-  /// be disjoint (each reindexed target is checked against its definitive
-  /// neighbors), and under a checkpoint manager every target must
-  /// additionally be disjoint from every batch source and from regions
-  /// frozen before the batch — the Lemma 3.2 nonoverlap property, checked
-  /// with one sorted sweep per batch instead of per-move probes. Without a
-  /// manager, transient ordering hazards between batch members (a target
-  /// crossing a not-yet-vacated source) are the caller's responsibility,
-  /// exactly like a self-overlapping memmove. The kMap engine instead
-  /// applies the batch as sequential per-move validations (the strictest
-  /// historical semantics), which the differential fuzz leans on.
+  /// Validation is batch-level: the *final* layout must be disjoint (each
+  /// reindexed target is checked against its definitive neighbors), and
+  /// under a checkpoint manager every target must additionally be disjoint
+  /// from every batch source and from regions frozen before the batch — the
+  /// Lemma 3.2 nonoverlap property, checked with one sorted sweep per batch
+  /// instead of per-move probes. Without a manager, transient ordering
+  /// hazards between batch members (a target crossing a not-yet-vacated
+  /// source) are the caller's responsibility, exactly like a
+  /// self-overlapping memmove.
   using Space::ApplyMoves;
   void ApplyMoves(const MovePlan* plans, std::size_t count) override;
 
@@ -90,26 +76,22 @@ class AddressSpace final : public Space {
   /// the freed extent in *removed.
   bool TryRemove(ObjectId id, Extent* removed) override;
 
-  bool contains(ObjectId id) const override;
+  bool contains(ObjectId id) const override { return SlotFor(id) != nullptr; }
   Extent extent_of(ObjectId id) const override;
   bool TryExtentOf(ObjectId id, Extent* extent) const override;
 
   /// Largest end address of any placed object (the literal "footprint" of
-  /// the paper). O(1): the flat engine reads the offset index tail, the map
-  /// engine maintains the value incrementally (recomputed only when the
-  /// rightmost object leaves).
+  /// the paper). O(1): reads the offset index tail.
   std::uint64_t footprint() const override;
 
   /// Largest end address among objects starting in [lo, hi) (the
-  /// sub-range-scoped footprint query of Space). O(log n) on both engines.
+  /// sub-range-scoped footprint query of Space). O(log n).
   std::uint64_t footprint_in(std::uint64_t lo,
                              std::uint64_t hi) const override;
 
   /// Sum of the lengths of all placed objects.
   std::uint64_t live_volume() const override { return live_volume_; }
-  std::size_t object_count() const override {
-    return engine_ == Engine::kFlat ? flat_count_ : extents_.size();
-  }
+  std::size_t object_count() const override { return count_; }
 
   /// Runs a checkpoint: releases frozen regions (if a manager is attached)
   /// and notifies listeners.
@@ -118,7 +100,6 @@ class AddressSpace final : public Space {
   CheckpointManager* checkpoint_manager() const override {
     return checkpoints_;
   }
-  Engine engine() const { return engine_; }
 
   /// All (id, extent) pairs in ascending offset order.
   std::vector<std::pair<ObjectId, Extent>> Snapshot() const override;
@@ -128,62 +109,35 @@ class AddressSpace final : public Space {
   bool SelfCheck() const override;
 
  private:
-  // ---------------------------------------------------------- kFlat engine
   /// Mutable slot of a placed object, or nullptr. Dense ids resolve with
   /// one deque probe; the overflow map is consulted only when non-empty.
-  Extent* FlatSlotFor(ObjectId id);
-  const Extent* FlatSlotFor(ObjectId id) const;
+  Extent* SlotFor(ObjectId id);
+  const Extent* SlotFor(ObjectId id) const;
 
   /// Whether a fresh id may live in the dense table (growing it at most
   /// geometrically); everything else goes to the overflow map.
-  bool FlatDenseEligible(ObjectId id) const {
+  bool DenseEligible(ObjectId id) const {
     return id < slots_.size() + slots_.size() / 2 + kDenseFloor;
   }
 
   /// Inserts into the offset index and CHECKs the new entry against its
   /// neighbors — with pairwise-disjoint existing entries, only the direct
   /// neighbors can overlap, so this enforces full disjointness inductively.
-  void FlatIndexInsertChecked(ObjectId id, const Extent& extent);
-
-  bool FlatTryPlace(ObjectId id, const Extent& extent);
-  bool FlatMoveInternal(ObjectId id, const Extent& to, Extent* from_out);
-  bool FlatTryRemove(ObjectId id, Extent* removed);
-  void FlatApplyMoves(const MovePlan* plans, std::size_t count);
-  bool FlatSelfCheck() const;
-
-  // ----------------------------------------------------------- kMap engine
-  /// CHECKs that [extent] does not overlap any object other than `self` and
-  /// is writable under the checkpoint policy.
-  void MapCheckWritable(const Extent& extent, ObjectId self) const;
-  bool MapTryPlace(ObjectId id, const Extent& extent);
-  bool MapMoveInternal(ObjectId id, const Extent& to, Extent* from_out);
-  bool MapTryRemove(ObjectId id, Extent* removed);
-  void MapApplyMoves(const MovePlan* plans, std::size_t count);
-  void MapNoteRemoved(const Extent& extent);
-  bool MapSelfCheck() const;
-
-  void NotifyMoves();
-  void CheckBatchAgainstFrozen();
+  void IndexInsertChecked(ObjectId id, const Extent& extent);
 
   static constexpr std::size_t kDenseFloor = 4096;
 
-  Engine engine_;
   CheckpointManager* checkpoints_;
   std::vector<SpaceListener*> listeners_;
   std::uint64_t live_volume_ = 0;
 
-  // kFlat engine state. The dense table is a deque so it grows at the back
-  // in fixed-size blocks: existing slots are never relocated or copied, and
-  // growth costs no transient second copy of the table.
+  // The dense table is a deque so it grows at the back in fixed-size
+  // blocks: existing slots are never relocated or copied, and growth costs
+  // no transient second copy of the table.
   std::deque<Extent> slots_;  // length == 0 means the slot is empty
-  std::unordered_map<ObjectId, Extent> flat_overflow_;
+  std::unordered_map<ObjectId, Extent> overflow_;
   OffsetIndex index_;
-  std::size_t flat_count_ = 0;
-
-  // kMap engine state.
-  std::map<std::uint64_t, ObjectId> by_offset_;
-  std::unordered_map<ObjectId, Extent> extents_;
-  std::uint64_t map_footprint_ = 0;
+  std::size_t count_ = 0;
 
   // Reused ApplyMoves scratch (avoids per-batch allocation in move storms).
   std::vector<MoveRecord> batch_records_;

@@ -24,8 +24,8 @@ class CheckpointDurabilityLog {
 };
 
 /// The Lemma 3.2 batch rules, shared by every surface that applies a move
-/// batch under a manager (AddressSpace's managed engines and the shard-
-/// scoped SubSpaceView): every target must be disjoint from every batch
+/// batch under a manager (AddressSpace and the shard-scoped
+/// SubSpaceView): every target must be disjoint from every batch
 /// source and from every region frozen before the batch. Sorts both
 /// vectors by offset in place (they are scratch buffers at every call
 /// site) and CHECK-fails on the first violation. One sorted sweep plus

@@ -9,14 +9,15 @@
 
 namespace cosr {
 
-/// Ordered (offset -> ObjectId) index of the flat AddressSpace engine: a
+/// Ordered (offset -> ObjectId) index of AddressSpace: a
 /// B-tree-flavored paged sorted vector. Entries live in small sorted pages;
 /// a flat array of page minima locates the target page with one binary
 /// search over contiguous integers, a second binary search lands inside a
 /// ~2 KiB page, and an insert/erase memmoves at most one page. Chosen over
 /// std::map (pointer-chasing red-black tree) and a skip structure (extra
 /// per-node pointers, no cache density) — bench/exp_address_space.cc
-/// measures the resulting engine against the map engine.
+/// measures the resulting AddressSpace against the std::map reference
+/// model in tests/reference/reference_space.h.
 ///
 /// Pages split when full and are dropped when empty; deletions in between
 /// may leave pages underfull, which costs memory slack but never asymptotic

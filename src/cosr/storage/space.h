@@ -46,9 +46,10 @@ class SpaceListener {
 /// in a flat, arbitrarily large address range, with listener fan-out and
 /// (optionally) checkpoint-frozen-region enforcement.
 ///
-/// Two implementations exist:
-///   * AddressSpace — the real thing (flat-table or map engine), the root
-///     of every object hierarchy;
+/// Two implementations live in the library (the tests add a std::map
+/// reference model, tests/reference/reference_space.h):
+///   * AddressSpace — the real thing (slot table + offset index), the
+///     root of every object hierarchy;
 ///   * SubSpaceView (service layer) — an offset-translated window onto a
 ///     disjoint sub-range of a parent Space, giving each shard of a
 ///     ShardedReallocator its own private zero-based address space inside

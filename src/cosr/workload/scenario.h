@@ -12,7 +12,7 @@ namespace cosr {
 /// One named workload of the scenario battery: a trace plus the one-line
 /// story of what regime it exercises. Produced by MakeScenarioBattery and
 /// consumed by bench/exp_scenarios.cc, which replays every scenario against
-/// every reallocator × free-list policy × bin-discipline cell.
+/// every reallocator cell.
 struct Scenario {
   std::string name;
   std::string description;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cosr/storage/checkpoint_manager.h"
+#include "reference/reference_space.h"
 
 namespace cosr {
 namespace {
@@ -76,29 +77,32 @@ TEST(AddressSpaceTest, FootprintIsLargestEnd) {
   EXPECT_EQ(space.footprint(), 150u);
 }
 
-// footprint() is maintained incrementally on both engines; the shrink side
-// (the rightmost object leaving) is the case the cached value must get
-// right.
+// footprint() is read off the offset index in AddressSpace and maintained
+// incrementally in the reference; the shrink side (the rightmost object
+// leaving) is the case both must get right.
+template <typename SpaceType>
+void ExpectFootprintTracksRightmostObject() {
+  SpaceType space;
+  space.Place(1, Extent{0, 10});
+  space.Place(2, Extent{40, 20});
+  space.Place(3, Extent{100, 5});
+  EXPECT_EQ(space.footprint(), 105u);
+  space.Remove(3);  // rightmost leaves: next-rightmost takes over
+  EXPECT_EQ(space.footprint(), 60u);
+  space.Move(2, Extent{200, 20});  // rightmost moves right
+  EXPECT_EQ(space.footprint(), 220u);
+  space.Move(2, Extent{12, 20});  // rightmost moves left past object 1
+  EXPECT_EQ(space.footprint(), 32u);
+  space.Remove(2);
+  EXPECT_EQ(space.footprint(), 10u);
+  space.Remove(1);
+  EXPECT_EQ(space.footprint(), 0u);
+  EXPECT_TRUE(space.SelfCheck());
+}
+
 TEST(AddressSpaceTest, FootprintShrinksWhenRightmostObjectLeaves) {
-  for (const auto engine :
-       {AddressSpace::Engine::kFlat, AddressSpace::Engine::kMap}) {
-    AddressSpace space(engine);
-    space.Place(1, Extent{0, 10});
-    space.Place(2, Extent{40, 20});
-    space.Place(3, Extent{100, 5});
-    EXPECT_EQ(space.footprint(), 105u);
-    space.Remove(3);  // rightmost leaves: next-rightmost takes over
-    EXPECT_EQ(space.footprint(), 60u);
-    space.Move(2, Extent{200, 20});  // rightmost moves right
-    EXPECT_EQ(space.footprint(), 220u);
-    space.Move(2, Extent{12, 20});  // rightmost moves left past object 1
-    EXPECT_EQ(space.footprint(), 32u);
-    space.Remove(2);
-    EXPECT_EQ(space.footprint(), 10u);
-    space.Remove(1);
-    EXPECT_EQ(space.footprint(), 0u);
-    EXPECT_TRUE(space.SelfCheck());
-  }
+  ExpectFootprintTracksRightmostObject<AddressSpace>();
+  ExpectFootprintTracksRightmostObject<ReferenceSpace>();
 }
 
 TEST(AddressSpaceTest, SnapshotInOffsetOrder) {

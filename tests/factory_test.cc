@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cosr/storage/checkpoint_manager.h"
+#include "cosr/workload/workload_generator.h"
 
 namespace cosr {
 namespace {
@@ -31,7 +32,9 @@ TEST(FactoryTest, CreatesEveryAlgorithm) {
     // String comparison, not pointer EQ: literal merging made the old
     // pointer form pass only in optimized builds. Only the oracle pins an
     // exact name here; the others are covered by ReportedNamesMatchSpec.
-    if (name == "oracle") EXPECT_STREQ(realloc->name(), "oracle");
+    if (name == "oracle") {
+      EXPECT_STREQ(realloc->name(), "oracle");
+    }
     const std::uint64_t size = name == "pma" ? 1 : 64;
     ASSERT_TRUE(realloc->Insert(1, size).ok()) << name;
     ASSERT_TRUE(realloc->Delete(1).ok()) << name;
@@ -98,41 +101,63 @@ TEST(FactoryTest, SpecParametersApplied) {
   EXPECT_EQ(realloc->reserved_footprint(), 20u);
 }
 
-TEST(FactoryTest, FreeListPolicyAndDisciplineApplied) {
+TEST(FactoryTest, FirstAndBestFitReuseTheOldestGap) {
   // Lay out three same-size objects with live separators, then delete them
   // in the order B, A, C: three length-16 gaps at offsets 24, 0, 48 whose
-  // release order differs from address order. The next insert exposes which
-  // free-list engine and bin discipline the factory wired in.
-  const auto place_and_probe = [](const ReallocatorSpec& spec) {
+  // release order differs from address order. Both allocators serve the
+  // next same-size insert from the oldest gap of its size bin.
+  for (const std::string algorithm : {"first-fit", "best-fit"}) {
     AddressSpace space;
+    ReallocatorSpec spec;
+    spec.algorithm = algorithm;
     std::unique_ptr<Reallocator> realloc;
-    EXPECT_TRUE(MakeReallocator(spec, &space, &realloc).ok());
+    ASSERT_TRUE(MakeReallocator(spec, &space, &realloc).ok());
+    EXPECT_STREQ(realloc->name(), algorithm.c_str());
     const ObjectId a = 1, b = 2, c = 3, probe = 100;
     ObjectId separator = 10;
     for (const ObjectId id : {a, b, c}) {
-      EXPECT_TRUE(realloc->Insert(id, 16).ok());
-      EXPECT_TRUE(realloc->Insert(separator++, 8).ok());
+      ASSERT_TRUE(realloc->Insert(id, 16).ok());
+      ASSERT_TRUE(realloc->Insert(separator++, 8).ok());
     }
     for (const ObjectId id : {b, a, c}) {
-      EXPECT_TRUE(realloc->Delete(id).ok());
+      ASSERT_TRUE(realloc->Delete(id).ok());
     }
-    EXPECT_TRUE(realloc->Insert(probe, 16).ok());
-    return space.extent_of(probe).offset;
-  };
+    ASSERT_TRUE(realloc->Insert(probe, 16).ok());
+    EXPECT_EQ(space.extent_of(probe).offset, 24u) << algorithm;
+  }
+}
+
+TEST(FactoryTest, FirstAndBestFitPlaceIdenticallyUnderChurn) {
+  const Trace trace = MakeChurnTrace({.operations = 20000,
+                                      .target_live_volume = 1u << 16,
+                                      .min_size = 1,
+                                      .max_size = 1024,
+                                      .seed = 31});
+  AddressSpace first_space;
+  AddressSpace best_space;
+  std::unique_ptr<Reallocator> first;
+  std::unique_ptr<Reallocator> best;
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";
-  spec.free_list_policy = FreeList::Policy::kBinned;
-  spec.discipline = BinDiscipline::kFifo;
-  EXPECT_EQ(place_and_probe(spec), 24u);  // oldest release
-  spec.discipline = BinDiscipline::kLifo;
-  EXPECT_EQ(place_and_probe(spec), 48u);  // newest release
-  spec.discipline = BinDiscipline::kAddressOrdered;
-  EXPECT_EQ(place_and_probe(spec), 0u);  // lowest address
-  spec.free_list_policy = FreeList::Policy::kMapScan;
-  spec.discipline = BinDiscipline::kLifo;  // ignored by mapscan
-  EXPECT_EQ(place_and_probe(spec), 0u);  // exact lowest-offset first fit
+  ASSERT_TRUE(MakeReallocator(spec, &first_space, &first).ok());
   spec.algorithm = "best-fit";
-  EXPECT_EQ(place_and_probe(spec), 0u);  // tightest gap, lowest-offset tie
+  ASSERT_TRUE(MakeReallocator(spec, &best_space, &best).ok());
+  std::size_t op = 0;
+  for (const Request& r : trace.requests()) {
+    if (r.type == Request::Type::kInsert) {
+      ASSERT_TRUE(first->Insert(r.id, r.size).ok());
+      ASSERT_TRUE(best->Insert(r.id, r.size).ok());
+      ASSERT_EQ(first_space.extent_of(r.id), best_space.extent_of(r.id))
+          << "op " << op;
+    } else {
+      ASSERT_TRUE(first->Delete(r.id).ok());
+      ASSERT_TRUE(best->Delete(r.id).ok());
+    }
+    ASSERT_EQ(first->reserved_footprint(), best->reserved_footprint())
+        << "op " << op;
+    ++op;
+  }
+  EXPECT_EQ(first_space.Snapshot(), best_space.Snapshot());
 }
 
 TEST(FactoryTest, NullArgumentsRejected) {

@@ -1,10 +1,10 @@
-// Differential and property tests for the binned free-space index: the
-// map-scan and binned FreeList policies are driven through identical churn
-// and must agree exactly on gap sets, free volume, and frontier (both
-// engines implement the same Reserve/Release set arithmetic; only which fit
-// a query picks differs). The binned engine's picks are validated against
-// the shared gap set, and its bitmap/list/coalescing invariants are checked
-// after every operation.
+// Differential and property tests for the binned free-space index: it is
+// driven against the exact map-scan reference (tests/reference/
+// map_free_list.h) through identical churn and must agree exactly on gap
+// sets, free volume, and frontier (both implement the same Reserve/Release
+// set arithmetic; only which fit a query picks differs). The binned
+// index's picks are validated against the shared gap set, and its
+// bitmap/list/coalescing invariants are checked after every operation.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "cosr/alloc/binned_free_index.h"
-#include "cosr/alloc/free_list.h"
 #include "cosr/common/random.h"
+#include "reference/map_free_list.h"
 
 namespace cosr {
 namespace {
@@ -91,8 +91,9 @@ struct Allocation {
   std::uint64_t size;
 };
 
-/// Both policies must expose identical gap sets after identical mutations.
-void ExpectIdenticalState(const FreeList& map_list, const FreeList& bin_list) {
+/// Both must expose identical gap sets after identical mutations.
+void ExpectIdenticalState(const MapFreeList& map_list,
+                          const BinnedFreeIndex& bin_list) {
   ASSERT_EQ(map_list.frontier(), bin_list.frontier());
   ASSERT_EQ(map_list.free_volume(), bin_list.free_volume());
   ASSERT_EQ(map_list.gap_count(), bin_list.gap_count());
@@ -112,18 +113,13 @@ void ExpectValidFit(const std::vector<Extent>& gaps, std::uint64_t fit,
       << "fit " << fit << "+" << size << " overflows gap " << ToString(*it);
 }
 
-/// Runs 10k mixed operations through both policies. `binned_drives` selects
-/// which policy's fit decisions shape the placement sequence, so both the
-/// exact-fit and the bin-granular placement distributions are exercised.
-/// `discipline` orders the binned engine's bins: the gap-set invariant must
-/// hold regardless, because the discipline only permutes members within a
-/// bin and never changes the Reserve/Release set arithmetic.
-void RunDifferentialChurn(std::uint64_t seed, bool binned_drives,
-                          BinDiscipline discipline = BinDiscipline::kFifo) {
+/// Runs 10k mixed operations through both. `binned_drives` selects whose
+/// fit decisions shape the placement sequence, so both the exact-fit and
+/// the bin-granular placement distributions are exercised.
+void RunDifferentialChurn(std::uint64_t seed, bool binned_drives) {
   Rng rng(seed);
-  FreeList map_list(FreeList::Policy::kMapScan);
-  FreeList bin_list(FreeList::Policy::kBinned, discipline);
-  FreeList* driver = binned_drives ? &bin_list : &map_list;
+  MapFreeList map_list;
+  BinnedFreeIndex bin_list;
   std::vector<Allocation> live;
 
   for (int op = 0; op < 10000; ++op) {
@@ -133,8 +129,7 @@ void RunDifferentialChurn(std::uint64_t seed, bool binned_drives,
 
       // The binned pick (when any) must be placeable; and whenever some gap
       // is at least the round-up bin ceiling, a pick is guaranteed.
-      const auto bin_fit = bin_list.FindFirstFit(size);
-      ASSERT_EQ(bin_fit, bin_list.FindBestFit(size));  // same bin query
+      const auto bin_fit = bin_list.FindFit(size);
       if (bin_fit.has_value()) {
         ExpectValidFit(gaps, *bin_fit, size);
       } else {
@@ -145,12 +140,15 @@ void RunDifferentialChurn(std::uint64_t seed, bool binned_drives,
               << "binned missed gap " << ToString(g) << " for size " << size;
         }
       }
-      // The map pick must also be placeable in the shared gap set.
+      // The exact picks must also be placeable in the shared gap set.
       const auto map_fit = map_list.FindFirstFit(size);
       if (map_fit.has_value()) ExpectValidFit(gaps, *map_fit, size);
+      const auto map_best = map_list.FindBestFit(size);
+      ASSERT_EQ(map_best.has_value(), map_fit.has_value());
+      if (map_best.has_value()) ExpectValidFit(gaps, *map_best, size);
 
       const std::uint64_t offset =
-          (binned_drives ? bin_fit : map_fit).value_or(driver->frontier());
+          (binned_drives ? bin_fit : map_fit).value_or(bin_list.frontier());
       map_list.Reserve(offset, size);
       bin_list.Reserve(offset, size);
       live.push_back({offset, size});
@@ -169,6 +167,7 @@ void RunDifferentialChurn(std::uint64_t seed, bool binned_drives,
       // Full structural audit: same gaps, and the binned index's bitmaps,
       // intrusive lists, boundary tables, and coalescing all consistent.
       ASSERT_EQ(map_list.Gaps(), bin_list.Gaps()) << "op " << op;
+      ASSERT_TRUE(bin_list.CheckIntegrity().ok()) << "op " << op;
     }
   }
   ASSERT_EQ(map_list.Gaps(), bin_list.Gaps());
@@ -182,85 +181,42 @@ TEST(FreeIndexDifferentialTest, BinnedDrivenChurnKeepsAccountingIdentical) {
   RunDifferentialChurn(/*seed=*/202, /*binned_drives=*/true);
 }
 
-TEST(FreeIndexDifferentialTest, LifoDisciplinePreservesGapSetInvariant) {
-  RunDifferentialChurn(/*seed=*/303, /*binned_drives=*/true,
-                       BinDiscipline::kLifo);
-  RunDifferentialChurn(/*seed=*/304, /*binned_drives=*/false,
-                       BinDiscipline::kLifo);
-}
-
-TEST(FreeIndexDifferentialTest, AddressOrderedDisciplinePreservesGapSetInvariant) {
-  RunDifferentialChurn(/*seed=*/404, /*binned_drives=*/true,
-                       BinDiscipline::kAddressOrdered);
-  RunDifferentialChurn(/*seed=*/405, /*binned_drives=*/false,
-                       BinDiscipline::kAddressOrdered);
-}
-
 // ------------------------------------------------------------- invariants
 
 TEST(BinnedFreeIndexTest, IntegrityHoldsUnderRandomChurn) {
-  for (const BinDiscipline discipline :
-       {BinDiscipline::kFifo, BinDiscipline::kLifo,
-        BinDiscipline::kAddressOrdered}) {
-    Rng rng(303);
-    BinnedFreeIndex index(discipline);
-    std::vector<Allocation> live;
-    for (int op = 0; op < 4000; ++op) {
-      if (live.empty() || rng.Bernoulli(0.55)) {
-        const std::uint64_t size = rng.UniformRange(1, kMaxSize);
-        const std::uint64_t offset =
-            index.FindFit(size).value_or(index.frontier());
-        index.Reserve(offset, size);
-        live.push_back({offset, size});
-      } else {
-        const std::size_t k =
-            static_cast<std::size_t>(rng.UniformU64(live.size()));
-        const Allocation a = live[k];
-        live[k] = live.back();
-        live.pop_back();
-        index.Release(Extent{a.offset, a.size});
-      }
-      const Status s = index.CheckIntegrity();
-      ASSERT_TRUE(s.ok()) << BinDisciplineName(discipline) << " op " << op
-                          << ": " << s.message();
+  Rng rng(303);
+  BinnedFreeIndex index;
+  std::vector<Allocation> live;
+  for (int op = 0; op < 4000; ++op) {
+    if (live.empty() || rng.Bernoulli(0.55)) {
+      const std::uint64_t size = rng.UniformRange(1, kMaxSize);
+      const std::uint64_t offset =
+          index.FindFit(size).value_or(index.frontier());
+      index.Reserve(offset, size);
+      live.push_back({offset, size});
+    } else {
+      const std::size_t k =
+          static_cast<std::size_t>(rng.UniformU64(live.size()));
+      const Allocation a = live[k];
+      live[k] = live.back();
+      live.pop_back();
+      index.Release(Extent{a.offset, a.size});
     }
+    const Status s = index.CheckIntegrity();
+    ASSERT_TRUE(s.ok()) << "op " << op << ": " << s.message();
   }
 }
 
-TEST(BinnedFreeIndexTest, DisciplineFixesWhichGapServesTheBin) {
-  // Three same-bin (length 16) gaps released newest-last at offsets chosen
-  // so release order (400, 100, 700) differs from address order.
-  const auto build = [](BinDiscipline discipline) {
-    BinnedFreeIndex index(discipline);
-    index.Reserve(0, 1000);  // frontier past the action
-    index.Release(Extent{400, 16});
-    index.Release(Extent{100, 16});
-    index.Release(Extent{700, 16});
-    return index;
-  };
-  // FIFO: oldest release (400). LIFO: newest release (700). Address-
-  // ordered: lowest offset (100).
-  EXPECT_EQ(build(BinDiscipline::kFifo).FindFit(16).value(), 400u);
-  EXPECT_EQ(build(BinDiscipline::kLifo).FindFit(16).value(), 700u);
-  EXPECT_EQ(build(BinDiscipline::kAddressOrdered).FindFit(16).value(), 100u);
-}
-
-TEST(BinnedFreeIndexTest, AddressOrderedKeepsOrderAsGapsComeAndGo) {
-  BinnedFreeIndex index(BinDiscipline::kAddressOrdered);
-  index.Reserve(0, 1000);
-  // Interleave releases and re-reserves so inserts land at the head, the
-  // middle, and the tail of the sorted bin list.
-  index.Release(Extent{500, 16});
-  index.Release(Extent{100, 16});  // head insert
-  index.Release(Extent{900, 16});  // tail insert
-  index.Release(Extent{300, 16});  // middle insert
-  ASSERT_TRUE(index.CheckIntegrity().ok());
-  EXPECT_EQ(index.FindFit(16).value(), 100u);
-  index.Reserve(100, 16);  // consume the head; 300 becomes lowest
-  EXPECT_EQ(index.FindFit(16).value(), 300u);
-  index.Release(Extent{100, 16});  // head again
-  EXPECT_EQ(index.FindFit(16).value(), 100u);
-  ASSERT_TRUE(index.CheckIntegrity().ok());
+TEST(BinnedFreeIndexTest, OldestGapServesTheBin) {
+  // Three same-bin (length 16) gaps released at offsets 400, 100, 700, so
+  // release order differs from address order: the bin is FIFO, so the
+  // oldest release (400) serves the next fit, not the lowest address.
+  BinnedFreeIndex index;
+  index.Reserve(0, 1000);  // frontier past the action
+  index.Release(Extent{400, 16});
+  index.Release(Extent{100, 16});
+  index.Release(Extent{700, 16});
+  EXPECT_EQ(index.FindFit(16).value(), 400u);
 }
 
 TEST(BinnedFreeIndexTest, CoalescesInEveryReleaseOrder) {

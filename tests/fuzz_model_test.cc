@@ -1,15 +1,17 @@
-// Brute-force model fuzzing for the low-level substrates: ExtentSet and
-// FreeList are replayed against bitmap oracles over a small address range,
-// checking every query after every mutation.
+// Brute-force model fuzzing for the low-level substrates: ExtentSet and the
+// exact map-scan free list (tests/reference/map_free_list.h, the reference
+// the binned index is differentially tested against) are replayed against
+// bitmap oracles over a small address range, checking every query after
+// every mutation.
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <vector>
 
-#include "cosr/alloc/free_list.h"
 #include "cosr/common/random.h"
 #include "cosr/storage/extent_set.h"
+#include "reference/map_free_list.h"
 
 namespace cosr {
 namespace {
@@ -66,16 +68,38 @@ struct FreeOracle {
     }
     return std::nullopt;
   }
+  /// Start of the shortest maximal free run of length >= size, lowest
+  /// offset on ties.
+  std::optional<std::uint64_t> BestFit(std::uint64_t size) const {
+    std::optional<std::uint64_t> best;
+    std::uint64_t best_run = 0;
+    std::uint64_t a = 0;
+    while (a < free.size()) {
+      if (!free[a]) {
+        ++a;
+        continue;
+      }
+      const std::uint64_t start = a;
+      while (a < free.size() && free[a]) ++a;
+      const std::uint64_t run = a - start;
+      if (run >= size && (!best.has_value() || run < best_run)) {
+        best = start;
+        best_run = run;
+      }
+    }
+    return best;
+  }
 };
 
 class FreeListFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FreeListFuzz, MatchesBitmapOracle) {
   Rng rng(GetParam());
-  // The bitmap oracle implements exact lowest-offset first fit, which only
-  // the map-scan policy guarantees; the binned policy's bin-granular
-  // queries are fuzzed differentially in tests/free_index_test.cc.
-  FreeList list(FreeList::Policy::kMapScan);
+  // The bitmap oracle implements exact lowest-offset first fit and
+  // tightest-gap best fit, which only the map-scan reference guarantees;
+  // the binned index's bin-granular queries are fuzzed differentially
+  // against this reference in tests/free_index_test.cc.
+  MapFreeList list;
   FreeOracle oracle;
   struct Allocation {
     std::uint64_t offset;
@@ -90,6 +114,8 @@ TEST_P(FreeListFuzz, MatchesBitmapOracle) {
       const auto fit = list.FindFirstFit(size);
       const auto oracle_fit = oracle.FirstFit(size);
       ASSERT_EQ(fit, oracle_fit) << "step " << step;
+      ASSERT_EQ(list.FindBestFit(size), oracle.BestFit(size))
+          << "step " << step;
       const std::uint64_t offset = fit.value_or(list.frontier());
       list.Reserve(offset, size);
       if (offset + size > oracle.free.size()) {

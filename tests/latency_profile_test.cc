@@ -84,8 +84,7 @@ TEST(LatencyProfileTest, DeamortizationFlattensTheTail) {
                                 .target_live_volume = 1 << 15,
                                 .max_size = 512,
                                 .seed = 77});
-  auto run = [&](Reallocator& realloc, AddressSpace& space,
-                 LatencyProfile& profile) {
+  auto run = [&](Reallocator& realloc, LatencyProfile& profile) {
     for (const Request& r : trace.requests()) {
       profile.BeginOp();
       if (r.type == Request::Type::kInsert) {
@@ -101,14 +100,14 @@ TEST(LatencyProfileTest, DeamortizationFlattensTheTail) {
   LatencyProfile amortized_profile(linear.get());
   amortized_space.AddListener(&amortized_profile);
   CostObliviousReallocator amortized(&amortized_space);
-  run(amortized, amortized_space, amortized_profile);
+  run(amortized, amortized_profile);
 
   CheckpointManager manager;
   AddressSpace deamortized_space(&manager);
   LatencyProfile deamortized_profile(linear.get());
   deamortized_space.AddListener(&deamortized_profile);
   DeamortizedReallocator deamortized(&deamortized_space);
-  run(deamortized, deamortized_space, deamortized_profile);
+  run(deamortized, deamortized_profile);
 
   EXPECT_LT(deamortized_profile.max(), amortized_profile.max());
 }

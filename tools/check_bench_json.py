@@ -70,18 +70,36 @@ def check_address_space(data, path):
 
 
 def check_scenarios(data, path):
-    require(data.get("schema_version") == 2, path, "schema_version != 2")
+    # v3 drops the free-list policy and bin-discipline axes (and their
+    # "policy"/"discipline" columns): first-fit and best-fit now have one
+    # free-space engine each, so every algorithm is one cell.
+    require(data.get("schema_version") == 3, path, "schema_version != 3")
+    require(data.get("smoke") is False, path,
+            "committed artifact is a --smoke run; regenerate full-size")
     check_rows(data, path, {
-        "scenario", "algorithm", "policy", "discipline", "shards", "routing",
+        "scenario", "algorithm", "shards", "routing",
         "operations", "max_footprint_ratio", "avg_footprint_ratio",
         "final_footprint_ratio", "max_reserved_footprint", "max_volume",
         "moves", "bytes_moved", "bytes_placed", "linear_cost_ratio",
         "linear_realloc_ratio", "wall_seconds", "ops_per_sec",
     })
-    scenarios = {r["scenario"] for r in data["rows"]}
+    rows = data["rows"]
+    for row in rows:
+        stale = {"policy", "discipline"} & row.keys()
+        require(not stale, path,
+                f"row {row['scenario']}/{row['algorithm']} carries "
+                f"removed columns {sorted(stale)}")
+    scenarios = {r["scenario"] for r in rows}
     for expected in ("steady-churn", "zipf-churn", "database-block-replay",
                      "multi-tenant-skew"):
         require(expected in scenarios, path, f"scenario '{expected}' missing")
+    cells = {(r["algorithm"], r["shards"], r["routing"]) for r in rows}
+    require(len(rows) == len(cells) * len(scenarios), path,
+            f"{len(rows)} rows != {len(cells)} cells x "
+            f"{len(scenarios)} scenarios")
+    for algorithm in ("first-fit", "best-fit"):
+        require((algorithm, 1, "-") in cells, path,
+                f"K=1 {algorithm} cell missing")
 
 
 def check_sharded(data, path):
