@@ -67,9 +67,22 @@ inline void Banner(const char* experiment, const char* claim) {
   std::printf("================================================================\n");
 }
 
+/// Whether any Verdict in this process reported a DEVIATION.
+inline bool& DeviationSeen() {
+  static bool seen = false;
+  return seen;
+}
+
+/// Prints the experiment's verdict line and records a DEVIATION, so the
+/// experiment's main can fail through ExitCode().
 inline void Verdict(bool ok, const std::string& text) {
+  if (!ok) DeviationSeen() = true;
   std::printf("verdict: %s — %s\n", ok ? "REPRODUCED" : "DEVIATION", text.c_str());
 }
+
+/// The exit status of an experiment's main: 1 once any Verdict reported a
+/// DEVIATION, 0 otherwise.
+inline int ExitCode() { return DeviationSeen() ? 1 : 0; }
 
 }  // namespace cosr::bench
 

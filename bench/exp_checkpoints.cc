@@ -182,5 +182,5 @@ void Run() {
 int main() {
   cosr::Run();
   cosr::RunExtentSetStorm();
-  return 0;
+  return cosr::bench::ExitCode();
 }

@@ -84,5 +84,5 @@ void Run() {
 
 int main() {
   cosr::Run();
-  return 0;
+  return cosr::bench::ExitCode();
 }

@@ -7,7 +7,7 @@
 // (cost-oblivious, first-fit), runs the bare algorithm plus the facade at
 // K ∈ {1, 4, 16} under hash routing, size-class routing (K=4),
 // least-loaded routing (K=16), and the hash/least-loaded K=16 cells again
-// with the cross-shard rebalancer stepping during the replay. Reports:
+// with the facade's rebalance scan running during the replay. Reports:
 //   * ops/s — request throughput through the routing layer (the JSON also
 //     carries each facade row's throughput relative to the same-K hash
 //     cell: the routing-policy overhead column);
@@ -43,7 +43,6 @@
 #include "cosr/cost/cost_battery.h"
 #include "cosr/metrics/run_harness.h"
 #include "cosr/realloc/factory.h"
-#include "cosr/service/shard_rebalancer.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/workload/scenario.h"
@@ -53,8 +52,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The rebalancer cells step every this many replayed requests.
-constexpr std::uint64_t kRebalanceEvery = 32;
+/// The rebalancer cells scan after every this many replayed requests.
+constexpr std::uint32_t kRebalanceEvery = 32;
 
 struct Config {
   std::string algorithm;
@@ -113,7 +112,15 @@ Row RunConfig(const Scenario& scenario, const Config& config,
     ShardedReallocator::Options options;
     options.shard_count = config.shards;
     options.routing = config.routing;
-    options.allow_migration = config.rebalance;
+    options.rebalance = config.rebalance;
+    // Slightly earlier than the library default (1.25): the peak-footprint
+    // column records the worst instant, so a late trigger pays a hot
+    // shard's whole excursion before the first migration lands. Going much
+    // earlier (1.15) over-churns never-move layouts — migrated blocks that
+    // find no destination gap extend the cold shard's frontier, raising
+    // the very peak the drain was meant to shave.
+    options.rebalance_options.hot_footprint_ratio = 1.2;
+    options.rebalance_options.check_interval = kRebalanceEvery;
     std::unique_ptr<ShardedReallocator> sharded;
     COSR_CHECK_OK(ShardedReallocator::Make(spec, options, &parent, &sharded));
     facade = sharded.get();
@@ -123,20 +130,6 @@ Row RunConfig(const Scenario& scenario, const Config& config,
   RunOptions options;
   options.min_volume_for_ratio = std::min<std::uint64_t>(
       1024, std::max<std::uint64_t>(1, scenario.trace.max_live_volume() / 8));
-  std::unique_ptr<ShardRebalancer> rebalancer;
-  if (config.rebalance) {
-    RebalanceOptions rebalance;
-    // Slightly earlier than the library default (1.25): the peak-footprint
-    // column records the worst instant, so a late trigger pays a hot
-    // shard's whole excursion before the first migration lands. Going much
-    // earlier (1.15) over-churns never-move layouts — migrated blocks that
-    // find no destination gap extend the cold shard's frontier, raising
-    // the very peak the drain was meant to shave.
-    rebalance.hot_footprint_ratio = 1.2;
-    rebalancer = std::make_unique<ShardRebalancer>(facade, rebalance);
-    options.periodic_every = kRebalanceEvery;
-    options.periodic = [&rebalancer] { rebalancer->Step(); };
-  }
 
   Row row;
   row.scenario = scenario.name;

@@ -13,7 +13,6 @@
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/realloc/factory.h"
 #include "cosr/service/concurrent_sharded_reallocator.h"
-#include "cosr/service/shard_rebalancer.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/storage/simulated_disk.h"
@@ -183,14 +182,16 @@ Status FuzzShardLog(const CrashFuzzOptions& options, std::uint32_t shard,
 
 /// Rebalancer thresholds scaled to the smoke-size fuzz traces (per-shard
 /// volumes of a few hundred bytes), so migration records actually land in
-/// the logs the crash points cut.
-RebalanceOptions AggressiveRebalance() {
+/// the logs the crash points cut. `check_interval` is the scan cadence: in
+/// requests on the synchronous facade, in drain cycles on the concurrent
+/// one.
+RebalanceOptions AggressiveRebalance(std::uint32_t check_interval) {
   RebalanceOptions options;
   options.hot_footprint_ratio = 1.05;
   options.min_shard_footprint = 64;
   options.max_batch_objects = 8;
   options.max_batch_bytes = 1u << 12;
-  options.check_interval = 1;
+  options.check_interval = check_interval;
   return options;
 }
 
@@ -250,7 +251,9 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     facade_options.shard_count = options.shard_count;
     facade_options.routing = RoutingPolicy::kHashId;
     facade_options.subrange_span = options.subrange_span;
-    facade_options.allow_migration = options.rebalance;
+    facade_options.rebalance = options.rebalance;
+    facade_options.rebalance_options =
+        AggressiveRebalance(/*check_interval=*/25);
     COSR_RETURN_IF_ERROR(
         ShardedReallocator::Make(spec, facade_options, &parent, &sharded));
     for (std::uint32_t i = 0; i < options.shard_count; ++i) {
@@ -269,7 +272,8 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     facade_options.routing = RoutingPolicy::kHashId;
     facade_options.subrange_span = options.subrange_span;
     facade_options.rebalance = options.rebalance;
-    facade_options.rebalance_options = AggressiveRebalance();
+    facade_options.rebalance_options =
+        AggressiveRebalance(/*check_interval=*/1);
     COSR_RETURN_IF_ERROR(
         ConcurrentShardedReallocator::Make(spec, facade_options, &concurrent));
     ConcurrentShardedReallocator* raw = concurrent.get();
@@ -317,14 +321,6 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
       }
     }
   } else {
-    // Synchronous rebalancing: step the rebalancer every few requests so
-    // migration records interleave with ordinary churn in the logs.
-    std::unique_ptr<ShardRebalancer> rebalancer;
-    if (options.rebalance && sharded != nullptr) {
-      rebalancer =
-          std::make_unique<ShardRebalancer>(sharded.get(),
-                                            AggressiveRebalance());
-    }
     for (std::size_t r = 0; r < operations; ++r) {
       const Request& request = trace.requests()[r];
       const Status status =
@@ -336,10 +332,6 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
                                 " failed during the drive phase: " +
                                 status.ToString());
       }
-      if (rebalancer != nullptr && (r + 1) % 25 == 0) rebalancer->Step();
-    }
-    if (rebalancer != nullptr) {
-      report->migrations = rebalancer->total_migrations();
     }
   }
   facade->Quiesce();
@@ -347,11 +339,10 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
   // and a full-log recovery reproduces the final state.
   if (sharded != nullptr) {
     sharded->CheckpointAll();
+    report->migrations = sharded->Stats().migrations;
   } else {
     concurrent->CheckpointAll();
-    if (options.rebalance) {
-      report->migrations = concurrent->Stats().migrations;
-    }
+    report->migrations = concurrent->Stats().migrations;
   }
 
   for (std::uint32_t i = 0; i < options.shard_count; ++i) {

@@ -26,8 +26,9 @@ struct CrashFuzzOptions {
   double epsilon = 0.25;
   std::uint32_t shard_count = 1;
   /// false: ShardedReallocator over one shared parent (per-shard logs
-  /// behind range-scoped adapters). true: ConcurrentShardedReallocator
-  /// (per-shard logs on private roots, driven by worker threads).
+  /// behind the executing-shard forwarder). true:
+  /// ConcurrentShardedReallocator (per-shard logs on private roots,
+  /// driven by worker threads).
   bool concurrent = false;
   std::uint32_t worker_threads = 0;  // concurrent only; 0 = one per shard
   /// Concurrent only: drive the trace through SubmitMany batches over the
@@ -38,10 +39,10 @@ struct CrashFuzzOptions {
   /// Drive the trace with the cross-shard rebalancer active, so crash
   /// points land while migrations (a Delete journaled on the source
   /// shard's log + a Place journaled on the destination's) are in flight.
-  /// Synchronous mode steps a ShardRebalancer every few requests;
-  /// concurrent mode enables the facade's background rebalancing with an
-  /// aggressive trigger. Thresholds are scaled down so the smoke-size
-  /// traces actually migrate.
+  /// Both modes enable the facade's rebalance scan (Options::rebalance)
+  /// with an aggressive trigger: every 25 requests in synchronous mode,
+  /// every drain cycle that ran requests in concurrent mode. Thresholds
+  /// are scaled down so the smoke-size traces actually migrate.
   bool rebalance = false;
   /// Trace prefix length to drive (a prefix of a valid trace is valid).
   std::size_t operations = 300;

@@ -93,26 +93,4 @@ void MoveLog::Compact(std::uint64_t seq) {
   bytes_since_compaction_ = 0;
 }
 
-void RangeScopedListener::OnPlace(ObjectId id, const Extent& extent) {
-  if (InRange(extent)) target_->OnPlace(id, extent);
-}
-
-void RangeScopedListener::OnMove(ObjectId id, const Extent& from,
-                                 const Extent& to) {
-  if (InRange(from)) target_->OnMove(id, from, to);
-}
-
-void RangeScopedListener::OnMoves(const MoveRecord* records,
-                                  std::size_t count) {
-  scratch_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (InRange(records[i].from)) scratch_.push_back(records[i]);
-  }
-  if (!scratch_.empty()) target_->OnMoves(scratch_.data(), scratch_.size());
-}
-
-void RangeScopedListener::OnRemove(ObjectId id, const Extent& extent) {
-  if (InRange(extent)) target_->OnRemove(id, extent);
-}
-
 }  // namespace cosr

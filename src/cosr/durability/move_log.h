@@ -121,39 +121,6 @@ class MoveLog final : public SpaceListener, public CheckpointDurabilityLog {
   std::vector<std::pair<ObjectId, Extent>> compact_scratch_;
 };
 
-/// Scopes a shared parent's event stream down to one shard: forwards the
-/// events whose extents fall inside [lo, hi) to `target` — the per-shard
-/// log adapter for ShardedReallocator, whose K shards share one parent
-/// Space (the concurrent facade needs no filter: each shard's private root
-/// only ever sees its own events).
-///
-/// Checkpoint events are deliberately NOT forwarded: the parent's
-/// OnCheckpoint fan-out fires for every sibling shard's checkpoint, while
-/// per-shard checkpoint records flow through the shard's own
-/// CheckpointManager (AttachDurabilityLog), which knows the authoritative
-/// per-shard sequence number.
-class RangeScopedListener final : public SpaceListener {
- public:
-  RangeScopedListener(SpaceListener* target, std::uint64_t lo,
-                      std::uint64_t hi)
-      : target_(target), lo_(lo), hi_(hi) {}
-
-  void OnPlace(ObjectId id, const Extent& extent) override;
-  void OnMove(ObjectId id, const Extent& from, const Extent& to) override;
-  void OnMoves(const MoveRecord* records, std::size_t count) override;
-  void OnRemove(ObjectId id, const Extent& extent) override;
-
- private:
-  bool InRange(const Extent& e) const {
-    return e.offset >= lo_ && e.end() <= hi_;
-  }
-
-  SpaceListener* target_;
-  std::uint64_t lo_;
-  std::uint64_t hi_;
-  std::vector<MoveRecord> scratch_;  // reused batch filter buffer
-};
-
 }  // namespace cosr
 
 #endif  // COSR_DURABILITY_MOVE_LOG_H_

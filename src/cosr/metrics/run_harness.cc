@@ -44,10 +44,6 @@ RunReport RunTrace(Reallocator& realloc, Space& space,
       ++report.deletes;
     }
     ++op_index;
-    if (options.periodic_every != 0 && options.periodic &&
-        op_index % options.periodic_every == 0) {
-      options.periodic();
-    }
 
     const std::uint64_t footprint = realloc.reserved_footprint();
     const std::uint64_t volume = realloc.volume();

@@ -2,7 +2,6 @@
 #define COSR_METRICS_RUN_HARNESS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,12 +23,6 @@ struct RunOptions {
   /// Record a (operation, footprint, volume) sample every N requests
   /// (0 = never) into RunReport::timeline.
   std::uint64_t timeline_every = 0;
-  /// Invoke `periodic` every N requests (0 = never), after the request
-  /// retires and before the footprint sample — the hook the sharded
-  /// benchmarks use to step a ShardRebalancer mid-replay, with its effect
-  /// reflected in the same op's footprint sample.
-  std::uint64_t periodic_every = 0;
-  std::function<void()> periodic;
   /// Run deferred work to completion after the last request.
   bool quiesce = true;
 };

@@ -61,8 +61,8 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
   }
   if (spec.durability != nullptr) {
     // Single-instance durability wiring: log 0 observes the space and the
-    // manager's checkpoints. (The sharded facades wire per-shard logs
-    // themselves and clear this field before building their inners.)
+    // manager's checkpoints. (ShardEngine wires per-shard logs itself and
+    // clears this field before building its inners.)
     if (!AlgorithmNeedsCheckpointManager(spec.algorithm)) {
       return Status::FailedPrecondition(
           "durability requires a checkpoint-managed algorithm "

@@ -80,9 +80,9 @@ bool AlgorithmNeedsCheckpointManager(const std::string& algorithm);
 /// Whether the named algorithm's Insert can fail on a fresh id with a
 /// positive size (today: only "pma", whose sparse tables hold uniform
 /// slot_size objects). Such algorithms cannot sit behind the concurrent
-/// facade's size-class routing, whose submit-time id map assumes every
-/// enqueued insert succeeds — ConcurrentShardedReallocator::Make rejects
-/// the combination.
+/// facade's map-keeping routing, whose submit-time id map assumes every
+/// enqueued insert succeeds, nor behind either facade's rebalancing, whose
+/// migrations must land — both Makes reject those combinations.
 bool AlgorithmInsertCanFailOnFreshId(const std::string& algorithm);
 
 }  // namespace cosr

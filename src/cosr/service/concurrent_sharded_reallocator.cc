@@ -49,106 +49,61 @@ Status ConcurrentShardedReallocator::Make(
   if (out == nullptr) {
     return Status::InvalidArgument("out must be non-null");
   }
-  if (options.shard_count == 0) {
-    return Status::InvalidArgument("shard_count must be >= 1");
-  }
   if (options.worker_threads > options.shard_count) {
     return Status::InvalidArgument(
         "worker_threads must be <= shard_count (a shard is owned by "
         "exactly one worker)");
   }
-  if (options.subrange_span == 0 ||
-      options.subrange_span > ~std::uint64_t{0} / options.shard_count) {
-    return Status::InvalidArgument("subrange_span degenerate for K shards");
-  }
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  const bool needs_map =
-      RoutingNeedsPlacementMap(options.routing) || options.rebalance;
-  if (needs_map && AlgorithmInsertCanFailOnFreshId(inner_spec.algorithm)) {
+  if (RoutingNeedsPlacementMap(options.routing) &&
+      AlgorithmInsertCanFailOnFreshId(inner_spec.algorithm)) {
     // The placement map marks an id live at submit time; an inner
     // algorithm that can then reject the insert on the shard would leave
-    // the map permanently claiming a ghost object — and a migration's
-    // destination insert has no submit-time rejection path at all.
+    // the map permanently claiming a ghost object.
     return Status::FailedPrecondition(
         inner_spec.algorithm +
         " inserts can fail on the shard, which the submit-time id "
-        "placement map (map-keeping routing or rebalance) cannot "
-        "represent; use hash routing without rebalance");
+        "placement map (map-keeping routing) cannot represent; use hash "
+        "routing");
   }
-
-  DurabilityHub* durability = inner_spec.durability;
-  if (durability != nullptr &&
-      !AlgorithmNeedsCheckpointManager(inner_spec.algorithm)) {
-    return Status::FailedPrecondition(
-        "durability requires a checkpoint-managed algorithm "
-        "(checkpointed/deamortized); " +
-        inner_spec.algorithm + " never checkpoints, so its log would have "
-        "no recoverable prefix");
-  }
-
-  ReallocatorSpec spec = inner_spec;
-  spec.shard_count = 1;  // the facade is the only sharding layer
-  spec.worker_threads = 0;
-  spec.durability = nullptr;  // per-shard wiring happens here, not inside
-
-  const std::uint32_t workers = options.worker_threads == 0
-                                    ? options.shard_count
-                                    : options.worker_threads;
 
   auto facade = std::unique_ptr<ConcurrentShardedReallocator>(
       new ConcurrentShardedReallocator(options));
-  facade->needs_routing_map_ = needs_map;
-  facade->shards_.reserve(options.shard_count);
-  facade->counters_ = std::vector<ShardCounters>(options.shard_count);
-  facade->latency_ = std::vector<ShardLatencyRecorders>(options.shard_count);
-  facade->dropped_ops_.assign(options.shard_count, 0);
-  if (needs_map) facade->stamped_requests_.assign(options.shard_count, 0);
-  if (options.routing == RoutingPolicy::kLeastLoaded) {
-    facade->predicted_volume_.assign(options.shard_count, 0);
-  }
+  // A private root per shard: the views are still based at i * span, so
+  // the physical layout matches the inline facade's shared parent
+  // coordinate for coordinate, but workers share no mutable storage state.
+  std::vector<Space*> roots;
   for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-    Shard shard;
-    // A private root per shard: the view is still based at i * span, so
-    // the physical layout matches the single-threaded facade's shared
-    // parent coordinate-for-coordinate, but workers share no mutable
-    // storage state.
-    shard.space = std::make_unique<AddressSpace>();
-    shard.remote = std::make_unique<RemoteQueue<std::vector<Item>>>();
-    if (AlgorithmNeedsCheckpointManager(spec.algorithm)) {
-      shard.manager = std::make_unique<CheckpointManager>();
-    }
-    shard.view = std::make_unique<SubSpaceView>(
-        shard.space.get(), std::uint64_t{i} * options.subrange_span,
-        options.subrange_span, shard.manager.get());
-    Status status = MakeReallocator(spec, shard.view.get(), &shard.inner);
-    if (!status.ok()) return status;
-    if (durability != nullptr) {
-      // Private roots see only their own shard's events (in based/global
-      // coordinates), so the log attaches directly — no range filter —
-      // and fires exclusively on the shard's owning worker thread.
-      MoveLog* log = durability->LogForShard(i);
-      shard.log = log;
-      shard.manager->AttachDurabilityLog(log);
-      shard.space->AddListener(log);
-    }
-    shard.worker = i % workers;
-    facade->shards_.push_back(std::move(shard));
+    facade->roots_.push_back(std::make_unique<AddressSpace>());
+    roots.push_back(facade->roots_.back().get());
   }
-  facade->name_ =
-      "concurrent-sharded[" + std::to_string(options.shard_count) + "x" +
-      std::to_string(workers) + "," + RoutingPolicyName(options.routing) +
-      (options.rebalance ? ",rebalance" : "") + "]/" + spec.algorithm;
+  COSR_RETURN_IF_ERROR(facade->engine_.Init(
+      inner_spec, options, ShardEngine::Mode::kThreaded, roots));
 
+  const std::uint32_t shards = options.shard_count;
+  const std::uint32_t workers =
+      options.worker_threads == 0 ? shards : options.worker_threads;
+  facade->dropped_ops_.assign(shards, 0);
+  if (facade->engine_.keeps_map()) facade->stamped_requests_.assign(shards, 0);
+  if (options.routing == RoutingPolicy::kLeastLoaded) {
+    facade->predicted_volume_.assign(shards, 0);
+  }
   facade->workers_.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
     facade->workers_.push_back(std::make_unique<Worker>());
-    facade->workers_.back()->last_ops.assign(options.shard_count, 0);
   }
-  for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-    facade->workers_[facade->shards_[i].worker]->owned_shards.push_back(i);
+  for (std::uint32_t i = 0; i < shards; ++i) {
+    facade->queues_.push_back(
+        std::make_unique<RemoteQueue<std::vector<Item>>>());
+    facade->shard_worker_.push_back(i % workers);
+    facade->workers_[i % workers]->owned_shards.push_back(i);
   }
+  facade->name_ =
+      "concurrent-sharded[" + std::to_string(shards) + "x" +
+      std::to_string(workers) + "," + RoutingPolicyName(options.routing) +
+      (options.rebalance ? ",rebalance" : "") + "]/" + inner_spec.algorithm;
   // Start the threads only once every shard and queue exists.
   for (std::uint32_t w = 0; w < workers; ++w) {
     Worker* worker = facade->workers_[w].get();
@@ -174,15 +129,14 @@ ConcurrentShardedReallocator::~ConcurrentShardedReallocator() {
 }
 
 ConcurrentShardedReallocator::Item ConcurrentShardedReallocator::MakeItem(
-    const Request& op, std::uint32_t shard, std::uint64_t submit_ns,
+    const Request& op, std::uint64_t submit_ns,
     std::shared_ptr<OpToken> token) {
   Item item;
-  item.kind =
-      op.type == Request::Type::kInsert ? OpKind::kInsert : OpKind::kDelete;
-  item.shard = shard;
-  item.id = op.id;
-  item.size = op.size;
-  item.submit_ns = submit_ns;
+  item.op.kind = op.type == Request::Type::kInsert ? ShardOpKind::kInsert
+                                                   : ShardOpKind::kDelete;
+  item.op.id = op.id;
+  item.op.size = op.size;
+  item.op.submit_ns = submit_ns;
   item.token = std::move(token);
   return item;
 }
@@ -227,7 +181,7 @@ std::size_t ConcurrentShardedReallocator::Reserve(Worker& worker,
 void ConcurrentShardedReallocator::Push(std::uint32_t shard,
                                         std::vector<Item> items) {
   Worker& worker = WorkerOf(shard);
-  const bool was_empty = shards_[shard].remote->Push(
+  const bool was_empty = queues_[shard]->Push(
       new RemoteQueue<std::vector<Item>>::Node(std::move(items)));
   if (was_empty) {
     // Empty -> non-empty is the only transition that can race a worker
@@ -294,10 +248,11 @@ Status ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
   return status;
 }
 
-void ConcurrentShardedReallocator::SubmitMarker(Item item) {
-  const std::uint32_t shard = item.shard;
-  std::vector<Item> items;
-  items.push_back(std::move(item));
+void ConcurrentShardedReallocator::SubmitMarker(
+    std::uint32_t shard, ShardOp op, std::shared_ptr<OpToken> token) {
+  std::vector<Item> items(1);
+  items[0].op = op;
+  items[0].token = std::move(token);
   std::size_t delivered = 0;
   Deliver(shard, std::move(items), /*may_drop=*/false, &delivered);
 }
@@ -351,7 +306,7 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   const std::uint64_t submit_ns = MonotonicNanos();
   std::size_t delivered = 0;
   const Status status =
-      needs_routing_map_
+      engine_.keeps_map()
           ? SubmitMapped(ops, count, tokens, submit_ns, &delivered)
           : SubmitHashed(ops, count, tokens, submit_ns, may_drop, &delivered);
   if (accepted != nullptr) *accepted = delivered;
@@ -367,8 +322,8 @@ Status ConcurrentShardedReallocator::SubmitHashed(
   std::vector<std::vector<Item>> buckets(shard_count());
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t shard = shard_for(ops[i].id, ops[i].size);
-    buckets[shard].push_back(MakeItem(ops[i], shard, submit_ns,
-                                      tokens != nullptr ? tokens[i] : nullptr));
+    buckets[shard].push_back(
+        MakeItem(ops[i], submit_ns, tokens != nullptr ? tokens[i] : nullptr));
   }
   // A drop statuses the batch with the failure of the *earliest* op (in
   // batch order) that failed to deliver, across all shard buckets.
@@ -416,7 +371,8 @@ Status ConcurrentShardedReallocator::SubmitMapped(
   for (std::size_t i = 0; i < count;) {
     const Request& op = ops[i];
     const bool is_insert = op.type == Request::Type::kInsert;
-    const std::uint32_t holder = placement_.Lookup(op.id, shard_count());
+    const std::uint32_t holder =
+        engine_.placement().Lookup(op.id, shard_count());
     Status rejected;
     if (is_insert && op.size == 0) {
       rejected = Status::InvalidArgument("size must be positive");
@@ -435,8 +391,11 @@ Status ConcurrentShardedReallocator::SubmitMapped(
       ++i;
       continue;
     }
+    // Least-loaded: the lowest predicted volume wins — predicted, not the
+    // execution-side gauge, so the decision is a pure function of the
+    // submission history, independent of worker timing.
     const std::uint32_t target =
-        is_insert ? RouteInsertLocked(op.id, op.size) : holder;
+        is_insert ? engine_.Route(op.id, op.size, predicted_volume_) : holder;
     Worker& worker = WorkerOf(target);
     if (Reserve(worker, 1) == 0) {
       // Full: hand over what is staged (it holds reservations), then wait
@@ -452,13 +411,13 @@ Status ConcurrentShardedReallocator::SubmitMapped(
       continue;
     }
     if (is_insert) {
-      placement_.TryAssign(op.id, target);
+      engine_.placement().TryAssign(op.id, target);
       if (!predicted_volume_.empty()) {
         predicted_volume_[target] += op.size;
         sizes_.emplace(op.id, op.size);
       }
     } else {
-      placement_.Erase(op.id);
+      engine_.placement().Erase(op.id);
       if (!predicted_volume_.empty()) {
         auto it = sizes_.find(op.id);
         predicted_volume_[target] -= it->second;
@@ -466,8 +425,8 @@ Status ConcurrentShardedReallocator::SubmitMapped(
       }
     }
     ++stamped_requests_[target];
-    staged[target].push_back(MakeItem(op, target, submit_ns,
-                                      tokens != nullptr ? tokens[i] : nullptr));
+    staged[target].push_back(
+        MakeItem(op, submit_ns, tokens != nullptr ? tokens[i] : nullptr));
     ++*accepted;
     ++i;
   }
@@ -505,33 +464,18 @@ Status ConcurrentShardedReallocator::Delete(ObjectId id) {
 }
 
 std::uint64_t ConcurrentShardedReallocator::reserved_footprint() const {
-  return MergeShardCounters(counters_).reserved_footprint;
+  return engine_.reserved_footprint();
 }
 
 std::uint64_t ConcurrentShardedReallocator::volume() const {
-  return MergeShardCounters(counters_).volume;
+  return engine_.volume();
 }
 
-void ConcurrentShardedReallocator::Quiesce() {
+void ConcurrentShardedReallocator::MarkEveryShard(ShardOpKind kind) {
   Flush();
-  for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    Item item;
-    item.kind = OpKind::kQuiesce;
-    item.shard = i;
-    SubmitMarker(std::move(item));
-  }
-  Flush();
-}
-
-void ConcurrentShardedReallocator::CheckpointAll() {
-  Flush();
-  for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    if (shards_[i].manager == nullptr) continue;
-    Item item;
-    item.kind = OpKind::kCheckpoint;
-    item.shard = i;
-    SubmitMarker(std::move(item));
-  }
+  ShardOp op;
+  op.kind = kind;
+  for (std::uint32_t i = 0; i < shard_count(); ++i) SubmitMarker(i, op);
   Flush();
 }
 
@@ -542,53 +486,28 @@ ShardStats ConcurrentShardedReallocator::Stats() {
   // and only the owner ever touches the shard's mutable state, so the
   // read is race-free even while other producers keep submitting (their
   // later ops simply land behind the marker).
-  std::vector<ShardStats::PerShard> per_shard(shard_count());
+  std::vector<ShardSnapshot> snapshots(shard_count());
   std::vector<std::shared_ptr<OpToken>> tokens;
   tokens.reserve(shard_count());
-  std::vector<std::uint64_t> max_end(shard_count(), 0);
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    Item item;
-    item.kind = OpKind::kSnapshot;
-    item.shard = i;
-    item.snapshot_out = &per_shard[i];
-    item.max_end_out = &max_end[i];
-    item.token = std::make_shared<OpToken>();
-    tokens.push_back(item.token);
-    SubmitMarker(std::move(item));
+    ShardOp op;
+    op.kind = ShardOpKind::kSnapshot;
+    op.snapshot_out = &snapshots[i];
+    tokens.push_back(std::make_shared<OpToken>());
+    SubmitMarker(i, op, tokens.back());
   }
   for (const auto& token : tokens) token->Wait();
 
-  ShardStats stats;
-  stats.shards.reserve(shard_count());
+  Status last_drop_status;
   {
     std::lock_guard<std::mutex> drop_lock(drop_mu_);
     for (std::uint32_t i = 0; i < shard_count(); ++i) {
-      per_shard[i].dropped_ops = dropped_ops_[i];
-      stats.dropped_ops += dropped_ops_[i];
+      snapshots[i].per.dropped_ops = dropped_ops_[i];
     }
-    stats.last_drop_status = last_drop_status_;
+    last_drop_status = last_drop_status_;
   }
-  for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    const ShardStats::PerShard& per = per_shard[i];
-    stats.volume += per.volume;
-    stats.sum_reserved_footprint += per.reserved_footprint;
-    stats.sum_subrange_footprint += per.space_footprint;
-    stats.max_shard_end = std::max(stats.max_shard_end, per.space_footprint);
-    // Private roots hold based (global) coordinates, so the max of their
-    // footprints is the shared parent's literal footprint.
-    stats.global_max_end = std::max(stats.global_max_end, max_end[i]);
-    stats.migrations += per.migrations;
-    stats.migrated_bytes += per.migrated_bytes;
-    stats.log_syncs += per.log_syncs;
-    stats.log_compactions += per.log_compactions;
-    stats.sync_wall_seconds += per.sync_wall_seconds;
-    stats.max_sync_stall_seconds =
-        std::max(stats.max_sync_stall_seconds, per.max_sync_stall_seconds);
-    stats.latency_total.MergeFrom(per.latency_total);
-    stats.latency_queue_wait.MergeFrom(per.latency_queue_wait);
-    stats.latency_service.MergeFrom(per.latency_service);
-    stats.shards.push_back(per);
-  }
+  ShardStats stats = ShardEngine::MergeStats(snapshots);
+  stats.last_drop_status = std::move(last_drop_status);
   return stats;
 }
 
@@ -598,57 +517,13 @@ void ConcurrentShardedReallocator::AddShardListener(std::uint32_t index,
                  "AddShardListener must run before the first Insert/Delete "
                  "submission");
   COSR_CHECK_LT(index, shard_count());
-  shards_[index].space->AddListener(listener);
-}
-
-std::uint32_t ConcurrentShardedReallocator::RouteInsertLocked(
-    ObjectId id, std::uint64_t size) const {
-  if (!predicted_volume_.empty()) {
-    // Least-loaded: lowest predicted volume wins (lowest index breaking
-    // ties). Predicted — not the execution-side frontier gauge — so the
-    // decision is a pure function of the submission history, reproducible
-    // regardless of worker timing.
-    return LeastLoadedShard(predicted_volume_);
-  }
-  return shard_for(id, size);
+  roots_[index]->AddListener(listener);
 }
 
 void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
-  // Plan over the relaxed footprint gauges: exact for this worker's own
-  // shards (it wrote them), at-most-one-op stale for the rest — fine for
-  // a heuristic that re-runs every check_interval cycles.
-  std::vector<ShardLoad> loads(shard_count());
-  for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    loads[i].footprint =
-        counters_[i].reserved_footprint.load(std::memory_order_relaxed);
-    const std::uint64_t ops =
-        counters_[i].ops.load(std::memory_order_relaxed);
-    loads[i].ops = ops - worker.last_ops[i];
-    worker.last_ops[i] = ops;
-  }
-  const RebalancePlan plan = PlanRebalance(loads, options_.rebalance_options);
-  if (!plan.has_move) return;
-  // Only the hot shard's owner drains it: the source-side deletes touch
-  // the shard's inner state, which belongs to exactly one worker.
-  if (std::find(worker.owned_shards.begin(), worker.owned_shards.end(),
-                plan.hot) == worker.owned_shards.end()) {
-    return;
-  }
-  Shard& hot = shards_[plan.hot];
-  // A source that would defer the physical remove (deamortized mid-flush)
-  // would leave the object placed on its private root while the
-  // destination re-places the same id — and would journal the remove
-  // after the destination's place, breaking the remove-before-place
-  // ordering the crash-consistency argument leans on. Wait it out.
-  if (!hot.inner->DeletesDetachImmediately()) return;
-  // The snapshot reads the hot shard's applied state — safe lock-free
-  // because this thread is the only one that ever applies ops to it.
-  const std::vector<std::pair<ObjectId, Extent>> victims =
-      SelectRebalanceVictims(hot.view->Snapshot(), options_.rebalance_options,
-                             hot.inner->reserved_footprint(),
-                             loads[plan.cold].footprint,
-                             plan.target_footprint);
-  if (victims.empty()) return;
+  const RebalancePlan plan =
+      engine_.PlanScan(&worker.last_ops, &worker.owned_shards, &worker.victims);
+  if (worker.victims.empty()) return;
 
   std::lock_guard<std::mutex> lock(routing_mu_);
   // Safety gate: migrate only when the hot shard has no stamped-but-
@@ -660,32 +535,20 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
   // counter was written by this very thread, so its relaxed read is
   // exact. When the gate fails, the next scan simply retries.
   if (stamped_requests_[plan.hot] !=
-      counters_[plan.hot].ops.load(std::memory_order_relaxed)) {
+      engine_.counters(plan.hot).ops.load(std::memory_order_relaxed)) {
     return;
   }
-  std::vector<Item> arrivals;
-  for (const std::pair<ObjectId, Extent>& victim : victims) {
-    const ObjectId id = victim.first;
-    const std::uint64_t size = victim.second.length;
-    // Re-checked per victim: the previous victim's delete may itself have
-    // started a deferred flush.
-    if (!hot.inner->DeletesDetachImmediately()) break;
-    // Source side, executed inline on the owner: the remove journals on
-    // the hot shard's durability log like any other delete.
-    COSR_CHECK_OK(hot.inner->Delete(id));
-    counters_[plan.hot].RecordMigrateOut(size, hot.inner->volume(),
-                                         hot.inner->reserved_footprint());
-    placement_.Reassign(id, plan.hot, plan.cold);
+  const std::size_t moved = engine_.MigrateOut(plan, worker.victims);
+  std::vector<Item> arrivals(moved);
+  for (std::size_t i = 0; i < moved; ++i) {
+    const auto& [id, extent] = worker.victims[i];
     if (!predicted_volume_.empty()) {
-      predicted_volume_[plan.hot] -= size;
-      predicted_volume_[plan.cold] += size;
+      predicted_volume_[plan.hot] -= extent.length;
+      predicted_volume_[plan.cold] += extent.length;
     }
-    Item item;
-    item.kind = OpKind::kMigrateIn;
-    item.shard = plan.cold;
-    item.id = id;
-    item.size = size;
-    arrivals.push_back(std::move(item));
+    arrivals[i].op.kind = ShardOpKind::kMigrateIn;
+    arrivals[i].op.id = id;
+    arrivals[i].op.size = extent.length;
   }
   if (arrivals.empty()) return;
   // Destination side: one batch of kMigrateIn ops on the cold shard's
@@ -703,12 +566,13 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
 void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
   const auto pending = [&] {
     for (std::uint32_t s : worker.owned_shards) {
-      if (!shards_[s].remote->empty()) return true;
+      if (!queues_[s]->empty()) return true;
     }
     return false;
   };
   const auto is_request = [](const Item& item) {
-    return item.kind == OpKind::kInsert || item.kind == OpKind::kDelete;
+    return item.op.kind == ShardOpKind::kInsert ||
+           item.op.kind == ShardOpKind::kDelete;
   };
   for (;;) {
     bool stopping = false;
@@ -729,19 +593,25 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
     std::uint64_t executed = 0;
     std::uint64_t requests = 0;
     for (std::uint32_t s : worker.owned_shards) {
-      auto* node = shards_[s].remote->TakeAll();
+      auto* node = queues_[s]->TakeAll();
       while (node != nullptr) {
         // Counted before executing, so a snapshot marker later in the
         // FIFO sees every earlier batch. Marker and migration nodes carry
         // no requests and do not count.
         const std::uint64_t node_requests = static_cast<std::uint64_t>(
             std::count_if(node->value.begin(), node->value.end(), is_request));
-        if (node_requests > 0) counters_[s].RecordRemoteBatch(node_requests);
+        if (node_requests > 0) {
+          engine_.RecordRemoteBatch(s, node_requests);
+        }
         requests += node_requests;
         // One clock read per item, not two: each op's end timestamp is
         // the next op's start (the worker runs them back to back).
         std::uint64_t now = MonotonicNanos();
-        for (const Item& item : node->value) now = ExecuteTimed(item, now);
+        for (const Item& item : node->value) {
+          Status status;
+          now = engine_.Execute(s, item.op, now, &status);
+          if (item.token != nullptr) item.token->Complete(std::move(status));
+        }
         executed += node->value.size();
         auto* next = node->next;
         delete node;
@@ -771,101 +641,6 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
     // Completions also free in-flight room for waiting producers.
     worker.cv_space.notify_all();
   }
-}
-
-void ConcurrentShardedReallocator::ExecuteItem(const Item& item) {
-  Shard& shard = shards_[item.shard];
-  ShardCounters& counters = counters_[item.shard];
-  Status status;
-  switch (item.kind) {
-    case OpKind::kInsert:
-      status = shard.inner->Insert(item.id, item.size);
-      counters.RecordOp(/*is_insert=*/true, status.ok(),
-                        shard.inner->volume(),
-                        shard.inner->reserved_footprint());
-      break;
-    case OpKind::kDelete:
-      status = shard.inner->Delete(item.id);
-      counters.RecordOp(/*is_insert=*/false, status.ok(),
-                        shard.inner->volume(),
-                        shard.inner->reserved_footprint());
-      break;
-    case OpKind::kQuiesce:
-      shard.inner->Quiesce();
-      counters.RefreshGauges(shard.inner->volume(),
-                             shard.inner->reserved_footprint());
-      break;
-    case OpKind::kCheckpoint:
-      // On the owning worker, like every other touch of the shard's state.
-      shard.view->Checkpoint();
-      break;
-    case OpKind::kMigrateIn:
-      // The destination half of a migration; the source's owner already
-      // deleted the object and repointed the map. The insert cannot fail:
-      // Make rejects inner algorithms whose inserts can fail on a fresh
-      // id whenever rebalancing is enabled. The place journals on this
-      // shard's durability log like any other insert.
-      COSR_CHECK_OK(shard.inner->Insert(item.id, item.size));
-      counters.RecordMigrateIn(shard.inner->volume(),
-                               shard.inner->reserved_footprint());
-      break;
-    case OpKind::kSnapshot: {
-      const ShardCountersSnapshot snapshot = ReadShardCounters(counters);
-      ShardStats::PerShard& per = *item.snapshot_out;
-      per.base = shard.view->base();
-      per.objects = shard.view->object_count();
-      per.volume = shard.view->live_volume();
-      per.reserved_footprint = shard.inner->reserved_footprint();
-      per.space_footprint = shard.view->footprint();
-      per.checkpoints =
-          shard.manager != nullptr ? shard.manager->checkpoint_count() : 0;
-      if (shard.log != nullptr) {
-        // Owning worker reading its own shard's sink — single-writer, so
-        // the sync/stall gauges are race-free here.
-        const LogSink& sink = *shard.log->sink();
-        per.log_syncs = sink.sync_count();
-        per.log_compactions = shard.log->compactions();
-        per.sync_wall_seconds = sink.sync_wall_seconds();
-        per.max_sync_stall_seconds = sink.max_sync_stall_seconds();
-      }
-      per.ops = snapshot.ops;
-      per.failed_ops = snapshot.failed_ops;
-      per.peak_reserved_footprint = snapshot.peak_reserved_footprint;
-      per.remote_batches = snapshot.remote_batches;
-      per.batched_ops = snapshot.batched_ops;
-      per.migrations = snapshot.migrations;
-      per.migrated_bytes = snapshot.migrated_bytes;
-      per.migrations_in = snapshot.migrations_in;
-      // Snapshotting on the owning worker is what makes these cross-bucket
-      // consistent with `ops` above: no tracked op can be mid-record here.
-      per.latency_total = latency_[item.shard].total.Snapshot();
-      per.latency_queue_wait = latency_[item.shard].queue_wait.Snapshot();
-      per.latency_service = latency_[item.shard].service.Snapshot();
-      *item.max_end_out = shard.space->footprint();
-      break;
-    }
-  }
-  if (item.token != nullptr) item.token->Complete(std::move(status));
-}
-
-std::uint64_t ConcurrentShardedReallocator::ExecuteTimed(
-    const Item& item, std::uint64_t start_ns) {
-  // Only client-visible ops (insert/delete) feed the latency histograms:
-  // marker and migration items have no submitter waiting on them, and
-  // excluding them keeps `latency count == ops` an exact identity.
-  const bool tracked =
-      item.kind == OpKind::kInsert || item.kind == OpKind::kDelete;
-  ExecuteItem(item);
-  if (!tracked) return MonotonicNanos();
-  const std::uint64_t end_ns = MonotonicNanos();
-  ShardLatencyRecorders& lat = latency_[item.shard];
-  // queue_wait spans submit stamp -> execution start, so it includes any
-  // backpressure stall the producer ate before the push, not just the
-  // time the item sat in a queue.
-  lat.queue_wait.Record(SaturatingElapsed(start_ns, item.submit_ns));
-  lat.service.Record(SaturatingElapsed(end_ns, start_ns));
-  lat.total.Record(SaturatingElapsed(end_ns, item.submit_ns));
-  return end_ns;
 }
 
 }  // namespace cosr

@@ -11,15 +11,15 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cosr/common/status.h"
 #include "cosr/common/types.h"
 #include "cosr/realloc/reallocator.h"
-#include "cosr/service/id_placement_map.h"
 #include "cosr/service/remote_queue.h"
 #include "cosr/service/routing.h"
-#include "cosr/service/shard_rebalancer.h"
+#include "cosr/service/shard_engine.h"
 #include "cosr/service/shard_stats.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/address_space.h"
@@ -79,12 +79,15 @@ class OpToken {
   std::atomic<bool> done_{false};
 };
 
-/// The concurrent execution mode of the service layer: K shards as in
-/// ShardedReallocator, but each shard's inner reallocator is driven by one
-/// of W worker threads, so the K reallocators genuinely run in parallel.
-/// Every op reaches its shard the same way: pushed onto that shard's
-/// lock-free RemoteQueue (one FIFO per shard), which only the owning
-/// worker drains.
+/// The concurrent execution mode of the service layer: the threaded driver
+/// of ShardEngine. K shards as in ShardedReallocator, but each shard is
+/// driven by one of W worker threads, so the K reallocators genuinely run
+/// in parallel. Every op reaches its shard the same way: pushed onto that
+/// shard's lock-free RemoteQueue (one FIFO per shard), which only the
+/// owning worker drains into the engine. The engine executes and accounts
+/// for the op exactly as the inline facade's does; this class keeps only
+/// what is about threads (queues, backpressure, the drop policy, tokens,
+/// Flush, and the routing_mu_ ordering).
 ///
 /// Why that is sound: the source paper's guarantees are per-allocator, and
 /// the shards' sub-problems are disjoint by construction. In concurrent
@@ -126,15 +129,16 @@ class OpToken {
 /// silently.
 class ConcurrentShardedReallocator final : public Reallocator {
  public:
-  struct Options {
-    std::uint32_t shard_count = 4;
+  /// The shared shard settings (shard_count, routing, subrange_span,
+  /// rebalance, rebalance_options; see ShardEngine::Options) plus the
+  /// threading ones. With rebalance, each worker scans after every
+  /// rebalance_options.check_interval-th drain cycle that executed
+  /// requests, and drains the hot shard only when it owns it (migrations
+  /// then arrive as kMigrateIn ops on the destination's queue).
+  struct Options : ShardEngine::Options {
     /// Worker threads W (<= shard_count; shard i is pinned to worker
     /// i % W). 0 means one worker per shard.
     std::uint32_t worker_threads = 0;
-    RoutingPolicy routing = RoutingPolicy::kHashId;
-    /// Width of each shard's sub-range (same default as the single-threaded
-    /// facade, so layouts are comparable across modes).
-    std::uint64_t subrange_span = 1ull << 44;
     /// Bound on each worker's in-flight ops (submitted - completed,
     /// summed over its shards; the op executing right now counts).
     /// Producers block when the target worker is full (backpressure, not
@@ -158,19 +162,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// regardless of this knob.
     std::size_t submit_max_retries = 0;
     std::chrono::microseconds submit_retry_backoff{50};
-    /// Enables background rebalancing: every
-    /// rebalance_options.check_interval drain cycles that executed
-    /// requests, each worker scans
-    /// the facade's load and — when it owns the hottest shard — drains a
-    /// bounded batch of that shard's frontier objects to the coldest
-    /// shard (kMigrateIn ops delivered straight to the destination's
-    /// owner). Forces the id placement map (a migrated id's hash no
-    /// longer names its shard), which in turn forces pure backpressure.
-    /// Rejected for inner algorithms
-    /// whose inserts can fail on a fresh id (the destination insert of a
-    /// migration must not fail).
-    bool rebalance = false;
-    RebalanceOptions rebalance_options;
   };
 
   /// Builds K private shards, each an inner `inner_spec` reallocator (its
@@ -238,11 +229,11 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::uint64_t volume() const override;
 
   /// Drains, then runs every shard's deferred work on its own worker.
-  void Quiesce() override;
+  void Quiesce() override { MarkEveryShard(ShardOpKind::kQuiesce); }
   /// Drains, then checkpoints every managed shard on its own worker —
   /// forcing a durable point on every per-shard move log when the facade
   /// was built with a DurabilityHub. No-op for unmanaged shards.
-  void CheckpointAll();
+  void CheckpointAll() { MarkEveryShard(ShardOpKind::kCheckpoint); }
   const char* name() const override { return name_.c_str(); }
 
   /// Snapshots per-shard and aggregate accounting via per-shard marker
@@ -256,9 +247,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// shard's worker thread.
   void AddShardListener(std::uint32_t index, SpaceListener* listener);
 
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
+  std::uint32_t shard_count() const { return engine_.shard_count(); }
   std::uint32_t worker_threads() const {
     return static_cast<std::uint32_t>(workers_.size());
   }
@@ -267,82 +256,38 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// The static routing prediction for an (id, size) insert. For
   /// kLeastLoaded this is only the hash fallback: the live decision
   /// happens under routing_mu_ at submit time, over the shards'
-  /// predicted volumes (see RouteInsertLocked).
+  /// predicted volumes (predicted_volume_).
   std::uint32_t shard_for(ObjectId id, std::uint64_t size) const {
     return RouteToShard(options_.routing, shard_count(), id, size);
   }
 
   /// Quiesced-read accessors (Flush first; see the class contract).
   const Reallocator& shard(std::uint32_t index) const {
-    return *shards_[index].inner;
+    return engine_.shard(index);
   }
   const SubSpaceView& shard_view(std::uint32_t index) const {
-    return *shards_[index].view;
+    return engine_.shard_view(index);
   }
   const AddressSpace& shard_space(std::uint32_t index) const {
-    return *shards_[index].space;
+    return *roots_[index];
   }
   /// Shard `index`'s CheckpointManager (nullptr for unmanaged algorithms).
   /// Mutating it (e.g. SetCheckpointHook) must happen before the first
   /// Insert/Delete submission, like AddShardListener; hooks then fire on
   /// the shard's owning worker thread.
   CheckpointManager* shard_manager(std::uint32_t index) const {
-    return shards_[index].manager.get();
+    return engine_.shard_manager(index);
   }
   /// Any-time read: the shard's accumulator block.
   const ShardCounters& counters(std::uint32_t index) const {
-    return counters_[index];
+    return engine_.counters(index);
   }
 
  private:
-  enum class OpKind : std::uint8_t {
-    kInsert,
-    kDelete,
-    kQuiesce,
-    kCheckpoint,
-    kSnapshot,
-    /// A migrated object arriving on its destination shard. Pushed by the
-    /// SOURCE shard's owner onto the destination shard's queue
-    /// (capacity-exempt) under routing_mu_, so it is ordered before any
-    /// later-submitted op for the same id (which must route through the
-    /// already-repointed map).
-    kMigrateIn,
-  };
-
+  /// One queued op. The queue it sits on names its shard.
   struct Item {
-    OpKind kind = OpKind::kInsert;
-    std::uint32_t shard = 0;
-    ObjectId id = kInvalidObjectId;
-    std::uint64_t size = 0;
-    /// Insert/delete only: MonotonicNanos() at submit time, taken BEFORE
-    /// any routing or backpressure wait, so the recorded queue-wait
-    /// includes producer-side admission stalls (SubmitMany stamps once
-    /// per batch). Zero for internal markers, which are never tracked.
-    std::uint64_t submit_ns = 0;
+    ShardOp op;
     std::shared_ptr<OpToken> token;  // null for fire-and-forget
-    /// kSnapshot only: where the owning worker writes the shard's stats
-    /// and its private root's global footprint. Must outlive the op
-    /// (Stats() waits on the token before reading).
-    ShardStats::PerShard* snapshot_out = nullptr;
-    std::uint64_t* max_end_out = nullptr;
-  };
-
-  struct Shard {
-    std::unique_ptr<AddressSpace> space;  // private root, based coordinates
-    std::unique_ptr<CheckpointManager> manager;  // managed algorithms only
-    std::unique_ptr<SubSpaceView> view;
-    std::unique_ptr<Reallocator> inner;
-    /// The shard's durability log (hub-owned; null without a hub). Read
-    /// only by the owning worker (the kSnapshot marker surfaces its sync
-    /// counters into Stats() race-free).
-    class MoveLog* log = nullptr;
-    std::uint32_t worker = 0;
-    /// The shard's FIFO: every op for the shard — requests, markers,
-    /// migrations — is pushed here as a batch; only the owning worker
-    /// takes. Behind a pointer only because the atomic head would
-    /// otherwise pin Shard as immovable; allocated once in Make, never
-    /// null afterwards.
-    std::unique_ptr<RemoteQueue<std::vector<Item>>> remote;
   };
 
   /// One worker: its shards' drain loop plus the in-flight accounting.
@@ -362,16 +307,16 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::vector<std::uint32_t> owned_shards;
     std::thread thread;
     /// Rebalance pacing (worker thread only): drain cycles since the last
-    /// scan, and each shard's op total at the previous scan (op-rate
-    /// deltas for RebalanceOptions::hot_op_ratio).
+    /// scan, each shard's op total at the previous scan (op-rate deltas
+    /// for RebalanceOptions::hot_op_ratio), and the scan's victim buffer.
     std::uint64_t drain_cycles = 0;
     std::vector<std::uint64_t> last_ops;
+    std::vector<std::pair<ObjectId, Extent>> victims;
   };
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
-  static Item MakeItem(const Request& op, std::uint32_t shard,
-                       std::uint64_t submit_ns,
+  static Item MakeItem(const Request& op, std::uint64_t submit_ns,
                        std::shared_ptr<OpToken> token);
   /// The one submission path behind every public submit: `tokens` is
   /// null or holds `count` position-matched tokens; `may_drop` lets a
@@ -400,8 +345,11 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// leading items actually reached the queue.
   Status Deliver(std::uint32_t shard, std::vector<Item> items, bool may_drop,
                  std::size_t* delivered);
-  /// Delivers one internal marker; markers never drop.
-  void SubmitMarker(Item item);
+  /// Drains, runs a `kind` marker on every shard, and drains again.
+  void MarkEveryShard(ShardOpKind kind);
+  /// Delivers one internal marker op to `shard`; markers never drop.
+  void SubmitMarker(std::uint32_t shard, ShardOp op,
+                    std::shared_ptr<OpToken> token = nullptr);
   /// Pushes `items` onto `shard`'s queue, waking its worker if the queue
   /// was empty. The caller has already counted them in `submitted`.
   void Push(std::uint32_t shard, std::vector<Item> items);
@@ -410,42 +358,34 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::size_t Reserve(Worker& worker, std::size_t want) const;
   bool HasRoom(const Worker& worker) const;
   Worker& WorkerOf(std::uint32_t shard) {
-    return *workers_[shards_[shard].worker];
+    return *workers_[shard_worker_[shard]];
   }
   void RecordDrop(std::uint32_t shard, std::uint64_t count,
                   const Status& status);
   void WorkerLoop(Worker& worker);
-  void ExecuteItem(const Item& item);
-  /// ExecuteItem plus latency accounting for tracked (insert/delete)
-  /// items: `start_ns` is when this item's execution began on the worker
-  /// (queue-wait = start - submit stamp; service = the inner call alone).
-  /// Returns the post-execution clock so the drain loop chains one
-  /// MonotonicNanos() call per op instead of two.
-  std::uint64_t ExecuteTimed(const Item& item, std::uint64_t start_ns);
-  /// The live routing decision for a map-kept insert; routing_mu_ held.
-  /// kLeastLoaded routes to the shard with the lowest predicted volume
-  /// (deterministic in submission order — independent of worker timing);
-  /// every other policy defers to shard_for.
-  std::uint32_t RouteInsertLocked(ObjectId id, std::uint64_t size) const;
-  /// One background rebalance scan (worker thread): plan over the relaxed
-  /// footprint gauges, and when `worker` owns the hot shard, migrate a
-  /// bounded victim batch to the cold shard. See the .cc for the safety
-  /// argument (the pending-ops gate under routing_mu_).
+  /// One background rebalance scan (worker thread): the engine plans over
+  /// the relaxed footprint gauges, and when `worker` owns the hot shard
+  /// the victims migrate out under routing_mu_ and arrive as one
+  /// kMigrateIn batch on the cold shard's queue. See the .cc for the
+  /// safety argument (the pending-ops gate).
   void MaybeRebalance(Worker& worker);
 
   Options options_;
-  std::vector<Shard> shards_;
-  std::vector<ShardCounters> counters_;  // parallel to shards_
-  /// Per-shard latency histograms (parallel to shards_), written only by
-  /// the owning worker inside ExecuteTimed — the ShardCounters
-  /// single-writer discipline — and surfaced through the Stats() snapshot
-  /// marker so the merged read is race-free.
-  std::vector<ShardLatencyRecorders> latency_;
+  /// Private roots, one per shard. Declared before engine_ so the shards'
+  /// views and reallocators are destroyed first.
+  std::vector<std::unique_ptr<AddressSpace>> roots_;
+  ShardEngine engine_;
+  /// Per shard: its FIFO, and the index of the worker that owns it. Every
+  /// op for the shard — requests, markers, migrations — is pushed onto
+  /// the queue as a batch; only the owning worker takes.
+  std::vector<std::unique_ptr<RemoteQueue<std::vector<Item>>>> queues_;
+  std::vector<std::uint32_t> shard_worker_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   /// Map-keeping modes only (size-class or least-loaded routing, or
-  /// rebalance enabled): id -> shard, maintained at submit time (deletes
-  /// cannot re-derive their shard; migrated ids' hashes are stale).
+  /// rebalance enabled): the engine's id -> shard map is maintained at
+  /// submit time (deletes cannot re-derive their shard; migrated ids'
+  /// hashes are stale).
   /// routing_mu_ — the one producer-side serialization point, and only
   /// for these modes — covers each op's map update, its in-flight
   /// reservation and its lock-free push, but never a wait: when the
@@ -457,13 +397,11 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// the invariant that makes the map exact. Migrations push under the
   /// same lock, so they order the same way.
   std::mutex routing_mu_;
-  IdPlacementMap placement_;
-  bool needs_routing_map_ = false;
   /// kLeastLoaded only, guarded by routing_mu_: each shard's predicted
   /// live volume (sum of the sizes routed there minus the sizes deleted/
-  /// migrated away) — the submit-time load signal RouteInsertLocked
-  /// minimizes — plus the live objects' sizes (deletes must give their
-  /// volume back).
+  /// migrated away) — the submit-time load signal the engine's
+  /// least-loaded routing minimizes — plus the live objects' sizes
+  /// (deletes must give their volume back).
   std::vector<std::uint64_t> predicted_volume_;
   std::unordered_map<ObjectId, std::uint64_t> sizes_;
   /// Map-keeping modes only, guarded by routing_mu_: per-shard count of

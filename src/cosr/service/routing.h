@@ -9,7 +9,8 @@
 
 namespace cosr {
 
-/// How a ShardedReallocator assigns an incoming object to a shard.
+/// How ShardEngine (and so both sharded facades) assigns an incoming
+/// object to a shard.
 enum class RoutingPolicy {
   /// Uniform spray: shard = mix(id) mod K. Balances object count and (for
   /// size-independent workloads) volume; every shard sees the full size
@@ -21,12 +22,13 @@ enum class RoutingPolicy {
   /// Sheffield 2024; Jin 2026): per-size-class sub-problems whose costs
   /// add.
   kSizeClass,
-  /// Load-aware: route each insert to the shard with the lowest current
-  /// load score (frontier / reserved footprint, plus a queue-depth penalty
-  /// on the concurrent facade). Not a pure function of (id, size) — the
-  /// facades consult live ShardStats and keep an id -> shard placement map
-  /// so deletes still resolve. This is what keeps skewed (multi-tenant,
-  /// Zipf) workloads from concentrating footprint on one hot shard.
+  /// Load-aware: route each insert to the shard with the lowest live
+  /// volume in the driver's load vector (the inline facade's volume
+  /// gauges; the concurrent facade's submit-time predicted volumes). Not
+  /// a pure function of (id, size), so the engine keeps an id -> shard
+  /// placement map and deletes still resolve. This is what keeps skewed
+  /// (multi-tenant, Zipf) workloads from concentrating footprint on one
+  /// hot shard.
   kLeastLoaded,
 };
 
@@ -40,16 +42,16 @@ inline bool RoutingNeedsPlacementMap(RoutingPolicy routing) {
   return routing != RoutingPolicy::kHashId;
 }
 
-/// The kLeastLoaded argmin, shared by both facades and their tests: the
-/// index of the smallest load score, lowest index winning ties (so the
-/// choice is deterministic given the scores). `loads` must be non-empty.
+/// The kLeastLoaded argmin behind ShardEngine::Route: the index of the
+/// smallest load score, lowest index winning ties (so the choice is
+/// deterministic given the scores). `loads` must be non-empty.
 std::uint32_t LeastLoadedShard(const std::vector<std::uint64_t>& loads);
 
-/// The static routing function, shared by the facades and their tests:
+/// The static routing function, shared by the engine and the tests:
 /// which of `shard_count` shards an (id, size) insert goes to.
 /// Thread-safe: pure function of its arguments. kLeastLoaded falls back to
 /// the hash spray here — its real decision needs live load scores, which
-/// only the owning facade has (it calls LeastLoadedShard instead).
+/// only the driver has (ShardEngine::Route takes them).
 std::uint32_t RouteToShard(RoutingPolicy routing, std::uint32_t shard_count,
                            ObjectId id, std::uint64_t size);
 

@@ -1,0 +1,330 @@
+#include "cosr/service/shard_engine.h"
+
+#include <algorithm>
+
+#include "cosr/common/check.h"
+#include "cosr/durability/durability_hub.h"
+#include "cosr/durability/move_log.h"
+#include "cosr/metrics/latency_histogram.h"
+#include "cosr/realloc/factory.h"
+
+namespace cosr {
+
+/// The inline driver's log adapter: the one listener on the shared parent,
+/// handing each storage event to the log of the shard whose op is
+/// executing. Every event an op causes lies in that shard's sub-range, so
+/// whole OnMoves batches forward unfiltered. Events outside any op belong
+/// to no shard and are dropped. Checkpoint records flow through each
+/// shard's own CheckpointManager instead (the parent's OnCheckpoint
+/// fan-out carries no per-shard sequence number).
+class ShardEngine::ExecutingShardLog final : public SpaceListener {
+ public:
+  void OnPlace(ObjectId id, const Extent& extent) override {
+    if (target != nullptr) target->OnPlace(id, extent);
+  }
+  void OnMove(ObjectId id, const Extent& from, const Extent& to) override {
+    if (target != nullptr) target->OnMove(id, from, to);
+  }
+  void OnMoves(const MoveRecord* records, std::size_t count) override {
+    if (target != nullptr) target->OnMoves(records, count);
+  }
+  void OnRemove(ObjectId id, const Extent& extent) override {
+    if (target != nullptr) target->OnRemove(id, extent);
+  }
+
+  MoveLog* target = nullptr;
+};
+
+ShardEngine::ShardEngine() = default;
+
+ShardEngine::~ShardEngine() {
+  if (log_forwarder_ != nullptr) {
+    shards_.front().root->RemoveListener(log_forwarder_.get());
+  }
+}
+
+Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
+                         Mode mode, const std::vector<Space*>& roots) {
+  const std::uint32_t shard_count = options.shard_count;
+  if (shard_count == 0) {
+    return Status::InvalidArgument("shard_count must be >= 1");
+  }
+  if (options.subrange_span == 0 ||
+      options.subrange_span > ~std::uint64_t{0} / shard_count) {
+    return Status::InvalidArgument("subrange_span degenerate for K shards");
+  }
+  COSR_CHECK_EQ(roots.size(), mode == Mode::kInline ? 1u : shard_count);
+  for (Space* root : roots) {
+    COSR_CHECK(root != nullptr);
+    if (root->checkpoint_manager() != nullptr) {
+      return Status::FailedPrecondition(
+          "sharded parent space must not carry a CheckpointManager; each "
+          "shard scopes its own");
+    }
+  }
+  DurabilityHub* durability = spec.durability;
+  if (durability != nullptr &&
+      !AlgorithmNeedsCheckpointManager(spec.algorithm)) {
+    return Status::FailedPrecondition(
+        "durability requires a checkpoint-managed algorithm "
+        "(checkpointed/deamortized); " +
+        spec.algorithm + " never checkpoints, so its log would have "
+        "no recoverable prefix");
+  }
+  if (options.rebalance && AlgorithmInsertCanFailOnFreshId(spec.algorithm)) {
+    return Status::FailedPrecondition(
+        spec.algorithm +
+        " inserts can fail on a fresh id, and a migration's destination "
+        "insert must not fail; rebalance needs another algorithm");
+  }
+
+  ReallocatorSpec inner_spec = spec;
+  inner_spec.shard_count = 1;  // the engine is the only sharding layer
+  inner_spec.worker_threads = 0;
+  inner_spec.durability = nullptr;  // per-shard wiring happens here
+
+  options_ = options;
+  mode_ = mode;
+  keeps_map_ = RoutingNeedsPlacementMap(options.routing) || options.rebalance;
+  counters_ = std::vector<ShardCounters>(shard_count);
+  latency_ = std::vector<ShardLatencyRecorders>(shard_count);
+  shards_.reserve(shard_count);
+  for (std::uint32_t i = 0; i < shard_count; ++i) {
+    Shard shard;
+    shard.root = roots[mode == Mode::kInline ? 0 : i];
+    if (AlgorithmNeedsCheckpointManager(inner_spec.algorithm)) {
+      shard.manager = std::make_unique<CheckpointManager>();
+    }
+    shard.view = std::make_unique<SubSpaceView>(
+        shard.root, std::uint64_t{i} * options.subrange_span,
+        options.subrange_span, shard.manager.get());
+    COSR_RETURN_IF_ERROR(
+        MakeReallocator(inner_spec, shard.view.get(), &shard.inner));
+    if (durability != nullptr) {
+      shard.log = durability->LogForShard(i);
+      shard.manager->AttachDurabilityLog(shard.log);
+      // A private root sees only its own shard's events, so its log
+      // attaches directly; the shared parent gets the forwarder below.
+      if (mode == Mode::kThreaded) shard.root->AddListener(shard.log);
+    }
+    shards_.push_back(std::move(shard));
+  }
+  if (durability != nullptr && mode == Mode::kInline) {
+    log_forwarder_ = std::make_unique<ExecutingShardLog>();
+    roots.front()->AddListener(log_forwarder_.get());
+  }
+  return Status::Ok();
+}
+
+std::uint32_t ShardEngine::Route(
+    ObjectId id, std::uint64_t size,
+    const std::vector<std::uint64_t>& loads) const {
+  if (options_.routing == RoutingPolicy::kLeastLoaded && shard_count() > 1) {
+    return LeastLoadedShard(loads);
+  }
+  return RouteToShard(options_.routing, shard_count(), id, size);
+}
+
+void ShardEngine::SelectLog(MoveLog* log) {
+  if (log_forwarder_ != nullptr) log_forwarder_->target = log;
+}
+
+std::uint64_t ShardEngine::Execute(std::uint32_t index, const ShardOp& op,
+                                   std::uint64_t start_ns, Status* status) {
+  Shard& shard = shards_[index];
+  ShardCounters& counters = counters_[index];
+  SelectLog(shard.log);
+  switch (op.kind) {
+    case ShardOpKind::kInsert:
+      *status = shard.inner->Insert(op.id, op.size);
+      counters.RecordOp(/*is_insert=*/true, status->ok(),
+                        shard.inner->volume(),
+                        shard.inner->reserved_footprint());
+      break;
+    case ShardOpKind::kDelete:
+      *status = shard.inner->Delete(op.id);
+      counters.RecordOp(/*is_insert=*/false, status->ok(),
+                        shard.inner->volume(),
+                        shard.inner->reserved_footprint());
+      break;
+    case ShardOpKind::kQuiesce:
+      shard.inner->Quiesce();
+      counters.RefreshGauges(shard.inner->volume(),
+                             shard.inner->reserved_footprint());
+      break;
+    case ShardOpKind::kCheckpoint:
+      if (shard.manager != nullptr) shard.view->Checkpoint();
+      break;
+    case ShardOpKind::kMigrateIn:
+      // Cannot fail: Init rejects rebalancing over algorithms whose
+      // inserts can fail on a fresh id. The place journals on this shard's
+      // log like any other insert.
+      COSR_CHECK_OK(shard.inner->Insert(op.id, op.size));
+      counters.RecordMigrateIn(shard.inner->volume(),
+                               shard.inner->reserved_footprint());
+      break;
+    case ShardOpKind::kSnapshot:
+      *op.snapshot_out = Snapshot(index);
+      break;
+  }
+  SelectLog(nullptr);
+  const std::uint64_t end_ns = MonotonicNanos();
+  // Only requests feed the latency histograms: internal ops have no
+  // submitter waiting on them, and excluding them keeps
+  // `latency count == ops` an exact identity.
+  if (op.kind != ShardOpKind::kInsert && op.kind != ShardOpKind::kDelete) {
+    return end_ns;
+  }
+  ShardLatencyRecorders& latency = latency_[index];
+  latency.service.Record(SaturatingElapsed(end_ns, start_ns));
+  if (mode_ == Mode::kThreaded) {
+    latency.queue_wait.Record(SaturatingElapsed(start_ns, op.submit_ns));
+    latency.total.Record(SaturatingElapsed(end_ns, op.submit_ns));
+  }
+  return end_ns;
+}
+
+RebalancePlan ShardEngine::PlanScan(
+    std::vector<std::uint64_t>* last_ops,
+    const std::vector<std::uint32_t>* owned,
+    std::vector<std::pair<ObjectId, Extent>>* victims) {
+  victims->clear();
+  // The footprint gauges are exact for the caller's own shards (it wrote
+  // them) and, on the threaded driver, at most one op stale for the rest —
+  // fine for a heuristic that re-runs every check_interval.
+  last_ops->resize(shard_count(), 0);
+  std::vector<ShardLoad> loads(shard_count());
+  for (std::uint32_t i = 0; i < shard_count(); ++i) {
+    loads[i].footprint =
+        counters_[i].reserved_footprint.load(std::memory_order_relaxed);
+    const std::uint64_t ops = counters_[i].ops.load(std::memory_order_relaxed);
+    loads[i].ops = ops - (*last_ops)[i];
+    (*last_ops)[i] = ops;
+  }
+  const RebalancePlan plan = PlanRebalance(loads, options_.rebalance_options);
+  if (!plan.has_move) return plan;
+  // Only the hot shard's owner drains it: the source deletes touch state
+  // that belongs to exactly one thread.
+  if (owned != nullptr &&
+      std::find(owned->begin(), owned->end(), plan.hot) == owned->end()) {
+    return plan;
+  }
+  const Shard& hot = shards_[plan.hot];
+  if (!hot.inner->DeletesDetachImmediately()) return plan;
+  *victims = SelectRebalanceVictims(
+      hot.view->Snapshot(), options_.rebalance_options,
+      hot.inner->reserved_footprint(), loads[plan.cold].footprint,
+      plan.target_footprint);
+  return plan;
+}
+
+std::size_t ShardEngine::MigrateOut(
+    const RebalancePlan& plan,
+    const std::vector<std::pair<ObjectId, Extent>>& victims) {
+  Shard& hot = shards_[plan.hot];
+  SelectLog(hot.log);
+  std::size_t moved = 0;
+  for (; moved < victims.size(); ++moved) {
+    // Re-checked per victim: the previous delete may itself have started
+    // a deferred flush. A deferred remove would leave the id placed while
+    // the destination re-places it, and would journal the remove after
+    // the destination's place — breaking the remove-before-place order
+    // crash recovery leans on.
+    if (!hot.inner->DeletesDetachImmediately()) break;
+    const auto& [id, extent] = victims[moved];
+    COSR_CHECK_OK(hot.inner->Delete(id));
+    counters_[plan.hot].RecordMigrateOut(extent.length, hot.inner->volume(),
+                                         hot.inner->reserved_footprint());
+    placement_.Reassign(id, plan.hot, plan.cold);
+  }
+  SelectLog(nullptr);
+  return moved;
+}
+
+ShardSnapshot ShardEngine::Snapshot(std::uint32_t index) const {
+  const Shard& shard = shards_[index];
+  const ShardCountersSnapshot counters = ReadShardCounters(counters_[index]);
+  const ShardLatencyRecorders& latency = latency_[index];
+  ShardSnapshot snapshot;
+  ShardStats::PerShard& per = snapshot.per;
+  per.base = shard.view->base();
+  per.objects = shard.view->object_count();
+  per.volume = shard.view->live_volume();
+  per.reserved_footprint = shard.inner->reserved_footprint();
+  per.space_footprint = shard.view->footprint();
+  per.checkpoints =
+      shard.manager != nullptr ? shard.manager->checkpoint_count() : 0;
+  if (shard.log != nullptr) {
+    // The owner reading its own shard's sink: single-writer, race-free.
+    const LogSink& sink = *shard.log->sink();
+    per.log_syncs = sink.sync_count();
+    per.log_compactions = shard.log->compactions();
+    per.sync_wall_seconds = sink.sync_wall_seconds();
+    per.max_sync_stall_seconds = sink.max_sync_stall_seconds();
+  }
+  per.ops = counters.ops;
+  per.failed_ops = counters.failed_ops;
+  per.peak_reserved_footprint = counters.peak_reserved_footprint;
+  per.remote_batches = counters.remote_batches;
+  per.batched_ops = counters.batched_ops;
+  per.migrations = counters.migrations;
+  per.migrated_bytes = counters.migrated_bytes;
+  per.migrations_in = counters.migrations_in;
+  // Read on the owner, so no request can be mid-record: the histograms
+  // agree with `ops` above.
+  per.latency_service = latency.service.Snapshot();
+  per.latency_queue_wait = latency.queue_wait.Snapshot();
+  // Inline ops never queue: their total latency is the service time.
+  per.latency_total = mode_ == Mode::kInline ? per.latency_service
+                                             : latency.total.Snapshot();
+  snapshot.root_footprint = shard.root->footprint();
+  return snapshot;
+}
+
+ShardStats ShardEngine::MergeStats(
+    const std::vector<ShardSnapshot>& snapshots) {
+  ShardStats stats;
+  stats.shards.reserve(snapshots.size());
+  for (const ShardSnapshot& snapshot : snapshots) {
+    const ShardStats::PerShard& per = snapshot.per;
+    stats.volume += per.volume;
+    stats.dropped_ops += per.dropped_ops;
+    stats.sum_reserved_footprint += per.reserved_footprint;
+    stats.sum_subrange_footprint += per.space_footprint;
+    stats.max_shard_end = std::max(stats.max_shard_end, per.space_footprint);
+    // Roots hold global coordinates, so the max of their footprints is
+    // the one shared parent's literal footprint in both modes.
+    stats.global_max_end =
+        std::max(stats.global_max_end, snapshot.root_footprint);
+    stats.migrations += per.migrations;
+    stats.migrated_bytes += per.migrated_bytes;
+    stats.log_syncs += per.log_syncs;
+    stats.log_compactions += per.log_compactions;
+    stats.sync_wall_seconds += per.sync_wall_seconds;
+    stats.max_sync_stall_seconds =
+        std::max(stats.max_sync_stall_seconds, per.max_sync_stall_seconds);
+    stats.latency_total.MergeFrom(per.latency_total);
+    stats.latency_queue_wait.MergeFrom(per.latency_queue_wait);
+    stats.latency_service.MergeFrom(per.latency_service);
+    stats.shards.push_back(per);
+  }
+  return stats;
+}
+
+std::uint64_t ShardEngine::reserved_footprint() const {
+  std::uint64_t sum = 0;
+  for (const ShardCounters& c : counters_) {
+    sum += c.reserved_footprint.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+std::uint64_t ShardEngine::volume() const {
+  std::uint64_t sum = 0;
+  for (const ShardCounters& c : counters_) {
+    sum += c.volume.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+}  // namespace cosr

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cosr/common/check.h"
-
 namespace cosr {
 
 RebalancePlan PlanRebalance(const std::vector<ShardLoad>& loads,
@@ -100,58 +98,6 @@ std::vector<std::pair<ObjectId, Extent>> SelectRebalanceVictims(
     projected_dst += length;
   }
   return victims;
-}
-
-ShardRebalancer::ShardRebalancer(ShardedReallocator* facade,
-                                 const RebalanceOptions& options)
-    : facade_(facade), options_(options) {
-  COSR_CHECK(facade != nullptr);
-  // A non-migratable facade cannot resolve a migrated id again; requiring
-  // it up front turns a silent no-op rebalancer into a build error.
-  COSR_CHECK(facade->migratable());
-  last_ops_.assign(facade->shard_count(), 0);
-}
-
-RebalanceStepReport ShardRebalancer::Step() {
-  RebalanceStepReport report;
-  const std::uint32_t shard_count = facade_->shard_count();
-  if (shard_count < 2) return report;
-
-  std::vector<ShardLoad> loads(shard_count);
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    loads[i].footprint = facade_->shard(i).reserved_footprint();
-  }
-  if (options_.hot_op_ratio > 0.0) {
-    const ShardStats stats = facade_->Stats();
-    for (std::uint32_t i = 0; i < shard_count; ++i) {
-      const std::uint64_t total = stats.shards[i].ops;
-      loads[i].ops = total - last_ops_[i];
-      last_ops_[i] = total;
-    }
-  }
-
-  const RebalancePlan plan = PlanRebalance(loads, options_);
-  if (!plan.has_move) return report;
-  report.hot_shard = plan.hot;
-  report.cold_shard = plan.cold;
-
-  const std::vector<std::pair<ObjectId, Extent>> victims =
-      SelectRebalanceVictims(facade_->shard_view(plan.hot).Snapshot(),
-                             options_, loads[plan.hot].footprint,
-                             loads[plan.cold].footprint,
-                             plan.target_footprint);
-  for (const std::pair<ObjectId, Extent>& victim : victims) {
-    // A destination-insert failure (an algorithm whose Insert can fail on a
-    // fresh id, e.g. pma at capacity) rolls back inside MigrateObject;
-    // stop the batch and let the next scan retry with fresh loads.
-    if (!facade_->MigrateObject(victim.first, plan.cold).ok()) break;
-    ++report.migrations;
-    report.migrated_bytes += victim.second.length;
-  }
-  report.acted = report.migrations > 0;
-  total_migrations_ += report.migrations;
-  total_migrated_bytes_ += report.migrated_bytes;
-  return report;
 }
 
 }  // namespace cosr

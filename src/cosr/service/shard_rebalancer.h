@@ -7,14 +7,12 @@
 #include <vector>
 
 #include "cosr/common/types.h"
-#include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/extent.h"
 
 namespace cosr {
 
-/// Knobs for hot-shard detection and migration batching, shared by the
-/// synchronous rebalancer below and the concurrent facade's background
-/// (worker-driven) rebalancing.
+/// Knobs for hot-shard detection and migration batching: the rebalance
+/// scan ShardEngine runs for both sharded facades (Options::rebalance).
 struct RebalanceOptions {
   /// A shard is footprint-hot when its reserved frontier exceeds this
   /// multiple of the mean frontier across shards.
@@ -27,13 +25,14 @@ struct RebalanceOptions {
   /// Shards below this frontier are never declared hot (tiny structures
   /// carry unavoidable constant-size overheads; migrating them is noise).
   std::uint64_t min_shard_footprint = 1u << 12;
-  /// Per-step migration budget: at most this many objects / bytes move in
-  /// one Step (one background scan on the concurrent facade), bounding the
-  /// latency the rebalancer can add between queue drains.
+  /// Per-scan migration budget: at most this many objects / bytes move in
+  /// one scan, bounding the latency a scan can add to the request (inline
+  /// facade) or drain cycle (concurrent facade) it follows.
   std::size_t max_batch_objects = 32;
   std::uint64_t max_batch_bytes = 1u << 16;
-  /// Concurrent facade only: a worker scans its owned shards every this
-  /// many drain cycles that executed requests.
+  /// Scan cadence: one scan after every this many requests on the inline
+  /// facade, and after every this many drain cycles that executed
+  /// requests on each worker of the concurrent facade.
   std::uint32_t check_interval = 16;
 };
 
@@ -71,45 +70,6 @@ std::vector<std::pair<ObjectId, Extent>> SelectRebalanceVictims(
     std::vector<std::pair<ObjectId, Extent>> objects,
     const RebalanceOptions& options, std::uint64_t src_footprint,
     std::uint64_t dst_footprint, std::uint64_t target_footprint);
-
-struct RebalanceStepReport {
-  bool acted = false;
-  std::uint32_t hot_shard = 0;
-  std::uint32_t cold_shard = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t migrated_bytes = 0;
-};
-
-/// The synchronous rebalancer for the single-threaded facade: each Step()
-/// scans the shards' live frontiers, and when one is hot drains a bounded
-/// batch of its frontier objects to the coldest shard through
-/// ShardedReallocator::MigrateObject (so every migration rides the normal
-/// per-shard checkpoint/durability machinery). Call it between requests at
-/// whatever cadence suits the workload — each step is O(K) when balanced
-/// and O(batch) when not.
-///
-/// Thread-compatible, same owner thread as the facade. The facade must be
-/// migratable() (map-keeping routing or Options::allow_migration;
-/// CHECK-enforced). K=1 facades are always balanced: Step is a no-op and
-/// the zero-cost-wrapper identity is preserved.
-class ShardRebalancer {
- public:
-  ShardRebalancer(ShardedReallocator* facade, const RebalanceOptions& options);
-
-  /// One scan-and-drain pass; see the class comment.
-  RebalanceStepReport Step();
-
-  std::uint64_t total_migrations() const { return total_migrations_; }
-  std::uint64_t total_migrated_bytes() const { return total_migrated_bytes_; }
-
- private:
-  ShardedReallocator* facade_;
-  RebalanceOptions options_;
-  /// Per-shard op totals at the previous scan (op-rate deltas).
-  std::vector<std::uint64_t> last_ops_;
-  std::uint64_t total_migrations_ = 0;
-  std::uint64_t total_migrated_bytes_ = 0;
-};
 
 }  // namespace cosr
 

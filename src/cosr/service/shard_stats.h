@@ -40,14 +40,16 @@ struct ShardStats {
     std::uint64_t log_compactions = 0;
     double sync_wall_seconds = 0.0;
     double max_sync_stall_seconds = 0.0;
-    /// Request-level counters (concurrent facade only; zero elsewhere).
+    /// Request-level counters, both facades: inserts/deletes the shard
+    /// executed, and those its reallocator rejected. Requests a
+    /// map-keeping facade rejects before any shard runs count nowhere.
     std::uint64_t ops = 0;
     std::uint64_t failed_ops = 0;
     /// Fire-and-forget submissions dropped by the bounded-retry overflow
     /// policy (concurrent facade with submit_max_retries > 0 only).
     std::uint64_t dropped_ops = 0;
     /// Peak of the shard's reserved footprint over its own op stream
-    /// (concurrent facade only; zero elsewhere).
+    /// (both facades).
     std::uint64_t peak_reserved_footprint = 0;
     /// Batched-submission accounting (concurrent facade only): remote
     /// batches carrying requests that the owning worker drained from this
@@ -119,8 +121,8 @@ struct ShardStats {
   LatencyHistogramSnapshot latency_service;
 };
 
-/// One shard's wall-clock latency recorders, grouped so the facades can
-/// keep a vector parallel to their shards. Single-writer like
+/// One shard's wall-clock latency recorders, grouped so ShardEngine can
+/// keep a vector parallel to its shards. Single-writer like
 /// ShardCounters: only the shard's owner records; any thread may snapshot.
 struct ShardLatencyRecorders {
   LatencyHistogram total;
@@ -132,9 +134,10 @@ struct ShardLatencyRecorders {
 /// cache line so K shards never false-share.
 ///
 /// Thread-safe under the single-writer discipline: exactly one thread (the
-/// shard's owner — its worker thread in the concurrent facade) writes,
-/// with relaxed stores; any thread may read at any time and sees a
-/// consistent monotone history per field. Cross-field consistency (e.g.
+/// shard's owner — the caller on the inline facade, its worker thread on
+/// the concurrent one) writes, with relaxed stores; any thread may read at
+/// any time and sees a consistent monotone history per field.
+/// Cross-field consistency (e.g.
 /// `volume` against `reserved_footprint`) is only guaranteed after a drain
 /// barrier (ConcurrentShardedReallocator::Flush) establishes
 /// happens-before; mid-run merges are per-field-exact running totals.
@@ -160,30 +163,38 @@ struct alignas(64) ShardCounters {
   std::atomic<std::uint64_t> migrated_bytes{0};
   std::atomic<std::uint64_t> migrations_in{0};
 
-  /// Owner-thread helper: account one drained remote batch of `ops` ops.
+  /// The helpers below are the writers. Each block has exactly one
+  /// writing thread — its shard's owner (the source owner for
+  /// RecordMigrateOut, the destination owner for RecordMigrateIn) — so an
+  /// increment is a relaxed load + store, not a lock-prefixed
+  /// read-modify-write; readers on other threads still see each field's
+  /// monotone history race-free. Calling them from a second thread loses
+  /// updates.
+
+  /// Account one drained remote batch of `batch_ops` ops.
   void RecordRemoteBatch(std::uint64_t batch_ops) {
-    remote_batches.fetch_add(1, std::memory_order_relaxed);
-    batched_ops.fetch_add(batch_ops, std::memory_order_relaxed);
+    Bump(remote_batches, 1);
+    Bump(batched_ops, batch_ops);
   }
 
   /// Source-shard owner: one object of `bytes` migrated out; refresh the
   /// gauges with the post-delete state.
   void RecordMigrateOut(std::uint64_t bytes, std::uint64_t new_volume,
                         std::uint64_t new_reserved) {
-    migrations.fetch_add(1, std::memory_order_relaxed);
-    migrated_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    Bump(migrations, 1);
+    Bump(migrated_bytes, bytes);
     RefreshGauges(new_volume, new_reserved);
   }
 
   /// Destination-shard owner: one object arrived; refresh the gauges with
   /// the post-insert state.
   void RecordMigrateIn(std::uint64_t new_volume, std::uint64_t new_reserved) {
-    migrations_in.fetch_add(1, std::memory_order_relaxed);
+    Bump(migrations_in, 1);
     RefreshGauges(new_volume, new_reserved);
   }
 
-  /// Owner-thread helper: refresh the footprint/volume gauges (and the
-  /// running peak) after the shard's state changed.
+  /// Refresh the footprint/volume gauges (and the running peak) after the
+  /// shard's state changed.
   void RefreshGauges(std::uint64_t new_volume, std::uint64_t new_reserved) {
     volume.store(new_volume, std::memory_order_relaxed);
     reserved_footprint.store(new_reserved, std::memory_order_relaxed);
@@ -193,18 +204,20 @@ struct alignas(64) ShardCounters {
     }
   }
 
-  /// Owner-thread helper: bump the op counters and refresh the footprint
-  /// gauges after one executed request.
+  /// Bump the op counters and refresh the footprint gauges after one
+  /// executed request.
   void RecordOp(bool is_insert, bool ok, std::uint64_t new_volume,
                 std::uint64_t new_reserved) {
-    ops.fetch_add(1, std::memory_order_relaxed);
-    if (is_insert) {
-      inserts.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      deletes.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!ok) failed_ops.fetch_add(1, std::memory_order_relaxed);
+    Bump(ops, 1);
+    Bump(is_insert ? inserts : deletes, 1);
+    if (!ok) Bump(failed_ops, 1);
     RefreshGauges(new_volume, new_reserved);
+  }
+
+ private:
+  static void Bump(std::atomic<std::uint64_t>& field, std::uint64_t by) {
+    field.store(field.load(std::memory_order_relaxed) + by,
+                std::memory_order_relaxed);
   }
 };
 

@@ -52,8 +52,8 @@ class SpaceListener {
 ///     root of every object hierarchy;
 ///   * SubSpaceView (service layer) — an offset-translated window onto a
 ///     disjoint sub-range of a parent Space, giving each shard of a
-///     ShardedReallocator its own private zero-based address space inside
-///     one shared global one.
+///     ShardEngine its own zero-based address space inside a shared
+///     parent (inline facade) or a private root (concurrent facade).
 ///
 /// Reallocators hold a Space* and never need to know which one they got;
 /// the K=1 sharding differential test (tests/sharded_reallocator_test.cc)

@@ -1,16 +1,26 @@
 // Unit tests of the durability tier's logging half: record framing
 // (encode/parse roundtrips, torn-tail and corruption detection), the
-// LogSink crash-surface contract, the MoveLog listener, and the
-// RangeScopedListener shard filter.
+// LogSink crash-surface contract, the MoveLog listener, and the per-shard
+// log wiring of the two sharded facades (shared parent vs private roots).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "cosr/durability/durability_hub.h"
 #include "cosr/durability/log_record.h"
 #include "cosr/durability/log_sink.h"
 #include "cosr/durability/move_log.h"
+#include "cosr/durability/recovery_manager.h"
+#include "cosr/realloc/factory.h"
+#include "cosr/service/concurrent_sharded_reallocator.h"
+#include "cosr/service/sharded_reallocator.h"
+#include "cosr/storage/address_space.h"
+#include "cosr/workload/trace.h"
+#include "cosr/workload/workload_generator.h"
 
 namespace cosr {
 namespace {
@@ -399,37 +409,93 @@ TEST(FileLogSinkTest, RewriteCommitsAtomicallyUnderTheSamePath) {
   EXPECT_EQ(on_disk.size(), compacted.size() + tail.size());
 }
 
-TEST(RangeScopedListenerTest, ForwardsOnlyItsSubRange) {
-  MemoryLogSink sink;
-  MoveLog log(&sink);
-  RangeScopedListener scope(&log, /*lo=*/100, /*hi=*/200);
+/// One seeded K=4 durable trace, checkpointed every 200 requests, through
+/// the synchronous facade over one shared parent (its logs ride one
+/// listener that forwards to the executing shard's log) and through the
+/// concurrent facade at W=1 (each log on its shard's private root). The
+/// per-shard logs must be byte-identical, and each must recover exactly
+/// its own shard's objects.
+void RunShardLogIdentity(const std::string& algorithm) {
+  SCOPED_TRACE(algorithm);
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::uint64_t kSpan = 1ull << 22;
+  const Trace trace = MakeChurnTrace({.operations = 3000,
+                                      .target_live_volume = 1u << 15,
+                                      .min_size = 1,
+                                      .max_size = 512,
+                                      .seed = 41});
 
-  scope.OnPlace(1, Extent{100, 10});  // in range
-  scope.OnPlace(2, Extent{50, 10});   // below
-  scope.OnPlace(3, Extent{195, 10});  // straddles hi -> out
-  std::vector<MoveRecord> batch = {
-      MoveRecord{1, Extent{100, 10}, Extent{120, 10}},  // in
-      MoveRecord{4, Extent{300, 10}, Extent{320, 10}},  // out
-  };
-  scope.OnMoves(batch.data(), batch.size());
-  scope.OnRemove(1, Extent{120, 10});  // in
-  scope.OnRemove(4, Extent{320, 10});  // out
+  DurabilityHub sync_hub;
+  ReallocatorSpec spec;
+  spec.algorithm = algorithm;
+  spec.durability = &sync_hub;
+  AddressSpace parent;
+  ShardedReallocator::Options sync_options;
+  sync_options.shard_count = kShards;
+  sync_options.subrange_span = kSpan;
+  std::unique_ptr<ShardedReallocator> sync;
+  ASSERT_TRUE(
+      ShardedReallocator::Make(spec, sync_options, &parent, &sync).ok());
 
-  EXPECT_EQ(log.places_logged(), 1u);
-  EXPECT_EQ(log.moves_logged(), 1u);
-  EXPECT_EQ(log.removes_logged(), 1u);
+  DurabilityHub concurrent_hub;
+  spec.durability = &concurrent_hub;
+  ConcurrentShardedReallocator::Options concurrent_options;
+  concurrent_options.shard_count = kShards;
+  concurrent_options.worker_threads = 1;
+  concurrent_options.subrange_span = kSpan;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(ConcurrentShardedReallocator::Make(spec, concurrent_options,
+                                                 &concurrent)
+                  .ok());
 
-  // A batch whose every move is foreign produces no record at all.
-  std::vector<MoveRecord> foreign = {
-      MoveRecord{4, Extent{320, 10}, Extent{340, 10}},
-  };
-  scope.OnMoves(foreign.data(), foreign.size());
-  EXPECT_EQ(log.batches_logged(), 1u);
+  std::size_t index = 0;
+  for (const Request& request : trace.requests()) {
+    ASSERT_TRUE((request.type == Request::Type::kInsert
+                     ? sync->Insert(request.id, request.size)
+                     : sync->Delete(request.id))
+                    .ok());
+    ASSERT_TRUE(concurrent->Submit(request).ok());
+    if (++index % 200 == 0) {
+      sync->CheckpointAll();
+      concurrent->CheckpointAll();
+    }
+  }
+  sync->Quiesce();
+  sync->CheckpointAll();
+  concurrent->Quiesce();
+  concurrent->CheckpointAll();
 
-  // Checkpoint fan-out from a shared parent is deliberately dropped (the
-  // shard's own manager logs checkpoints with the right sequence number).
-  scope.OnCheckpoint(17);
-  EXPECT_EQ(log.checkpoints_logged(), 0u);
+  ASSERT_EQ(sync_hub.log_count(), kShards);
+  ASSERT_EQ(concurrent_hub.log_count(), kShards);
+  const auto parent_snapshot = parent.Snapshot();
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    const std::vector<std::uint8_t>& log = sync_hub.memory_sink(i)->data();
+    EXPECT_GT(sync_hub.log(i)->checkpoints_logged(), 0u);
+    EXPECT_TRUE(log == concurrent_hub.memory_sink(i)->data());
+
+    std::vector<std::pair<ObjectId, Extent>> expected;
+    for (const auto& entry : parent_snapshot) {
+      if (entry.second.offset / kSpan == i) expected.push_back(entry);
+    }
+    ASSERT_FALSE(expected.empty());
+    AddressSpace recovered;
+    RecoveryResult result;
+    ASSERT_TRUE(
+        RecoveryManager::Recover(log.data(), log.size(), &recovered, &result)
+            .ok());
+    EXPECT_EQ(result.records_discarded, 0u);
+    EXPECT_TRUE(recovered.Snapshot() == expected);
+    EXPECT_TRUE(recovered.Snapshot() == concurrent->shard_space(i).Snapshot());
+  }
+}
+
+TEST(ShardLogWiringTest, DriversLogIdenticallyCheckpointed) {
+  RunShardLogIdentity("checkpointed");
+}
+
+TEST(ShardLogWiringTest, DriversLogIdenticallyDeamortized) {
+  RunShardLogIdentity("deamortized");
 }
 
 }  // namespace

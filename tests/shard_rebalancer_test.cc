@@ -3,12 +3,15 @@
 //
 //  * PlanRebalance / SelectRebalanceVictims — pure-function unit tests:
 //    hot/cold selection, thresholds, batch budgets, anti-ping-pong.
+//  * Make-time gate — rebalance over an algorithm whose inserts can fail
+//    on a fresh id (pma) is rejected by both facades.
 //  * Synchronous migration correctness — after a churn drive with the
-//    rebalancer stepping, every surviving object's bytes still verify
-//    against a SimulatedDisk, the facade's live set matches a model replay
-//    (and a fresh replay of the surviving set), ids resolve through
+//    facade's rebalance scan running, every surviving object's bytes still
+//    verify against a SimulatedDisk, the facade's live set matches a model
+//    replay (and a fresh replay of the surviving set), ids resolve through
 //    shard_of across migrations, and migration stats balance exactly
-//    (sum of out-migrations == sum of in-migrations).
+//    (sum of out-migrations == sum of in-migrations == the extra places
+//    the parent saw).
 //  * K=1 — the rebalancer never acts on a one-shard facade.
 //  * Concurrent hammer — producers submit churn while the background
 //    rebalancer drains victims between queue cycles; runs under TSan in
@@ -155,23 +158,53 @@ TEST(SelectVictimsTest, AntiPingPongStopsBeforeInvertingTheImbalance) {
 
 // --------------------------------------- synchronous migration correctness
 
-TEST(ShardRebalancerTest, RequiresAMigratableFacade) {
-  AddressSpace parent;
+TEST(ShardRebalancerTest, RebalanceRejectsFallibleInsertsAtMake) {
+  // A migration's destination insert must not fail, so rebalance over pma
+  // (inserts can fail on a fresh id) is refused up front on both facades.
   ReallocatorSpec spec;
-  spec.algorithm = "first-fit";
+  spec.algorithm = "pma";
+  AddressSpace parent;
   ShardedReallocator::Options options;
-  options.shard_count = 4;  // hash routing, no map: not migratable
+  options.shard_count = 4;
+  options.rebalance = true;
   std::unique_ptr<ShardedReallocator> sharded;
+  EXPECT_EQ(ShardedReallocator::Make(spec, options, &parent, &sharded).code(),
+            StatusCode::kFailedPrecondition);
+  ConcurrentShardedReallocator::Options concurrent_options;
+  concurrent_options.shard_count = 4;
+  concurrent_options.worker_threads = 2;
+  concurrent_options.rebalance = true;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  EXPECT_EQ(
+      ConcurrentShardedReallocator::Make(spec, concurrent_options, &concurrent)
+          .code(),
+      StatusCode::kFailedPrecondition);
+
+  // The inline facade updates its map only after the shard executed, so
+  // map-keeping routing alone stays allowed there.
+  options.rebalance = false;
+  options.routing = RoutingPolicy::kSizeClass;
   ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
-  EXPECT_FALSE(sharded->migratable());
-#ifdef GTEST_HAS_DEATH_TEST
-  EXPECT_DEATH(ShardRebalancer(sharded.get(), RebalanceOptions()),
-               "migratable");
-#endif
+  EXPECT_TRUE(sharded->Insert(1, 1).ok());
 }
 
-/// Drives a churn trace through a migratable K-shard facade with the
-/// rebalancer stepping every 64 requests, then checks the full ledger:
+/// Counts the parent's places and removes: every migration is one extra
+/// remove and one extra place beyond the trace's own requests.
+class PlaceRemoveCounter : public SpaceListener {
+ public:
+  void OnPlace(ObjectId, const Extent& extent) override {
+    ++places;
+    placed_bytes += extent.length;
+  }
+  void OnRemove(ObjectId, const Extent&) override { ++removes; }
+
+  std::uint64_t places = 0;
+  std::uint64_t placed_bytes = 0;
+  std::uint64_t removes = 0;
+};
+
+/// Drives a churn trace through a K-shard facade whose rebalance scan runs
+/// every 64 requests, then checks the full ledger:
 /// model-exact live set, byte-exact contents, resolvable ids, balanced
 /// migration stats, and equality (as id->size sets) with a fresh replay of
 /// the surviving objects.
@@ -186,12 +219,17 @@ void RunMigrationDifferential(const std::string& algorithm) {
 
   AddressSpace parent;
   SimulatedDisk disk;
+  PlaceRemoveCounter counter;
   parent.AddListener(&disk);
+  parent.AddListener(&counter);
   ReallocatorSpec spec;
   spec.algorithm = algorithm;
   ShardedReallocator::Options options;
   options.shard_count = 4;
-  options.allow_migration = true;
+  options.rebalance = true;
+  options.rebalance_options.hot_footprint_ratio = 1.10;
+  options.rebalance_options.min_shard_footprint = 1u << 10;
+  options.rebalance_options.check_interval = 64;
   // Keep shard bases small: the SimulatedDisk materializes bytes at
   // absolute offsets, so the production 1<<44 span would ask for
   // terabyte buffers.
@@ -199,24 +237,21 @@ void RunMigrationDifferential(const std::string& algorithm) {
   std::unique_ptr<ShardedReallocator> sharded;
   ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
 
-  RebalanceOptions rebalance;
-  rebalance.hot_footprint_ratio = 1.10;
-  rebalance.min_shard_footprint = 1u << 10;
-  ShardRebalancer rebalancer(sharded.get(), rebalance);
-
   std::unordered_map<ObjectId, std::uint64_t> model;
-  std::size_t op = 0;
+  std::uint64_t inserts = 0, inserted_bytes = 0, deletes = 0;
   for (const Request& request : trace.requests()) {
     if (request.type == Request::Type::kInsert) {
       ASSERT_TRUE(sharded->Insert(request.id, request.size).ok());
       model.emplace(request.id, request.size);
+      ++inserts;
+      inserted_bytes += request.size;
     } else {
       ASSERT_TRUE(sharded->Delete(request.id).ok());
       model.erase(request.id);
+      ++deletes;
     }
-    if (++op % 64 == 0) rebalancer.Step();
   }
-  ASSERT_GT(rebalancer.total_migrations(), 0u)
+  ASSERT_GT(sharded->Stats().migrations, 0u)
       << "churn at 1.10x trigger never migrated: the test is vacuous";
 
   // Live set == model, contents byte-exact, ids resolve to the shard that
@@ -246,8 +281,9 @@ void RunMigrationDifferential(const std::string& algorithm) {
     out_bytes += shard.migrated_bytes;
   }
   EXPECT_EQ(out, in);
-  EXPECT_EQ(out, rebalancer.total_migrations());
-  EXPECT_EQ(out_bytes, rebalancer.total_migrated_bytes());
+  EXPECT_EQ(out, counter.places - inserts);
+  EXPECT_EQ(out, counter.removes - deletes);
+  EXPECT_EQ(out_bytes, counter.placed_bytes - inserted_bytes);
   EXPECT_EQ(stats.migrations, out);
   EXPECT_EQ(stats.migrated_bytes, out_bytes);
 
@@ -256,9 +292,12 @@ void RunMigrationDifferential(const std::string& algorithm) {
   AddressSpace fresh_parent;
   SimulatedDisk fresh_disk;
   fresh_parent.AddListener(&fresh_disk);
+  ShardedReallocator::Options fresh_options = options;
+  fresh_options.rebalance = false;
   std::unique_ptr<ShardedReallocator> fresh;
   ASSERT_TRUE(
-      ShardedReallocator::Make(spec, options, &fresh_parent, &fresh).ok());
+      ShardedReallocator::Make(spec, fresh_options, &fresh_parent, &fresh)
+          .ok());
   for (const auto& [id, size] : model) {
     ASSERT_TRUE(fresh->Insert(id, size).ok());
   }
@@ -284,20 +323,18 @@ TEST(ShardRebalancerTest, SingleShardFacadeNeverActs) {
   spec.algorithm = "first-fit";
   ShardedReallocator::Options options;
   options.shard_count = 1;
-  options.allow_migration = true;
+  options.rebalance = true;
+  options.rebalance_options.hot_footprint_ratio = 1.0;
+  options.rebalance_options.min_shard_footprint = 0;
+  options.rebalance_options.check_interval = 1;  // a scan after every op
   std::unique_ptr<ShardedReallocator> sharded;
   ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
-  RebalanceOptions aggressive;
-  aggressive.hot_footprint_ratio = 1.0;
-  aggressive.min_shard_footprint = 0;
-  ShardRebalancer rebalancer(sharded.get(), aggressive);
   Rng rng(3);
   for (ObjectId id = 1; id <= 200; ++id) {
     ASSERT_TRUE(sharded->Insert(id, 1 + rng.UniformU64(128)).ok());
-    const RebalanceStepReport report = rebalancer.Step();
-    EXPECT_FALSE(report.acted);
+    EXPECT_EQ(sharded->Stats().shards[0].migrations_in, 0u);
   }
-  EXPECT_EQ(rebalancer.total_migrations(), 0u);
+  EXPECT_EQ(sharded->Stats().shards[0].migrations, 0u);
   EXPECT_EQ(sharded->Stats().migrations, 0u);
 }
 

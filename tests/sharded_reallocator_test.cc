@@ -329,6 +329,71 @@ TEST(ShardedLatency, EachOpIsSampledOnceWithNoQueueWait) {
   EXPECT_EQ(stats.latency_queue_wait.count, 0u);
 }
 
+TEST(ShardedStats, OpsFailuresAndPeaksAreExact) {
+  // Every request that reaches a shard counts in that shard's ops; the
+  // ones its reallocator rejects (a live duplicate, a missing id) also in
+  // failed_ops; the peak is the shard's largest reserved footprint after
+  // any of its ops. A map-keeping facade rejects before any shard runs,
+  // so those rejections count nowhere.
+  AddressSpace parent;
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ShardedReallocator::Options options;
+  options.shard_count = 4;
+  std::unique_ptr<ShardedReallocator> sharded;
+  ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
+  std::vector<std::uint64_t> ops(4, 0), failed(4, 0), peak(4, 0);
+  const auto apply = [&](const Request& request) {
+    const std::uint32_t shard = sharded->shard_for(request.id, request.size);
+    const Status status = request.type == Request::Type::kInsert
+                              ? sharded->Insert(request.id, request.size)
+                              : sharded->Delete(request.id);
+    ++ops[shard];
+    failed[shard] += status.ok() ? 0 : 1;
+    peak[shard] =
+        std::max(peak[shard], sharded->shard(shard).reserved_footprint());
+  };
+  const Trace trace = MakeChurnTrace({.operations = 2000,
+                                      .target_live_volume = 1u << 14,
+                                      .min_size = 1,
+                                      .max_size = 256,
+                                      .seed = 61});
+  for (std::size_t i = 0; i < trace.requests().size(); ++i) {
+    apply(trace.requests()[i]);
+    if (i == 700) {
+      ASSERT_GT(parent.object_count(), 0u);
+      const ObjectId live = parent.Snapshot().front().first;
+      apply(Request::Insert(live, 8));     // duplicate of a live id
+      apply(Request::Delete(1ull << 40));  // never inserted
+    }
+  }
+  const ShardStats stats = sharded->Stats();
+  std::uint64_t failed_total = 0;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(stats.shards[i].ops, ops[i]);
+    EXPECT_EQ(stats.shards[i].failed_ops, failed[i]);
+    EXPECT_EQ(stats.shards[i].peak_reserved_footprint, peak[i]);
+    failed_total += stats.shards[i].failed_ops;
+  }
+  EXPECT_EQ(failed_total, 2u);
+
+  AddressSpace map_parent;
+  options.routing = RoutingPolicy::kSizeClass;
+  ASSERT_TRUE(
+      ShardedReallocator::Make(spec, options, &map_parent, &sharded).ok());
+  ASSERT_TRUE(sharded->Insert(1ull << 41, 8).ok());
+  EXPECT_FALSE(sharded->Insert(1ull << 41, 8).ok());
+  EXPECT_FALSE(sharded->Delete(1ull << 42).ok());
+  std::uint64_t map_ops = 0, map_failed = 0;
+  for (const ShardStats::PerShard& shard : sharded->Stats().shards) {
+    map_ops += shard.ops;
+    map_failed += shard.failed_ops;
+  }
+  EXPECT_EQ(map_ops, 1u);
+  EXPECT_EQ(map_failed, 0u);
+}
+
 // ------------------------------------------------------ routing properties
 
 TEST(RoutingPolicyTest, SizeClassSegregatesClasses) {

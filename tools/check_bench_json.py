@@ -32,17 +32,6 @@ def check_rows(data, path, required_keys, min_rows=1):
         require(not missing, path, f"row {i} missing keys {sorted(missing)}")
 
 
-def check_micro(data, path):
-    # google-benchmark's native format.
-    require("context" in data, path, "missing 'context'")
-    benchmarks = data.get("benchmarks")
-    require(isinstance(benchmarks, list) and benchmarks, path,
-            "'benchmarks' must be a non-empty list")
-    names = {b.get("name", "") for b in benchmarks}
-    require(any(n.startswith("churn/") for n in names), path,
-            "no churn/* benchmarks found")
-
-
 def check_free_index(data, path):
     check_rows(data, path, {
         "gaps", "binned_queries_per_sec", "map_queries_per_sec",
@@ -381,7 +370,6 @@ def check_durability(data, path):
 
 
 CHECKERS = {
-    "BENCH_micro.json": check_micro,
     "BENCH_durability.json": check_durability,
     "BENCH_free_index.json": check_free_index,
     "BENCH_address_space.json": check_address_space,
