@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of two design choices behind the paper's bounds:
 //  (a) the buffer placement rule — the paper sends an update to the
 //      earliest buffer j >= its class; restricting updates to their own
 //      class's buffer starves small classes (whose buffers round to zero)
@@ -106,5 +106,5 @@ int main() {
                       "and Lemma 3.4's drain guarantee");
   cosr::BufferSpillAblation();
   cosr::WorkFactorAblation();
-  return 0;
+  return cosr::bench::ExitCode();
 }

@@ -50,5 +50,5 @@ void Run() {
 
 int main() {
   cosr::Run();
-  return 0;
+  return cosr::bench::ExitCode();
 }

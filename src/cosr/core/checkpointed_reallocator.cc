@@ -1,11 +1,9 @@
 #include "cosr/core/checkpointed_reallocator.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "cosr/common/check.h"
-#include "cosr/common/math_util.h"
-#include "cosr/storage/checkpoint_manager.h"
-#include "cosr/core/size_class.h"
 
 namespace cosr {
 
@@ -17,21 +15,12 @@ CheckpointedReallocator::CheckpointedReallocator(Space* space,
 }
 
 Status CheckpointedReallocator::Insert(ObjectId id, std::uint64_t size) {
-  if (size == 0) return Status::InvalidArgument("size must be positive");
-  if (objects_.count(id) > 0) {
-    return Status::AlreadyExists("object " + std::to_string(id));
-  }
-  const int cls = SizeClassOf(size);
-  delta_ = std::max(delta_, size);
-
+  int cls = 0;
+  COSR_RETURN_IF_ERROR(AdmitInsert(id, size, &cls));
   if (cls > max_size_class()) {
     CreateNewLargestClass(id, size, cls, /*already_placed=*/false);
     return Status::Ok();
   }
-
-  volumes_[static_cast<std::size_t>(cls)] += size;
-  total_volume_ += size;
-
   if (TryBufferInsert(id, size, cls, /*already_placed=*/false)) {
     return Status::Ok();
   }
@@ -48,198 +37,168 @@ Status CheckpointedReallocator::Insert(ObjectId id, std::uint64_t size) {
   objects_.emplace(id,
                    ObjectInfo{size, cls, /*in_buffer=*/true, max_size_class()});
   NoteTempFootprint(structure_end + size);
-
-  FlushWithCheckpoints(ComputeBoundary(cls), size, structure_end);
+  Flush(ComputeBoundary(cls), structure_end);
   return Status::Ok();
 }
 
 Status CheckpointedReallocator::Delete(ObjectId id) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
+  ObjectInfo info;
+  if (!ForgetObject(id, &info)) {
     return Status::NotFound("object " + std::to_string(id));
   }
-  const ObjectInfo info = it->second;
-  objects_.erase(it);
-  volumes_[static_cast<std::size_t>(info.size_class)] -= info.size;
-  total_volume_ -= info.size;
   space_->Remove(id);
-
-  Region& home = regions_[static_cast<std::size_t>(info.region)];
-  if (info.in_buffer) {
-    for (BufferEntry& entry : home.buffer_entries) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;
-        return Status::Ok();
-      }
-    }
-    COSR_CHECK_MSG(false,
-                   "buffer entry missing for object " + std::to_string(id));
+  if (info.in_buffer || TryBufferDummy(info.size, info.size_class)) {
+    return Status::Ok();
   }
-
-  ErasePayloadObject(home, id, info.size);
-
-  if (TryBufferDummy(info.size, info.size_class)) return Status::Ok();
-
   // No room for the dummy record: flush without consuming space for it.
-  FlushWithCheckpoints(ComputeBoundary(info.size_class), /*trigger_size=*/0,
-                       reserved_footprint());
+  Flush(ComputeBoundary(info.size_class), reserved_footprint());
   return Status::Ok();
 }
 
-void CheckpointedReallocator::FlushWithCheckpoints(
-    int boundary, std::uint64_t trigger_size, std::uint64_t structure_end) {
-  CheckpointManager* manager = space_->checkpoint_manager();
-  const std::uint64_t checkpoints_before = manager->checkpoint_count();
+void CheckpointedReallocator::Flush(int boundary,
+                                    std::uint64_t structure_end) {
+  NoteTempFootprint(
+      BuildFlushPlan(boundary, structure_end, 0, 0, {}).overflow_end);
+  RunFlushPlan(std::numeric_limits<std::uint64_t>::max());
+  CloseFlush();
+}
+
+CheckpointedReallocator::FlushArea CheckpointedReallocator::BuildFlushPlan(
+    int boundary, std::uint64_t structure_end, std::uint64_t extra_buffer,
+    std::uint64_t extra_end, const std::vector<BufferEntry>& extra_entries) {
   ++flush_count_;
   Notify(FlushEvent::Stage::kBegin, boundary);
+  flush_first_checkpoint_ = checkpoints_taken_;
+  boundary_ = boundary;
 
+  const std::uint64_t suffix_end = PlanSuffix(boundary);
   const int maxc = max_size_class();
-  COSR_CHECK(boundary >= 1 && boundary <= maxc);
-  const std::uint64_t start =
-      regions_[static_cast<std::size_t>(boundary)].payload_start;
-
-  std::vector<std::uint64_t> new_payload(static_cast<std::size_t>(maxc) + 1,
-                                         0);
-  std::vector<std::uint64_t> new_buffer(static_cast<std::size_t>(maxc) + 1,
-                                        0);
-  std::uint64_t new_suffix_end = start;
-  std::uint64_t buffer_space = 0;  // the paper's B: flushed buffer capacity
+  std::uint64_t buffer_space = extra_buffer;  // the paper's B
   for (int i = boundary; i <= maxc; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    new_payload[idx] = volumes_[idx];
-    new_buffer[idx] = FloorScale(epsilon_, volumes_[idx]);
-    new_suffix_end += new_payload[idx] + new_buffer[idx];
-    buffer_space += regions_[idx].buffer_capacity;
+    buffer_space += regions_[static_cast<std::size_t>(i)].buffer_capacity;
   }
   // The paper uses L' = S' - w (desired footprint minus the triggering
   // insert). We keep the full S' instead: it guarantees every unpack move
   // shifts by at least B + ∆ >= the object's size, so moves are always
   // nonoverlapping even in small-structure corner cases, at the cost of at
-  // most an extra ∆ of transient working space (see DESIGN.md).
-  (void)trigger_size;
+  // most an extra ∆ of transient working space.
   const std::uint64_t work_area =
-      std::max(structure_end, new_suffix_end) + buffer_space + delta_;
-  const std::uint64_t phase_limit = buffer_space + delta_;
+      std::max(structure_end, suffix_end + extra_end) + buffer_space + delta_;
+  phase_limit_ = buffer_space + delta_;
+  plan_.clear();
+  plan_cursor_ = 0;
+  stage_ = kEvacuate;
+  phase_open_ = false;
 
-  // Step A: evacuate live buffered objects (including the triggering
+  // Stage A: evacuate live buffered objects (including a triggering
   // insert) to [work_area, ...). Sources all end before L + ∆ <= work_area,
-  // so a single inter-checkpoint window suffices — and the whole step is
-  // one ApplyMoves batch, as is every checkpoint phase below: the space
-  // validates the Lemma 3.2 nonoverlap property once per batch.
-  std::uint64_t overflow = work_area;
-  std::vector<std::vector<std::pair<ObjectId, std::uint64_t>>>
-      overflow_by_class(static_cast<std::size_t>(maxc) + 1);
-  for (int i = boundary; i <= maxc; ++i) {
-    Region& r = regions_[static_cast<std::size_t>(i)];
-    for (const BufferEntry& entry : r.buffer_entries) {
-      if (!entry.live()) continue;
-      PlanMove(entry.id, Extent{overflow, entry.size});
-      overflow_by_class[static_cast<std::size_t>(entry.size_class)]
-          .emplace_back(entry.id, entry.size);
-      overflow += entry.size;
-    }
-    r.ResetBuffer();
-  }
-  FlushPlannedMoves();
-  NoteTempFootprint(overflow);
-  space_->Checkpoint();
-  Notify(FlushEvent::Stage::kBuffersEvacuated, boundary);
+  // so a single inter-checkpoint window suffices.
+  const std::uint64_t overflow_end =
+      EvacuateBuffers(boundary, work_area, extra_entries, plan_);
+  stage_end_[kEvacuate] = plan_.size();
 
-  // Step B: pack payloads rightward, largest class first, so that the last
-  // object ends at work_area. Every move shifts right by at least B + ∆,
-  // hence never overlaps a live extent; phases cover at most B + ∆ of
-  // target addresses with a checkpoint (preceded by the phase's batch)
-  // after each phase.
-  std::uint64_t pack_cursor = work_area;
-  std::uint64_t phase_high = work_area;
+  // Stage B: pack payloads rightward so that the last object ends at
+  // work_area, largest class first. Every move shifts right by at least
+  // B + ∆, hence never overlaps a live extent.
+  std::uint64_t cursor = work_area;
   for (int i = maxc; i >= boundary; --i) {
-    Region& r = regions_[static_cast<std::size_t>(i)];
+    const Region& r = regions_[static_cast<std::size_t>(i)];
     for (auto rit = r.payload_objects.rbegin();
          rit != r.payload_objects.rend(); ++rit) {
       const std::uint64_t size = objects_.at(*rit).size;
-      pack_cursor -= size;
-      if (phase_high - pack_cursor > phase_limit) {
-        FlushPlannedMoves();
-        space_->Checkpoint();
-        phase_high = pack_cursor + size;
-      }
-      const Extent& current = space_->extent_of(*rit);
-      COSR_CHECK_LE(current.offset, pack_cursor);
-      if (current.offset != pack_cursor) {
-        PlanMove(*rit, Extent{pack_cursor, size});
-      }
+      cursor -= size;
+      plan_.push_back(MovePlan{*rit, Extent{cursor, size}});
     }
   }
-  FlushPlannedMoves();
-  space_->Checkpoint();
-  Notify(FlushEvent::Stage::kCompacted, boundary);
+  stage_end_[kPack] = plan_.size();
 
-  // Step C: unpack payloads leftward to their final positions, smallest
-  // class first; phases cover at most B + ∆ of target addresses.
-  std::vector<std::uint64_t> final_start(static_cast<std::size_t>(maxc) + 1,
-                                         0);
-  {
-    std::uint64_t cursor = start;
-    for (int i = boundary; i <= maxc; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      final_start[idx] = cursor;
-      cursor += new_payload[idx] + new_buffer[idx];
-    }
-  }
-  std::uint64_t phase_low = start;
-  bool phase_open = false;
-  for (int i = boundary; i <= maxc; ++i) {
-    Region& r = regions_[static_cast<std::size_t>(i)];
-    std::uint64_t cursor = final_start[static_cast<std::size_t>(i)];
-    for (ObjectId id : r.payload_objects) {
-      const std::uint64_t size = objects_.at(id).size;
-      if (!phase_open) {
-        phase_low = cursor;
-        phase_open = true;
-      } else if (cursor + size - phase_low > phase_limit) {
-        FlushPlannedMoves();
-        space_->Checkpoint();
-        phase_low = cursor;
-      }
-      const Extent& current = space_->extent_of(id);
-      COSR_CHECK_LE(cursor, current.offset);
-      if (current.offset != cursor) PlanMove(id, Extent{cursor, size});
-      cursor += size;
-    }
-  }
-  FlushPlannedMoves();
-  space_->Checkpoint();
-  Notify(FlushEvent::Stage::kUnpacked, boundary);
-
-  // Step D: move buffered objects from the overflow segment to the ends of
-  // their payload segments. Sources are at or beyond work_area, targets end
-  // before L' + ∆ <= work_area: a single window suffices.
-  // Region::payload_live is maintained incrementally (unchanged by steps
-  // B/C, which only move objects), so the arrival cursor needs no
-  // re-derivation pass over the object table.
+  // Stage C: unpack payloads leftward to their final positions, smallest
+  // class first.
   for (int i = boundary; i <= maxc; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    Region& r = regions_[idx];
-    std::uint64_t cursor = final_start[idx] + r.payload_live;
-    for (const auto& [id, size] : overflow_by_class[idx]) {
-      PlanMove(id, Extent{cursor, size});
-      AppendPayloadObject(r, id, size);
-      ObjectInfo& info = objects_.at(id);
-      info.in_buffer = false;
-      info.region = i;
+    cursor = suffix_[idx].payload_start;
+    for (ObjectId id : regions_[idx].payload_objects) {
+      const std::uint64_t size = objects_.at(id).size;
+      plan_.push_back(MovePlan{id, Extent{cursor, size}});
       cursor += size;
     }
-    r.payload_start = final_start[idx];
-    r.payload_capacity = new_payload[idx];
-    r.buffer_capacity = new_buffer[idx];
   }
-  FlushPlannedMoves();
-  // Final checkpoint: persists the rebuilt translation map so the next
-  // flush's working area (which may be lower) can reuse space freed here.
-  space_->Checkpoint();
-  Notify(FlushEvent::Stage::kEnd, boundary);
+  stage_end_[kUnpack] = plan_.size();
 
-  checkpoints_in_last_flush_ = manager->checkpoint_count() - checkpoints_before;
+  // Stage D: move the evacuated objects to the ends of their payload
+  // segments. Sources are at or beyond work_area, targets end before
+  // L' + ∆ <= work_area: a single window suffices.
+  PlanArrivals(boundary, plan_);
+  stage_end_[kPlace] = plan_.size();
+  return FlushArea{overflow_end, work_area + phase_limit_};
+}
+
+std::uint64_t CheckpointedReallocator::RunFlushPlan(std::uint64_t budget) {
+  std::uint64_t done = 0;
+  while (stage_ != kInstalled && done < budget) {
+    if (plan_cursor_ == plan_.size()) {
+      // Final checkpoint: persists the rebuilt translation map so the next
+      // flush's working area (which may be lower) can reuse space freed
+      // here.
+      EndStage(kInstalled);
+      InstallSuffix(boundary_);
+      Notify(FlushEvent::Stage::kEnd, boundary_);
+      break;
+    }
+    Stage stage = stage_;
+    while (plan_cursor_ >= stage_end_[stage]) {
+      stage = static_cast<Stage>(stage + 1);
+    }
+    if (stage != stage_) EndStage(stage);
+    const MovePlan& m = plan_[plan_cursor_++];
+    done += m.to.length;
+    if (stage_ == kPack || stage_ == kUnpack) {
+      // Phases cover at most B + ∆ of target addresses, with a checkpoint
+      // (preceded by the phase's batch) between phases.
+      const std::uint64_t low = std::min(phase_low_, m.to.offset);
+      const std::uint64_t high = std::max(phase_high_, m.to.end());
+      if (phase_open_ && high - low > phase_limit_) {
+        FlushPlannedMoves();
+        CheckpointNow();
+        phase_open_ = false;
+      }
+      phase_low_ = phase_open_ ? low : m.to.offset;
+      phase_high_ = phase_open_ ? high : m.to.end();
+      phase_open_ = true;
+    }
+    const Extent& current = space_->extent_of(m.id);
+    if (stage_ == kPack) COSR_CHECK_LE(current.offset, m.to.offset);
+    if (stage_ == kUnpack) COSR_CHECK_LE(m.to.offset, current.offset);
+    if (current.offset != m.to.offset) PlanMove(m.id, m.to);
+  }
+  // Budget exhausted mid-stage: apply what is staged so callers (and the
+  // next slice) observe a consistent address space.
+  FlushPlannedMoves();
+  return done;
+}
+
+void CheckpointedReallocator::EndStage(Stage next) {
+  // Apply the stage's batch, then checkpoint so the next stage may reuse
+  // space freed by the previous one.
+  FlushPlannedMoves();
+  CheckpointNow();
+  // Figure 3's states (ii)-(iv) follow stages A-C; (v) follows the install.
+  static constexpr FlushEvent::Stage kReached[] = {
+      FlushEvent::Stage::kBuffersEvacuated, FlushEvent::Stage::kCompacted,
+      FlushEvent::Stage::kUnpacked};
+  for (; stage_ < next; stage_ = static_cast<Stage>(stage_ + 1)) {
+    if (stage_ < kPlace) Notify(kReached[stage_], boundary_);
+  }
+  phase_open_ = false;
+}
+
+void CheckpointedReallocator::CheckpointNow() {
+  space_->Checkpoint();
+  ++checkpoints_taken_;
+}
+
+void CheckpointedReallocator::CloseFlush() {
+  checkpoints_in_last_flush_ = checkpoints_taken_ - flush_first_checkpoint_;
   max_checkpoints_per_flush_ =
       std::max(max_checkpoints_per_flush_, checkpoints_in_last_flush_);
 }

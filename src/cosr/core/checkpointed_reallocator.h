@@ -1,7 +1,9 @@
 #ifndef COSR_CORE_CHECKPOINTED_REALLOCATOR_H_
 #define COSR_CORE_CHECKPOINTED_REALLOCATOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "cosr/core/size_class_layout.h"
 
@@ -23,6 +25,11 @@ namespace cosr {
 ///    checkpoint between phases (Lemmas 3.1-3.3);
 ///  * the in-flush footprint is bounded by (1 + O(eps)) V + ∆ and the number
 ///    of checkpoints per flush by O(1/eps).
+///
+/// The flush is built once as a plan (stages A-D) and executed by a
+/// budgeted executor. This variant runs the plan to completion inside the
+/// triggering request; DeamortizedReallocator (Section 3.3) runs the same
+/// plan a bounded share per update.
 class CheckpointedReallocator : public SizeClassLayout {
  public:
   struct Options {
@@ -41,6 +48,8 @@ class CheckpointedReallocator : public SizeClassLayout {
   Status Delete(ObjectId id) override;
   const char* name() const override { return "checkpointed"; }
 
+  /// Checkpoints taken by the last completed flush (for the deamortized
+  /// variant, through the end of its log drain).
   std::uint64_t checkpoints_in_last_flush() const {
     return checkpoints_in_last_flush_;
   }
@@ -48,14 +57,63 @@ class CheckpointedReallocator : public SizeClassLayout {
     return max_checkpoints_per_flush_;
   }
 
- private:
-  /// Flushes regions >= boundary under the checkpointing discipline.
-  /// `trigger_size` is the size of the flush-triggering insert (0 for a
-  /// delete-triggered flush) and `structure_end` the reserved end before the
-  /// triggering insert was placed (the paper's L).
-  void FlushWithCheckpoints(int boundary, std::uint64_t trigger_size,
-                            std::uint64_t structure_end);
+ protected:
+  /// Where a flush plan's working space lies.
+  struct FlushArea {
+    std::uint64_t overflow_end = 0;  // end of the evacuated buffer objects
+    std::uint64_t work_end = 0;      // end of the working space (+ B + ∆)
+  };
 
+  /// Builds the flush plan of regions >= boundary and emits kBegin.
+  /// `structure_end` is the paper's L. The deamortized tail joins through
+  /// the extra terms: `extra_buffer` adds to B, `extra_end` to the desired
+  /// end L', and `extra_entries` are evacuated after the region buffers
+  /// (all zero/empty for Section 3.2).
+  FlushArea BuildFlushPlan(int boundary, std::uint64_t structure_end,
+                           std::uint64_t extra_buffer,
+                           std::uint64_t extra_end,
+                           const std::vector<BufferEntry>& extra_entries);
+
+  /// Executes the plan until `budget` volume of plan moves is done or the
+  /// plan is installed, whichever comes first; returns the volume done.
+  /// The checkpoint rule: one at each transition into a non-empty stage,
+  /// one between B + ∆ phases of the pack and unpack stages, and one
+  /// before the install. Emits Figure 3's events (ii)-(v), each once.
+  std::uint64_t RunFlushPlan(std::uint64_t budget);
+
+  void CheckpointNow();
+  /// Checkpoints taken through CheckpointNow so far.
+  std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
+  /// Records the checkpoints taken since the last BuildFlushPlan as one
+  /// completed flush.
+  void CloseFlush();
+
+ private:
+  /// Flushes regions >= boundary by running the plan to completion.
+  /// `structure_end` is the reserved end before a triggering insert was
+  /// placed (the paper's L).
+  void Flush(int boundary, std::uint64_t structure_end);
+
+  /// Stages A-D of the plan, then the installed state.
+  enum Stage { kEvacuate, kPack, kUnpack, kPlace, kInstalled };
+
+  /// Applies the staged batch, checkpoints, and advances to `next`,
+  /// emitting the events of every stage passed (empty stages included).
+  void EndStage(Stage next);
+
+  std::vector<MovePlan> plan_;  // stages A-D in execution order
+  std::size_t stage_end_[kInstalled] = {};  // plan index where each ends
+  std::size_t plan_cursor_ = 0;
+  Stage stage_ = kInstalled;
+  int boundary_ = 0;
+  std::uint64_t phase_limit_ = 0;  // B + ∆
+  // Target-address envelope of the open pack/unpack phase.
+  std::uint64_t phase_low_ = 0;
+  std::uint64_t phase_high_ = 0;
+  bool phase_open_ = false;
+
+  std::uint64_t checkpoints_taken_ = 0;
+  std::uint64_t flush_first_checkpoint_ = 0;
   std::uint64_t checkpoints_in_last_flush_ = 0;
   std::uint64_t max_checkpoints_per_flush_ = 0;
 };

@@ -31,21 +31,12 @@ Status CostObliviousReallocator::InsertExisting(ObjectId id) {
 
 Status CostObliviousReallocator::InsertImpl(ObjectId id, std::uint64_t size,
                                             bool already_placed) {
-  if (size == 0) return Status::InvalidArgument("size must be positive");
-  if (objects_.count(id) > 0) {
-    return Status::AlreadyExists("object " + std::to_string(id));
-  }
-  const int cls = SizeClassOf(size);
-  delta_ = std::max(delta_, size);
-
+  int cls = 0;
+  COSR_RETURN_IF_ERROR(AdmitInsert(id, size, &cls));
   if (cls > max_size_class()) {
     CreateNewLargestClass(id, size, cls, already_placed);
     return Status::Ok();
   }
-
-  volumes_[static_cast<std::size_t>(cls)] += size;
-  total_volume_ += size;
-
   if (TryBufferInsert(id, size, cls, already_placed)) return Status::Ok();
 
   Pending pending;
@@ -69,40 +60,20 @@ Status CostObliviousReallocator::ExtractTo(ObjectId id,
 
 Status CostObliviousReallocator::DeleteImpl(ObjectId id, bool extract,
                                             std::uint64_t target_offset) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
+  ObjectInfo info;
+  if (!ForgetObject(id, &info)) {
     return Status::NotFound("object " + std::to_string(id));
   }
-  const ObjectInfo info = it->second;
-  objects_.erase(it);
-  volumes_[static_cast<std::size_t>(info.size_class)] -= info.size;
-  total_volume_ -= info.size;
-
   if (extract) {
     MoveTracked(id, Extent{target_offset, info.size});
   } else {
     space_->Remove(id);
   }
-
-  Region& home = regions_[static_cast<std::size_t>(info.region)];
-  if (info.in_buffer) {
-    // The object's own buffer entry becomes the dummy delete record: its
-    // space stays consumed until the next flush.
-    for (BufferEntry& entry : home.buffer_entries) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;
-        return Status::Ok();
-      }
-    }
-    COSR_CHECK_MSG(false,
-                   "buffer entry missing for object " + std::to_string(id));
-  }
-
-  // Payload object: leave a hole, then add a dummy delete record consuming
+  // A payload object leaves a hole and owes a dummy delete record consuming
   // `size` space in the earliest buffer j >= class with room.
-  ErasePayloadObject(home, id, info.size);
-
-  if (TryBufferDummy(info.size, info.size_class)) return Status::Ok();
+  if (info.in_buffer || TryBufferDummy(info.size, info.size_class)) {
+    return Status::Ok();
+  }
 
   Pending pending;
   pending.kind = PendingKind::kDelete;
@@ -114,51 +85,26 @@ Status CostObliviousReallocator::DeleteImpl(ObjectId id, bool extract,
 void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
   ++flush_count_;
   Notify(FlushEvent::Stage::kBegin, boundary);
-  const int maxc = max_size_class();
-  COSR_CHECK(boundary >= 1 && boundary <= maxc);
-  const std::uint64_t start =
-      regions_[static_cast<std::size_t>(boundary)].payload_start;
-
-  // New segment sizes per Invariant 2.4: payload exactly V_t(i), buffer
-  // floor(eps * V_t(i)). volumes_ already reflects the pending request.
-  std::vector<std::uint64_t> new_payload(static_cast<std::size_t>(maxc) + 1,
-                                         0);
-  std::vector<std::uint64_t> new_buffer(static_cast<std::size_t>(maxc) + 1,
-                                        0);
-  std::uint64_t new_end = start;
-  for (int i = boundary; i <= maxc; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    new_payload[idx] = volumes_[idx];
-    new_buffer[idx] = FloorScale(epsilon_, volumes_[idx]);
-    new_end += new_payload[idx] + new_buffer[idx];
-  }
+  // New segment sizes per Invariant 2.4; volumes_ already reflects the
+  // pending request.
   const std::uint64_t old_end = regions_.back().region_end();
+  const std::uint64_t new_end = PlanSuffix(boundary);
+  const int maxc = max_size_class();
 
   // Step 1: evacuate live buffered objects to the overflow segment, which
   // starts after both the old and the new suffix; drop dummy records. The
   // whole stage is one ApplyMoves batch (as are steps 2-4): the space
   // validates the batch once and listeners see one coherent event per
   // stage instead of per-move fan-out.
-  std::uint64_t overflow = std::max(new_end, old_end);
-  std::vector<std::vector<std::pair<ObjectId, std::uint64_t>>>
-      overflow_by_class(static_cast<std::size_t>(maxc) + 1);
-  for (int i = boundary; i <= maxc; ++i) {
-    Region& r = regions_[static_cast<std::size_t>(i)];
-    for (const BufferEntry& entry : r.buffer_entries) {
-      if (!entry.live()) continue;
-      PlanMove(entry.id, Extent{overflow, entry.size});
-      overflow_by_class[static_cast<std::size_t>(entry.size_class)]
-          .emplace_back(entry.id, entry.size);
-      overflow += entry.size;
-    }
-    r.ResetBuffer();
-  }
+  const std::uint64_t overflow =
+      EvacuateBuffers(boundary, std::max(new_end, old_end), {}, move_batch_);
   FlushPlannedMoves();
   NoteTempFootprint(overflow);
   Notify(FlushEvent::Stage::kBuffersEvacuated, boundary);
 
   // Step 2: compact payloads left (smallest class first), removing holes.
-  std::uint64_t pack = start;
+  std::uint64_t pack =
+      regions_[static_cast<std::size_t>(boundary)].payload_start;
   for (int i = boundary; i <= maxc; ++i) {
     Region& r = regions_[static_cast<std::size_t>(i)];
     for (ObjectId id : r.payload_objects) {
@@ -174,22 +120,10 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
 
   // Step 3: unpack payloads right-to-left to their final positions (each
   // move is no earlier than the current location).
-  std::vector<std::uint64_t> final_start(static_cast<std::size_t>(maxc) + 1,
-                                         0);
-  {
-    std::uint64_t cursor = start;
-    for (int i = boundary; i <= maxc; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      final_start[idx] = cursor;
-      cursor += new_payload[idx] + new_buffer[idx];
-    }
-  }
-  // Region::payload_live is maintained incrementally, so the unpack pass
-  // no longer re-derives each region's live volume from the object table.
   for (int i = maxc; i >= boundary; --i) {
     Region& r = regions_[static_cast<std::size_t>(i)];
     std::uint64_t cursor =
-        final_start[static_cast<std::size_t>(i)] + r.payload_live;
+        suffix_[static_cast<std::size_t>(i)].payload_start + r.payload_live;
     for (auto rit = r.payload_objects.rbegin();
          rit != r.payload_objects.rend(); ++rit) {
       const std::uint64_t size = objects_.at(*rit).size;
@@ -204,27 +138,13 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
 
   // Step 4: place overflow objects at the ends of their payload segments
   // and install the new region metadata.
-  for (int i = boundary; i <= maxc; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    Region& r = regions_[idx];
-    std::uint64_t cursor = final_start[idx] + r.payload_live;
-    for (const auto& [id, size] : overflow_by_class[idx]) {
-      PlanMove(id, Extent{cursor, size});
-      AppendPayloadObject(r, id, size);
-      ObjectInfo& info = objects_.at(id);
-      info.in_buffer = false;
-      info.region = i;
-      cursor += size;
-    }
-    r.payload_start = final_start[idx];
-    r.payload_capacity = new_payload[idx];
-    r.buffer_capacity = new_buffer[idx];
-  }
+  PlanArrivals(boundary, move_batch_);
   FlushPlannedMoves();
+  InstallSuffix(boundary);
 
   // Finally place the pending insert in the gap Invariant 2.4 reserved at
   // the end of its payload segment. payload_live already counts the
-  // overflow arrivals, so no re-walk of overflow_by_class is needed.
+  // overflow arrivals, so no re-walk of the arrival lists is needed.
   if (pending.kind == PendingKind::kInsert) {
     const auto idx = static_cast<std::size_t>(pending.size_class);
     Region& r = regions_[idx];

@@ -7,7 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cosr/core/size_class_layout.h"
+#include "cosr/core/checkpointed_reallocator.h"
 
 namespace cosr {
 
@@ -28,9 +28,11 @@ namespace cosr {
 ///    logged updates are replayed in order (the re-insert/re-delete phase);
 ///    Lemma 3.4 shows the log drains before the next tail fill.
 ///
-/// Requires a CheckpointManager (the variant builds on the checkpointing
-/// flush; phase boundaries request checkpoints exactly as in Section 3.2).
-class DeamortizedReallocator : public SizeClassLayout {
+/// Requires a CheckpointManager: the flush plan, its executor and its
+/// checkpoint rule are CheckpointedReallocator's (Section 3.2); this class
+/// adds only the tail, the log, pending deletes, log replay, retrigger and
+/// the per-update metering of the plan.
+class DeamortizedReallocator : public CheckpointedReallocator {
  public:
   struct Options {
     double epsilon = 0.25;     // the paper's eps'
@@ -72,33 +74,22 @@ class DeamortizedReallocator : public SizeClassLayout {
   /// active, only global space consistency is verified.
   Status CheckInvariants() const override;
 
+ protected:
+  std::vector<BufferEntry>& BufferEntries(int region) override {
+    return region == kTailRegion ? tail_entries_
+                                 : SizeClassLayout::BufferEntries(region);
+  }
+
  private:
   static constexpr int kTailRegion = -1;
   static constexpr int kLogRegion = -2;
 
-  enum class Stage { kEvacuate = 0, kPack = 1, kUnpack = 2, kPlace = 3 };
-  struct PlannedMove {
-    ObjectId id = kInvalidObjectId;
-    std::uint64_t target = 0;
-    std::uint64_t size = 0;
-    Stage stage = Stage::kEvacuate;
-  };
   struct LogEntry {
     bool is_delete = false;
     ObjectId id = kInvalidObjectId;
     std::uint64_t size = 0;
     int size_class = 0;
   };
-  struct RegionPlan {
-    std::uint64_t payload_start = 0;
-    std::uint64_t payload_capacity = 0;
-    std::uint64_t buffer_capacity = 0;
-    // Overflow objects to append to the region's payload list on install.
-    std::vector<ObjectId> arrivals;
-  };
-
-  /// Appends zero-capacity regions so that classes up to `cls` exist.
-  void ExtendClasses(int cls);
 
   std::uint64_t TailStart() const { return regions_.back().region_end(); }
 
@@ -106,22 +97,25 @@ class DeamortizedReallocator : public SizeClassLayout {
   /// (moving it there) and requests a flush when the tail is full.
   void TailInsert(ObjectId id, std::uint64_t size, int cls,
                   bool already_placed);
+  /// Appends an entry (object or dummy record) to the tail and requests a
+  /// flush when the tail is full.
+  void TailAppend(const BufferEntry& entry);
 
   /// Applies delete bookkeeping for an object in a region buffer, the tail,
   /// or a payload segment. When no buffer has room for the dummy record,
-  /// triggers (or schedules) a flush without consuming space.
+  /// requests a flush without consuming space.
   void ApplyDelete(ObjectId id);
 
-  /// Builds the flush plan (stages A-D) and activates incremental mode.
+  /// Begins a flush now, or right after the one in progress drains.
+  void RequestFlush(int trigger_class);
+
+  /// Builds the flush plan (the tail joins as extra buffer) and activates
+  /// incremental mode.
   void BeginFlush(int trigger_class);
 
   /// Executes up to `budget` volume of plan moves / log replays.
   void DoWork(std::uint64_t budget);
-
-  /// Installs the new region metadata after the last plan move.
-  void InstallMetadata();
   void FinishFlush();
-  void CheckpointNow();
 
   /// Wraps a public update: runs the op's flush work share and maintains
   /// the per-op worst-case statistics.
@@ -133,20 +127,9 @@ class DeamortizedReallocator : public SizeClassLayout {
   std::vector<BufferEntry> tail_entries_;
   int tail_min_class_ = std::numeric_limits<int>::max();
 
-  // Flush execution state.
+  // Flush state: a plan is executing or the log is draining.
   bool active_ = false;
-  bool installed_ = false;
   bool retrigger_ = false;
-  std::vector<PlannedMove> plan_;
-  std::size_t plan_cursor_ = 0;
-  Stage current_stage_ = Stage::kEvacuate;
-  std::uint64_t phase_limit_ = 0;
-  std::uint64_t phase_low_ = 0;
-  std::uint64_t phase_high_ = 0;
-  bool phase_open_ = false;
-  int boundary_ = 0;
-  std::vector<RegionPlan> region_plans_;  // index = size class
-  std::uint64_t next_tail_capacity_ = 0;
 
   // Log state.
   std::deque<LogEntry> log_;
@@ -159,7 +142,6 @@ class DeamortizedReallocator : public SizeClassLayout {
   // Statistics.
   std::uint64_t max_op_moved_volume_ = 0;
   std::uint64_t max_checkpoints_per_op_ = 0;
-  std::uint64_t checkpoints_this_op_ = 0;
 };
 
 }  // namespace cosr

@@ -13,7 +13,7 @@ SizeClassLayout::SizeClassLayout(Space* space, double epsilon)
   COSR_CHECK(space_ != nullptr);
   COSR_CHECK(epsilon_ > 0.0 && epsilon_ <= 1.0);
   regions_.resize(1);  // region 0 is unused; classes are 1-based
-  volumes_.resize(1, 0);
+  volumes_.resize(65, 0);  // SizeClassOf of a 64-bit size is at most 64
 }
 
 const Region& SizeClassLayout::region(int size_class) const {
@@ -24,6 +24,41 @@ const Region& SizeClassLayout::region(int size_class) const {
 std::uint64_t SizeClassLayout::volume_in_class(int size_class) const {
   COSR_CHECK(size_class >= 1 && size_class <= max_size_class());
   return volumes_[static_cast<std::size_t>(size_class)];
+}
+
+Status SizeClassLayout::AdmitInsert(ObjectId id, std::uint64_t size,
+                                    int* cls) {
+  if (size == 0) return Status::InvalidArgument("size must be positive");
+  if (objects_.count(id) > 0) {
+    return Status::AlreadyExists("object " + std::to_string(id));
+  }
+  *cls = SizeClassOf(size);
+  delta_ = std::max(delta_, size);
+  volumes_[static_cast<std::size_t>(*cls)] += size;
+  total_volume_ += size;
+  return Status::Ok();
+}
+
+bool SizeClassLayout::ForgetObject(ObjectId id, ObjectInfo* info) {
+  auto it = objects_.find(id);
+  if (it == objects_.end()) return false;
+  *info = it->second;
+  objects_.erase(it);
+  volumes_[static_cast<std::size_t>(info->size_class)] -= info->size;
+  total_volume_ -= info->size;
+  if (info->in_buffer) {
+    for (BufferEntry& entry : BufferEntries(info->region)) {
+      if (entry.id == id) {
+        entry.id = kInvalidObjectId;
+        return true;
+      }
+    }
+    COSR_CHECK_MSG(false,
+                   "buffer entry missing for object " + std::to_string(id));
+  }
+  ErasePayloadObject(regions_[static_cast<std::size_t>(info->region)], id,
+                     info->size);
+  return true;
 }
 
 void SizeClassLayout::PlaceOrMove(ObjectId id, const Extent& extent,
@@ -99,22 +134,23 @@ bool SizeClassLayout::TryBufferDummy(std::uint64_t size, int cls) {
   return false;
 }
 
-void SizeClassLayout::CreateNewLargestClass(ObjectId id, std::uint64_t size,
-                                            int cls, bool already_placed) {
+void SizeClassLayout::AddRegionsThrough(int cls) {
   const std::uint64_t end = regions_.back().region_end();
   while (max_size_class() < cls) {
     Region r;
     r.payload_start = end;
     regions_.push_back(r);
-    volumes_.push_back(0);
   }
+}
+
+void SizeClassLayout::CreateNewLargestClass(ObjectId id, std::uint64_t size,
+                                            int cls, bool already_placed) {
+  AddRegionsThrough(cls);
   Region& r = regions_.back();
   r.payload_capacity = size;
   r.buffer_capacity = FloorScale(epsilon_, size);
   PlaceOrMove(id, Extent{r.payload_start, size}, already_placed);
   AppendPayloadObject(r, id, size);
-  volumes_.back() = size;
-  total_volume_ += size;
   objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/false, cls});
   NoteTempFootprint(reserved_footprint());
 }
@@ -129,11 +165,86 @@ int SizeClassLayout::ComputeBoundary(int trigger_class) const {
   return b;
 }
 
+std::uint64_t SizeClassLayout::PlanSuffix(int boundary) {
+  const int maxc = max_size_class();
+  COSR_CHECK(boundary >= 1 && boundary <= maxc);
+  if (suffix_.size() < regions_.size()) suffix_.resize(regions_.size());
+  std::uint64_t end =
+      regions_[static_cast<std::size_t>(boundary)].payload_start;
+  for (int i = boundary; i <= maxc; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    RegionPlan& plan = suffix_[idx];
+    plan.payload_start = end;
+    plan.payload_capacity = volumes_[idx];
+    plan.buffer_capacity = FloorScale(epsilon_, volumes_[idx]);
+    plan.arrivals.clear();
+    end += plan.payload_capacity + plan.buffer_capacity;
+  }
+  return end;
+}
+
+std::uint64_t SizeClassLayout::EvacuateBuffers(
+    int boundary, std::uint64_t overflow,
+    const std::vector<BufferEntry>& extra, std::vector<MovePlan>& moves) {
+  auto evacuate = [&](const BufferEntry& entry) {
+    if (!entry.live()) return;  // dummy records are dropped
+    moves.push_back(MovePlan{entry.id, Extent{overflow, entry.size}});
+    suffix_[static_cast<std::size_t>(entry.size_class)].arrivals.emplace_back(
+        entry.id, entry.size);
+    overflow += entry.size;
+  };
+  for (int i = boundary; i <= max_size_class(); ++i) {
+    Region& r = regions_[static_cast<std::size_t>(i)];
+    for (const BufferEntry& entry : r.buffer_entries) evacuate(entry);
+    r.ResetBuffer();
+  }
+  for (const BufferEntry& entry : extra) evacuate(entry);
+  return overflow;
+}
+
+void SizeClassLayout::PlanArrivals(int boundary,
+                                   std::vector<MovePlan>& moves) const {
+  // Region::payload_live is maintained incrementally (unchanged by payload
+  // moves), so the arrival cursor needs no pass over the object table.
+  for (int i = boundary; i <= max_size_class(); ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    std::uint64_t cursor =
+        suffix_[idx].payload_start + regions_[idx].payload_live;
+    for (const auto& [id, size] : suffix_[idx].arrivals) {
+      moves.push_back(MovePlan{id, Extent{cursor, size}});
+      cursor += size;
+    }
+  }
+}
+
+void SizeClassLayout::InstallSuffix(int boundary) {
+  for (int i = boundary; i <= max_size_class(); ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    Region& r = regions_[idx];
+    const RegionPlan& plan = suffix_[idx];
+    r.payload_start = plan.payload_start;
+    r.payload_capacity = plan.payload_capacity;
+    r.buffer_capacity = plan.buffer_capacity;
+    for (const auto& [id, size] : plan.arrivals) {
+      AppendPayloadObject(r, id, size);
+      ObjectInfo& info = objects_.at(id);
+      info.in_buffer = false;
+      info.region = i;
+    }
+  }
+}
+
 Status SizeClassLayout::CheckInvariants() const {
   std::vector<std::uint64_t> class_volume(volumes_.size(), 0);
   std::uint64_t total = 0;
   std::size_t object_count = 0;
   COSR_RETURN_IF_ERROR(CheckRegions(class_volume, total, object_count));
+  return CheckAccounting(class_volume, total, object_count);
+}
+
+Status SizeClassLayout::CheckAccounting(
+    const std::vector<std::uint64_t>& class_volume, std::uint64_t total,
+    std::size_t object_count) const {
   for (std::size_t i = 1; i < volumes_.size(); ++i) {
     if (class_volume[i] != volumes_[i]) {
       return Status::Internal("volume accounting mismatch for class " +
@@ -198,39 +309,50 @@ Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
     }
     // Buffer entries: classes <= i (Invariant 2.2(4)), packed in order.
     std::uint64_t used = 0;
-    std::uint64_t cursor = r.buffer_start();
-    for (const BufferEntry& entry : r.buffer_entries) {
-      if (entry.size_class > i) {
-        return Status::Internal("buffer entry of class " +
-                                std::to_string(entry.size_class) +
-                                " in region " + std::to_string(i));
-      }
-      if (entry.live()) {
-        auto it = objects_.find(entry.id);
-        if (it == objects_.end()) {
-          return Status::Internal("buffered object without bookkeeping");
-        }
-        const ObjectInfo& info = it->second;
-        if (!info.in_buffer || info.region != i ||
-            info.size != entry.size || info.size_class != entry.size_class) {
-          return Status::Internal("buffered object misfiled");
-        }
-        const Extent& e = space_->extent_of(entry.id);
-        if (e.offset != cursor || e.length != entry.size) {
-          return Status::Internal("buffered object not packed in order");
-        }
-        class_volume[static_cast<std::size_t>(info.size_class)] += info.size;
-        total += info.size;
-        ++object_count;
-      }
-      cursor += entry.size;
-      used += entry.size;
-    }
+    COSR_RETURN_IF_ERROR(CheckBufferEntries(r.buffer_entries, r.buffer_start(),
+                                            i, i, used, class_volume, total,
+                                            object_count));
     if (used != r.buffer_used || used > r.buffer_capacity) {
       return Status::Internal("buffer accounting mismatch in region " +
                               std::to_string(i));
     }
   }
+  return Status::Ok();
+}
+
+Status SizeClassLayout::CheckBufferEntries(
+    const std::vector<BufferEntry>& entries, std::uint64_t start, int region,
+    int max_class, std::uint64_t& used,
+    std::vector<std::uint64_t>& class_volume, std::uint64_t& total,
+    std::size_t& object_count) const {
+  std::uint64_t cursor = start;
+  for (const BufferEntry& entry : entries) {
+    if (entry.size_class > max_class) {
+      return Status::Internal("buffer entry of class " +
+                              std::to_string(entry.size_class) +
+                              " in region " + std::to_string(region));
+    }
+    if (entry.live()) {
+      auto it = objects_.find(entry.id);
+      if (it == objects_.end()) {
+        return Status::Internal("buffered object without bookkeeping");
+      }
+      const ObjectInfo& info = it->second;
+      if (!info.in_buffer || info.region != region ||
+          info.size != entry.size || info.size_class != entry.size_class) {
+        return Status::Internal("buffered object misfiled");
+      }
+      const Extent& e = space_->extent_of(entry.id);
+      if (e.offset != cursor || e.length != entry.size) {
+        return Status::Internal("buffered object not packed in order");
+      }
+      class_volume[static_cast<std::size_t>(info.size_class)] += info.size;
+      total += info.size;
+      ++object_count;
+    }
+    cursor += entry.size;
+  }
+  used = cursor - start;
   return Status::Ok();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cosr/core/flush_listener.h"
@@ -13,10 +14,12 @@
 namespace cosr {
 
 /// Shared machinery of the three cost-oblivious variants (Sections 2, 3.2,
-/// 3.3): the size-class region layout of Invariants 2.2-2.4, buffer
-/// placement, dummy delete records, boundary-class computation, and the
+/// 3.3): the size-class region layout of Invariants 2.2-2.4, insert
+/// admission and delete bookkeeping, buffer placement, dummy delete
+/// records, boundary-class computation, the flush building blocks (suffix
+/// sizing, buffer evacuation, arrival placement and install), and the
 /// layout invariant checker. Subclasses implement the request handling and
-/// the flush procedure appropriate to their model.
+/// the order in which a flush moves payloads under their model.
 class SizeClassLayout : public Reallocator {
  public:
   /// Largest size class with a region (0 when empty).
@@ -58,7 +61,35 @@ class SizeClassLayout : public Reallocator {
     int region = 0;  // region index where the object currently lives
   };
 
+  /// The flushed suffix's new layout for one class (Invariant 2.4):
+  /// payload capacity V(i), buffer capacity floor(eps * V(i)), and the
+  /// evacuated buffered objects (id, size) that land at the payload end.
+  struct RegionPlan {
+    std::uint64_t payload_start = 0;
+    std::uint64_t payload_capacity = 0;
+    std::uint64_t buffer_capacity = 0;
+    std::vector<std::pair<ObjectId, std::uint64_t>> arrivals;
+  };
+
   SizeClassLayout(Space* space, double epsilon);
+
+  /// Insert admission: rejects a zero size or a known id, raises ∆, and
+  /// counts the object into its class and total volume. Sets `*cls` to the
+  /// object's size class.
+  Status AdmitInsert(ObjectId id, std::uint64_t size, int* cls);
+
+  /// Delete bookkeeping: drops `id` from the object table and from its
+  /// class and total volume, then either turns its buffer entry into a
+  /// dummy delete record (its space stays consumed until the next flush) or
+  /// erases it from its payload segment. Returns false for an unknown id.
+  /// `info->in_buffer == false` means the caller still owes a dummy record.
+  /// The space is left untouched.
+  bool ForgetObject(ObjectId id, ObjectInfo* info);
+
+  /// The buffer entry list that an ObjectInfo::region index names.
+  virtual std::vector<BufferEntry>& BufferEntries(int region) {
+    return regions_[static_cast<std::size_t>(region)].buffer_entries;
+  }
 
   /// Places (or, for adopted objects, moves) `id` into the earliest buffer
   /// j >= cls with room. Returns false when no buffer has room.
@@ -76,14 +107,42 @@ class SizeClassLayout : public Reallocator {
     return spill_upward_ ? max_size_class() : cls;
   }
 
+  /// Appends empty regions at the structure end until class `cls` has one.
+  void AddRegionsThrough(int cls);
+
   /// Creates regions up to `cls` for a new largest class and places the
   /// object in its fresh payload segment (the +w+eps'w rule of Section 2).
+  /// The object must already be admitted.
   void CreateNewLargestClass(ObjectId id, std::uint64_t size, int cls,
                              bool already_placed);
 
   /// The maximum b such that all buffered entries in regions >= b and the
   /// triggering request belong to classes >= b.
   int ComputeBoundary(int trigger_class) const;
+
+  // Flush building blocks shared by every variant. A flush of regions
+  // >= boundary sizes the new suffix (PlanSuffix), evacuates the live
+  // buffered objects to an overflow run (EvacuateBuffers), moves payloads
+  // to their new starts (variant-specific), lands the evacuated objects at
+  // their payload ends (PlanArrivals) and installs the new layout
+  // (InstallSuffix).
+
+  /// Lays out regions >= boundary from the current class volumes, starting
+  /// at the boundary region's start, into suffix_. Returns the new end.
+  std::uint64_t PlanSuffix(int boundary);
+  /// Appends to `moves` a move of every live entry of the buffers >=
+  /// boundary, then of `extra`, to consecutive offsets from `overflow`,
+  /// and files each as an arrival of its class; empties those buffers.
+  /// Returns the overflow end.
+  std::uint64_t EvacuateBuffers(int boundary, std::uint64_t overflow,
+                                const std::vector<BufferEntry>& extra,
+                                std::vector<MovePlan>& moves);
+  /// Appends to `moves` each arrival's move to the end of its class's
+  /// packed payload at the planned start.
+  void PlanArrivals(int boundary, std::vector<MovePlan>& moves) const;
+  /// Installs suffix_ into regions >= boundary and files the arrivals as
+  /// payload objects.
+  void InstallSuffix(int boundary);
 
   void PlaceOrMove(ObjectId id, const Extent& extent, bool already_placed);
   void MoveTracked(ObjectId id, const Extent& to);
@@ -111,10 +170,22 @@ class SizeClassLayout : public Reallocator {
   void NoteTempFootprint(std::uint64_t end);
 
   /// Checks the per-region invariants and accumulates per-class volume,
-  /// total volume, and object count for the caller's global accounting
-  /// checks (which differ between variants).
+  /// total volume, and object count for CheckAccounting.
   Status CheckRegions(std::vector<std::uint64_t>& class_volume,
                       std::uint64_t& total, std::size_t& count) const;
+  /// Checks one buffer: entries of classes <= max_class, live ones filed
+  /// under `region` and packed in order from `start`. Accumulates like
+  /// CheckRegions and sets `used` to the buffer's consumed space.
+  Status CheckBufferEntries(const std::vector<BufferEntry>& entries,
+                            std::uint64_t start, int region, int max_class,
+                            std::uint64_t& used,
+                            std::vector<std::uint64_t>& class_volume,
+                            std::uint64_t& total, std::size_t& count) const;
+  /// Checks the accumulated per-class and global volume and object counts
+  /// against the bookkeeping and the space, and that nothing lies beyond
+  /// the reserved end.
+  Status CheckAccounting(const std::vector<std::uint64_t>& class_volume,
+                         std::uint64_t total, std::size_t count) const;
 
   Space* space_;
   double epsilon_;
@@ -122,7 +193,8 @@ class SizeClassLayout : public Reallocator {
   /// rule). Disabled only by the ablation experiment.
   bool spill_upward_ = true;
   std::vector<Region> regions_;         // index = size class; [0] unused
-  std::vector<std::uint64_t> volumes_;  // active volume per class
+  // Active volume per class, sized for every class of a 64-bit size.
+  std::vector<std::uint64_t> volumes_;
   std::unordered_map<ObjectId, ObjectInfo> objects_;
   std::uint64_t total_volume_ = 0;
   std::uint64_t delta_ = 0;
@@ -132,6 +204,7 @@ class SizeClassLayout : public Reallocator {
   std::uint64_t max_temp_footprint_ = 0;
   FlushListener* flush_listener_ = nullptr;
   std::vector<MovePlan> move_batch_;  // staged flush moves (PlanMove)
+  std::vector<RegionPlan> suffix_;    // index = size class (PlanSuffix)
 };
 
 }  // namespace cosr

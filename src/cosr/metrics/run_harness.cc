@@ -28,6 +28,7 @@ RunReport RunTrace(Reallocator& realloc, Space& space,
   space.AddListener(&meter);
 
   auto* layout = dynamic_cast<SizeClassLayout*>(&realloc);
+  // Both Section 3 variants: DeamortizedReallocator derives from it.
   auto* checkpointed = dynamic_cast<CheckpointedReallocator*>(&realloc);
   auto* size_class = dynamic_cast<SizeClassReallocator*>(&realloc);
 

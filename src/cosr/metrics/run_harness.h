@@ -61,7 +61,7 @@ struct RunReport {
 
   std::uint64_t flushes = 0;                   // core variants only
   std::uint64_t checkpoints = 0;               // when a manager is attached
-  std::uint64_t max_checkpoints_per_flush = 0;  // checkpointed variant only
+  std::uint64_t max_checkpoints_per_flush = 0;  // Section 3 variants only
 
   std::vector<FunctionReport> functions;
   std::vector<TimelinePoint> timeline;

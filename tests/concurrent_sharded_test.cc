@@ -40,6 +40,7 @@
 #include "cosr/storage/simulated_disk.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
+#include "reference/event_recorder.h"
 
 namespace cosr {
 namespace {
@@ -181,35 +182,6 @@ TEST(ConcurrentDifferential, CostObliviousK4W4SizeClassRouting) {
 }
 
 // ------------------------------------------- K=1/W=1 bare-algorithm identity
-
-struct Event {
-  char kind = '?';  // P(lace) M(ove) R(emove) C(heckpoint)
-  ObjectId id = kInvalidObjectId;
-  Extent a;
-  Extent b;
-
-  friend bool operator==(const Event& x, const Event& y) {
-    return x.kind == y.kind && x.id == y.id && x.a == y.a && x.b == y.b;
-  }
-};
-
-class EventRecorder : public SpaceListener {
- public:
-  void OnPlace(ObjectId id, const Extent& e) override {
-    events.push_back({'P', id, e, Extent{}});
-  }
-  void OnMove(ObjectId id, const Extent& from, const Extent& to) override {
-    events.push_back({'M', id, from, to});
-  }
-  void OnRemove(ObjectId id, const Extent& e) override {
-    events.push_back({'R', id, e, Extent{}});
-  }
-  void OnCheckpoint(std::uint64_t) override {
-    events.push_back({'C', 0, Extent{}, Extent{}});
-  }
-
-  std::vector<Event> events;
-};
 
 TEST(ConcurrentK1Identity, CostObliviousEventForEvent) {
   const Trace trace = TestTrace(21, 3000);

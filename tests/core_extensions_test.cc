@@ -1,7 +1,11 @@
 // Additional coverage for the core variants: the no-spill ablation keeps
-// all invariants, the checkpointed variant emits the Figure-3 flush stages,
-// the deamortized variant's per-op checkpoint count is bounded, and the
-// defragmenter validates its input.
+// all invariants, every variant emits the Figure-3 flush stages once per
+// flush, the deamortized variant's per-op checkpoint count is bounded, and
+// the defragmenter validates its input.
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include "cosr/core/defragmenter.h"
 #include "cosr/cost/cost_battery.h"
 #include "cosr/metrics/run_harness.h"
+#include "cosr/realloc/factory.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/viz/flush_tracer.h"
 #include "cosr/workload/workload_generator.h"
@@ -58,7 +63,74 @@ TEST(NoSpillAblationTest, CostsMoreThanThePaperRule) {
   EXPECT_GT(ratios[1], 1.5 * ratios[0]);
 }
 
-TEST(CheckpointedFlushStagesTest, EmitsFigureThreeEvents) {
+/// Records flush events, and how many space events fall between them.
+class StageRecorder : public FlushListener, public SpaceListener {
+ public:
+  void OnFlushEvent(const FlushEvent& event) override {
+    events.push_back(event);
+    if (event.stage != FlushEvent::Stage::kBegin && moves_in_stage == 0) {
+      ++empty_stages;
+    }
+    moves_in_stage = 0;
+  }
+  void OnMoves(const MoveRecord*, std::size_t count) override {
+    moves_in_stage += count;
+  }
+  void OnMove(ObjectId, const Extent&, const Extent&) override {
+    ++moves_in_stage;
+  }
+
+  std::vector<FlushEvent> events;
+  std::uint64_t moves_in_stage = 0;
+  std::uint64_t empty_stages = 0;
+};
+
+/// Replays `trace` on a fresh `variant` at eps = 1/4 and checks that every
+/// flush emits Figure 3's states (i)-(v) once each, in order, with one
+/// boundary. Returns the number of stages that moved nothing.
+std::uint64_t ExpectFigureThreePerFlush(const std::string& variant,
+                                        const Trace& trace) {
+  const FlushEvent::Stage kOrder[] = {
+      FlushEvent::Stage::kBegin, FlushEvent::Stage::kBuffersEvacuated,
+      FlushEvent::Stage::kCompacted, FlushEvent::Stage::kUnpacked,
+      FlushEvent::Stage::kEnd};
+  CheckpointManager manager;
+  AddressSpace space(
+      AlgorithmNeedsCheckpointManager(variant) ? &manager : nullptr);
+  ReallocatorSpec spec;
+  spec.algorithm = variant;
+  std::unique_ptr<Reallocator> owned;
+  EXPECT_TRUE(MakeReallocator(spec, &space, &owned).ok());
+  auto* realloc = dynamic_cast<SizeClassLayout*>(owned.get());
+  if (realloc == nullptr) {
+    ADD_FAILURE() << variant << " is not a size-class layout";
+    return 0;
+  }
+  StageRecorder recorder;
+  realloc->set_flush_listener(&recorder);
+  space.AddListener(&recorder);
+  for (const Request& r : trace.requests()) {
+    if (r.type == Request::Type::kInsert) {
+      EXPECT_TRUE(realloc->Insert(r.id, r.size).ok());
+    } else {
+      EXPECT_TRUE(realloc->Delete(r.id).ok());
+    }
+  }
+  realloc->Quiesce();
+
+  EXPECT_GT(realloc->flush_count(), 0u);
+  EXPECT_EQ(recorder.events.size(), 5 * realloc->flush_count());
+  for (std::size_t i = 0; i < recorder.events.size(); ++i) {
+    const FlushEvent& event = recorder.events[i];
+    EXPECT_EQ(event.stage, kOrder[i % 5]) << "event " << i;
+    EXPECT_EQ(event.boundary_class,
+              recorder.events[i - i % 5].boundary_class)
+        << "event " << i;
+  }
+  return recorder.empty_stages;
+}
+
+TEST(FlushStagesTest, EmitsFigureThreeEvents) {
   CheckpointManager manager;
   AddressSpace space(&manager);
   CheckpointedReallocator realloc(&space,
@@ -73,6 +145,24 @@ TEST(CheckpointedFlushStagesTest, EmitsFigureThreeEvents) {
   ASSERT_EQ(tracer.frames().size(), 5u);
   EXPECT_NE(tracer.frames()[1].find("(ii)"), std::string::npos);
   EXPECT_NE(tracer.frames()[3].find("(iv)"), std::string::npos);
+
+  // Every variant, every flush of a seeded churn.
+  const Trace churn = MakeChurnTrace({.operations = 4000,
+                                      .target_live_volume = 1 << 14,
+                                      .max_size = 512,
+                                      .seed = 35});
+  // A delete whose dummy record fits no buffer flushes with nothing
+  // buffered: stages A and D are empty but still reported.
+  Trace empty_stages;
+  empty_stages.AddInsert(1, 100);
+  empty_stages.AddInsert(2, 64);
+  empty_stages.AddDelete(1);
+  for (const std::string variant :
+       {"cost-oblivious", "checkpointed", "deamortized"}) {
+    SCOPED_TRACE(variant);
+    ExpectFigureThreePerFlush(variant, churn);
+    EXPECT_GT(ExpectFigureThreePerFlush(variant, empty_stages), 0u);
+  }
 }
 
 TEST(DeamortizedCheckpointTest, PerOpCheckpointsBounded) {

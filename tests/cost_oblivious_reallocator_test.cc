@@ -273,7 +273,7 @@ TEST(CostObliviousTest, DeltaTracksLargestObject) {
   ASSERT_TRUE(realloc.Insert(2, 500).ok());
   EXPECT_EQ(realloc.delta(), 500u);
   ASSERT_TRUE(realloc.Delete(2).ok());
-  EXPECT_EQ(realloc.delta(), 500u);  // running maximum, per DESIGN.md
+  EXPECT_EQ(realloc.delta(), 500u);  // a running maximum: ∆ never shrinks
 }
 
 }  // namespace

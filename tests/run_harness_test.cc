@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "cosr/core/cost_oblivious_reallocator.h"
+#include "cosr/core/deamortized_reallocator.h"
 #include "cosr/realloc/compacting_oracle.h"
+#include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/workload_generator.h"
 
 namespace cosr {
@@ -86,6 +88,21 @@ TEST(RunHarnessTest, FlushesReportedForCoreVariant) {
   EXPECT_GT(report.flushes, 0u);
   EXPECT_GT(report.moves, 0u);
   EXPECT_GT(report.bytes_moved, 0u);
+}
+
+TEST(RunHarnessTest, CheckpointsPerFlushReportedForDeamortized) {
+  CheckpointManager manager;
+  AddressSpace space(&manager);
+  DeamortizedReallocator realloc(&space);
+  Trace trace = MakeChurnTrace({.operations = 2000,
+                                .target_live_volume = 1 << 13,
+                                .max_size = 128,
+                                .seed = 3});
+  RunReport report = RunTrace(realloc, space, trace, MakeDefaultBattery());
+  EXPECT_GT(report.flushes, 0u);
+  EXPECT_GT(report.max_checkpoints_per_flush, 0u);
+  EXPECT_EQ(report.max_checkpoints_per_flush,
+            realloc.max_checkpoints_per_flush());
 }
 
 }  // namespace

@@ -30,48 +30,10 @@
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
+#include "reference/event_recorder.h"
 
 namespace cosr {
 namespace {
-
-// ------------------------------------------------------------ event taps
-
-struct Event {
-  char kind = '?';  // P(lace) M(ove) R(emove) C(heckpoint)
-  ObjectId id = kInvalidObjectId;
-  Extent a;
-  Extent b;
-
-  friend bool operator==(const Event& x, const Event& y) {
-    return x.kind == y.kind && x.id == y.id && x.a == y.a && x.b == y.b;
-  }
-};
-
-/// Records every physical event. Checkpoint sequence numbers are omitted on
-/// purpose: the sharded parent carries no manager, so its seqs differ from
-/// a managed reference space even when the checkpoints themselves align.
-class EventRecorder : public SpaceListener {
- public:
-  void OnPlace(ObjectId id, const Extent& e) override {
-    events.push_back({'P', id, e, Extent{}});
-  }
-  void OnMove(ObjectId id, const Extent& from, const Extent& to) override {
-    events.push_back({'M', id, from, to});
-  }
-  void OnRemove(ObjectId id, const Extent& e) override {
-    events.push_back({'R', id, e, Extent{}});
-  }
-  void OnCheckpoint(std::uint64_t) override {
-    events.push_back({'C', 0, Extent{}, Extent{}});
-  }
-
-  std::vector<Event> events;
-};
-
-std::string Describe(const Event& e) {
-  return std::string(1, e.kind) + " id=" + std::to_string(e.id) + " " +
-         ToString(e.a) + " -> " + ToString(e.b);
-}
 
 // -------------------------------------------------------- K=1 differential
 

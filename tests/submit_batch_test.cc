@@ -33,6 +33,7 @@
 #include "cosr/storage/address_space.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
+#include "reference/event_recorder.h"
 
 namespace cosr {
 namespace {
@@ -44,35 +45,6 @@ Trace TestTrace(std::uint64_t seed, std::uint64_t operations = 4000) {
                          .max_size = 512,
                          .seed = seed});
 }
-
-struct Event {
-  char kind = '?';  // P(lace) M(ove) R(emove) C(heckpoint)
-  ObjectId id = kInvalidObjectId;
-  Extent a;
-  Extent b;
-
-  friend bool operator==(const Event& x, const Event& y) {
-    return x.kind == y.kind && x.id == y.id && x.a == y.a && x.b == y.b;
-  }
-};
-
-class EventRecorder : public SpaceListener {
- public:
-  void OnPlace(ObjectId id, const Extent& e) override {
-    events.push_back({'P', id, e, Extent{}});
-  }
-  void OnMove(ObjectId id, const Extent& from, const Extent& to) override {
-    events.push_back({'M', id, from, to});
-  }
-  void OnRemove(ObjectId id, const Extent& e) override {
-    events.push_back({'R', id, e, Extent{}});
-  }
-  void OnCheckpoint(std::uint64_t) override {
-    events.push_back({'C', 0, Extent{}, Extent{}});
-  }
-
-  std::vector<Event> events;
-};
 
 std::unique_ptr<ConcurrentShardedReallocator> MakeFacade(
     std::uint32_t shard_count, std::uint32_t worker_threads,
