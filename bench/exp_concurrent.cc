@@ -107,9 +107,9 @@ struct Row {
   std::vector<std::uint64_t> per_shard_reserved;
   std::vector<std::uint64_t> per_shard_peak;
   /// Wall-clock latency of executed insert/delete ops, merged over shards.
-  LatencyHistogramSnapshot lat_total;
-  LatencyHistogramSnapshot lat_queue;
-  LatencyHistogramSnapshot lat_service;
+  LatencyHistogram lat_total;
+  LatencyHistogram lat_queue;
+  LatencyHistogram lat_service;
 
   std::uint64_t executed() const { return operations - dropped_ops; }
 

@@ -5,6 +5,7 @@
 // variants under the same workload.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "cosr/storage/address_space.h"
@@ -12,7 +13,8 @@
 #include "cosr/core/cost_oblivious_reallocator.h"
 #include "cosr/core/deamortized_reallocator.h"
 #include "cosr/cost/cost_battery.h"
-#include "cosr/metrics/latency_profile.h"
+#include "cosr/metrics/cost_meter.h"
+#include "cosr/metrics/latency_histogram.h"
 #include "cosr/metrics/run_harness.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/workload_generator.h"
@@ -20,21 +22,26 @@
 namespace cosr {
 namespace {
 
-/// Replays the trace recording per-op linear-f costs.
-void Profile(Reallocator& realloc, AddressSpace& space, const Trace& trace,
-             LatencyProfile& profile) {
-  space.AddListener(&profile);
+/// Replays the trace recording each request's linear-f cost: the bytes it
+/// writes (placements plus moves).
+LatencyHistogram Profile(Reallocator& realloc, AddressSpace& space,
+                         const Trace& trace, const CostBattery& battery) {
+  CostMeter meter(&battery);
+  LatencyHistogram costs;
+  space.AddListener(&meter);
+  std::uint64_t written = 0;
   for (const Request& r : trace.requests()) {
-    profile.BeginOp();
     if (r.type == Request::Type::kInsert) {
       (void)realloc.Insert(r.id, r.size);
     } else {
       (void)realloc.Delete(r.id);
     }
+    const std::uint64_t now = meter.bytes_placed() + meter.bytes_moved();
+    costs.Record(now - written);
+    written = now;
   }
-  profile.BeginOp();
-  realloc.Quiesce();
-  space.RemoveListener(&profile);
+  space.RemoveListener(&meter);
+  return costs;
 }
 
 void Run() {
@@ -86,34 +93,33 @@ void Run() {
   }
   table.Print();
 
-  // The same comparison as a latency distribution (linear f): the body is
-  // similar; the deamortized tail is flat.
-  auto linear = MakeLinearCost();
-  LatencyProfile amortized_profile(linear.get());
+  // The same comparison as a distribution (linear f, so bytes written per
+  // request): the body is similar; the deamortized tail is flat.
+  // Percentiles are bucket upper bounds (at most 1/32 high); max is exact.
+  LatencyHistogram amortized_costs;
   {
     AddressSpace space;
     CostObliviousReallocator fresh(&space,
                                    CostObliviousReallocator::Options{eps});
-    Profile(fresh, space, trace, amortized_profile);
+    amortized_costs = Profile(fresh, space, trace, battery);
   }
-  LatencyProfile deamortized_profile(linear.get());
+  LatencyHistogram deamortized_costs;
   {
     CheckpointManager fresh_manager;
     AddressSpace space(&fresh_manager);
     DeamortizedReallocator fresh(&space, options);
-    Profile(fresh, space, trace, deamortized_profile);
+    deamortized_costs = Profile(fresh, space, trace, battery);
   }
   std::printf("\nper-op cost distribution (linear f):\n");
   bench::Table latency({"variant", "p50", "p90", "p99", "p99.9", "max"});
-  const std::pair<const LatencyProfile*, const char*> profiles[] = {
-      {&amortized_profile, "amortized"},
-      {&deamortized_profile, "deamortized"}};
-  for (const auto& [profile, label] : profiles) {
-    latency.AddRow({label, bench::Fmt(profile->Percentile(0.50), 0),
-                    bench::Fmt(profile->Percentile(0.90), 0),
-                    bench::Fmt(profile->Percentile(0.99), 0),
-                    bench::Fmt(profile->Percentile(0.999), 0),
-                    bench::Fmt(profile->max(), 0)});
+  const std::pair<const LatencyHistogram*, const char*> profiles[] = {
+      {&amortized_costs, "amortized"}, {&deamortized_costs, "deamortized"}};
+  for (const auto& [costs, label] : profiles) {
+    latency.AddRow({label, std::to_string(costs->Percentile(0.50)),
+                    std::to_string(costs->Percentile(0.90)),
+                    std::to_string(costs->Percentile(0.99)),
+                    std::to_string(costs->Percentile(0.999)),
+                    std::to_string(costs->max())});
   }
   latency.Print();
 

@@ -33,7 +33,7 @@
 #include "cosr/durability/move_log.h"         // IWYU pragma: export
 #include "cosr/durability/recovery_manager.h" // IWYU pragma: export
 #include "cosr/metrics/cost_meter.h"          // IWYU pragma: export
-#include "cosr/metrics/latency_profile.h"     // IWYU pragma: export
+#include "cosr/metrics/latency_histogram.h"   // IWYU pragma: export
 #include "cosr/metrics/run_harness.h"         // IWYU pragma: export
 #include "cosr/realloc/compacting_oracle.h"   // IWYU pragma: export
 #include "cosr/realloc/factory.h"             // IWYU pragma: export

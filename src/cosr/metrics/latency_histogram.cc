@@ -26,24 +26,9 @@ std::uint64_t LatencyHistogram::BucketUpperBound(std::size_t index) {
   return lower + ((std::uint64_t{1} << shift) - 1);
 }
 
-LatencyHistogramSnapshot LatencyHistogram::Snapshot() const {
-  LatencyHistogramSnapshot snapshot;
-  snapshot.buckets.resize(kBucketCount);
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    snapshot.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  snapshot.count = count_.load(std::memory_order_relaxed);
-  snapshot.sum = sum_.load(std::memory_order_relaxed);
-  snapshot.max_value = max_.load(std::memory_order_relaxed);
-  return snapshot;
-}
-
-void LatencyHistogramSnapshot::MergeFrom(
-    const LatencyHistogramSnapshot& other) {
-  if (other.buckets.empty() && other.count == 0) return;
-  if (buckets.empty()) {
-    buckets.resize(LatencyHistogram::kBucketCount);
-  }
+void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
+  if (other.buckets.empty()) return;
+  if (buckets.empty()) buckets.resize(kBucketCount);
   COSR_CHECK_EQ(buckets.size(), other.buckets.size());
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     buckets[i] += other.buckets[i];
@@ -53,11 +38,11 @@ void LatencyHistogramSnapshot::MergeFrom(
   max_value = std::max(max_value, other.max_value);
 }
 
-std::uint64_t LatencyHistogramSnapshot::Percentile(double q) const {
+std::uint64_t LatencyHistogram::Percentile(double q) const {
   if (count == 0) return 0;
   const double clamped = std::min(std::max(q, 0.0), 1.0);
-  // ceil(q * count), clamped to [1, count]: the same order-statistic rule
-  // LatencyProfile uses, so the two surfaces agree on what "p50" means.
+  // ceil(q * count), clamped to [1, count]: the nearest-rank order
+  // statistic, so "p50" of {1, 2} is 1 and of {1, 2, 3} is 2.
   std::uint64_t rank = static_cast<std::uint64_t>(
       std::ceil(clamped * static_cast<double>(count)));
   rank = std::min(std::max<std::uint64_t>(rank, 1), count);
@@ -68,7 +53,7 @@ std::uint64_t LatencyHistogramSnapshot::Percentile(double q) const {
       // Bucket order is value order, so the rank-th smallest sample lies
       // in the first bucket whose cumulative count reaches the rank. The
       // max clamp makes the top quantiles exact instead of bucket-rounded.
-      return std::min(LatencyHistogram::BucketUpperBound(i), max_value);
+      return std::min(BucketUpperBound(i), max_value);
     }
   }
   return max_value;  // unreachable when counters are consistent

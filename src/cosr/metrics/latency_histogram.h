@@ -1,8 +1,6 @@
 #ifndef COSR_METRICS_LATENCY_HISTOGRAM_H_
 #define COSR_METRICS_LATENCY_HISTOGRAM_H_
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -27,30 +25,57 @@ inline std::uint64_t SaturatingElapsed(std::uint64_t a, std::uint64_t b) {
   return a >= b ? a - b : 0;
 }
 
-class LatencyHistogram;
-
-/// A plain-value copy of a LatencyHistogram: the form latency data travels
-/// in (inside ShardStats, across threads, into JSON writers). Freely
-/// copyable; all queries live here.
+/// A log-bucketed histogram in the HDR-histogram style: power-of-two major
+/// buckets split into 2^kSubBucketBits mantissa sub-buckets, so Record is
+/// O(1) (one bit-scan, one indexed increment) at a fixed ~3% relative
+/// resolution over the full uint64 range. Fixed footprint (kBucketCount
+/// counters, ~15 KiB, allocated on the first Record), no per-sample
+/// storage — the properties that let one histogram sit on a shard's hot
+/// loop for the life of the process. Unit-agnostic: the service facades
+/// record wall-clock nanoseconds, exp_worstcase bytes written per request.
+///
+/// A plain value: copy it, merge it, send it across threads. Thread-
+/// compatible — whoever owns a histogram records into it (a shard's owner,
+/// for the per-shard ones in ShardStats::PerShard), and readers on other
+/// threads get a copy made by that owner.
 ///
 /// Percentile semantics: `Percentile(q)` returns the upper bound of the
 /// bucket holding the ceil(q * count)-th smallest sample (clamped to
 /// [1, count]), further clamped to the exact recorded maximum — so
 /// `Percentile(1.0) == max()` exactly, results are monotone non-decreasing
 /// in q, and every result overestimates the true order statistic by at
-/// most one part in 2^kSubBucketBits (~3%). Empty snapshots answer 0.
-struct LatencyHistogramSnapshot {
-  /// Per-bucket sample counts (LatencyHistogram::kBucketCount entries once
-  /// populated; empty when default-constructed and nothing merged in).
+/// most one part in 2^kSubBucketBits (~3%). Empty histograms answer 0.
+struct LatencyHistogram {
+  /// 2^5 = 32 sub-buckets per power of two: worst-case relative error of a
+  /// bucket upper bound is 1/32 (~3.1%); values below 64 are exact.
+  static constexpr int kSubBucketBits = 5;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+  /// Group 0 covers [0, 2*kSubBuckets) exactly; each further group covers
+  /// one power of two. 64-bit values need (64 - kSubBucketBits - 1) more
+  /// groups of kSubBuckets buckets each.
+  static constexpr std::size_t kBucketCount =
+      (64 - kSubBucketBits + 1) * kSubBuckets;
+
+  /// Per-bucket sample counts (kBucketCount entries once anything was
+  /// recorded or merged in; empty before).
   std::vector<std::uint64_t> buckets;
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
   std::uint64_t max_value = 0;
 
-  /// Folds `other` into this snapshot: buckets and counters add, max takes
-  /// the max. Merging is associative and commutative (pure addition), so
-  /// per-shard snapshots aggregate in any order.
-  void MergeFrom(const LatencyHistogramSnapshot& other);
+  /// Records one sample. O(1); allocates only on the first call.
+  void Record(std::uint64_t value) {
+    if (buckets.empty()) buckets.resize(kBucketCount);
+    ++buckets[BucketIndex(value)];
+    ++count;
+    sum += value;
+    if (value > max_value) max_value = value;
+  }
+
+  /// Folds `other` into this histogram: buckets and counters add, max
+  /// takes the max. Merging is associative and commutative (pure
+  /// addition), so per-shard histograms aggregate in any order.
+  void MergeFrom(const LatencyHistogram& other);
 
   /// The value at quantile q in [0, 1] (inputs outside the range clamp).
   std::uint64_t Percentile(double q) const;
@@ -61,62 +86,6 @@ struct LatencyHistogramSnapshot {
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
   bool empty() const { return count == 0; }
-};
-
-/// A log-bucketed latency recorder in the HDR-histogram style: power-of-two
-/// major buckets split into 2^kSubBucketBits mantissa sub-buckets, so
-/// Record is O(1) (one bit-scan, one indexed fetch_add) at a fixed ~3%
-/// relative resolution over the full uint64 nanosecond range. Fixed
-/// footprint (kBucketCount counters, ~15 KiB), no allocation on the record
-/// path, no per-sample storage — the properties that let one histogram sit
-/// on a worker's hot loop for the life of the process.
-///
-/// Thread-safety contract — single-writer, like ShardCounters: exactly one
-/// thread (the owning shard's worker in the concurrent facade) calls
-/// Record; any thread may call Snapshot()/count() at any time and sees a
-/// consistent monotone history per bucket (relaxed atomics). Cross-bucket
-/// consistency (a snapshot whose count equals the ops retired at one
-/// instant) needs a drain barrier, exactly as for ShardCounters; the
-/// concurrent facade gets it for free by snapshotting on the owning worker.
-/// Unlike the cost-function-weighted LatencyProfile (a SpaceListener
-/// pricing *move work*), this histogram records wall-clock durations the
-/// caller hands it — the two views are complementary, see
-/// metrics/latency_profile.h.
-class LatencyHistogram {
- public:
-  /// 2^5 = 32 sub-buckets per power of two: worst-case relative error of a
-  /// bucket upper bound is 1/32 (~3.1%); values below 64 ns are exact.
-  static constexpr int kSubBucketBits = 5;
-  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
-  /// Group 0 covers [0, 2*kSubBuckets) exactly; each further group covers
-  /// one power of two. 64-bit values need (64 - kSubBucketBits - 1) more
-  /// groups of kSubBuckets buckets each.
-  static constexpr std::size_t kBucketCount =
-      (64 - kSubBucketBits + 1) * kSubBuckets;
-
-  LatencyHistogram() = default;
-  LatencyHistogram(const LatencyHistogram&) = delete;
-  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
-
-  /// Owner-thread only: records one sample (a duration in nanoseconds,
-  /// though the histogram is unit-agnostic). O(1), no allocation.
-  void Record(std::uint64_t value) {
-    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    if (value > max_.load(std::memory_order_relaxed)) {
-      max_.store(value, std::memory_order_relaxed);
-    }
-  }
-
-  /// Any thread: plain-value copy of the current state (per-bucket
-  /// consistent; see the class contract for cross-bucket consistency).
-  LatencyHistogramSnapshot Snapshot() const;
-
-  /// Any thread: samples recorded so far (relaxed).
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
 
   /// The bucket a value lands in. Values below 2*kSubBuckets map to
   /// themselves (exact); a larger value with floor(log2) = e keeps its top
@@ -125,12 +94,6 @@ class LatencyHistogram {
   /// The largest value mapping to `index` (inverse resolution of the
   /// scheme above; what Percentile reports before the max clamp).
   static std::uint64_t BucketUpperBound(std::size_t index);
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace cosr

@@ -486,13 +486,13 @@ ShardStats ConcurrentShardedReallocator::Stats() {
   // and only the owner ever touches the shard's mutable state, so the
   // read is race-free even while other producers keep submitting (their
   // later ops simply land behind the marker).
-  std::vector<ShardSnapshot> snapshots(shard_count());
+  std::vector<ShardStats::PerShard> shards(shard_count());
   std::vector<std::shared_ptr<OpToken>> tokens;
   tokens.reserve(shard_count());
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
     ShardOp op;
     op.kind = ShardOpKind::kSnapshot;
-    op.snapshot_out = &snapshots[i];
+    op.snapshot_out = &shards[i];
     tokens.push_back(std::make_shared<OpToken>());
     SubmitMarker(i, op, tokens.back());
   }
@@ -502,11 +502,11 @@ ShardStats ConcurrentShardedReallocator::Stats() {
   {
     std::lock_guard<std::mutex> drop_lock(drop_mu_);
     for (std::uint32_t i = 0; i < shard_count(); ++i) {
-      snapshots[i].per.dropped_ops = dropped_ops_[i];
+      shards[i].dropped_ops = dropped_ops_[i];
     }
     last_drop_status = last_drop_status_;
   }
-  ShardStats stats = ShardEngine::MergeStats(snapshots);
+  ShardStats stats = ShardEngine::MergeStats(std::move(shards));
   stats.last_drop_status = std::move(last_drop_status);
   return stats;
 }
@@ -522,7 +522,7 @@ void ConcurrentShardedReallocator::AddShardListener(std::uint32_t index,
 
 void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
   const RebalancePlan plan =
-      engine_.PlanScan(&worker.last_ops, &worker.owned_shards, &worker.victims);
+      engine_.PlanScan(&worker.owned_shards, &worker.victims);
   if (worker.victims.empty()) return;
 
   std::lock_guard<std::mutex> lock(routing_mu_);
@@ -532,12 +532,9 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
   // delete/reinsert that an out-of-band source delete would corrupt — and
   // holding routing_mu_ keeps it that way (every submission stamps under
   // this lock). stamped_requests_ is read under the lock; the executed-op
-  // counter was written by this very thread, so its relaxed read is
-  // exact. When the gate fails, the next scan simply retries.
-  if (stamped_requests_[plan.hot] !=
-      engine_.counters(plan.hot).ops.load(std::memory_order_relaxed)) {
-    return;
-  }
+  // count is the hot shard's record, which this very thread (its owner)
+  // writes. When the gate fails, the next scan simply retries.
+  if (stamped_requests_[plan.hot] != engine_.record(plan.hot).ops) return;
   const std::size_t moved = engine_.MigrateOut(plan, worker.victims);
   std::vector<Item> arrivals(moved);
   for (std::size_t i = 0; i < moved; ++i) {
@@ -601,7 +598,9 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
         const std::uint64_t node_requests = static_cast<std::uint64_t>(
             std::count_if(node->value.begin(), node->value.end(), is_request));
         if (node_requests > 0) {
-          engine_.RecordRemoteBatch(s, node_requests);
+          ShardStats::PerShard& record = engine_.record(s);
+          ++record.remote_batches;
+          record.batched_ops += node_requests;
         }
         requests += node_requests;
         // One clock read per item, not two: each op's end timestamp is

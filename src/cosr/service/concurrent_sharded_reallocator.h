@@ -114,8 +114,11 @@ class OpToken {
 ///     that rides the same FIFO, so it reflects every op enqueued before
 ///     the call (plus possibly some concurrent ones) with no racy reads.
 ///   * volume / reserved_footprint / counters — thread-safe at any time:
-///     relaxed reads of per-shard single-writer accumulators
-///     (ShardCounters), merged on read; exact once drained.
+///     relaxed reads of each shard's two single-writer gauges
+///     (ShardCounters: volume and reserved_footprint), summed on read;
+///     exact once drained. Every other per-shard number (ops, peaks,
+///     batches, migrations, latency) lives in the shard's record, which
+///     only its worker touches; read it through Stats().
 ///   * AddShardListener / shard / shard_view / shard_space — the listener
 ///     hook must run before the first Insert/Delete (CHECK-enforced); the
 ///     accessors must only be read while no producer is submitting and
@@ -278,7 +281,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   CheckpointManager* shard_manager(std::uint32_t index) const {
     return engine_.shard_manager(index);
   }
-  /// Any-time read: the shard's accumulator block.
+  /// Any-time read: the shard's volume and reserved-footprint gauges.
   const ShardCounters& counters(std::uint32_t index) const {
     return engine_.counters(index);
   }
@@ -307,10 +310,8 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::vector<std::uint32_t> owned_shards;
     std::thread thread;
     /// Rebalance pacing (worker thread only): drain cycles since the last
-    /// scan, each shard's op total at the previous scan (op-rate deltas
-    /// for RebalanceOptions::hot_op_ratio), and the scan's victim buffer.
+    /// scan, and the scan's victim buffer.
     std::uint64_t drain_cycles = 0;
-    std::vector<std::uint64_t> last_ops;
     std::vector<std::pair<ObjectId, Extent>> victims;
   };
 
@@ -416,7 +417,8 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   /// Drop accounting for the bounded-retry Submit policy. Cold path only
   /// (a drop means the retries already burned their backoff budget), so a
-  /// plain mutex keeps ShardCounters' single-writer discipline intact.
+  /// plain mutex; producers count drops here, never in a shard's record,
+  /// which only its worker writes.
   mutable std::mutex drop_mu_;
   std::vector<std::uint64_t> dropped_ops_;  // per shard
   Status last_drop_status_;

@@ -1,6 +1,7 @@
 #include "cosr/service/shard_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "cosr/common/check.h"
 #include "cosr/durability/durability_hub.h"
@@ -87,7 +88,6 @@ Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
   mode_ = mode;
   keeps_map_ = RoutingNeedsPlacementMap(options.routing) || options.rebalance;
   counters_ = std::vector<ShardCounters>(shard_count);
-  latency_ = std::vector<ShardLatencyRecorders>(shard_count);
   shards_.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     Shard shard;
@@ -98,6 +98,7 @@ Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
     shard.view = std::make_unique<SubSpaceView>(
         shard.root, std::uint64_t{i} * options.subrange_span,
         options.subrange_span, shard.manager.get());
+    shard.record.base = shard.view->base();
     COSR_RETURN_IF_ERROR(
         MakeReallocator(inner_spec, shard.view.get(), &shard.inner));
     if (durability != nullptr) {
@@ -129,28 +130,33 @@ void ShardEngine::SelectLog(MoveLog* log) {
   if (log_forwarder_ != nullptr) log_forwarder_->target = log;
 }
 
+void ShardEngine::StoreGauges(std::uint32_t index) {
+  const Reallocator& inner = *shards_[index].inner;
+  ShardCounters& gauges = counters_[index];
+  ShardStats::PerShard& record = shards_[index].record;
+  const std::uint64_t reserved = inner.reserved_footprint();
+  gauges.volume.store(inner.volume(), std::memory_order_relaxed);
+  gauges.reserved_footprint.store(reserved, std::memory_order_relaxed);
+  record.peak_reserved_footprint =
+      std::max(record.peak_reserved_footprint, reserved);
+}
+
 std::uint64_t ShardEngine::Execute(std::uint32_t index, const ShardOp& op,
                                    std::uint64_t start_ns, Status* status) {
   Shard& shard = shards_[index];
-  ShardCounters& counters = counters_[index];
+  ShardStats::PerShard& record = shard.record;
+  const bool is_request =
+      op.kind == ShardOpKind::kInsert || op.kind == ShardOpKind::kDelete;
   SelectLog(shard.log);
   switch (op.kind) {
     case ShardOpKind::kInsert:
       *status = shard.inner->Insert(op.id, op.size);
-      counters.RecordOp(/*is_insert=*/true, status->ok(),
-                        shard.inner->volume(),
-                        shard.inner->reserved_footprint());
       break;
     case ShardOpKind::kDelete:
       *status = shard.inner->Delete(op.id);
-      counters.RecordOp(/*is_insert=*/false, status->ok(),
-                        shard.inner->volume(),
-                        shard.inner->reserved_footprint());
       break;
     case ShardOpKind::kQuiesce:
       shard.inner->Quiesce();
-      counters.RefreshGauges(shard.inner->volume(),
-                             shard.inner->reserved_footprint());
       break;
     case ShardOpKind::kCheckpoint:
       if (shard.manager != nullptr) shard.view->Checkpoint();
@@ -160,48 +166,48 @@ std::uint64_t ShardEngine::Execute(std::uint32_t index, const ShardOp& op,
       // inserts can fail on a fresh id. The place journals on this shard's
       // log like any other insert.
       COSR_CHECK_OK(shard.inner->Insert(op.id, op.size));
-      counters.RecordMigrateIn(shard.inner->volume(),
-                               shard.inner->reserved_footprint());
+      ++record.migrations_in;
       break;
     case ShardOpKind::kSnapshot:
       *op.snapshot_out = Snapshot(index);
       break;
   }
   SelectLog(nullptr);
+  if (op.kind != ShardOpKind::kCheckpoint &&
+      op.kind != ShardOpKind::kSnapshot) {
+    StoreGauges(index);
+  }
+  if (is_request) {
+    ++record.ops;
+    if (!status->ok()) ++record.failed_ops;
+  }
   const std::uint64_t end_ns = MonotonicNanos();
   // Only requests feed the latency histograms: internal ops have no
   // submitter waiting on them, and excluding them keeps
   // `latency count == ops` an exact identity.
-  if (op.kind != ShardOpKind::kInsert && op.kind != ShardOpKind::kDelete) {
-    return end_ns;
-  }
-  ShardLatencyRecorders& latency = latency_[index];
-  latency.service.Record(SaturatingElapsed(end_ns, start_ns));
+  if (!is_request) return end_ns;
+  record.latency_service.Record(SaturatingElapsed(end_ns, start_ns));
   if (mode_ == Mode::kThreaded) {
-    latency.queue_wait.Record(SaturatingElapsed(start_ns, op.submit_ns));
-    latency.total.Record(SaturatingElapsed(end_ns, op.submit_ns));
+    record.latency_queue_wait.Record(SaturatingElapsed(start_ns, op.submit_ns));
+    record.latency_total.Record(SaturatingElapsed(end_ns, op.submit_ns));
   }
   return end_ns;
 }
 
 RebalancePlan ShardEngine::PlanScan(
-    std::vector<std::uint64_t>* last_ops,
     const std::vector<std::uint32_t>* owned,
     std::vector<std::pair<ObjectId, Extent>>* victims) {
   victims->clear();
   // The footprint gauges are exact for the caller's own shards (it wrote
   // them) and, on the threaded driver, at most one op stale for the rest —
   // fine for a heuristic that re-runs every check_interval.
-  last_ops->resize(shard_count(), 0);
-  std::vector<ShardLoad> loads(shard_count());
+  std::vector<std::uint64_t> footprints(shard_count());
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    loads[i].footprint =
+    footprints[i] =
         counters_[i].reserved_footprint.load(std::memory_order_relaxed);
-    const std::uint64_t ops = counters_[i].ops.load(std::memory_order_relaxed);
-    loads[i].ops = ops - (*last_ops)[i];
-    (*last_ops)[i] = ops;
   }
-  const RebalancePlan plan = PlanRebalance(loads, options_.rebalance_options);
+  const RebalancePlan plan =
+      PlanRebalance(footprints, options_.rebalance_options);
   if (!plan.has_move) return plan;
   // Only the hot shard's owner drains it: the source deletes touch state
   // that belongs to exactly one thread.
@@ -213,7 +219,7 @@ RebalancePlan ShardEngine::PlanScan(
   if (!hot.inner->DeletesDetachImmediately()) return plan;
   *victims = SelectRebalanceVictims(
       hot.view->Snapshot(), options_.rebalance_options,
-      hot.inner->reserved_footprint(), loads[plan.cold].footprint,
+      hot.inner->reserved_footprint(), footprints[plan.cold],
       plan.target_footprint);
   return plan;
 }
@@ -233,21 +239,18 @@ std::size_t ShardEngine::MigrateOut(
     if (!hot.inner->DeletesDetachImmediately()) break;
     const auto& [id, extent] = victims[moved];
     COSR_CHECK_OK(hot.inner->Delete(id));
-    counters_[plan.hot].RecordMigrateOut(extent.length, hot.inner->volume(),
-                                         hot.inner->reserved_footprint());
+    ++hot.record.migrations;
+    hot.record.migrated_bytes += extent.length;
+    StoreGauges(plan.hot);
     placement_.Reassign(id, plan.hot, plan.cold);
   }
   SelectLog(nullptr);
   return moved;
 }
 
-ShardSnapshot ShardEngine::Snapshot(std::uint32_t index) const {
+ShardStats::PerShard ShardEngine::Snapshot(std::uint32_t index) const {
   const Shard& shard = shards_[index];
-  const ShardCountersSnapshot counters = ReadShardCounters(counters_[index]);
-  const ShardLatencyRecorders& latency = latency_[index];
-  ShardSnapshot snapshot;
-  ShardStats::PerShard& per = snapshot.per;
-  per.base = shard.view->base();
+  ShardStats::PerShard per = shard.record;
   per.objects = shard.view->object_count();
   per.volume = shard.view->live_volume();
   per.reserved_footprint = shard.inner->reserved_footprint();
@@ -255,47 +258,31 @@ ShardSnapshot ShardEngine::Snapshot(std::uint32_t index) const {
   per.checkpoints =
       shard.manager != nullptr ? shard.manager->checkpoint_count() : 0;
   if (shard.log != nullptr) {
-    // The owner reading its own shard's sink: single-writer, race-free.
     const LogSink& sink = *shard.log->sink();
     per.log_syncs = sink.sync_count();
     per.log_compactions = shard.log->compactions();
     per.sync_wall_seconds = sink.sync_wall_seconds();
     per.max_sync_stall_seconds = sink.max_sync_stall_seconds();
   }
-  per.ops = counters.ops;
-  per.failed_ops = counters.failed_ops;
-  per.peak_reserved_footprint = counters.peak_reserved_footprint;
-  per.remote_batches = counters.remote_batches;
-  per.batched_ops = counters.batched_ops;
-  per.migrations = counters.migrations;
-  per.migrated_bytes = counters.migrated_bytes;
-  per.migrations_in = counters.migrations_in;
-  // Read on the owner, so no request can be mid-record: the histograms
-  // agree with `ops` above.
-  per.latency_service = latency.service.Snapshot();
-  per.latency_queue_wait = latency.queue_wait.Snapshot();
   // Inline ops never queue: their total latency is the service time.
-  per.latency_total = mode_ == Mode::kInline ? per.latency_service
-                                             : latency.total.Snapshot();
-  snapshot.root_footprint = shard.root->footprint();
-  return snapshot;
+  if (mode_ == Mode::kInline) per.latency_total = per.latency_service;
+  return per;
 }
 
-ShardStats ShardEngine::MergeStats(
-    const std::vector<ShardSnapshot>& snapshots) {
+ShardStats ShardEngine::MergeStats(std::vector<ShardStats::PerShard> shards) {
   ShardStats stats;
-  stats.shards.reserve(snapshots.size());
-  for (const ShardSnapshot& snapshot : snapshots) {
-    const ShardStats::PerShard& per = snapshot.per;
+  for (const ShardStats::PerShard& per : shards) {
     stats.volume += per.volume;
     stats.dropped_ops += per.dropped_ops;
     stats.sum_reserved_footprint += per.reserved_footprint;
     stats.sum_subrange_footprint += per.space_footprint;
     stats.max_shard_end = std::max(stats.max_shard_end, per.space_footprint);
-    // Roots hold global coordinates, so the max of their footprints is
-    // the one shared parent's literal footprint in both modes.
-    stats.global_max_end =
-        std::max(stats.global_max_end, snapshot.root_footprint);
+    // Only shards place into the parent, so its literal footprint is the
+    // highest non-empty shard's global end, in both modes.
+    if (per.space_footprint > 0) {
+      stats.global_max_end =
+          std::max(stats.global_max_end, per.base + per.space_footprint);
+    }
     stats.migrations += per.migrations;
     stats.migrated_bytes += per.migrated_bytes;
     stats.log_syncs += per.log_syncs;
@@ -306,8 +293,8 @@ ShardStats ShardEngine::MergeStats(
     stats.latency_total.MergeFrom(per.latency_total);
     stats.latency_queue_wait.MergeFrom(per.latency_queue_wait);
     stats.latency_service.MergeFrom(per.latency_service);
-    stats.shards.push_back(per);
   }
+  stats.shards = std::move(shards);
   return stats;
 }
 

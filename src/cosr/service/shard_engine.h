@@ -34,17 +34,9 @@ enum class ShardOpKind : std::uint8_t {
   /// A migrated object arriving on its destination shard; the source half
   /// (delete, map repoint) already ran in ShardEngine::MigrateOut.
   kMigrateIn,
-  /// Writes the shard's ShardSnapshot to `snapshot_out`, which must
-  /// outlive the op.
+  /// Writes a copy of the shard's ShardStats::PerShard to
+  /// `snapshot_out`, which must outlive the op.
   kSnapshot,
-};
-
-/// One shard's accounting at one instant, as a kSnapshot op writes it.
-struct ShardSnapshot {
-  ShardStats::PerShard per;
-  /// Largest global end address on the shard's root: the parent's literal
-  /// footprint when the root is shared.
-  std::uint64_t root_footprint = 0;
 };
 
 /// One op for one shard.
@@ -56,7 +48,7 @@ struct ShardOp {
   /// recorded queue wait covers queue residency plus any producer-side
   /// backpressure stall.
   std::uint64_t submit_ns = 0;
-  ShardSnapshot* snapshot_out = nullptr;
+  ShardStats::PerShard* snapshot_out = nullptr;
 };
 
 /// The one shard engine behind both sharded facades: K shards, each an
@@ -65,8 +57,9 @@ struct ShardOp {
 /// algorithms) and durability log (with a DurabilityHub). The engine owns
 /// everything the facades share — the shard set and its Make-time
 /// validation, routing and the IdPlacementMap, executing one op on one
-/// shard with its accounting (ShardCounters + ShardLatencyRecorders), the
-/// rebalance scan, and the per-shard snapshot and ShardStats merge — and
+/// shard with its accounting (the shard's ShardStats::PerShard record,
+/// written in place, and its two ShardCounters gauges), the rebalance
+/// scan, and the per-shard snapshot and ShardStats merge — and
 /// leaves to its driver only how ops reach a shard:
 ///   * kInline (ShardedReallocator): ops run on the caller's thread over
 ///     the caller's one parent Space. The parent's event stream carries
@@ -80,7 +73,7 @@ struct ShardOp {
 /// footprints and per-shard logs agree coordinate for coordinate.
 ///
 /// Thread-compatible per shard: all ops for shard s (Execute, MigrateOut
-/// as the source, Snapshot) must come from s's owner — the inline
+/// as the source, Snapshot, record) must come from s's owner — the inline
 /// caller, or s's worker. The placement map and the scan's planning inputs
 /// are the driver's to serialize (the threaded driver's routing_mu_).
 class ShardEngine {
@@ -140,8 +133,8 @@ class ShardEngine {
   std::uint32_t Route(ObjectId id, std::uint64_t size,
                       const std::vector<std::uint64_t>& loads) const;
 
-  /// Runs `op` on `shard` with its accounting. A request records into the
-  /// shard's counters and latency: kInline takes one service sample
+  /// Runs `op` on `shard` with its accounting. A request counts into the
+  /// shard's record and its latency: kInline takes one service sample
   /// (there is no queue), kThreaded a queue wait from op.submit_ns, the
   /// service time and the total. `start_ns` is when execution began; the
   /// return value is the clock after it, so a drain loop chains one clock
@@ -149,13 +142,11 @@ class ShardEngine {
   std::uint64_t Execute(std::uint32_t shard, const ShardOp& op,
                         std::uint64_t start_ns, Status* status);
 
-  /// The planning half of one rebalance scan, over the counters' gauges:
-  /// loads (op deltas against `*last_ops`, the caller's totals at its
-  /// previous scan), PlanRebalance, and — when the hot shard is in
-  /// `owned` (null: every shard) and deletes there detach immediately —
+  /// The planning half of one rebalance scan, over the shards'
+  /// reserved-footprint gauges: PlanRebalance, and — when the hot shard is
+  /// in `owned` (null: every shard) and deletes there detach immediately —
   /// SelectRebalanceVictims into `*victims`. Empty victims: nothing to do.
-  RebalancePlan PlanScan(std::vector<std::uint64_t>* last_ops,
-                         const std::vector<std::uint32_t>* owned,
+  RebalancePlan PlanScan(const std::vector<std::uint32_t>* owned,
                          std::vector<std::pair<ObjectId, Extent>>* victims);
   /// The source half: deletes the victims from plan.hot in order, stopping
   /// at the first that would defer its remove (a deamortized mid-flush
@@ -167,11 +158,12 @@ class ShardEngine {
       const RebalancePlan& plan,
       const std::vector<std::pair<ObjectId, Extent>>& victims);
 
-  /// Shard `index`'s accounting, read by its owner (kSnapshot runs this).
-  ShardSnapshot Snapshot(std::uint32_t index) const;
+  /// Shard `index`'s accounting, copied by its owner (kSnapshot runs
+  /// this): the record plus what the view, manager and log report.
+  ShardStats::PerShard Snapshot(std::uint32_t index) const;
   /// The one ShardStats merge: per-shard snapshots into the facade view
   /// (sums, maxima, merged latency histograms).
-  static ShardStats MergeStats(const std::vector<ShardSnapshot>& snapshots);
+  static ShardStats MergeStats(std::vector<ShardStats::PerShard> shards);
 
   const Reallocator& shard(std::uint32_t index) const {
     return *shards_[index].inner;
@@ -182,13 +174,15 @@ class ShardEngine {
   CheckpointManager* shard_manager(std::uint32_t index) const {
     return shards_[index].manager.get();
   }
-  /// Any-time read: the shard's single-writer accumulator block.
+  /// Any-time read: the shard's two cross-thread gauges.
   const ShardCounters& counters(std::uint32_t index) const {
     return counters_[index];
   }
-  /// Shard owner only: one remote batch carrying `ops` requests drained.
-  void RecordRemoteBatch(std::uint32_t index, std::uint64_t ops) {
-    counters_[index].RecordRemoteBatch(ops);
+  /// Shard owner only: the shard's accounting record, for the fields its
+  /// driver writes (the threaded driver's remote-batch counts) and reads
+  /// (the executed-op count behind the rebalance safety gate).
+  ShardStats::PerShard& record(std::uint32_t index) {
+    return shards_[index].record;
   }
   /// Sums of the shards' reserved-footprint and volume gauges: exact on
   /// the inline driver, relaxed running sums on the threaded one.
@@ -198,7 +192,9 @@ class ShardEngine {
  private:
   class ExecutingShardLog;
 
-  struct Shard {
+  /// Aligned so one shard owner's record writes never share a cache line
+  /// with another shard's.
+  struct alignas(64) Shard {
     Space* root = nullptr;
     std::unique_ptr<CheckpointManager> manager;  // managed algorithms only
     std::unique_ptr<SubSpaceView> view;
@@ -206,7 +202,13 @@ class ShardEngine {
     /// The shard's durability log (hub-owned; null without a hub), kept
     /// so snapshots surface the sink's sync counters.
     MoveLog* log = nullptr;
+    /// The accounting the owner writes in place as it executes ops.
+    ShardStats::PerShard record;
   };
+
+  /// Stores the shard's volume and reserved-footprint gauges after its
+  /// state changed, and raises the record's peak.
+  void StoreGauges(std::uint32_t index);
 
   /// Points the inline log forwarder (when there is one) at `log`.
   void SelectLog(MoveLog* log);
@@ -215,8 +217,7 @@ class ShardEngine {
   Mode mode_ = Mode::kInline;
   bool keeps_map_ = false;
   std::vector<Shard> shards_;
-  std::vector<ShardCounters> counters_;            // parallel to shards_
-  std::vector<ShardLatencyRecorders> latency_;     // parallel to shards_
+  std::vector<ShardCounters> counters_;  // parallel to shards_
   IdPlacementMap placement_;
   /// kInline with durability only: the listener on the shared parent.
   std::unique_ptr<ExecutingShardLog> log_forwarder_;

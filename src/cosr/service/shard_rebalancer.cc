@@ -5,53 +5,37 @@
 
 namespace cosr {
 
-RebalancePlan PlanRebalance(const std::vector<ShardLoad>& loads,
+RebalancePlan PlanRebalance(const std::vector<std::uint64_t>& footprints,
                             const RebalanceOptions& options) {
   RebalancePlan plan;
   const std::uint32_t shard_count =
-      static_cast<std::uint32_t>(loads.size());
+      static_cast<std::uint32_t>(footprints.size());
   if (shard_count < 2) return plan;
 
   std::uint64_t sum_footprint = 0;
-  std::uint64_t sum_ops = 0;
-  for (const ShardLoad& load : loads) {
-    sum_footprint += load.footprint;
-    sum_ops += load.ops;
-  }
+  for (std::uint64_t footprint : footprints) sum_footprint += footprint;
   const double mean_footprint =
       static_cast<double>(sum_footprint) / shard_count;
-  const double mean_ops = static_cast<double>(sum_ops) / shard_count;
 
   // Hottest eligible shard: the highest frontier among shards big enough to
-  // matter. Op-rate detection widens eligibility (a request-hot shard above
-  // the mean is draining-worthy even before it crosses the footprint
-  // ratio), never the victim choice — the frontier argmax is always the
-  // shard whose drain lowers footprint most.
+  // matter and over the ratio — the shard whose drain lowers footprint most.
   std::uint32_t hot = shard_count;
   for (std::uint32_t i = 0; i < shard_count; ++i) {
-    if (loads[i].footprint < options.min_shard_footprint) continue;
-    const bool footprint_hot =
-        static_cast<double>(loads[i].footprint) >
-        options.hot_footprint_ratio * mean_footprint;
-    const bool op_hot =
-        options.hot_op_ratio > 0.0 && mean_ops > 0.0 &&
-        static_cast<double>(loads[i].ops) > options.hot_op_ratio * mean_ops &&
-        static_cast<double>(loads[i].footprint) > mean_footprint;
-    if (!footprint_hot && !op_hot) continue;
-    if (hot == shard_count || loads[i].footprint > loads[hot].footprint) {
-      hot = i;
+    if (footprints[i] < options.min_shard_footprint) continue;
+    if (static_cast<double>(footprints[i]) <=
+        options.hot_footprint_ratio * mean_footprint) {
+      continue;
     }
+    if (hot == shard_count || footprints[i] > footprints[hot]) hot = i;
   }
   if (hot == shard_count) return plan;
 
   // Destination: the lowest frontier (lowest index breaking ties).
   std::uint32_t cold = 0;
   for (std::uint32_t i = 1; i < shard_count; ++i) {
-    if (loads[i].footprint < loads[cold].footprint) cold = i;
+    if (footprints[i] < footprints[cold]) cold = i;
   }
-  if (cold == hot || loads[cold].footprint >= loads[hot].footprint) {
-    return plan;
-  }
+  if (cold == hot || footprints[cold] >= footprints[hot]) return plan;
 
   plan.has_move = true;
   plan.hot = hot;
@@ -60,7 +44,7 @@ RebalancePlan PlanRebalance(const std::vector<ShardLoad>& loads,
   // (once the pair meets in the middle there is nothing left to gain).
   plan.target_footprint =
       std::max(static_cast<std::uint64_t>(std::llround(mean_footprint)),
-               loads[cold].footprint);
+               footprints[cold]);
   return plan;
 }
 

@@ -17,11 +17,6 @@ struct RebalanceOptions {
   /// A shard is footprint-hot when its reserved frontier exceeds this
   /// multiple of the mean frontier across shards.
   double hot_footprint_ratio = 1.25;
-  /// Op-rate detection: a shard is also hot when its ops since the last
-  /// scan exceed this multiple of the mean AND its frontier is above the
-  /// mean (draining a busy-but-compact shard would not help footprint).
-  /// 0 disables op-rate detection.
-  double hot_op_ratio = 0.0;
   /// Shards below this frontier are never declared hot (tiny structures
   /// carry unavoidable constant-size overheads; migrating them is noise).
   std::uint64_t min_shard_footprint = 1u << 12;
@@ -36,13 +31,6 @@ struct RebalanceOptions {
   std::uint32_t check_interval = 16;
 };
 
-/// One shard's load summary for planning: the reserved frontier (local
-/// coordinates) plus the ops it served since the previous scan.
-struct ShardLoad {
-  std::uint64_t footprint = 0;
-  std::uint64_t ops = 0;
-};
-
 /// The planner's verdict: drain `hot` toward `cold` until `hot`'s frontier
 /// projects at or below `target_footprint` (or the batch budget runs out).
 struct RebalancePlan {
@@ -52,11 +40,11 @@ struct RebalancePlan {
   std::uint64_t target_footprint = 0;
 };
 
-/// Pure planning over load summaries (unit-testable, no facade needed):
-/// picks the hottest eligible shard (footprint threshold first, then
-/// op-rate) and the least-loaded destination. No move when no shard
-/// crosses a threshold, K < 2, or hot == cold.
-RebalancePlan PlanRebalance(const std::vector<ShardLoad>& loads,
+/// Pure planning over the shards' reserved frontiers (local coordinates;
+/// unit-testable, no facade needed): picks the hottest shard over the
+/// footprint threshold and the least-loaded destination. No move when no
+/// shard crosses the threshold, K < 2, or hot == cold.
+RebalancePlan PlanRebalance(const std::vector<std::uint64_t>& footprints,
                             const RebalanceOptions& options);
 
 /// Pure victim selection from a hot shard's object snapshot (local

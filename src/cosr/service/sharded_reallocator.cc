@@ -47,8 +47,7 @@ Status ShardedReallocator::ExecuteRequest(std::uint32_t shard,
       ++requests_since_scan_ >=
           engine_.options().rebalance_options.check_interval) {
     requests_since_scan_ = 0;
-    const RebalancePlan plan =
-        engine_.PlanScan(&last_ops_, /*owned=*/nullptr, &victims_);
+    const RebalancePlan plan = engine_.PlanScan(/*owned=*/nullptr, &victims_);
     const std::size_t moved = engine_.MigrateOut(plan, victims_);
     for (std::size_t i = 0; i < moved; ++i) {
       ShardOp arrival;
@@ -119,12 +118,12 @@ std::uint32_t ShardedReallocator::shard_of(ObjectId id) const {
 }
 
 ShardStats ShardedReallocator::Stats() const {
-  std::vector<ShardSnapshot> snapshots;
-  snapshots.reserve(shard_count());
+  std::vector<ShardStats::PerShard> shards;
+  shards.reserve(shard_count());
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    snapshots.push_back(engine_.Snapshot(i));
+    shards.push_back(engine_.Snapshot(i));
   }
-  return ShardEngine::MergeStats(snapshots);
+  return ShardEngine::MergeStats(std::move(shards));
 }
 
 }  // namespace cosr

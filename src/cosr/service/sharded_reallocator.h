@@ -126,10 +126,9 @@ class ShardedReallocator final : public Reallocator {
   ShardEngine engine_;
   /// kLeastLoaded only: the shards' volume gauges, refilled per decision.
   mutable std::vector<std::uint64_t> loads_;
-  /// Rebalance pacing: requests since the last scan, each shard's op total
-  /// at that scan, and the scan's reused victim buffer.
+  /// Rebalance pacing: requests since the last scan, and the scan's reused
+  /// victim buffer.
   std::uint32_t requests_since_scan_ = 0;
-  std::vector<std::uint64_t> last_ops_;
   std::vector<std::pair<ObjectId, Extent>> victims_;
   std::string name_;
 };

@@ -132,6 +132,14 @@ void RunConcurrentDifferential(const std::string& algorithm,
     EXPECT_EQ(actual.shards[i].space_footprint,
               expected.shards[i].space_footprint);
     EXPECT_EQ(actual.shards[i].checkpoints, expected.shards[i].checkpoints);
+    // Both drivers fill the same record: the same requests, failures,
+    // peak and latency samples per shard.
+    EXPECT_EQ(actual.shards[i].ops, expected.shards[i].ops);
+    EXPECT_EQ(actual.shards[i].failed_ops, expected.shards[i].failed_ops);
+    EXPECT_EQ(actual.shards[i].peak_reserved_footprint,
+              expected.shards[i].peak_reserved_footprint);
+    EXPECT_EQ(actual.shards[i].latency_service.count,
+              expected.shards[i].latency_service.count);
     EXPECT_GE(actual.shards[i].peak_reserved_footprint,
               actual.shards[i].reserved_footprint);
     failed += actual.shards[i].failed_ops;
@@ -263,19 +271,25 @@ TEST(ConcurrentMpsc, MultipleProducersLoseNothing) {
       expected_volume.fetch_add(kept, std::memory_order_relaxed);
     });
   }
-  // Concurrent merged reads must stay well-formed while producers and
-  // workers run (monotone op count, no crashes), and Stats() must be
-  // callable under load — its per-shard snapshots ride the queues on the
-  // owning workers, so this is race-free by construction (TSan runs this
-  // test in CI to hold that claim).
-  std::uint64_t last_ops = 0;
+  // The reads that stay cross-thread must be well-formed while producers
+  // and workers run: volume() and the summed reserved-footprint gauges
+  // never exceed the bytes the producers insert (first-fit only extends
+  // its end by appending an insert). Stats() must be callable under load
+  // too — its per-shard snapshots ride the queues on the owning workers,
+  // so this is race-free by construction (TSan runs this test in CI to
+  // hold that claim).
+  std::uint64_t inserted_bytes = 0;
+  for (std::uint64_t j = 0; j < kIdsPerProducer; ++j) {
+    inserted_bytes += kProducers * (1 + (j * 2654435761u % 512));
+  }
   for (int poll = 0; poll < 50; ++poll) {
-    std::uint64_t ops = 0;
+    std::uint64_t reserved = 0;
     for (std::uint32_t s = 0; s < concurrent->shard_count(); ++s) {
-      ops += ReadShardCounters(concurrent->counters(s)).ops;
+      reserved += concurrent->counters(s).reserved_footprint.load(
+          std::memory_order_relaxed);
     }
-    ASSERT_GE(ops, last_ops);
-    last_ops = ops;
+    ASSERT_LE(reserved, inserted_bytes);
+    ASSERT_LE(concurrent->volume(), inserted_bytes);
     if (poll % 10 == 0) {
       const ShardStats running = concurrent->Stats();
       ASSERT_EQ(running.shards.size(), concurrent->shard_count());

@@ -3,18 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <thread>
 #include <vector>
 
 namespace cosr {
 namespace {
 
 // The order statistic the histogram approximates: ceil(q * n)-th smallest
-// sample, rank clamped to [1, n] — the same rule LatencyProfile uses.
+// sample, rank clamped to [1, n] (nearest rank).
 std::uint64_t OraclePercentile(std::vector<std::uint64_t> values, double q) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());
@@ -64,9 +62,8 @@ TEST(LatencyHistogramTest, SmallValuesAreExact) {
     values.push_back(v);
     hist.Record(v);
   }
-  const LatencyHistogramSnapshot snap = hist.Snapshot();
   for (const double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_EQ(snap.Percentile(q), OraclePercentile(values, q)) << "q=" << q;
+    EXPECT_EQ(hist.Percentile(q), OraclePercentile(values, q)) << "q=" << q;
   }
 }
 
@@ -83,55 +80,54 @@ TEST(LatencyHistogramTest, PercentilesTrackSortedOracleWithinResolution) {
     values.push_back(v);
     hist.Record(v);
   }
-  const LatencyHistogramSnapshot snap = hist.Snapshot();
-  ASSERT_EQ(snap.count, values.size());
+  ASSERT_EQ(hist.count, values.size());
+  std::uint64_t bucket_total = 0;
+  for (const std::uint64_t b : hist.buckets) bucket_total += b;
+  EXPECT_EQ(bucket_total, hist.count);
   std::uint64_t previous = 0;
   for (const double q :
        {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
     const std::uint64_t exact = OraclePercentile(values, q);
-    const std::uint64_t reported = snap.Percentile(q);
+    const std::uint64_t reported = hist.Percentile(q);
     EXPECT_GE(reported, exact) << "q=" << q;
     EXPECT_LE(reported, exact + exact / LatencyHistogram::kSubBuckets)
         << "q=" << q;
     EXPECT_GE(reported, previous) << "percentiles not monotone at q=" << q;
     previous = reported;
   }
-  EXPECT_EQ(snap.Percentile(1.0), *std::max_element(values.begin(),
+  EXPECT_EQ(hist.Percentile(1.0), *std::max_element(values.begin(),
                                                     values.end()));
-  EXPECT_EQ(snap.max(), snap.Percentile(1.0));
+  EXPECT_EQ(hist.max(), hist.Percentile(1.0));
 }
 
-TEST(LatencyHistogramTest, EmptySnapshotAnswersZero) {
+TEST(LatencyHistogramTest, EmptyHistogramAnswersZero) {
   LatencyHistogram hist;
-  const LatencyHistogramSnapshot snap = hist.Snapshot();
-  EXPECT_TRUE(snap.empty());
-  EXPECT_EQ(snap.count, 0u);
-  EXPECT_EQ(snap.Percentile(0.0), 0u);
-  EXPECT_EQ(snap.Percentile(0.5), 0u);
-  EXPECT_EQ(snap.Percentile(1.0), 0u);
-  EXPECT_EQ(snap.max(), 0u);
-  EXPECT_DOUBLE_EQ(snap.mean(), 0.0);
+  EXPECT_TRUE(hist.empty());
+  EXPECT_EQ(hist.count, 0u);
+  EXPECT_EQ(hist.Percentile(0.0), 0u);
+  EXPECT_EQ(hist.Percentile(0.5), 0u);
+  EXPECT_EQ(hist.Percentile(1.0), 0u);
+  EXPECT_EQ(hist.max(), 0u);
+  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
 }
 
 TEST(LatencyHistogramTest, SingleSampleDominatesEveryQuantile) {
   LatencyHistogram hist;
   hist.Record(123456789);
-  const LatencyHistogramSnapshot snap = hist.Snapshot();
-  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(hist.count, 1u);
   for (const double q : {0.0, 0.5, 0.999, 1.0}) {
     // The max clamp makes a one-sample histogram exact at every quantile.
-    EXPECT_EQ(snap.Percentile(q), 123456789u) << "q=" << q;
+    EXPECT_EQ(hist.Percentile(q), 123456789u) << "q=" << q;
   }
-  EXPECT_DOUBLE_EQ(snap.mean(), 123456789.0);
+  EXPECT_DOUBLE_EQ(hist.mean(), 123456789.0);
 }
 
 TEST(LatencyHistogramTest, OutOfRangeQuantilesClamp) {
   LatencyHistogram hist;
   hist.Record(10);
   hist.Record(20);
-  const LatencyHistogramSnapshot snap = hist.Snapshot();
-  EXPECT_EQ(snap.Percentile(-1.0), snap.Percentile(0.0));
-  EXPECT_EQ(snap.Percentile(2.0), snap.Percentile(1.0));
+  EXPECT_EQ(hist.Percentile(-1.0), hist.Percentile(0.0));
+  EXPECT_EQ(hist.Percentile(2.0), hist.Percentile(1.0));
 }
 
 TEST(LatencyHistogramTest, MergeIsAssociativeAndCommutative) {
@@ -145,19 +141,19 @@ TEST(LatencyHistogramTest, MergeIsAssociativeAndCommutative) {
       all_values.push_back(v);
     }
   }
-  const LatencyHistogramSnapshot a = parts[0].Snapshot();
-  const LatencyHistogramSnapshot b = parts[1].Snapshot();
-  const LatencyHistogramSnapshot c = parts[2].Snapshot();
+  const LatencyHistogram& a = parts[0];
+  const LatencyHistogram& b = parts[1];
+  const LatencyHistogram& c = parts[2];
 
-  LatencyHistogramSnapshot left;  // (a + b) + c
+  LatencyHistogram left;  // (a + b) + c
   left.MergeFrom(a);
   left.MergeFrom(b);
   left.MergeFrom(c);
 
-  LatencyHistogramSnapshot bc;  // a + (b + c), built right-first
+  LatencyHistogram bc;  // a + (b + c), built right-first
   bc.MergeFrom(b);
   bc.MergeFrom(c);
-  LatencyHistogramSnapshot right;
+  LatencyHistogram right;
   right.MergeFrom(bc);
   right.MergeFrom(a);
 
@@ -176,58 +172,31 @@ TEST(LatencyHistogramTest, MergeIsAssociativeAndCommutative) {
   }
 }
 
-TEST(LatencyHistogramTest, MergingEmptySnapshotsIsIdentity) {
+TEST(LatencyHistogramTest, MergingEmptyHistogramsIsIdentity) {
   LatencyHistogram hist;
   hist.Record(5);
-  LatencyHistogramSnapshot snap = hist.Snapshot();
-  const LatencyHistogramSnapshot before = snap;
-  snap.MergeFrom(LatencyHistogramSnapshot{});  // empty right operand
-  EXPECT_EQ(snap.buckets, before.buckets);
-  EXPECT_EQ(snap.count, before.count);
+  const LatencyHistogram before = hist;
+  hist.MergeFrom(LatencyHistogram{});  // empty right operand
+  EXPECT_EQ(hist.buckets, before.buckets);
+  EXPECT_EQ(hist.count, before.count);
 
-  LatencyHistogramSnapshot empty;  // empty left operand
+  LatencyHistogram empty;  // empty left operand
   empty.MergeFrom(before);
   EXPECT_EQ(empty.count, before.count);
   EXPECT_EQ(empty.Percentile(1.0), 5u);
 }
 
-TEST(LatencyHistogramTest, ConcurrentRecordAndMergeHammer) {
-  // The single-writer contract under TSan: one owner records while other
-  // threads snapshot and merge continuously. Per-bucket monotonicity means
-  // every mid-flight snapshot is a valid (possibly torn across buckets)
-  // prefix; after the writer joins, a final snapshot must be exact.
+TEST(LatencyHistogramTest, CopiesAreIndependentValues) {
+  // A plain value: what the owner records after copying never reaches the
+  // copy a reader holds.
   LatencyHistogram hist;
-  constexpr std::uint64_t kSamples = 50000;
-  std::atomic<bool> writer_done{false};
-
-  std::thread writer([&] {
-    std::mt19937_64 rng(1234);
-    for (std::uint64_t i = 0; i < kSamples; ++i) {
-      hist.Record(rng() % 1000000);
-    }
-    writer_done.store(true, std::memory_order_release);
-  });
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      LatencyHistogramSnapshot merged;
-      while (!writer_done.load(std::memory_order_acquire)) {
-        const LatencyHistogramSnapshot snap = hist.Snapshot();
-        EXPECT_LE(snap.count, kSamples);
-        merged.MergeFrom(snap);
-        merged.Percentile(0.99);  // exercise queries on live data
-      }
-    });
-  }
-  writer.join();
-  for (std::thread& t : readers) t.join();
-
-  const LatencyHistogramSnapshot final_snap = hist.Snapshot();
-  EXPECT_EQ(final_snap.count, kSamples);
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t b : final_snap.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, kSamples);
+  hist.Record(7);
+  const LatencyHistogram copy = hist;
+  hist.Record(1000);
+  EXPECT_EQ(copy.count, 1u);
+  EXPECT_EQ(copy.max(), 7u);
+  EXPECT_EQ(hist.count, 2u);
+  EXPECT_EQ(hist.max(), 1000u);
 }
 
 }  // namespace
