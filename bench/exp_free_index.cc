@@ -128,7 +128,9 @@ int main() {
 
   double speedup_at_1e4 = 0.0;
   std::FILE* json = std::fopen("BENCH_free_index.json", "w");
-  if (json != nullptr) std::fprintf(json, "{\n  \"rows\": [\n");
+  if (json != nullptr) {
+    std::fprintf(json, "{\n  \"schema_version\": 1,\n  \"rows\": [\n");
+  }
 
   for (std::size_t i = 0; i < sizeof(populations) / sizeof(populations[0]);
        ++i) {

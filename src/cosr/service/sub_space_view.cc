@@ -107,8 +107,10 @@ void SubSpaceView::ApplyMoves(const MovePlan* plans, std::size_t count) {
     COSR_CHECK_EQ(from.length, plans[i].to.length);
     if (from.offset == plans[i].to.offset) continue;  // no-op move
     batch_plans_.push_back(MovePlan{plans[i].id, ToParent(plans[i].to)});
-    batch_sources_.push_back(from);
-    batch_targets_.push_back(plans[i].to);
+    if (manager_ != nullptr) {
+      batch_sources_.push_back(from);
+      batch_targets_.push_back(plans[i].to);
+    }
   }
   if (batch_plans_.empty()) return;
   if (manager_ != nullptr) {

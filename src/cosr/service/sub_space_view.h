@@ -104,7 +104,8 @@ class SubSpaceView final : public Space {
   std::uint64_t live_volume_ = 0;
   std::size_t object_count_ = 0;
 
-  // Reused ApplyMoves scratch (mirrors AddressSpace's batch buffers).
+  // Reused ApplyMoves scratch: the translated plans, and the durability
+  // sweep's extents (filled only under a manager).
   std::vector<MovePlan> batch_plans_;
   std::vector<Extent> batch_sources_;
   std::vector<Extent> batch_targets_;

@@ -1,6 +1,7 @@
 #include "cosr/storage/address_space.h"
 
 #include <algorithm>
+#include <string>
 
 #include "cosr/common/check.h"
 
@@ -17,6 +18,29 @@ std::string OverlapMessage(const Extent& target, ObjectId other,
 std::string FrozenMessage(const Extent& target) {
   return "write into frozen region " + ToString(target) +
          " (freed since last checkpoint)";
+}
+
+std::string DuplicateSourceMessage(const std::vector<MoveRecord>& records,
+                                   std::uint64_t offset) {
+  const auto dup =
+      std::find_if(records.begin(), records.end(),
+                   [&](const MoveRecord& r) { return r.from.offset == offset; });
+  return "batch source " + ToString(dup->from) + " of object " +
+         std::to_string(dup->id) +
+         " overlaps another source of the same batch (duplicate id)";
+}
+
+/// Sorts `v` by key(element), cheaply when it is already ascending or
+/// descending (the shape of every flush-stage plan).
+template <typename T, typename Key>
+void SortMostlyMonotone(std::vector<T>& v, Key key) {
+  const auto less = [&](const T& a, const T& b) { return key(a) < key(b); };
+  if (std::is_sorted(v.begin(), v.end(), less)) return;
+  if (std::is_sorted(v.rbegin(), v.rend(), less)) {
+    std::reverse(v.begin(), v.end());
+    return;
+  }
+  std::sort(v.begin(), v.end(), less);
 }
 
 }  // namespace
@@ -88,7 +112,8 @@ void AddressSpace::Move(ObjectId id, const Extent& to) {
 void AddressSpace::ApplyMoves(const MovePlan* plans, std::size_t count) {
   if (count == 0) return;
   batch_records_.clear();
-  batch_records_.reserve(count);
+  batch_erase_.clear();
+  batch_inserts_.clear();
   for (std::size_t i = 0; i < count; ++i) {
     const MovePlan& plan = plans[i];
     const Extent* slot = SlotFor(plan.id);
@@ -97,6 +122,8 @@ void AddressSpace::ApplyMoves(const MovePlan* plans, std::size_t count) {
     COSR_CHECK_EQ(slot->length, plan.to.length);
     if (slot->offset == plan.to.offset) continue;  // no-op move
     batch_records_.push_back(MoveRecord{plan.id, *slot, plan.to});
+    batch_erase_.push_back(slot->offset);
+    batch_inserts_.push_back(OffsetIndex::Entry{plan.to.offset, plan.id});
   }
   if (batch_records_.empty()) return;
   if (checkpoints_ != nullptr) {
@@ -111,20 +138,46 @@ void AddressSpace::ApplyMoves(const MovePlan* plans, std::size_t count) {
     CheckMoveBatchDurability(batch_sources_, batch_targets_, *checkpoints_);
   }
 
-  // Vacate every source before indexing any target, so a batch may reuse
-  // space its own members free (the memmove model); duplicate ids in one
-  // batch would fail the second Erase. Each target re-insert is then
-  // checked against its definitive neighbors, which enforces disjointness
-  // of the whole final layout.
-  for (const MoveRecord& r : batch_records_) {
-    COSR_CHECK(index_.Erase(r.from.offset));
-  }
+  // One ordered index pass for the whole batch. Every source leaves the
+  // index before any target enters it, so a batch may reuse space its own
+  // members free (the memmove model). Flush stages emit monotone plans, so
+  // the sorts are usually a check or a reversal.
+  SortMostlyMonotone(batch_erase_, [](std::uint64_t offset) { return offset; });
+  SortMostlyMonotone(batch_inserts_,
+                     [](const OffsetIndex::Entry& e) { return e.offset; });
+  // Distinct placed objects never share an offset: a repeated source is
+  // one id moved twice.
+  const auto repeat =
+      std::adjacent_find(batch_erase_.begin(), batch_erase_.end());
+  COSR_CHECK_MSG(repeat == batch_erase_.end(),
+                 DuplicateSourceMessage(batch_records_, *repeat));
   for (const MoveRecord& r : batch_records_) {
     *SlotFor(r.id) = r.to;
   }
-  for (const MoveRecord& r : batch_records_) {
-    IndexInsertChecked(r.id, r.to);
-  }
+  COSR_CHECK(index_.ApplyBatch(batch_erase_.data(), batch_erase_.size(),
+                               batch_inserts_.data(), batch_inserts_.size()));
+  // Each target against its final neighbors. A neighbor that is the
+  // previous target was already checked as that target's successor, so
+  // adjacent pairs are checked once and the whole final layout is
+  // disjoint.
+  const OffsetIndex::Entry* previous = nullptr;
+  index_.ForEachNeighborhood(
+      batch_inserts_.data(), batch_inserts_.size(),
+      [&](const OffsetIndex::Entry* pred, const OffsetIndex::Entry& entry,
+          const OffsetIndex::Entry* succ) {
+        const Extent& target = *SlotFor(entry.id);
+        if (pred != nullptr && pred != previous) {
+          const Extent& left = *SlotFor(pred->id);
+          COSR_CHECK_MSG(left.end() <= target.offset,
+                         OverlapMessage(target, pred->id, left));
+        }
+        if (succ != nullptr) {
+          COSR_CHECK_MSG(
+              target.end() <= succ->offset,
+              OverlapMessage(target, succ->id, *SlotFor(succ->id)));
+        }
+        previous = &entry;
+      });
   if (checkpoints_ != nullptr) {
     for (const MoveRecord& r : batch_records_) checkpoints_->NoteFreed(r.from);
   }
@@ -200,7 +253,7 @@ std::vector<std::pair<ObjectId, Extent>> AddressSpace::Snapshot() const {
 }
 
 bool AddressSpace::SelfCheck() const {
-  if (index_.size() != count_) return false;
+  if (!index_.SelfCheck() || index_.size() != count_) return false;
   std::size_t dense = 0;
   for (const Extent& slot : slots_) {
     if (slot.length != 0) ++dense;

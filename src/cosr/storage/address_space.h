@@ -29,7 +29,10 @@ namespace cosr {
 /// uint64s from the workload layer; sparse ids spill into a small overflow
 /// map) plus a paged sorted-vector offset index (OffsetIndex): O(1) id
 /// lookups, cache-friendly neighbor checks, O(1) footprint, and a batched
-/// ApplyMoves that validates once per batch. Differential fuzzing
+/// ApplyMoves that validates once per batch and re-indexes the batch in
+/// one ordered pass over the touched pages (OffsetIndex::ApplyBatch):
+/// O(P * page + m log m) for m moves touching P pages, where single moves
+/// would cost O(m * page) in erase and insert memmoves. Differential fuzzing
 /// (tests/address_space_engine_test.cc) drives it against the test-side
 /// map model tests/reference/reference_space.h, whose ApplyMoves validates
 /// every move sequentially.
@@ -60,8 +63,14 @@ class AddressSpace final : public Space {
   /// distinct; no-op plans (target == current position) are skipped.
   /// Listeners receive a single OnMoves with the applied records.
   ///
+  /// The offset index takes the batch in one pass: sources and targets are
+  /// sorted by offset (a check or a reversal for monotone flush plans),
+  /// every source is erased and every target inserted page by page, and
+  /// listeners still see the records in plan order.
+  ///
   /// Validation is batch-level: the *final* layout must be disjoint (each
-  /// reindexed target is checked against its definitive neighbors), and
+  /// reindexed target is checked against its final predecessor and
+  /// successor, across page boundaries too), a repeated id aborts, and
   /// under a checkpoint manager every target must additionally be disjoint
   /// from every batch source and from regions frozen before the batch — the
   /// Lemma 3.2 nonoverlap property, checked with one sorted sweep per batch
@@ -139,10 +148,14 @@ class AddressSpace final : public Space {
   OffsetIndex index_;
   std::size_t count_ = 0;
 
-  // Reused ApplyMoves scratch (avoids per-batch allocation in move storms).
+  // Reused ApplyMoves scratch (avoids per-batch allocation in move storms):
+  // the applied records in plan order, the durability sweep's extents
+  // (managed spaces only), and the index pass's sorted sources and targets.
   std::vector<MoveRecord> batch_records_;
   std::vector<Extent> batch_sources_;
   std::vector<Extent> batch_targets_;
+  std::vector<std::uint64_t> batch_erase_;
+  std::vector<OffsetIndex::Entry> batch_inserts_;
 };
 
 }  // namespace cosr

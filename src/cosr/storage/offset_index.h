@@ -19,11 +19,25 @@ namespace cosr {
 /// measures the resulting AddressSpace against the std::map reference
 /// model in tests/reference/reference_space.h.
 ///
+/// A whole move batch goes through ApplyBatch: one ordered pass that
+/// visits only the pages whose range holds an erased or inserted offset
+/// and rewrites each of them once (a left-to-right compaction for the
+/// erases, then a right-to-left merge for the inserts). A batch of m moves
+/// touching P pages costs O(P * page + m log m) instead of the
+/// O(m * page) of m single erases and inserts.
+///
 /// Pages split when full and are dropped when empty; deletions in between
 /// may leave pages underfull, which costs memory slack but never asymptotic
-/// time (the minima array stays one entry per page).
+/// time (the minima array stays one entry per page). Every page holds
+/// fewer than kPageCapacity entries, and its storage never grows past
+/// kPageCapacity.
 class OffsetIndex {
  public:
+  // 128 16-byte entries = 2 KiB per page: large enough that the minima
+  // array stays tiny, small enough that an insertion memmove is a
+  // cache-resident operation.
+  static constexpr std::size_t kPageCapacity = 128;
+
   struct Entry {
     std::uint64_t offset = 0;
     ObjectId id = kInvalidObjectId;
@@ -45,6 +59,23 @@ class OffsetIndex {
   /// Removes the entry at exactly `offset`; returns false when absent.
   bool Erase(std::uint64_t offset);
 
+  /// Removes the entries at the ascending offsets `erase`, then inserts the
+  /// `inserts`, sorted by offset, in one pass over the touched pages. An
+  /// inserted offset may reuse one erased in the same batch. Returns false
+  /// when an erased offset is absent or repeated; the index is then left
+  /// in an unspecified state (callers abort).
+  bool ApplyBatch(const std::uint64_t* erase, std::size_t erase_count,
+                  const Entry* inserts, std::size_t insert_count);
+
+  /// Calls fn(pred, entry, succ) for the entry at each offset of `keys`
+  /// (sorted by offset, each present in the index). `pred` and `succ` are
+  /// the entry's neighbors in the whole index, across page boundaries, or
+  /// nullptr at its ends. The walk steps forward from the previous key, so
+  /// keys that sit next to each other cost O(1) each.
+  template <typename Fn>
+  void ForEachNeighborhood(const Entry* keys, std::size_t count,
+                           Fn&& fn) const;
+
   /// The entry with the largest offset, or nullptr when empty.
   const Entry* Last() const {
     return pages_.empty() ? nullptr : &pages_.back().entries.back();
@@ -57,7 +88,17 @@ class OffsetIndex {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+
+  /// The first offset of every page, ascending: where the page boundaries
+  /// fall (diagnostics and tests).
+  const std::vector<std::uint64_t>& page_minima() const { return page_min_; }
   void Clear();
+
+  /// Verifies the page structure: no page is empty, each holds fewer than
+  /// kPageCapacity entries in ascending order, page_min_ matches every
+  /// page's first offset, pages are ordered, and size() is the sum of the
+  /// page sizes.
+  bool SelfCheck() const;
 
   /// Visits every entry in ascending offset order.
   template <typename Fn>
@@ -68,11 +109,6 @@ class OffsetIndex {
   }
 
  private:
-  // 128 16-byte entries = 2 KiB per page: large enough that the minima
-  // array stays tiny, small enough that an insertion memmove is a
-  // cache-resident operation.
-  static constexpr std::size_t kPageCapacity = 128;
-
   struct Page {
     std::vector<Entry> entries;
   };
@@ -81,12 +117,62 @@ class OffsetIndex {
   /// minimum is <= offset, clamped to page 0).
   std::size_t FindPage(std::uint64_t offset) const;
 
-  void Split(std::size_t page_index);
+  /// Position of the first entry of `page` at or above `offset`.
+  static std::size_t LowerBound(const Page& page, std::uint64_t offset);
+
+  /// ApplyBatch's two halves. EraseSorted leaves emptied pages in place,
+  /// with their old minimum, so they still bound a range the inserts can
+  /// refill; ApplyBatch drops the ones left empty afterwards.
+  bool EraseSorted(const std::uint64_t* offsets, std::size_t count,
+                   bool* emptied);
+  void InsertSorted(const Entry* entries, std::size_t count);
+
+  /// Right-to-left merge of `count` sorted entries into page `p`, whose
+  /// range holds all of them. A page that would reach kPageCapacity is
+  /// split into pieces of kPageCapacity/2 to 3/4 kPageCapacity entries
+  /// (a full page and no entries: two halves).
+  void MergeIntoPage(std::size_t p, const Entry* entries, std::size_t count);
+
+  void DropEmptyPages();
 
   std::vector<Page> pages_;
   std::vector<std::uint64_t> page_min_;  // pages_[i].entries.front().offset
   std::size_t size_ = 0;
 };
+
+template <typename Fn>
+void OffsetIndex::ForEachNeighborhood(const Entry* keys, std::size_t count,
+                                      Fn&& fn) const {
+  std::size_t p = 0;
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t offset = keys[k].offset;
+    // Runs of adjacent keys (a flush stage's packed targets) step to the
+    // next entry; anything else searches.
+    std::size_t next_p = p;
+    std::size_t next_i = i + 1;
+    if (next_p < pages_.size() && next_i == pages_[next_p].entries.size()) {
+      ++next_p;
+      next_i = 0;
+    }
+    if (k > 0 && next_p < pages_.size() &&
+        pages_[next_p].entries[next_i].offset == offset) {
+      p = next_p;
+      i = next_i;
+    } else {
+      p = FindPage(offset);
+      i = LowerBound(pages_[p], offset);
+    }
+    const std::vector<Entry>& page = pages_[p].entries;
+    const Entry* pred = i > 0    ? &page[i - 1]
+                        : p > 0  ? &pages_[p - 1].entries.back()
+                                 : nullptr;
+    const Entry* succ = i + 1 < page.size()     ? &page[i + 1]
+                        : p + 1 < pages_.size() ? &pages_[p + 1].entries.front()
+                                                : nullptr;
+    fn(pred, page[i], succ);
+  }
+}
 
 }  // namespace cosr
 

@@ -3,20 +3,26 @@
 // driven through identical churn traces (places, removes, single moves,
 // batched move plans, checkpoints) and must agree exactly on every query —
 // mirroring tests/free_index_test.cc's binned-vs-map pattern one layer
-// down. Also covers the batch-specific contracts on both: checkpoint-
-// frozen-region violations still CHECK-fail under ApplyMoves, listeners see
-// one coherent OnMoves event per batch, and sparse ids ride the overflow
-// map.
+// down. A second differential sends whole flush stages (batches spanning
+// three or more index pages, in ascending, descending and shuffled plan
+// order) through AddressSpace's one-pass index update. Also covers the
+// batch-specific contracts on both: checkpoint-frozen-region violations
+// still CHECK-fail under ApplyMoves, listeners see one coherent OnMoves
+// event per batch in plan order, overlaps abort at page boundaries too,
+// and sparse ids ride the overflow map.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cosr/common/random.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/storage/checkpoint_manager.h"
+#include "cosr/storage/offset_index.h"
 #include "reference/reference_space.h"
 
 namespace cosr {
@@ -126,6 +132,204 @@ TEST(AddressSpaceDifferentialTest, ChurnMatchesReference) {
 TEST(AddressSpaceDifferentialTest, CheckpointedChurnMatchesReference) {
   RunDifferentialChurn(/*seed=*/81, /*checkpointed=*/true);
   RunDifferentialChurn(/*seed=*/82, /*checkpointed=*/true);
+}
+
+// ------------------------------------------ flush-shaped differential
+
+constexpr std::size_t kPage = OffsetIndex::kPageCapacity;
+
+enum class PlanOrder { kAscending, kDescending, kShuffled };
+
+/// Puts `plan`, built in ascending source order, into `order`.
+void Reorder(PlanOrder order, Rng& rng, std::vector<MovePlan>* plan) {
+  if (order == PlanOrder::kDescending) {
+    std::reverse(plan->begin(), plan->end());
+  } else if (order == PlanOrder::kShuffled) {
+    for (std::size_t i = plan->size(); i > 1; --i) {
+      std::swap((*plan)[i - 1], (*plan)[rng.UniformU64(i)]);
+    }
+  }
+}
+
+enum BatchKind {
+  kWholeEvacuation,      // every object to the frontier
+  kRunEvacuation,        // a contiguous run to the frontier (empties pages)
+  kScatteredEvacuation,  // about every other object, across all pages
+  kIntoWidestGap,        // a run packed into the widest gap between objects
+  kCompactLeft,          // a run packed against its predecessor
+  kCompactRight,         // a run packed against its successor
+  kBatchKinds
+};
+
+/// Whole flush stages against the reference. Every batch spans at least
+/// three index pages (> 2 * kPageCapacity moves) and reaches AddressSpace
+/// in ascending, descending or shuffled plan order. The reference, which
+/// validates move by move, gets an order in which each move is legal on
+/// its own: the same plan when every target is fresh space, and the
+/// sweep order of the compaction otherwise (those batches reuse space
+/// their own members vacate, so they run only in the unconstrained
+/// model). The final layouts must agree exactly after every batch.
+void RunFlushShapedDifferential(std::uint64_t seed, bool checkpointed) {
+  Rng rng(seed);
+  CheckpointManager ref_manager;
+  CheckpointManager manager;
+  ReferenceSpace ref_space(checkpointed ? &ref_manager : nullptr);
+  AddressSpace space(checkpointed ? &manager : nullptr);
+  ObjectId next_id = 1;
+  std::uint64_t frontier = 0;  // nothing has ever lived at or above it
+
+  const auto place_at_frontier = [&] {
+    frontier += rng.Bernoulli(0.3) ? rng.UniformRange(1, 64) : 0;
+    const Extent extent{frontier, rng.UniformRange(1, 512)};
+    ref_space.Place(next_id, extent);
+    space.Place(next_id, extent);
+    ++next_id;
+    frontier += extent.length;
+  };
+  for (std::size_t i = 0; i < 7 * kPage; ++i) place_at_frontier();
+
+  int kinds_run[kBatchKinds] = {};
+  int orders_run[3] = {};
+  std::size_t largest_batch = 0;
+  int gap_batches = 0;
+  for (int round = 0; round < 150; ++round) {
+    const std::vector<std::pair<ObjectId, Extent>> live = space.Snapshot();
+    const std::size_t n = live.size();
+    ASSERT_GT(n, 2 * kPage);
+    // A contiguous run of more than two pages' worth of objects, a
+    // quarter of the time the whole index.
+    std::size_t begin = 0;
+    std::size_t end = n;
+    if (!rng.Bernoulli(0.25)) {
+      const std::size_t len =
+          static_cast<std::size_t>(rng.UniformRange(2 * kPage + 1, n));
+      begin = static_cast<std::size_t>(rng.UniformU64(n - len + 1));
+      end = begin + len;
+    }
+    const int kind = static_cast<int>(
+        rng.UniformU64(checkpointed ? kCompactLeft : kBatchKinds));
+    const auto order = static_cast<PlanOrder>(rng.UniformU64(3));
+
+    // Targets, in ascending source order.
+    std::vector<MovePlan> plan;
+    const auto pack_from = [&](std::uint64_t at, std::size_t lo,
+                               std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        plan.push_back(MovePlan{live[i].first, {at, live[i].second.length}});
+        at += live[i].second.length;
+      }
+      return at;
+    };
+    const auto run_volume = [&] {
+      std::uint64_t volume = 0;
+      for (std::size_t i = begin; i < end; ++i) volume += live[i].second.length;
+      return volume;
+    };
+    switch (kind) {
+      case kWholeEvacuation:
+        frontier = pack_from(frontier, 0, n);
+        break;
+      case kRunEvacuation:
+        frontier = pack_from(frontier, begin, end);
+        break;
+      case kScatteredEvacuation:
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!rng.Bernoulli(0.5)) continue;
+          plan.push_back(
+              MovePlan{live[i].first, {frontier, live[i].second.length}});
+          frontier += live[i].second.length;
+        }
+        break;
+      case kIntoWidestGap: {
+        // The space between two neighbors lies in one page's range, so the
+        // whole run merges into one page and splits it into several.
+        std::size_t widest = 0;
+        for (std::size_t i = 1; i < n; ++i) {
+          if (live[i].second.offset - live[i - 1].second.end() >
+              live[widest + 1].second.offset - live[widest].second.end()) {
+            widest = i - 1;
+          }
+        }
+        const std::uint64_t gap_lo = live[widest].second.end();
+        const std::uint64_t gap_hi = live[widest + 1].second.offset;
+        if (gap_hi - gap_lo >= run_volume()) {
+          // Frozen space may sit in the gap; a checkpoint thaws it.
+          ref_space.Checkpoint();
+          space.Checkpoint();
+          pack_from(gap_lo, begin, end);
+          ++gap_batches;
+        } else {
+          frontier = pack_from(frontier, begin, end);
+        }
+        break;
+      }
+      case kCompactLeft:
+        pack_from(begin == 0 ? 0 : live[begin - 1].second.end(), begin, end);
+        break;
+      case kCompactRight: {
+        const std::uint64_t right =
+            end == n ? frontier : live[end].second.offset;
+        pack_from(right - run_volume(), begin, end);
+        break;
+      }
+    }
+    ++kinds_run[kind];
+    ++orders_run[static_cast<int>(order)];
+    largest_batch = std::max(largest_batch, plan.size());
+    ASSERT_GT(plan.size(), 2 * kPage) << "round " << round;
+
+    // The compactions' sweep order: left to right, or right to left.
+    std::vector<MovePlan> reference_plan = plan;
+    if (kind == kCompactRight) {
+      std::reverse(reference_plan.begin(), reference_plan.end());
+    }
+    Reorder(order, rng, &plan);
+    if (kind < kCompactLeft) reference_plan = plan;  // fresh targets
+    ref_space.ApplyMoves(reference_plan);
+    space.ApplyMoves(plan);
+
+    ASSERT_EQ(ref_space.Snapshot(), space.Snapshot()) << "round " << round;
+    ASSERT_TRUE(space.SelfCheck()) << "round " << round;
+    ASSERT_EQ(ref_manager.frozen_volume(), manager.frozen_volume())
+        << "round " << round;
+    ExpectIdenticalState(ref_space, space);
+
+    // Light churn between flush stages, keeping the population steady.
+    for (int i = 0; i < 8; ++i) {
+      const std::vector<std::pair<ObjectId, Extent>> now = space.Snapshot();
+      if (rng.Bernoulli(0.5) && now.size() > 3 * kPage) {
+        const ObjectId victim = now[rng.UniformU64(now.size())].first;
+        ref_space.Remove(victim);
+        space.Remove(victim);
+      } else {
+        place_at_frontier();
+      }
+    }
+    if (rng.Bernoulli(0.3)) {
+      ref_space.Checkpoint();
+      space.Checkpoint();
+    }
+  }
+  ASSERT_TRUE(ref_space.SelfCheck());
+  ASSERT_EQ(ref_space.Snapshot(), space.Snapshot());
+  for (int kind = 0; kind < (checkpointed ? kCompactLeft : kBatchKinds);
+       ++kind) {
+    EXPECT_GT(kinds_run[kind], 0) << "batch kind " << kind << " never ran";
+  }
+  for (const int runs : orders_run) EXPECT_GT(runs, 0);
+  EXPECT_GT(gap_batches, 0);
+  EXPECT_GT(largest_batch, 5 * kPage);
+}
+
+TEST(AddressSpaceDifferentialTest, FlushShapedBatchesMatchReference) {
+  RunFlushShapedDifferential(/*seed=*/91, /*checkpointed=*/false);
+  RunFlushShapedDifferential(/*seed=*/92, /*checkpointed=*/false);
+}
+
+TEST(AddressSpaceDifferentialTest,
+     CheckpointedFlushShapedBatchesMatchReference) {
+  RunFlushShapedDifferential(/*seed=*/93, /*checkpointed=*/true);
+  RunFlushShapedDifferential(/*seed=*/94, /*checkpointed=*/true);
 }
 
 // ----------------------------------------------- slot-table properties
@@ -252,6 +456,14 @@ TYPED_TEST(ApplyMovesDeathTest, TargetOverlappingStationaryObjectAborts) {
   EXPECT_DEATH(space.ApplyMoves(plan), "overlaps");
 }
 
+TYPED_TEST(ApplyMovesDeathTest, TargetOverlappingObjectOnItsLeftAborts) {
+  TypeParam space;
+  space.Place(1, Extent{0, 10});
+  space.Place(2, Extent{50, 10});
+  const std::vector<MovePlan> plan = {{1, {55, 10}}};
+  EXPECT_DEATH(space.ApplyMoves(plan), "overlaps");
+}
+
 TYPED_TEST(ApplyMovesDeathTest, LengthMismatchAborts) {
   TypeParam space;
   space.Place(1, Extent{0, 10});
@@ -303,6 +515,167 @@ TYPED_TEST(ApplyMovesCheckpointTest, DisjointBatchFreezesEverySource) {
   EXPECT_EQ(manager.frozen_volume(), 0u);
   space.Place(3, Extent{0, 20});  // released space is reusable
   EXPECT_TRUE(space.SelfCheck());
+}
+
+TYPED_TEST(ApplyMovesTest, DescendingPlanReachesListenersInPlanOrder) {
+  // Unpack-right shape over three pages: object i slides from 8i to 16i,
+  // rightmost first, so every target reuses space vacated earlier.
+  TypeParam space;
+  BatchRecordingListener listener;
+  space.AddListener(&listener);
+  const std::uint64_t n = 3 * kPage;
+  for (std::uint64_t i = 0; i < n; ++i) space.Place(i + 1, Extent{i * 8, 8});
+  std::vector<MovePlan> plan;
+  for (std::uint64_t i = n; i-- > 1;) {
+    plan.push_back(MovePlan{i + 1, {i * 16, 8}});
+  }
+  space.ApplyMoves(plan);
+  ASSERT_EQ(listener.batches, 1);
+  ASSERT_EQ(listener.last_batch.size(), plan.size());
+  for (std::size_t k = 0; k < plan.size(); ++k) {
+    const ObjectId id = plan[k].id;
+    EXPECT_EQ(listener.last_batch[k].id, id);
+    EXPECT_EQ(listener.last_batch[k].from, (Extent{(id - 1) * 8, 8}));
+    EXPECT_EQ(listener.last_batch[k].to, plan[k].to);
+  }
+  EXPECT_TRUE(space.SelfCheck());
+}
+
+// ------------------------------------------ batch checks at page bounds
+
+/// Objects i = 0..n-1 (id i + 1) at [64i, 64i + 8) in an AddressSpace, and
+/// a bare OffsetIndex fed the same inserts: both split pages at the same
+/// entries, so the twin shows where the space's page boundaries fall.
+class PagedBatchTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kStride = 64;
+  static constexpr std::uint64_t kCount = 6 * kPage;
+
+  void SetUp() override {
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      space_.Place(i + 1, Extent{i * kStride, 8});
+    }
+    ResetTwin();
+    ASSERT_GE(twin_.page_minima().size(), 3u);
+  }
+
+  void ResetTwin() {
+    twin_.Clear();
+    for (std::uint64_t i = 0; i < kCount; ++i) twin_.Insert(i * kStride, i + 1);
+  }
+
+  /// Index of the object that starts page `p`.
+  std::uint64_t PageFront(std::size_t p) const {
+    return twin_.page_minima()[p] / kStride;
+  }
+
+  /// Applies `plan`'s index edit to the twin, as ApplyMoves would.
+  void ApplyToTwin(const std::vector<MovePlan>& plan) {
+    std::vector<std::uint64_t> erase;
+    std::vector<OffsetIndex::Entry> inserts;
+    for (const MovePlan& m : plan) {
+      erase.push_back(space_.extent_of(m.id).offset);
+      inserts.push_back(OffsetIndex::Entry{m.to.offset, m.id});
+    }
+    std::sort(erase.begin(), erase.end());
+    std::sort(inserts.begin(), inserts.end(),
+              [](const OffsetIndex::Entry& a, const OffsetIndex::Entry& b) {
+                return a.offset < b.offset;
+              });
+    ASSERT_TRUE(twin_.ApplyBatch(erase.data(), erase.size(), inserts.data(),
+                                 inserts.size()));
+  }
+
+  bool StartsPage(std::uint64_t offset) const {
+    const std::vector<std::uint64_t>& minima = twin_.page_minima();
+    return std::find(minima.begin(), minima.end(), offset) != minima.end();
+  }
+
+  AddressSpace space_;
+  OffsetIndex twin_;
+};
+
+using PagedBatchDeathTest = PagedBatchTest;
+
+TEST_F(PagedBatchDeathTest, TargetsCollidingInsideOnePageAbort) {
+  // Two movers from the last page land in one gap of page 1, 4 bytes
+  // apart.
+  const std::uint64_t gap = (PageFront(1) + 5) * kStride;
+  const std::vector<MovePlan> plan = {{kCount, {gap + 16, 8}},
+                                      {kCount - 1, {gap + 20, 8}}};
+  ApplyToTwin(plan);
+  ASSERT_FALSE(StartsPage(gap + 20));
+  ASSERT_TRUE(twin_.SelfCheck());
+  EXPECT_DEATH(space_.ApplyMoves(plan), "overlaps");
+}
+
+TEST_F(PagedBatchDeathTest, TargetOverlappingFirstEntryOfNextPageAborts) {
+  // The target ends page 0's range and reaches 4 bytes into the object
+  // that starts page 1.
+  const std::uint64_t next_front = PageFront(1) * kStride;
+  const std::vector<MovePlan> plan = {{kCount, {next_front - 4, 8}}};
+  ApplyToTwin(plan);
+  ASSERT_TRUE(StartsPage(next_front));
+  ASSERT_EQ(twin_.LastBefore(next_front)->offset, next_front - 4);
+  EXPECT_DEATH(space_.ApplyMoves(plan), "overlaps");
+}
+
+TEST_F(PagedBatchDeathTest, TargetOverlappingLastEntryOfPreviousPageAborts) {
+  // Two movers into every gap of page 1 push it past kPageCapacity, so it
+  // splits. One mover is shifted onto the stationary object before it,
+  // where the split puts that object last in one page and the mover first
+  // in the next.
+  const std::uint64_t first = PageFront(1);
+  const std::uint64_t count = PageFront(2) - first;
+  ASSERT_GE(3 * count, kPage);
+  std::vector<MovePlan> plan;
+  ObjectId mover = kCount;
+  for (std::uint64_t i = first; i < first + count; ++i) {
+    plan.push_back(MovePlan{mover--, {i * kStride + 16, 8}});
+    plan.push_back(MovePlan{mover--, {i * kStride + 32, 8}});
+  }
+  // Find a mover that the split makes the first entry of a page.
+  ApplyToTwin(plan);
+  std::size_t k = 0;
+  while (k < plan.size() && !StartsPage(plan[k].to.offset)) ++k;
+  ASSERT_LT(k, plan.size());
+  const std::uint64_t stationary = plan[k].to.offset / kStride * kStride;
+  ASSERT_EQ(twin_.LastBefore(plan[k].to.offset)->offset, stationary);
+  // Shift it 12 bytes left, onto the stationary object's last 4 bytes:
+  // still after it in offset order, so the pages split the same way.
+  plan[k].to.offset = stationary + 4;
+  ResetTwin();
+  ApplyToTwin(plan);
+  ASSERT_TRUE(StartsPage(stationary + 4));
+  ASSERT_EQ(twin_.LastBefore(stationary + 4)->offset, stationary);
+  EXPECT_DEATH(space_.ApplyMoves(plan), "overlaps");
+}
+
+TEST_F(PagedBatchDeathTest, DuplicateIdInOneBatchAborts) {
+  const std::uint64_t frontier = kCount * kStride;
+  const std::vector<MovePlan> plan = {
+      {1, {frontier, 8}}, {2, {frontier + 64, 8}}, {1, {frontier + 128, 8}}};
+  EXPECT_DEATH(space_.ApplyMoves(plan), "overlaps");
+}
+
+TEST_F(PagedBatchTest, BatchSplitsAndDropsPagesWithinCapacity) {
+  // Every object into the gap after the last one, in descending plan
+  // order: each old page empties, and the last page's range takes all of
+  // them.
+  std::vector<MovePlan> plan;
+  for (std::uint64_t i = kCount; i-- > 0;) {
+    plan.push_back(MovePlan{i + 1, {(kCount + i) * kStride, 8}});
+  }
+  ApplyToTwin(plan);
+  EXPECT_TRUE(twin_.SelfCheck());
+  EXPECT_GE(twin_.page_minima().size(), kCount / (3 * kPage / 4));
+  EXPECT_EQ(twin_.page_minima().front(), kCount * kStride);
+  space_.ApplyMoves(plan);
+  EXPECT_TRUE(space_.SelfCheck());
+  EXPECT_EQ(space_.footprint(), (2 * kCount - 1) * kStride + 8);
+  const auto snapshot = space_.Snapshot();
+  ASSERT_EQ(snapshot.size(), kCount);
+  EXPECT_EQ(snapshot.front().second.offset, kCount * kStride);
 }
 
 // ------------------------------------------------------ reference model

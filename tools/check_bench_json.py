@@ -33,6 +33,7 @@ def check_rows(data, path, required_keys, min_rows=1):
 
 
 def check_free_index(data, path):
+    require(data.get("schema_version") == 1, path, "schema_version != 1")
     check_rows(data, path, {
         "gaps", "binned_queries_per_sec", "map_queries_per_sec",
         "binned_churn_per_sec", "map_churn_per_sec",
@@ -52,6 +53,8 @@ def check_free_index(data, path):
 
 def check_address_space(data, path):
     require(data.get("schema_version") == 1, path, "schema_version != 1")
+    require(data.get("smoke") is False, path,
+            "committed artifact is a --smoke run; regenerate full-size")
     require("storm_speedup_flat_batched_vs_map_per_move" in data, path,
             "missing storm speedup summary key")
     check_rows(data, path,
