@@ -41,7 +41,7 @@ void Run() {
                   std::to_string(r.payload_capacity),
                   std::to_string(r.buffer_capacity),
                   std::to_string(r.buffer_used),
-                  std::to_string(r.payload_objects.size())});
+                  std::to_string(r.payload_count())});
   }
   table.Print();
   bench::Verdict(realloc.CheckInvariants().ok(),

@@ -18,6 +18,12 @@ inline std::uint32_t TrailingZeros8(std::uint8_t v) {
   return static_cast<std::uint32_t>(__builtin_ctz(v));
 }
 
+/// The node `table` stores under `key`, or kNil when the key is absent.
+inline std::uint32_t NodeAt(const BoundaryTable& table, std::uint64_t key) {
+  const std::uint32_t* node = table.Find(key);
+  return node == nullptr ? BoundaryNode::kValue : *node;
+}
+
 }  // namespace
 
 BinnedFreeIndex::BinnedFreeIndex() {
@@ -162,7 +168,7 @@ void BinnedFreeIndex::Reserve(std::uint64_t offset, std::uint64_t size) {
     frontier_ = offset + size;
     return;
   }
-  std::uint32_t found = by_start_.Find(offset);
+  std::uint32_t found = NodeAt(by_start_, offset);
   if (found == kNil) {
     // Interior reserve (tests/diagnostics only — the allocators always
     // reserve at a gap start): probe every gap for the containing one.
@@ -190,13 +196,13 @@ void BinnedFreeIndex::Release(const Extent& extent) {
   std::uint64_t end = extent.end();
 
   // Merge with the following gap if adjacent.
-  const std::uint32_t next = by_start_.Find(end);
+  const std::uint32_t next = NodeAt(by_start_, end);
   if (next != kNil) {
     end = nodes_[next].offset + nodes_[next].length;
     RemoveGap(next);
   }
   // Merge with the preceding gap if adjacent.
-  const std::uint32_t prev = by_end_.Find(offset);
+  const std::uint32_t prev = NodeAt(by_end_, offset);
   if (prev != kNil) {
     offset = nodes_[prev].offset;
     RemoveGap(prev);
@@ -244,10 +250,11 @@ Status BinnedFreeIndex::CheckIntegrity() const {
       if (gap_end == frontier_) {
         return Status::Internal("gap touches the frontier");
       }
-      if (by_start_.Find(gap.offset) != i || by_end_.Find(gap_end) != i) {
+      if (NodeAt(by_start_, gap.offset) != i || NodeAt(by_end_, gap_end) != i) {
         return Status::Internal("boundary tables disagree with gap");
       }
-      if (by_start_.Find(gap_end) != kNil || by_end_.Find(gap.offset) != kNil) {
+      if (NodeAt(by_start_, gap_end) != kNil ||
+          NodeAt(by_end_, gap.offset) != kNil) {
         return Status::Internal("adjacent gaps left uncoalesced");
       }
       volume += gap.length;

@@ -81,7 +81,7 @@ class BinnedFreeIndex {
   Status CheckIntegrity() const;
 
  private:
-  static constexpr std::uint32_t kNil = BoundaryTable::kNil;
+  static constexpr std::uint32_t kNil = BoundaryNode::kValue;
 
   struct Gap {
     std::uint64_t offset = 0;

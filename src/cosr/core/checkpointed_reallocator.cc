@@ -31,11 +31,11 @@ Status CheckpointedReallocator::Insert(ObjectId id, std::uint64_t size) {
   const std::uint64_t structure_end = reserved_footprint();
   space_->Place(id, Extent{structure_end, size});
   Region& last = regions_.back();
+  objects_.Insert(id, Filed(max_size_class(), cls, /*in_buffer=*/true,
+                            last.buffer_entries.size()));
   last.buffer_entries.push_back(BufferEntry{id, size, cls});
   last.buffer_used += size;
   last.min_buffer_class = std::min(last.min_buffer_class, cls);
-  objects_.emplace(id,
-                   ObjectInfo{size, cls, /*in_buffer=*/true, max_size_class()});
   NoteTempFootprint(structure_end + size);
   Flush(ComputeBoundary(cls), structure_end);
   return Status::Ok();
@@ -43,11 +43,12 @@ Status CheckpointedReallocator::Insert(ObjectId id, std::uint64_t size) {
 
 Status CheckpointedReallocator::Delete(ObjectId id) {
   ObjectInfo info;
-  if (!ForgetObject(id, &info)) {
+  std::uint64_t size = 0;
+  if (!ForgetObject(id, &info, &size)) {
     return Status::NotFound("object " + std::to_string(id));
   }
   space_->Remove(id);
-  if (info.in_buffer || TryBufferDummy(info.size, info.size_class)) {
+  if (info.in_buffer || TryBufferDummy(size, info.size_class)) {
     return Status::Ok();
   }
   // No room for the dummy record: flush without consuming space for it.
@@ -99,13 +100,15 @@ CheckpointedReallocator::FlushArea CheckpointedReallocator::BuildFlushPlan(
 
   // Stage B: pack payloads rightward so that the last object ends at
   // work_area, largest class first. Every move shifts right by at least
-  // B + ∆, hence never overlaps a live extent.
+  // B + ∆, hence never overlaps a live extent. Tombstones of deleted
+  // payload objects are skipped here and in stage C.
   std::uint64_t cursor = work_area;
   for (int i = maxc; i >= boundary; --i) {
     const Region& r = regions_[static_cast<std::size_t>(i)];
     for (auto rit = r.payload_objects.rbegin();
          rit != r.payload_objects.rend(); ++rit) {
-      const std::uint64_t size = objects_.at(*rit).size;
+      if (*rit == kInvalidObjectId) continue;
+      const std::uint64_t size = space_->extent_of(*rit).length;
       cursor -= size;
       plan_.push_back(MovePlan{*rit, Extent{cursor, size}});
     }
@@ -113,16 +116,20 @@ CheckpointedReallocator::FlushArea CheckpointedReallocator::BuildFlushPlan(
   stage_end_[kPack] = plan_.size();
 
   // Stage C: unpack payloads leftward to their final positions, smallest
-  // class first.
+  // class first: stage B's objects in reverse, so each size is read back
+  // from its stage B move.
+  std::size_t packed = stage_end_[kPack];
   for (int i = boundary; i <= maxc; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     cursor = suffix_[idx].payload_start;
     for (ObjectId id : regions_[idx].payload_objects) {
-      const std::uint64_t size = objects_.at(id).size;
+      if (id == kInvalidObjectId) continue;
+      const std::uint64_t size = plan_[--packed].to.length;
       plan_.push_back(MovePlan{id, Extent{cursor, size}});
       cursor += size;
     }
   }
+  COSR_CHECK_EQ(packed, stage_end_[kEvacuate]);
   stage_end_[kUnpack] = plan_.size();
 
   // Stage D: move the evacuated objects to the ends of their payload

@@ -61,17 +61,18 @@ Status CostObliviousReallocator::ExtractTo(ObjectId id,
 Status CostObliviousReallocator::DeleteImpl(ObjectId id, bool extract,
                                             std::uint64_t target_offset) {
   ObjectInfo info;
-  if (!ForgetObject(id, &info)) {
+  std::uint64_t size = 0;
+  if (!ForgetObject(id, &info, &size)) {
     return Status::NotFound("object " + std::to_string(id));
   }
   if (extract) {
-    MoveTracked(id, Extent{target_offset, info.size});
+    MoveTracked(id, Extent{target_offset, size});
   } else {
     space_->Remove(id);
   }
   // A payload object leaves a hole and owes a dummy delete record consuming
   // `size` space in the earliest buffer j >= class with room.
-  if (info.in_buffer || TryBufferDummy(info.size, info.size_class)) {
+  if (info.in_buffer || TryBufferDummy(size, info.size_class)) {
     return Status::Ok();
   }
 
@@ -103,16 +104,17 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
   Notify(FlushEvent::Stage::kBuffersEvacuated, boundary);
 
   // Step 2: compact payloads left (smallest class first), removing holes.
+  // Tombstones of deleted payload objects are skipped here and in step 3.
   std::uint64_t pack =
       regions_[static_cast<std::size_t>(boundary)].payload_start;
   for (int i = boundary; i <= maxc; ++i) {
     Region& r = regions_[static_cast<std::size_t>(i)];
     for (ObjectId id : r.payload_objects) {
-      const std::uint64_t size = objects_.at(id).size;
-      const Extent& current = space_->extent_of(id);
+      if (id == kInvalidObjectId) continue;
+      const Extent current = space_->extent_of(id);
       COSR_CHECK_LE(pack, current.offset);
-      if (current.offset != pack) PlanMove(id, Extent{pack, size});
-      pack += size;
+      if (current.offset != pack) PlanMove(id, Extent{pack, current.length});
+      pack += current.length;
     }
   }
   FlushPlannedMoves();
@@ -126,11 +128,13 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
         suffix_[static_cast<std::size_t>(i)].payload_start + r.payload_live;
     for (auto rit = r.payload_objects.rbegin();
          rit != r.payload_objects.rend(); ++rit) {
-      const std::uint64_t size = objects_.at(*rit).size;
-      cursor -= size;
-      const Extent& current = space_->extent_of(*rit);
+      if (*rit == kInvalidObjectId) continue;
+      const Extent current = space_->extent_of(*rit);
+      cursor -= current.length;
       COSR_CHECK_LE(current.offset, cursor);
-      if (current.offset != cursor) PlanMove(*rit, Extent{cursor, size});
+      if (current.offset != cursor) {
+        PlanMove(*rit, Extent{cursor, current.length});
+      }
     }
   }
   FlushPlannedMoves();
@@ -151,10 +155,10 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
     PlaceOrMove(pending.id, Extent{r.payload_start + r.payload_live,
                                    pending.size},
                 pending.already_placed);
-    AppendPayloadObject(r, pending.id, pending.size);
-    objects_.emplace(pending.id,
-                     ObjectInfo{pending.size, pending.size_class,
-                                /*in_buffer=*/false, pending.size_class});
+    objects_.Insert(pending.id,
+                    Filed(pending.size_class, pending.size_class,
+                          /*in_buffer=*/false,
+                          AppendPayloadObject(r, pending.id, pending.size)));
   }
   Notify(FlushEvent::Stage::kEnd, boundary);
 }

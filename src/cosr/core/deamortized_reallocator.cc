@@ -30,8 +30,7 @@ Status DeamortizedReallocator::Insert(ObjectId id, std::uint64_t size) {
     log_cursor_ += size;
     NoteTempFootprint(log_cursor_);
     log_.push_back(LogEntry{/*is_delete=*/false, id, size, cls});
-    objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/true,
-                                    kLogRegion});
+    objects_.Insert(id, Filed(kLogRegion, cls, /*in_buffer=*/true, 0));
   } else if (cls > max_size_class() && tail_entries_.empty()) {
     // With an empty tail the boundary can shift right for free: create
     // the new largest class directly, as in Section 2.
@@ -61,7 +60,8 @@ void DeamortizedReallocator::TailInsert(ObjectId id, std::uint64_t size,
   }
   PlaceOrMove(id, Extent{offset, size}, already_placed);
   NoteTempFootprint(offset + size);
-  objects_[id] = ObjectInfo{size, cls, /*in_buffer=*/true, kTailRegion};
+  objects_.Insert(id, Filed(kTailRegion, cls, /*in_buffer=*/true,
+                            tail_entries_.size()));
   TailAppend(BufferEntry{id, size, cls});
 }
 
@@ -73,38 +73,39 @@ void DeamortizedReallocator::TailAppend(const BufferEntry& entry) {
 }
 
 Status DeamortizedReallocator::Delete(ObjectId id) {
-  auto it = objects_.find(id);
-  if (it == objects_.end() || pending_delete_.count(id) > 0) {
+  ObjectInfo* info = objects_.Find(id);
+  if (info == nullptr || info->pending_delete) {
     return Status::NotFound("object " + std::to_string(id));
   }
-  const std::uint64_t size = it->second.size;
-  const int cls = it->second.size_class;
-
+  std::uint64_t size = 0;
   if (active_) {
     // The object stays active (and keeps moving with the plan) until the
     // delete is replayed from the log; the log records consume space.
-    pending_delete_.insert(id);
-    log_.push_back(LogEntry{/*is_delete=*/true, id, size, cls});
+    size = space_->extent_of(id).length;
+    info->pending_delete = 1;
+    log_.push_back(LogEntry{/*is_delete=*/true, id, size, info->size_class});
     log_cursor_ += size;
     NoteTempFootprint(log_cursor_);
   } else {
-    ApplyDelete(id);
+    size = ApplyDelete(id);
   }
   AfterUpdate(size);
   return Status::Ok();
 }
 
-void DeamortizedReallocator::ApplyDelete(ObjectId id) {
+std::uint64_t DeamortizedReallocator::ApplyDelete(ObjectId id) {
   ObjectInfo info;
-  COSR_CHECK(ForgetObject(id, &info));
+  std::uint64_t size = 0;
+  COSR_CHECK(ForgetObject(id, &info, &size));
   space_->Remove(id);
-  if (info.in_buffer || TryBufferDummy(info.size, info.size_class)) return;
-  if (tail_used_ + info.size <= tail_capacity_) {
-    TailAppend(BufferEntry{kInvalidObjectId, info.size, info.size_class});
-    return;
+  if (info.in_buffer || TryBufferDummy(size, info.size_class)) return size;
+  if (tail_used_ + size <= tail_capacity_) {
+    TailAppend(BufferEntry{kInvalidObjectId, size, info.size_class});
+  } else {
+    // The dummy would overflow the tail: flush without consuming space.
+    RequestFlush(info.size_class);
   }
-  // The dummy would overflow the tail: flush without consuming space.
-  RequestFlush(info.size_class);
+  return size;
 }
 
 void DeamortizedReallocator::RequestFlush(int trigger_class) {
@@ -161,15 +162,17 @@ void DeamortizedReallocator::DoWork(std::uint64_t budget) {
     log_.pop_front();
     done += entry.size;
     if (entry.is_delete) {
-      pending_delete_.erase(entry.id);
-      ApplyDelete(entry.id);
+      ApplyDelete(entry.id);  // drops the pending mark with the entry
     } else {
-      objects_.erase(entry.id);  // re-filed by the placement below
+      // The placement below re-files the logged object. A delete logged
+      // after this insert keeps its mark until it replays.
+      const bool pending = objects_.Find(entry.id)->pending_delete;
       if (!TryBufferInsert(entry.id, entry.size, entry.size_class,
                            /*already_placed=*/true)) {
         TailInsert(entry.id, entry.size, entry.size_class,
                    /*already_placed=*/true);
       }
+      objects_.Find(entry.id)->pending_delete = pending;
     }
   }
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "cosr/core/checkpointed_reallocator.h"
@@ -102,9 +101,9 @@ class DeamortizedReallocator : public CheckpointedReallocator {
   void TailAppend(const BufferEntry& entry);
 
   /// Applies delete bookkeeping for an object in a region buffer, the tail,
-  /// or a payload segment. When no buffer has room for the dummy record,
-  /// requests a flush without consuming space.
-  void ApplyDelete(ObjectId id);
+  /// or a payload segment, and returns its size. When no buffer has room
+  /// for the dummy record, requests a flush without consuming space.
+  std::uint64_t ApplyDelete(ObjectId id);
 
   /// Begins a flush now, or right after the one in progress drains.
   void RequestFlush(int trigger_class);
@@ -134,7 +133,6 @@ class DeamortizedReallocator : public CheckpointedReallocator {
   // Log state.
   std::deque<LogEntry> log_;
   std::uint64_t log_cursor_ = 0;
-  std::unordered_set<ObjectId> pending_delete_;
 
   // Work metering.
   double work_budget_per_unit_ = 0.0;  // work_factor / epsilon

@@ -1,11 +1,13 @@
 #ifndef COSR_CORE_LAYOUT_H_
 #define COSR_CORE_LAYOUT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "cosr/common/types.h"
+#include "cosr/common/u64_hash_map.h"
 
 namespace cosr {
 
@@ -34,14 +36,23 @@ struct Region {
   /// drives the boundary-class computation for flushes.
   int min_buffer_class = std::numeric_limits<int>::max();
 
-  /// Live payload objects in ascending offset order (holes from deletions
-  /// are implicit).
+  /// Payload objects in ascending offset order. A deleted object leaves a
+  /// tombstone (kInvalidObjectId) in its slot, so a delete is O(1); the
+  /// region's next flush drops the tombstones. (The space holes the
+  /// deletions leave in the segment itself are implicit.)
   std::vector<ObjectId> payload_objects;
   std::vector<BufferEntry> buffer_entries;
-  /// Sum of payload_objects' sizes, maintained incrementally (via
+  /// Sum of the live payload objects' sizes, and the tombstone count of
+  /// payload_objects, maintained incrementally (via
   /// SizeClassLayout::AppendPayloadObject / ErasePayloadObject) so flushes
-  /// never re-derive the live payload volume by walking the object table.
+  /// never re-derive them by walking the object table.
   std::uint64_t payload_live = 0;
+  std::size_t payload_holes = 0;
+
+  /// Live payload objects (payload_objects minus its tombstones).
+  std::size_t payload_count() const {
+    return payload_objects.size() - payload_holes;
+  }
 
   std::uint64_t buffer_start() const {
     return payload_start + payload_capacity;
@@ -60,6 +71,31 @@ struct Region {
     min_buffer_class = std::numeric_limits<int>::max();
   }
 };
+
+/// Where a size-class layout files an object: 8 bytes, stored inline in
+/// its id -> ObjectInfo table. The object's size is its extent's length in
+/// the space.
+struct ObjectInfo {
+  /// Index of the object in its region's payload_objects, or in its
+  /// buffer's entry list while buffered (unused for the deamortized
+  /// variant's log entries).
+  std::uint32_t position;
+  std::int16_t region;      // region index where the object currently lives
+  std::uint8_t size_class;  // 0 only in vacant table slots
+  std::uint8_t in_buffer : 1;
+  /// Deamortized variant only: a delete of the object is logged and awaits
+  /// replay.
+  std::uint8_t pending_delete : 1;
+};
+
+struct VacantObjectInfo {
+  static constexpr ObjectInfo kValue{};
+  static bool IsVacant(const ObjectInfo& info) { return info.size_class == 0; }
+};
+
+/// The object table of a size-class layout: id -> ObjectInfo.
+using ObjectTable = U64HashMap<ObjectInfo, VacantObjectInfo>;
+static_assert(sizeof(ObjectInfo) == 8, "ObjectInfo packs into 8 bytes");
 
 }  // namespace cosr
 

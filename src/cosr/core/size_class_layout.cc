@@ -29,7 +29,7 @@ std::uint64_t SizeClassLayout::volume_in_class(int size_class) const {
 Status SizeClassLayout::AdmitInsert(ObjectId id, std::uint64_t size,
                                     int* cls) {
   if (size == 0) return Status::InvalidArgument("size must be positive");
-  if (objects_.count(id) > 0) {
+  if (objects_.Find(id) != nullptr) {
     return Status::AlreadyExists("object " + std::to_string(id));
   }
   *cls = SizeClassOf(size);
@@ -39,25 +39,20 @@ Status SizeClassLayout::AdmitInsert(ObjectId id, std::uint64_t size,
   return Status::Ok();
 }
 
-bool SizeClassLayout::ForgetObject(ObjectId id, ObjectInfo* info) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) return false;
-  *info = it->second;
-  objects_.erase(it);
-  volumes_[static_cast<std::size_t>(info->size_class)] -= info->size;
-  total_volume_ -= info->size;
+bool SizeClassLayout::ForgetObject(ObjectId id, ObjectInfo* info,
+                                   std::uint64_t* size) {
+  if (!objects_.Erase(id, info)) return false;
+  *size = space_->extent_of(id).length;
+  volumes_[info->size_class] -= *size;
+  total_volume_ -= *size;
   if (info->in_buffer) {
-    for (BufferEntry& entry : BufferEntries(info->region)) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;
-        return true;
-      }
-    }
-    COSR_CHECK_MSG(false,
-                   "buffer entry missing for object " + std::to_string(id));
+    BufferEntry& entry = BufferEntries(info->region)[info->position];
+    COSR_CHECK_EQ(entry.id, id);
+    entry.id = kInvalidObjectId;
+    return true;
   }
-  ErasePayloadObject(regions_[static_cast<std::size_t>(info->region)], id,
-                     info->size);
+  ErasePayloadObject(regions_[static_cast<std::size_t>(info->region)],
+                     info->position, id, *size);
   return true;
 }
 
@@ -97,13 +92,27 @@ void SizeClassLayout::NoteTempFootprint(std::uint64_t end) {
   max_temp_footprint_ = std::max(max_temp_footprint_, end);
 }
 
-void SizeClassLayout::ErasePayloadObject(Region& region, ObjectId id,
+void SizeClassLayout::ErasePayloadObject(Region& region,
+                                         std::size_t position, ObjectId id,
                                          std::uint64_t size) {
-  auto pos = std::find(region.payload_objects.begin(),
-                       region.payload_objects.end(), id);
-  COSR_CHECK(pos != region.payload_objects.end());
-  region.payload_objects.erase(pos);
+  COSR_CHECK_EQ(region.payload_objects[position], id);
+  region.payload_objects[position] = kInvalidObjectId;
+  ++region.payload_holes;
   region.payload_live -= size;
+}
+
+void SizeClassLayout::CompactPayloadList(Region& region) {
+  std::vector<ObjectId>& list = region.payload_objects;
+  // Objects before the first tombstone keep their positions.
+  auto keep = std::find(list.begin(), list.end(), kInvalidObjectId);
+  for (auto it = keep; it != list.end(); ++it) {
+    if (*it == kInvalidObjectId) continue;
+    objects_.Find(*it)->position =
+        static_cast<std::uint32_t>(keep - list.begin());
+    *keep++ = *it;
+  }
+  list.erase(keep, list.end());
+  region.payload_holes = 0;
 }
 
 bool SizeClassLayout::TryBufferInsert(ObjectId id, std::uint64_t size,
@@ -113,10 +122,11 @@ bool SizeClassLayout::TryBufferInsert(ObjectId id, std::uint64_t size,
     if (r.buffer_free() < size) continue;
     const std::uint64_t offset = r.buffer_start() + r.buffer_used;
     PlaceOrMove(id, Extent{offset, size}, already_placed);
+    objects_.Insert(id, Filed(j, cls, /*in_buffer=*/true,
+                              r.buffer_entries.size()));
     r.buffer_entries.push_back(BufferEntry{id, size, cls});
     r.buffer_used += size;
     r.min_buffer_class = std::min(r.min_buffer_class, cls);
-    objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/true, j});
     return true;
   }
   return false;
@@ -150,8 +160,8 @@ void SizeClassLayout::CreateNewLargestClass(ObjectId id, std::uint64_t size,
   r.payload_capacity = size;
   r.buffer_capacity = FloorScale(epsilon_, size);
   PlaceOrMove(id, Extent{r.payload_start, size}, already_placed);
-  AppendPayloadObject(r, id, size);
-  objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/false, cls});
+  objects_.Insert(id, Filed(cls, cls, /*in_buffer=*/false,
+                            AppendPayloadObject(r, id, size)));
   NoteTempFootprint(reserved_footprint());
 }
 
@@ -225,11 +235,13 @@ void SizeClassLayout::InstallSuffix(int boundary) {
     r.payload_start = plan.payload_start;
     r.payload_capacity = plan.payload_capacity;
     r.buffer_capacity = plan.buffer_capacity;
+    if (r.payload_holes > 0) CompactPayloadList(r);
     for (const auto& [id, size] : plan.arrivals) {
-      AppendPayloadObject(r, id, size);
-      ObjectInfo& info = objects_.at(id);
+      ObjectInfo& info = *objects_.Find(id);
+      info.position = static_cast<std::uint32_t>(
+          AppendPayloadObject(r, id, size));
       info.in_buffer = false;
-      info.region = i;
+      info.region = static_cast<std::int16_t>(i);
     }
   }
 }
@@ -277,34 +289,45 @@ Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
   }
   for (int i = 1; i <= max_size_class(); ++i) {
     const Region& r = regions_[static_cast<std::size_t>(i)];
-    // Payload objects: class i only (Invariant 2.3), in bounds, ascending.
+    // Payload objects: class i only (Invariant 2.3), in bounds, ascending,
+    // each filed at its own position; tombstones counted exactly.
     std::uint64_t prev_end = r.payload_start;
     std::uint64_t payload_sum = 0;
-    for (ObjectId id : r.payload_objects) {
-      auto it = objects_.find(id);
-      if (it == objects_.end()) {
+    std::size_t holes = 0;
+    for (std::size_t k = 0; k < r.payload_objects.size(); ++k) {
+      const ObjectId id = r.payload_objects[k];
+      if (id == kInvalidObjectId) {
+        ++holes;
+        continue;
+      }
+      const ObjectInfo* info = objects_.Find(id);
+      if (info == nullptr) {
         return Status::Internal("payload object without bookkeeping");
       }
-      const ObjectInfo& info = it->second;
-      if (info.size_class != i || info.in_buffer || info.region != i) {
+      if (info->size_class != i || info->in_buffer || info->region != i ||
+          info->position != k || info->pending_delete) {
         return Status::Internal("payload object misfiled in region " +
                                 std::to_string(i));
       }
-      const Extent& e = space_->extent_of(id);
-      if (e.length != info.size || SizeClassOf(info.size) != i) {
+      const Extent e = space_->extent_of(id);
+      if (SizeClassOf(e.length) != i) {
         return Status::Internal("payload object size/class mismatch");
       }
       if (e.offset < prev_end || e.end() > r.buffer_start()) {
         return Status::Internal("payload object out of segment bounds");
       }
       prev_end = e.end();
-      payload_sum += info.size;
-      class_volume[static_cast<std::size_t>(i)] += info.size;
-      total += info.size;
+      payload_sum += e.length;
+      class_volume[static_cast<std::size_t>(i)] += e.length;
+      total += e.length;
       ++object_count;
     }
     if (payload_sum != r.payload_live) {
       return Status::Internal("payload_live accounting mismatch in region " +
+                              std::to_string(i));
+    }
+    if (holes != r.payload_holes) {
+      return Status::Internal("payload hole count mismatch in region " +
                               std::to_string(i));
     }
     // Buffer entries: classes <= i (Invariant 2.2(4)), packed in order.
@@ -326,28 +349,28 @@ Status SizeClassLayout::CheckBufferEntries(
     std::vector<std::uint64_t>& class_volume, std::uint64_t& total,
     std::size_t& object_count) const {
   std::uint64_t cursor = start;
-  for (const BufferEntry& entry : entries) {
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const BufferEntry& entry = entries[k];
     if (entry.size_class > max_class) {
       return Status::Internal("buffer entry of class " +
                               std::to_string(entry.size_class) +
                               " in region " + std::to_string(region));
     }
     if (entry.live()) {
-      auto it = objects_.find(entry.id);
-      if (it == objects_.end()) {
+      const ObjectInfo* info = objects_.Find(entry.id);
+      if (info == nullptr) {
         return Status::Internal("buffered object without bookkeeping");
       }
-      const ObjectInfo& info = it->second;
-      if (!info.in_buffer || info.region != region ||
-          info.size != entry.size || info.size_class != entry.size_class) {
+      if (!info->in_buffer || info->region != region || info->position != k ||
+          info->size_class != entry.size_class || info->pending_delete) {
         return Status::Internal("buffered object misfiled");
       }
-      const Extent& e = space_->extent_of(entry.id);
+      const Extent e = space_->extent_of(entry.id);
       if (e.offset != cursor || e.length != entry.size) {
         return Status::Internal("buffered object not packed in order");
       }
-      class_volume[static_cast<std::size_t>(info.size_class)] += info.size;
-      total += info.size;
+      class_volume[info->size_class] += entry.size;
+      total += entry.size;
       ++object_count;
     }
     cursor += entry.size;

@@ -1,11 +1,12 @@
 #ifndef COSR_CORE_SIZE_CLASS_LAYOUT_H_
 #define COSR_CORE_SIZE_CLASS_LAYOUT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "cosr/common/check.h"
 #include "cosr/core/flush_listener.h"
 #include "cosr/core/layout.h"
 #include "cosr/realloc/reallocator.h"
@@ -26,7 +27,7 @@ class SizeClassLayout : public Reallocator {
   int max_size_class() const { return static_cast<int>(regions_.size()) - 1; }
   const Region& region(int size_class) const;
   std::uint64_t volume_in_class(int size_class) const;
-  bool contains(ObjectId id) const { return objects_.count(id) > 0; }
+  bool contains(ObjectId id) const { return objects_.Find(id) != nullptr; }
 
   std::uint64_t reserved_footprint() const override {
     return regions_.back().region_end();
@@ -54,12 +55,15 @@ class SizeClassLayout : public Reallocator {
   virtual Status CheckInvariants() const;
 
  protected:
-  struct ObjectInfo {
-    std::uint64_t size = 0;
-    int size_class = 0;
-    bool in_buffer = false;
-    int region = 0;  // region index where the object currently lives
-  };
+  /// The filing of an object at `position` of `region`'s payload list or
+  /// buffer entries, with no pending delete.
+  static ObjectInfo Filed(int region, int size_class, bool in_buffer,
+                          std::size_t position) {
+    COSR_CHECK_LT(position, std::size_t{1} << 32);
+    return ObjectInfo{static_cast<std::uint32_t>(position),
+                      static_cast<std::int16_t>(region),
+                      static_cast<std::uint8_t>(size_class), in_buffer, 0};
+  }
 
   /// The flushed suffix's new layout for one class (Invariant 2.4):
   /// payload capacity V(i), buffer capacity floor(eps * V(i)), and the
@@ -81,10 +85,11 @@ class SizeClassLayout : public Reallocator {
   /// Delete bookkeeping: drops `id` from the object table and from its
   /// class and total volume, then either turns its buffer entry into a
   /// dummy delete record (its space stays consumed until the next flush) or
-  /// erases it from its payload segment. Returns false for an unknown id.
-  /// `info->in_buffer == false` means the caller still owes a dummy record.
-  /// The space is left untouched.
-  bool ForgetObject(ObjectId id, ObjectInfo* info);
+  /// tombstones it in its payload segment. Returns false for an unknown id;
+  /// otherwise sets `*info` and `*size` (read from the still-placed
+  /// extent). `info->in_buffer == false` means the caller still owes a
+  /// dummy record. The space is left untouched.
+  bool ForgetObject(ObjectId id, ObjectInfo* info, std::uint64_t* size);
 
   /// The buffer entry list that an ObjectInfo::region index names.
   virtual std::vector<BufferEntry>& BufferEntries(int region) {
@@ -140,7 +145,8 @@ class SizeClassLayout : public Reallocator {
   /// Appends to `moves` each arrival's move to the end of its class's
   /// packed payload at the planned start.
   void PlanArrivals(int boundary, std::vector<MovePlan>& moves) const;
-  /// Installs suffix_ into regions >= boundary and files the arrivals as
+  /// Installs suffix_ into regions >= boundary: drops their payload
+  /// tombstones (renumbering the survivors) and files the arrivals as
   /// payload objects.
   void InstallSuffix(int boundary);
 
@@ -157,15 +163,21 @@ class SizeClassLayout : public Reallocator {
   }
   void FlushPlannedMoves();
 
-  /// Payload membership changes route through these so Region::payload_live
-  /// stays exact without per-flush re-derivation.
-  static void AppendPayloadObject(Region& region, ObjectId id,
-                                  std::uint64_t size) {
+  /// Payload membership changes route through these so
+  /// Region::payload_live and payload_holes stay exact without per-flush
+  /// re-derivation. Append returns the object's position; Erase
+  /// tombstones the object at `position` in O(1).
+  static std::size_t AppendPayloadObject(Region& region, ObjectId id,
+                                         std::uint64_t size) {
     region.payload_objects.push_back(id);
     region.payload_live += size;
+    return region.payload_objects.size() - 1;
   }
-  static void ErasePayloadObject(Region& region, ObjectId id,
-                                 std::uint64_t size);
+  static void ErasePayloadObject(Region& region, std::size_t position,
+                                 ObjectId id, std::uint64_t size);
+  /// Drops the tombstones of `region`'s payload list, renumbering the
+  /// survivors' positions.
+  void CompactPayloadList(Region& region);
   void Notify(FlushEvent::Stage stage, int boundary);
   void NoteTempFootprint(std::uint64_t end);
 
@@ -195,7 +207,7 @@ class SizeClassLayout : public Reallocator {
   std::vector<Region> regions_;         // index = size class; [0] unused
   // Active volume per class, sized for every class of a 64-bit size.
   std::vector<std::uint64_t> volumes_;
-  std::unordered_map<ObjectId, ObjectInfo> objects_;
+  ObjectTable objects_;
   std::uint64_t total_volume_ = 0;
   std::uint64_t delta_ = 0;
   std::uint64_t flush_count_ = 0;

@@ -1,7 +1,5 @@
 #include "cosr/durability/log_record.h"
 
-#include <cstring>
-
 namespace cosr {
 
 namespace {
@@ -18,15 +16,15 @@ std::uint32_t Checksum(const std::uint8_t* data, std::size_t size) {
   return static_cast<std::uint32_t>(hash ^ (hash >> 32));
 }
 
-void PutU32(std::uint32_t value, std::vector<std::uint8_t>* out) {
+void PutU32(std::uint32_t value, std::uint8_t* p) {
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    p[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
 }
 
-void PutU64(std::uint64_t value, std::vector<std::uint8_t>* out) {
+void PutU64(std::uint64_t value, std::uint8_t* p) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    p[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
 }
 
@@ -46,66 +44,68 @@ std::uint64_t GetU64(const std::uint8_t* p) {
   return value;
 }
 
-/// Frames an already-appended [type][len][payload] prefix: patches the
-/// payload length and appends the checksum. `start` is the record's first
-/// byte in `out`.
-void FinishRecord(std::size_t start, std::vector<std::uint8_t>* out) {
-  const std::size_t payload =
-      out->size() - start - kLogRecordHeaderBytes;
-  std::uint8_t* header = out->data() + start;
-  for (int i = 0; i < 4; ++i) {
-    header[1 + i] =
-        static_cast<std::uint8_t>(static_cast<std::uint32_t>(payload) >>
-                                  (8 * i));
-  }
-  PutU32(Checksum(out->data() + start, out->size() - start), out);
+/// Grows `out` by one whole record of `payload` bytes (one resize) and
+/// writes its header. Returns the payload's first byte; the caller fills
+/// the payload and then calls SealRecord.
+std::uint8_t* BeginRecord(LogRecordType type, std::uint32_t payload,
+                          std::vector<std::uint8_t>* out) {
+  const std::size_t start = out->size();
+  out->resize(start + kLogRecordFrameBytes + payload);
+  std::uint8_t* record = out->data() + start;
+  record[0] = static_cast<std::uint8_t>(type);
+  PutU32(payload, record + 1);
+  return record + kLogRecordHeaderBytes;
 }
 
-std::size_t BeginRecord(LogRecordType type, std::vector<std::uint8_t>* out) {
-  const std::size_t start = out->size();
-  out->push_back(static_cast<std::uint8_t>(type));
-  PutU32(0, out);  // payload length, patched by FinishRecord
-  return start;
+/// Writes the checksum behind a filled payload of `payload` bytes.
+void SealRecord(std::uint8_t* body, std::uint32_t payload) {
+  std::uint8_t* record = body - kLogRecordHeaderBytes;
+  const std::size_t framed = kLogRecordHeaderBytes + payload;
+  PutU32(Checksum(record, framed), record + framed);
+}
+
+/// kPlace and kRemove share one payload shape.
+void EncodeExtentRecord(LogRecordType type, ObjectId id, const Extent& extent,
+                        std::vector<std::uint8_t>* out) {
+  std::uint8_t* p = BeginRecord(type, 24, out);
+  PutU64(id, p);
+  PutU64(extent.offset, p + 8);
+  PutU64(extent.length, p + 16);
+  SealRecord(p, 24);
 }
 
 }  // namespace
 
 void EncodePlaceRecord(ObjectId id, const Extent& extent,
                        std::vector<std::uint8_t>* out) {
-  const std::size_t start = BeginRecord(LogRecordType::kPlace, out);
-  PutU64(id, out);
-  PutU64(extent.offset, out);
-  PutU64(extent.length, out);
-  FinishRecord(start, out);
+  EncodeExtentRecord(LogRecordType::kPlace, id, extent, out);
 }
 
 void EncodeRemoveRecord(ObjectId id, const Extent& extent,
                         std::vector<std::uint8_t>* out) {
-  const std::size_t start = BeginRecord(LogRecordType::kRemove, out);
-  PutU64(id, out);
-  PutU64(extent.offset, out);
-  PutU64(extent.length, out);
-  FinishRecord(start, out);
+  EncodeExtentRecord(LogRecordType::kRemove, id, extent, out);
 }
 
 void EncodeMoveBatchRecord(const MoveRecord* records, std::size_t count,
                            std::vector<std::uint8_t>* out) {
-  const std::size_t start = BeginRecord(LogRecordType::kMoveBatch, out);
-  PutU32(static_cast<std::uint32_t>(count), out);
-  for (std::size_t i = 0; i < count; ++i) {
-    PutU64(records[i].id, out);
-    PutU64(records[i].from.offset, out);
-    PutU64(records[i].from.length, out);
-    PutU64(records[i].to.offset, out);
+  const auto payload = static_cast<std::uint32_t>(4 + count * 32);
+  std::uint8_t* p = BeginRecord(LogRecordType::kMoveBatch, payload, out);
+  PutU32(static_cast<std::uint32_t>(count), p);
+  std::uint8_t* q = p + 4;
+  for (std::size_t i = 0; i < count; ++i, q += 32) {
+    PutU64(records[i].id, q);
+    PutU64(records[i].from.offset, q + 8);
+    PutU64(records[i].from.length, q + 16);
+    PutU64(records[i].to.offset, q + 24);
   }
-  FinishRecord(start, out);
+  SealRecord(p, payload);
 }
 
 void EncodeCheckpointRecord(std::uint64_t seq,
                             std::vector<std::uint8_t>* out) {
-  const std::size_t start = BeginRecord(LogRecordType::kCheckpoint, out);
-  PutU64(seq, out);
-  FinishRecord(start, out);
+  std::uint8_t* p = BeginRecord(LogRecordType::kCheckpoint, 8, out);
+  PutU64(seq, p);
+  SealRecord(p, 8);
 }
 
 namespace {

@@ -59,7 +59,9 @@ enum class LogParseResult {
 
 // ------------------------------------------------------------- encoding
 // Each encoder appends one complete framed record to `out` (which is NOT
-// cleared — the MoveLog reuses one scratch buffer per append).
+// cleared — the MoveLog reuses one scratch buffer per append): it sizes
+// the record once, writes the fixed-width fields in place and checksums
+// the written bytes.
 
 void EncodePlaceRecord(ObjectId id, const Extent& extent,
                        std::vector<std::uint8_t>* out);

@@ -1,6 +1,6 @@
 #include "cosr/durability/move_log.h"
 
-#include <algorithm>
+#include "cosr/common/check.h"
 
 namespace cosr {
 
@@ -16,7 +16,6 @@ void MoveLog::OnPlace(ObjectId id, const Extent& extent) {
   EncodePlaceRecord(id, extent, &scratch_);
   AppendScratch();
   ++places_logged_;
-  if (policy_.compaction_threshold_bytes > 0) live_[id] = extent;
 }
 
 void MoveLog::OnMove(ObjectId id, const Extent& from, const Extent& to) {
@@ -32,18 +31,12 @@ void MoveLog::OnMoves(const MoveRecord* records, std::size_t count) {
   AppendScratch();
   ++batches_logged_;
   moves_logged_ += count;
-  if (policy_.compaction_threshold_bytes > 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      live_[records[i].id] = records[i].to;
-    }
-  }
 }
 
 void MoveLog::OnRemove(ObjectId id, const Extent& extent) {
   EncodeRemoveRecord(id, extent, &scratch_);
   AppendScratch();
   ++removes_logged_;
-  if (policy_.compaction_threshold_bytes > 0) live_.erase(id);
 }
 
 void MoveLog::LogCheckpoint(std::uint64_t seq) {
@@ -69,27 +62,27 @@ void MoveLog::LogCheckpoint(std::uint64_t seq) {
 }
 
 void MoveLog::Compact(std::uint64_t seq) {
+  COSR_CHECK_MSG(space_ != nullptr,
+                 "a compacting MoveLog needs a bound space (BindSpace)");
   // Deterministic snapshot order (by physical offset — live extents are
   // disjoint, so offsets are unique) keeps compacted streams reproducible
-  // across runs and replay cache-friendly.
-  compact_scratch_.assign(live_.begin(), live_.end());
-  std::sort(compact_scratch_.begin(), compact_scratch_.end(),
-            [](const std::pair<ObjectId, Extent>& a,
-               const std::pair<ObjectId, Extent>& b) {
-              return a.second.offset < b.second.offset;
-            });
+  // across runs and replay cache-friendly. The space walks its range in
+  // that order, so nothing is copied or sorted here.
+  std::uint64_t live = 0;
   sink_->BeginRewrite();
-  for (const auto& entry : compact_scratch_) {
-    EncodePlaceRecord(entry.first, entry.second, &scratch_);
-    sink_->Append(scratch_.data(), scratch_.size());
-    scratch_.clear();
-  }
+  space_->ForEachInRange(space_lo_, space_hi_,
+                         [&](ObjectId id, const Extent& extent) {
+                           EncodePlaceRecord(id, extent, &scratch_);
+                           sink_->Append(scratch_.data(), scratch_.size());
+                           scratch_.clear();
+                           ++live;
+                         });
   EncodeCheckpointRecord(seq, &scratch_);
   sink_->Append(scratch_.data(), scratch_.size());
   scratch_.clear();
   sink_->CommitRewrite();
   ++compactions_;
-  last_compaction_live_records_ = compact_scratch_.size();
+  last_compaction_live_records_ = live;
   bytes_since_compaction_ = 0;
 }
 

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cosr/common/types.h"
@@ -37,9 +35,10 @@ namespace cosr {
 /// has grown past the threshold triggers Compact() — the log is atomically
 /// rewritten (LogSink::BeginRewrite/CommitRewrite) to one kPlace record per
 /// live extent plus that checkpoint record, so recovery replays bounded
-/// history instead of the full op stream. The live extents come from the
-/// log's own id -> extent map, maintained from the listener stream only
-/// when compaction is enabled (zero cost otherwise).
+/// history instead of the full op stream. The live extents are read from
+/// the space the log journals (BindSpace): at a checkpoint the log's
+/// records have been applied to it, so its bound range holds exactly the
+/// extents that replaying the log would rebuild.
 ///
 /// RecoveryManager replays the resulting stream (possibly truncated) and
 /// reconstructs the exact map as of the last checkpoint record that
@@ -68,6 +67,18 @@ class MoveLog final : public SpaceListener, public CheckpointDurabilityLog {
   // then Sync when the policy's coalescing window closes (every call with
   // the default policy), then compact when the threshold is crossed.
   void LogCheckpoint(std::uint64_t seq) override;
+
+  /// Binds the space whose [lo, hi) range holds exactly the objects this
+  /// log journals, in the coordinates of its records (the root
+  /// coordinates listeners see). Compaction snapshots that range; a log
+  /// with a compaction threshold must be bound before its first
+  /// compaction.
+  void BindSpace(const Space* space, std::uint64_t lo = 0,
+                 std::uint64_t hi = ~std::uint64_t{0}) {
+    space_ = space;
+    space_lo_ = lo;
+    space_hi_ = hi;
+  }
 
   LogSink* sink() const { return sink_; }
   const GroupCommitPolicy& policy() const { return policy_; }
@@ -103,6 +114,9 @@ class MoveLog final : public SpaceListener, public CheckpointDurabilityLog {
 
   LogSink* sink_;
   GroupCommitPolicy policy_;
+  const Space* space_ = nullptr;  // BindSpace: the compaction source
+  std::uint64_t space_lo_ = 0;
+  std::uint64_t space_hi_ = 0;
   std::vector<std::uint8_t> scratch_;  // reused per-record encode buffer
   std::uint64_t records_written_ = 0;
   std::uint64_t places_logged_ = 0;
@@ -115,10 +129,6 @@ class MoveLog final : public SpaceListener, public CheckpointDurabilityLog {
   std::uint64_t bytes_since_compaction_ = 0;
   std::uint64_t compactions_ = 0;
   std::uint64_t last_compaction_live_records_ = 0;
-  /// Compaction only: the live id -> extent map mirrored from the event
-  /// stream, and a reused sort buffer for snapshot encoding.
-  std::unordered_map<ObjectId, Extent> live_;
-  std::vector<std::pair<ObjectId, Extent>> compact_scratch_;
 };
 
 }  // namespace cosr

@@ -1,5 +1,7 @@
 #include "cosr/realloc/factory.h"
 
+#include <algorithm>
+
 #include "cosr/alloc/best_fit_allocator.h"
 #include "cosr/durability/durability_hub.h"
 #include "cosr/alloc/buddy_allocator.h"
@@ -13,8 +15,28 @@
 #include "cosr/realloc/size_class_reallocator.h"
 #include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/sharded_reallocator.h"
+#include "cosr/service/sub_space_view.h"
 
 namespace cosr {
+
+namespace {
+
+/// Binds `log`'s compaction source to the objects of `space` in the
+/// coordinates of its records. Views forward listeners to their parents,
+/// so records are in root coordinates: walk up the view chain, translating
+/// the covered range into each parent.
+void BindLogToRoot(MoveLog* log, Space* space) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = ~std::uint64_t{0};
+  while (const auto* view = dynamic_cast<const SubSpaceView*>(space)) {
+    lo = view->base() + std::min(lo, view->span());
+    hi = view->base() + std::min(hi, view->span());
+    space = view->parent();
+  }
+  log->BindSpace(space, lo, hi);
+}
+
+}  // namespace
 
 const std::vector<std::string>& KnownAlgorithms() {
   static const std::vector<std::string>& algorithms =
@@ -73,6 +95,7 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
     MoveLog* log = spec.durability->LogForShard(0);
     space->checkpoint_manager()->AttachDurabilityLog(log);
     space->AddListener(log);
+    BindLogToRoot(log, space);
   }
   if (!AlgorithmNeedsCheckpointManager(spec.algorithm) && managed &&
       (spec.algorithm == "cost-oblivious" || spec.algorithm == "log-compact" ||

@@ -104,6 +104,10 @@ Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
     if (durability != nullptr) {
       shard.log = durability->LogForShard(i);
       shard.manager->AttachDurabilityLog(shard.log);
+      // Records are in root coordinates, and the shard's range of its root
+      // holds exactly the objects its log journals.
+      shard.log->BindSpace(shard.root, shard.view->base(),
+                           shard.view->base() + shard.view->span());
       // A private root sees only its own shard's events, so its log
       // attaches directly; the shared parent gets the forwarder below.
       if (mode == Mode::kThreaded) shard.root->AddListener(shard.log);

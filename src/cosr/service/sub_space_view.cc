@@ -177,11 +177,18 @@ void SubSpaceView::Checkpoint() {
 
 std::vector<std::pair<ObjectId, Extent>> SubSpaceView::Snapshot() const {
   std::vector<std::pair<ObjectId, Extent>> result;
-  for (const auto& [id, extent] : parent_->Snapshot()) {
-    if (extent.offset < base_ || extent.offset >= base_ + span_) continue;
-    result.emplace_back(id, ToLocal(extent));
-  }
+  ForEachInRange(0, span_, [&](ObjectId id, const Extent& extent) {
+    result.emplace_back(id, extent);
+  });
   return result;
+}
+
+void SubSpaceView::ForEachInRange(std::uint64_t lo, std::uint64_t hi,
+                                  const ExtentVisitor& fn) const {
+  if (lo >= span_ || lo >= hi) return;
+  parent_->ForEachInRange(
+      base_ + lo, base_ + std::min(hi, span_),
+      [&](ObjectId id, const Extent& extent) { fn(id, ToLocal(extent)); });
 }
 
 bool SubSpaceView::SelfCheck() const {

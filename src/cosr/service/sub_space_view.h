@@ -75,8 +75,11 @@ class SubSpaceView final : public Space {
   CheckpointManager* checkpoint_manager() const override { return manager_; }
 
   std::vector<std::pair<ObjectId, Extent>> Snapshot() const override;
+  void ForEachInRange(std::uint64_t lo, std::uint64_t hi,
+                      const ExtentVisitor& fn) const override;
   bool SelfCheck() const override;
 
+  Space* parent() const { return parent_; }
   std::uint64_t base() const { return base_; }
   std::uint64_t span() const { return span_; }
 

@@ -252,6 +252,13 @@ std::vector<std::pair<ObjectId, Extent>> AddressSpace::Snapshot() const {
   return result;
 }
 
+void AddressSpace::ForEachInRange(std::uint64_t lo, std::uint64_t hi,
+                                  const ExtentVisitor& fn) const {
+  index_.ForEachInRange(lo, hi, [&](const OffsetIndex::Entry& entry) {
+    fn(entry.id, *SlotFor(entry.id));
+  });
+}
+
 bool AddressSpace::SelfCheck() const {
   if (!index_.SelfCheck() || index_.size() != count_) return false;
   std::size_t dense = 0;

@@ -112,6 +112,8 @@ class AddressSpace final : public Space {
 
   /// All (id, extent) pairs in ascending offset order.
   std::vector<std::pair<ObjectId, Extent>> Snapshot() const override;
+  void ForEachInRange(std::uint64_t lo, std::uint64_t hi,
+                      const ExtentVisitor& fn) const override;
 
   /// Verifies internal consistency (disjointness, index agreement). Returns
   /// true on success; used by tests as a belt-and-suspenders check.

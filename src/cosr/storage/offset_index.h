@@ -108,6 +108,22 @@ class OffsetIndex {
     }
   }
 
+  /// Visits the entries with lo <= offset < hi in ascending offset order:
+  /// one search for the first, then a walk that stops at `hi`.
+  template <typename Fn>
+  void ForEachInRange(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
+    if (pages_.empty() || lo >= hi) return;
+    const std::size_t first = FindPage(lo);
+    for (std::size_t p = first; p < pages_.size(); ++p) {
+      const std::vector<Entry>& entries = pages_[p].entries;
+      for (std::size_t i = p == first ? LowerBound(pages_[p], lo) : 0;
+           i < entries.size(); ++i) {
+        if (entries[i].offset >= hi) return;
+        fn(entries[i]);
+      }
+    }
+  }
+
  private:
   struct Page {
     std::vector<Entry> entries;

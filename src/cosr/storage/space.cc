@@ -21,6 +21,13 @@ void Space::Place(ObjectId id, const Extent& extent) {
                  "object " + std::to_string(id) + " already placed");
 }
 
+void Space::ForEachInRange(std::uint64_t lo, std::uint64_t hi,
+                           const ExtentVisitor& fn) const {
+  for (const auto& [id, extent] : Snapshot()) {
+    if (extent.offset >= lo && extent.offset < hi) fn(id, extent);
+  }
+}
+
 void Space::Remove(ObjectId id) {
   Extent extent;
   COSR_CHECK_MSG(TryRemove(id, &extent),

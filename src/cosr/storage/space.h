@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -136,6 +137,14 @@ class Space {
 
   /// All (id, extent) pairs in ascending offset order.
   virtual std::vector<std::pair<ObjectId, Extent>> Snapshot() const = 0;
+
+  /// Calls fn(id, extent) for every object whose extent starts in
+  /// [lo, hi), in ascending offset order. The default filters a full
+  /// Snapshot(); AddressSpace walks its offset index from `lo` without
+  /// copying, and a view forwards the translated range to its parent.
+  using ExtentVisitor = std::function<void(ObjectId, const Extent&)>;
+  virtual void ForEachInRange(std::uint64_t lo, std::uint64_t hi,
+                              const ExtentVisitor& fn) const;
 
   /// Verifies internal consistency (disjointness, index agreement). Returns
   /// true on success; used by tests as a belt-and-suspenders check.

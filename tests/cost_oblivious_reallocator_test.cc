@@ -74,10 +74,10 @@ TEST(CostObliviousTest, FlushMovesBufferedObjectsToTheirPayloads) {
   // Objects 2 and 3 now live in the class-5 payload, object 4 in class 4.
   const Region& r5 = realloc.region(5);
   EXPECT_EQ(r5.payload_capacity, 50u);
-  EXPECT_EQ(r5.payload_objects.size(), 2u);
+  EXPECT_EQ(r5.payload_count(), 2u);
   const Region& r4 = realloc.region(4);
   EXPECT_EQ(r4.payload_capacity, 10u);
-  ASSERT_EQ(r4.payload_objects.size(), 1u);
+  ASSERT_EQ(r4.payload_count(), 1u);
   EXPECT_EQ(r4.payload_objects[0], 4u);
   ASSERT_EQ(realloc.CheckInvariants().ToString(), "Ok");
 }

@@ -218,6 +218,49 @@ TEST(DeamortizedTest, ReinsertAfterPendingDeleteRejected) {
   ASSERT_EQ(realloc.CheckInvariants().ToString(), "Ok");
 }
 
+/// Exposes the object table's filing of an id.
+class FilingProbe : public DeamortizedReallocator {
+ public:
+  using DeamortizedReallocator::DeamortizedReallocator;
+  const ObjectInfo* filing(ObjectId id) const { return objects_.Find(id); }
+};
+
+TEST(DeamortizedTest, PendingDeleteMarkSurvivesTheInsertReplay) {
+  // A mid-flush insert, then a logged insert big enough to keep the log
+  // replay between the two, then the first object's delete. The insert's
+  // replay re-files the object into a buffer; until the delete replays, a
+  // second Delete of it must keep answering NotFound.
+  CheckpointManager manager;
+  AddressSpace space(&manager);
+  DeamortizedReallocator::Options options;
+  options.epsilon = 0.25;
+  options.work_factor = 2.0;
+  FilingProbe realloc(&space, options);
+  Rng rng(37);
+  ObjectId next = BuildUntilMidFlush(realloc, rng, /*first_id=*/1);
+  const ObjectId ephemeral = 999999;
+  ASSERT_TRUE(realloc.Insert(ephemeral, 1).ok());
+  ASSERT_TRUE(realloc.Insert(next++, 200).ok());
+  ASSERT_TRUE(realloc.Delete(ephemeral).ok());
+  ASSERT_TRUE(realloc.flush_in_progress());
+  const int logged_region = realloc.filing(ephemeral)->region;
+  EXPECT_EQ(realloc.Delete(ephemeral).code(), StatusCode::kNotFound);
+
+  bool saw_refiled = false;
+  while (space.contains(ephemeral)) {
+    const ObjectInfo* info = realloc.filing(ephemeral);
+    ASSERT_NE(info, nullptr);
+    ASSERT_TRUE(info->pending_delete);
+    saw_refiled |= info->region != logged_region;
+    ASSERT_EQ(realloc.Delete(ephemeral).code(), StatusCode::kNotFound);
+    ASSERT_TRUE(realloc.Insert(next++, 1).ok());
+  }
+  EXPECT_TRUE(saw_refiled);
+  EXPECT_EQ(realloc.filing(ephemeral), nullptr);
+  realloc.Quiesce();
+  ASSERT_EQ(realloc.CheckInvariants().ToString(), "Ok");
+}
+
 TEST(DeamortizedTest, QuiesceIsIdempotent) {
   CheckpointManager manager;
   AddressSpace space(&manager);

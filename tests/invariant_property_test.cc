@@ -9,8 +9,10 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "cosr/storage/address_space.h"
+#include "cosr/common/random.h"
 #include "cosr/core/checkpointed_reallocator.h"
 #include "cosr/core/cost_oblivious_reallocator.h"
 #include "cosr/core/deamortized_reallocator.h"
@@ -151,6 +153,111 @@ INSTANTIATE_TEST_SUITE_P(
       return VariantName(variant) + "_eps" +
              std::to_string(static_cast<int>(eps * 1000)) + "_" +
              WorkloadName(workload) + "_seed" + std::to_string(seed);
+    });
+
+/// Payload tombstones: deletes of payload objects leave tombstones that
+/// the invariant checker accounts exactly (each survivor's stored position
+/// matches its index, and the hole count matches), the flush loops skip,
+/// and the region's next flush drops. eps = 1 gives every buffer room for
+/// a region's worth of dummy records, so at least half of several
+/// regions' payload objects can be deleted without a flush.
+class PayloadTombstoneTest : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(PayloadTombstoneTest, HalfEmptiedRegionsStayConsistentThroughFlush) {
+  const Variant variant = GetParam();
+  std::unique_ptr<CheckpointManager> manager;
+  if (variant != Variant::kAmortized) {
+    manager = std::make_unique<CheckpointManager>();
+  }
+  AddressSpace space(manager.get());
+  std::unique_ptr<SizeClassLayout> realloc;
+  switch (variant) {
+    case Variant::kAmortized:
+      realloc = std::make_unique<CostObliviousReallocator>(
+          &space, CostObliviousReallocator::Options{1.0});
+      break;
+    case Variant::kCheckpointed:
+      realloc = std::make_unique<CheckpointedReallocator>(
+          &space, CheckpointedReallocator::Options{1.0});
+      break;
+    case Variant::kDeamortized:
+      realloc = std::make_unique<DeamortizedReallocator>(
+          &space, DeamortizedReallocator::Options{1.0, 4.0});
+      break;
+  }
+  auto check = [&] {
+    const Status status = realloc->CheckInvariants();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  };
+
+  // Objects of classes 4-7 (sizes 8-127), until a flush has filed most of
+  // them as payload objects.
+  Rng rng(31);
+  ObjectId next = 1;
+  while (realloc->volume() < (1u << 14) || realloc->flush_count() < 3) {
+    ASSERT_TRUE(realloc->Insert(next++, rng.UniformRange(8, 127)).ok());
+    check();
+  }
+  realloc->Quiesce();
+  check();
+
+  // Delete the first half (rounded up) of every region's payload objects,
+  // spread over the region by taking every other one first.
+  const std::uint64_t flushes = realloc->flush_count();
+  std::vector<int> emptied;
+  for (int i = 4; i <= 7; ++i) {
+    const std::vector<ObjectId> payload = realloc->region(i).payload_objects;
+    if (payload.size() < 8) continue;
+    std::vector<ObjectId> victims;
+    for (std::size_t k = 0; k < payload.size(); k += 2) {
+      victims.push_back(payload[k]);
+    }
+    for (std::size_t k = 1; victims.size() < (payload.size() + 1) / 2;
+         k += 2) {
+      victims.push_back(payload[k]);
+    }
+    for (const ObjectId id : victims) {
+      ASSERT_TRUE(realloc->Delete(id).ok());
+      check();
+    }
+    emptied.push_back(i);
+  }
+  ASSERT_EQ(realloc->flush_count(), flushes) << "deletes flushed early";
+  ASSERT_GE(emptied.size(), 3u);
+  std::size_t holes_before = 0;
+  for (const int i : emptied) {
+    const Region& r = realloc->region(i);
+    EXPECT_GE(r.payload_holes, r.payload_count()) << "class " << i;
+    EXPECT_EQ(r.payload_objects.size(), r.payload_holes + r.payload_count());
+    holes_before += r.payload_holes;
+  }
+
+  // Inserts until the next flush has run to completion: the flushed
+  // regions drop their tombstones, and every live object stays in place.
+  while (realloc->flush_count() == flushes) {
+    ASSERT_TRUE(realloc->Insert(next++, rng.UniformRange(8, 127)).ok());
+    check();
+  }
+  realloc->Quiesce();
+  check();
+  // Every flush rebuilds a suffix of regions that ends at the largest
+  // class, so it reached the largest emptied region and dropped its
+  // tombstones.
+  ASSERT_EQ(emptied.back(), realloc->max_size_class());
+  std::size_t holes_after = 0;
+  for (const int i : emptied) holes_after += realloc->region(i).payload_holes;
+  EXPECT_LT(holes_after, holes_before);
+  EXPECT_EQ(realloc->region(emptied.back()).payload_holes, 0u);
+  EXPECT_EQ(realloc->volume(), space.live_volume());
+  EXPECT_TRUE(space.SelfCheck());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, PayloadTombstoneTest,
+    ::testing::Values(Variant::kAmortized, Variant::kCheckpointed,
+                      Variant::kDeamortized),
+    [](const ::testing::TestParamInfo<Variant>& info) {
+      return VariantName(info.param);
     });
 
 }  // namespace

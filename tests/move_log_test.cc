@@ -1,7 +1,8 @@
 // Unit tests of the durability tier's logging half: record framing
-// (encode/parse roundtrips, torn-tail and corruption detection), the
-// LogSink crash-surface contract, the MoveLog listener, and the per-shard
-// log wiring of the two sharded facades (shared parent vs private roots).
+// (encode/parse roundtrips, golden wire bytes, torn-tail and corruption
+// detection), the LogSink crash-surface contract, the MoveLog listener and
+// its compaction from the bound space, and the per-shard log wiring of the
+// two sharded facades (shared parent vs private roots).
 
 #include <gtest/gtest.h>
 
@@ -18,12 +19,24 @@
 #include "cosr/realloc/factory.h"
 #include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/sharded_reallocator.h"
+#include "cosr/service/sub_space_view.h"
 #include "cosr/storage/address_space.h"
+#include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
 
 namespace cosr {
 namespace {
+
+// FNV-1a over a byte string: pins encoded log bytes to a golden value.
+std::uint64_t BytesDigest(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
 
 std::vector<LogRecord> ParseAll(const std::vector<std::uint8_t>& data,
                                 LogParseResult* final_result) {
@@ -74,6 +87,54 @@ TEST(LogRecordTest, EncodeParseRoundtrip) {
 
   EXPECT_EQ(records[3].type, LogRecordType::kCheckpoint);
   EXPECT_EQ(records[3].checkpoint_seq, 42u);
+}
+
+TEST(LogRecordTest, WireBytesMatchGolden) {
+  // One record of each type, with fields that fill all eight bytes, and a
+  // 7-move batch. The digests were recorded from the byte-at-a-time
+  // encoders; any change to the wire format or framing breaks them.
+  std::vector<std::uint8_t> place;
+  EncodePlaceRecord(0x0123456789abcdefull, Extent{0xfedcba9876543210ull, 4096},
+                    &place);
+  std::vector<std::uint8_t> remove;
+  EncodeRemoveRecord(77, Extent{std::uint64_t{1} << 40, 3}, &remove);
+  std::vector<std::uint8_t> checkpoint;
+  EncodeCheckpointRecord(0x8000000000000001ull, &checkpoint);
+  std::vector<MoveRecord> moves;
+  for (std::uint64_t k = 0; k < 7; ++k) {
+    moves.push_back(MoveRecord{1000 + k * k * 31, Extent{k * 4096 + k, 64 + k},
+                               Extent{(std::uint64_t{1} << 33) + k * 999,
+                                      64 + k}});
+  }
+  std::vector<std::uint8_t> batch;
+  EncodeMoveBatchRecord(moves.data(), moves.size(), &batch);
+
+  EXPECT_EQ(place.size(), kLogRecordFrameBytes + 24);
+  EXPECT_EQ(remove.size(), kLogRecordFrameBytes + 24);
+  EXPECT_EQ(checkpoint.size(), kLogRecordFrameBytes + 8);
+  EXPECT_EQ(batch.size(), kLogRecordFrameBytes + 4 + 7 * 32);
+  EXPECT_EQ(BytesDigest(place), 0x91a2fb30b3eaffcdull)
+      << std::hex << BytesDigest(place);
+  EXPECT_EQ(BytesDigest(remove), 0xd27672f5366c4f5aull)
+      << std::hex << BytesDigest(remove);
+  EXPECT_EQ(BytesDigest(checkpoint), 0xaf96e75bd130ed90ull)
+      << std::hex << BytesDigest(checkpoint);
+  EXPECT_EQ(BytesDigest(batch), 0xfad59167d1c9cdf2ull)
+      << std::hex << BytesDigest(batch);
+
+  // Encoders append: the same records behind existing bytes are the
+  // concatenation of the standalone encodings.
+  std::vector<std::uint8_t> stream = {0xaa, 0xbb};
+  EncodePlaceRecord(0x0123456789abcdefull, Extent{0xfedcba9876543210ull, 4096},
+                    &stream);
+  EncodeMoveBatchRecord(moves.data(), moves.size(), &stream);
+  EncodeRemoveRecord(77, Extent{std::uint64_t{1} << 40, 3}, &stream);
+  EncodeCheckpointRecord(0x8000000000000001ull, &stream);
+  std::vector<std::uint8_t> expected = {0xaa, 0xbb};
+  for (const auto* part : {&place, &batch, &remove, &checkpoint}) {
+    expected.insert(expected.end(), part->begin(), part->end());
+  }
+  EXPECT_EQ(stream, expected);
 }
 
 TEST(LogRecordTest, EveryTruncationOfTheTailIsDetected) {
@@ -295,11 +356,15 @@ TEST(MoveLogTest, CompactionRewritesToLiveSnapshotPlusCheckpoint) {
   GroupCommitPolicy policy;
   policy.compaction_threshold_bytes = 1;  // compact at every checkpoint
   MoveLog log(&sink, policy);
+  // The log journals the space and compacts from it.
+  AddressSpace space;
+  space.AddListener(&log);
+  log.BindSpace(&space);
 
-  log.OnPlace(1, Extent{0, 8});
-  log.OnPlace(2, Extent{8, 8});
-  log.OnMove(1, Extent{0, 8}, Extent{16, 8});
-  log.OnRemove(2, Extent{8, 8});
+  space.Place(1, Extent{0, 8});
+  space.Place(2, Extent{8, 8});
+  space.Move(1, Extent{16, 8});
+  space.Remove(2);
   const std::uint64_t uncompacted_bytes = sink.size();
   log.LogCheckpoint(1);
 
@@ -331,6 +396,85 @@ TEST(MoveLogTest, CompactionRewritesToLiveSnapshotPlusCheckpoint) {
   EXPECT_EQ(sink.sync_count(), 1u);
   EXPECT_EQ(sink.rewrite_count(), 1u);
   EXPECT_EQ(sink.synced_size(), sink.size());
+  space.RemoveListener(&log);
+}
+
+TEST(MoveLogTest, CompactionSnapshotsOnlyTheBoundRange) {
+  // Two logs over one parent, each bound to its own half: a compaction
+  // writes exactly the objects of its range, in ascending offset order.
+  MemoryLogSink sink;
+  GroupCommitPolicy policy;
+  policy.compaction_threshold_bytes = 1;
+  MoveLog log(&sink, policy);
+  AddressSpace space;
+  log.BindSpace(&space, 100, 200);
+  space.Place(1, Extent{150, 10});
+  space.Place(2, Extent{40, 10});    // below the range
+  space.Place(3, Extent{100, 20});
+  space.Place(4, Extent{200, 5});    // at the range's end: outside
+  log.LogCheckpoint(7);
+
+  LogParseResult final_result;
+  const std::vector<LogRecord> records =
+      ParseAll(sink.data(), &final_result);
+  EXPECT_EQ(final_result, LogParseResult::kEnd);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].id, 3u);
+  EXPECT_EQ(records[0].extent, (Extent{100, 20}));
+  EXPECT_EQ(records[1].id, 1u);
+  EXPECT_EQ(records[1].extent, (Extent{150, 10}));
+  EXPECT_EQ(records[2].type, LogRecordType::kCheckpoint);
+  EXPECT_EQ(log.last_compaction_live_records(), 2u);
+}
+
+TEST(MoveLogTest, FactoryBindsCompactionInRootCoordinates) {
+  // A single-instance durable reallocator over a view at base 2^20 of an
+  // unmanaged parent. Its records are in the parent's coordinates, so its
+  // compacted snapshot must be too, and must hold only the view's
+  // objects: recovery rebuilds exactly the parent's slice.
+  constexpr std::uint64_t kBase = 1u << 20;
+  AddressSpace parent;
+  parent.Place(999, Extent{0, 64});  // outside the view, never journaled
+  CheckpointManager manager;
+  SubSpaceView view(&parent, kBase, kBase, &manager);
+  DurabilityHub::Options hub_options;
+  hub_options.group_commit.compaction_threshold_bytes = 1;
+  DurabilityHub hub(hub_options);
+  ReallocatorSpec spec;
+  spec.algorithm = "checkpointed";
+  spec.durability = &hub;
+  std::unique_ptr<Reallocator> realloc;
+  ASSERT_TRUE(MakeReallocator(spec, &view, &realloc).ok());
+  for (ObjectId id = 1; id <= 200; ++id) {
+    ASSERT_TRUE(realloc->Insert(id, 1 + id % 50).ok());
+  }
+  for (ObjectId id = 1; id <= 200; id += 3) {
+    ASSERT_TRUE(realloc->Delete(id).ok());
+  }
+  view.Checkpoint();
+  ASSERT_GT(hub.log(0)->compactions(), 0u);
+
+  std::vector<std::pair<ObjectId, Extent>> expected;
+  for (const auto& entry : parent.Snapshot()) {
+    if (entry.second.offset >= kBase) expected.push_back(entry);
+  }
+  const std::vector<std::uint8_t>& log = hub.memory_sink(0)->data();
+  AddressSpace recovered;
+  RecoveryResult result;
+  ASSERT_TRUE(
+      RecoveryManager::Recover(log.data(), log.size(), &recovered, &result)
+          .ok());
+  EXPECT_TRUE(recovered.Snapshot() == expected);
+  parent.RemoveListener(hub.log(0));
+}
+
+TEST(MoveLogDeathTest, CompactingWithoutABoundSpaceAborts) {
+  MemoryLogSink sink;
+  GroupCommitPolicy policy;
+  policy.compaction_threshold_bytes = 1;
+  MoveLog log(&sink, policy);
+  log.OnPlace(1, Extent{0, 8});
+  EXPECT_DEATH(log.LogCheckpoint(1), "bound space");
 }
 
 TEST(MemoryLogSinkTest, CheckIntegrityCatchesBrokenBookkeeping) {
@@ -496,6 +640,111 @@ TEST(ShardLogWiringTest, DriversLogIdenticallyCheckpointed) {
 
 TEST(ShardLogWiringTest, DriversLogIdenticallyDeamortized) {
   RunShardLogIdentity("deamortized");
+}
+
+/// Per-shard digests of the compacted deamortized logs of RunCompactedLogs,
+/// recorded from the log that mirrored every live extent from its own
+/// event stream. Compaction now reads the shard's range of the space, in
+/// the same offset order, so the bytes must not change.
+constexpr std::uint64_t kCompactedLogDigests[4] = {
+    0x0538f2004103551dull, 0xfac289d473c187d9ull,
+    0x0aca47899e5c8aadull, 0x1b36c115ef15f6a1ull};
+
+/// Runs one seeded K=4 deamortized trace with a small compaction threshold
+/// through the inline facade (one shared parent) or the threaded one (a
+/// private root per shard, W=2). Each shard's log must compact, match its
+/// golden digest, and recover exactly that shard's objects.
+void RunCompactedLogs(bool threaded) {
+  SCOPED_TRACE(threaded ? "threaded" : "inline");
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::uint64_t kSpan = 1ull << 22;
+  const Trace trace = MakeChurnTrace({.operations = 6000,
+                                      .target_live_volume = 1u << 15,
+                                      .min_size = 1,
+                                      .max_size = 512,
+                                      .seed = 43});
+  DurabilityHub::Options hub_options;
+  hub_options.group_commit.compaction_threshold_bytes = 2048;
+  DurabilityHub hub(hub_options);
+  ReallocatorSpec spec;
+  spec.algorithm = "deamortized";
+  spec.durability = &hub;
+
+  AddressSpace parent;
+  std::unique_ptr<ShardedReallocator> inline_facade;
+  std::unique_ptr<ConcurrentShardedReallocator> threaded_facade;
+  if (threaded) {
+    ConcurrentShardedReallocator::Options options;
+    options.shard_count = kShards;
+    options.worker_threads = 2;
+    options.subrange_span = kSpan;
+    ASSERT_TRUE(
+        ConcurrentShardedReallocator::Make(spec, options, &threaded_facade)
+            .ok());
+  } else {
+    ShardedReallocator::Options options;
+    options.shard_count = kShards;
+    options.subrange_span = kSpan;
+    ASSERT_TRUE(
+        ShardedReallocator::Make(spec, options, &parent, &inline_facade).ok());
+  }
+  std::size_t index = 0;
+  for (const Request& request : trace.requests()) {
+    if (threaded) {
+      ASSERT_TRUE(threaded_facade->Submit(request).ok());
+    } else {
+      ASSERT_TRUE((request.type == Request::Type::kInsert
+                       ? inline_facade->Insert(request.id, request.size)
+                       : inline_facade->Delete(request.id))
+                      .ok());
+    }
+    if (++index % 200 == 0) {
+      threaded ? threaded_facade->CheckpointAll()
+               : inline_facade->CheckpointAll();
+    }
+  }
+  if (threaded) {
+    threaded_facade->Quiesce();
+    threaded_facade->CheckpointAll();
+    threaded_facade->Flush();
+  } else {
+    inline_facade->Quiesce();
+    inline_facade->CheckpointAll();
+  }
+
+  ASSERT_EQ(hub.log_count(), kShards);
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    const std::vector<std::uint8_t>& log = hub.memory_sink(i)->data();
+    EXPECT_GT(hub.log(i)->compactions(), 0u);
+    EXPECT_EQ(BytesDigest(log), kCompactedLogDigests[i])
+        << std::hex << BytesDigest(log);
+
+    const std::vector<std::pair<ObjectId, Extent>> shard_objects =
+        threaded ? threaded_facade->shard_space(i).Snapshot() : [&] {
+          std::vector<std::pair<ObjectId, Extent>> in_range;
+          for (const auto& entry : parent.Snapshot()) {
+            if (entry.second.offset / kSpan == i) in_range.push_back(entry);
+          }
+          return in_range;
+        }();
+    ASSERT_FALSE(shard_objects.empty());
+    AddressSpace recovered;
+    RecoveryResult result;
+    ASSERT_TRUE(
+        RecoveryManager::Recover(log.data(), log.size(), &recovered, &result)
+            .ok());
+    EXPECT_EQ(result.records_discarded, 0u);
+    EXPECT_TRUE(recovered.Snapshot() == shard_objects);
+  }
+}
+
+TEST(ShardLogWiringTest, InlineCompactedLogsMatchGolden) {
+  RunCompactedLogs(/*threaded=*/false);
+}
+
+TEST(ShardLogWiringTest, ThreadedCompactedLogsMatchGolden) {
+  RunCompactedLogs(/*threaded=*/true);
 }
 
 }  // namespace
