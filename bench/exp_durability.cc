@@ -405,7 +405,8 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
   }
   // Migration-active cells: the rebalancer drains victims across shards
   // during the drive, so crash points cut logs with migration records
-  // (source-side Delete, destination-side Place) in flight.
+  // (source-side Delete, destination-side Place) in flight. Synchronous
+  // only: the threaded driver routes by hash only and never migrates.
   for (const std::string algorithm : {"checkpointed", "deamortized"}) {
     FuzzRow row;
     row.mode = "sharded";
@@ -415,17 +416,6 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
     row.options.rebalance = true;
     row.options.seed = 3;
     if (!smoke) FullSizePoints(&row.options);
-    rows->push_back(row);
-  }
-  {
-    FuzzRow row;
-    row.mode = "concurrent";
-    row.options.scenario = "zipf-churn";
-    row.options.algorithm = "checkpointed";
-    row.options.shard_count = 4;
-    row.options.concurrent = true;
-    row.options.rebalance = true;
-    row.options.seed = 3;
     rows->push_back(row);
   }
   // Group-commit policy cells: coalesced syncs put unsynced checkpoint
@@ -482,10 +472,9 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
       continue;
     }
     *total_points += row.report.crash_points;
-    // The synchronous migration-active cells must actually migrate, or
-    // their crash points degenerate into the plain sharded cells.
-    if (row.options.rebalance && !row.options.concurrent &&
-        row.report.migrations == 0) {
+    // The migration-active cells must actually migrate, or their crash
+    // points degenerate into the plain sharded cells.
+    if (row.options.rebalance && row.report.migrations == 0) {
       std::printf("FUZZ FAILURE %s/%s/%s K=%u: rebalance cell ran with "
                   "zero migrations\n",
                   row.options.scenario.c_str(), row.options.algorithm.c_str(),

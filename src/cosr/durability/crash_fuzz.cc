@@ -182,16 +182,14 @@ Status FuzzShardLog(const CrashFuzzOptions& options, std::uint32_t shard,
 
 /// Rebalancer thresholds scaled to the smoke-size fuzz traces (per-shard
 /// volumes of a few hundred bytes), so migration records actually land in
-/// the logs the crash points cut. `check_interval` is the scan cadence: in
-/// requests on the synchronous facade, in drain cycles on the concurrent
-/// one.
-RebalanceOptions AggressiveRebalance(std::uint32_t check_interval) {
+/// the logs the crash points cut: a scan every 25 requests.
+RebalanceOptions AggressiveRebalance() {
   RebalanceOptions options;
   options.hot_footprint_ratio = 1.05;
   options.min_shard_footprint = 64;
   options.max_batch_objects = 8;
   options.max_batch_bytes = 1u << 12;
-  options.check_interval = check_interval;
+  options.check_interval = 25;
   return options;
 }
 
@@ -252,8 +250,7 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     facade_options.routing = RoutingPolicy::kHashId;
     facade_options.subrange_span = options.subrange_span;
     facade_options.rebalance = options.rebalance;
-    facade_options.rebalance_options =
-        AggressiveRebalance(/*check_interval=*/25);
+    facade_options.rebalance_options = AggressiveRebalance();
     COSR_RETURN_IF_ERROR(
         ShardedReallocator::Make(spec, facade_options, &parent, &sharded));
     for (std::uint32_t i = 0; i < options.shard_count; ++i) {
@@ -271,9 +268,9 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     facade_options.worker_threads = options.worker_threads;
     facade_options.routing = RoutingPolicy::kHashId;
     facade_options.subrange_span = options.subrange_span;
+    // The threaded driver rejects rebalance; its InvalidArgument is this
+    // run's result.
     facade_options.rebalance = options.rebalance;
-    facade_options.rebalance_options =
-        AggressiveRebalance(/*check_interval=*/1);
     COSR_RETURN_IF_ERROR(
         ConcurrentShardedReallocator::Make(spec, facade_options, &concurrent));
     ConcurrentShardedReallocator* raw = concurrent.get();
@@ -342,7 +339,6 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     report->migrations = sharded->Stats().migrations;
   } else {
     concurrent->CheckpointAll();
-    report->migrations = concurrent->Stats().migrations;
   }
 
   for (std::uint32_t i = 0; i < options.shard_count; ++i) {

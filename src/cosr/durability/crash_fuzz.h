@@ -39,10 +39,10 @@ struct CrashFuzzOptions {
   /// Drive the trace with the cross-shard rebalancer active, so crash
   /// points land while migrations (a Delete journaled on the source
   /// shard's log + a Place journaled on the destination's) are in flight.
-  /// Both modes enable the facade's rebalance scan (Options::rebalance)
-  /// with an aggressive trigger: every 25 requests in synchronous mode,
-  /// every drain cycle that ran requests in concurrent mode. Thresholds
-  /// are scaled down so the smoke-size traces actually migrate.
+  /// Enables the synchronous facade's rebalance scan (Options::rebalance)
+  /// every 25 requests, with thresholds scaled down so the smoke-size
+  /// traces actually migrate. Synchronous only: the concurrent facade
+  /// routes by hash only, so RunCrashFuzz returns its InvalidArgument.
   bool rebalance = false;
   /// Trace prefix length to drive (a prefix of a valid trace is valid).
   std::size_t operations = 300;

@@ -63,7 +63,8 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
 /// InvalidArgument when spec.worker_threads == 0 (that spec value means
 /// "single-threaded" — build it with MakeReallocator instead; callers
 /// wanting one worker per shard say so via
-/// ConcurrentShardedReallocator::Options directly). The facade owns its
+/// ConcurrentShardedReallocator::Options directly) and when spec.routing
+/// is not kHashId (the threaded driver routes by hash only). The facade owns its
 /// per-shard spaces — that is why, unlike MakeReallocator, no Space is
 /// passed.
 Status MakeConcurrentReallocator(
@@ -79,10 +80,9 @@ bool AlgorithmNeedsCheckpointManager(const std::string& algorithm);
 
 /// Whether the named algorithm's Insert can fail on a fresh id with a
 /// positive size (today: only "pma", whose sparse tables hold uniform
-/// slot_size objects). Such algorithms cannot sit behind the concurrent
-/// facade's map-keeping routing, whose submit-time id map assumes every
-/// enqueued insert succeeds, nor behind either facade's rebalancing, whose
-/// migrations must land — both Makes reject those combinations.
+/// slot_size objects). Such algorithms cannot sit behind the inline
+/// facade's rebalancing, whose migrations must land — its Make rejects
+/// that combination.
 bool AlgorithmInsertCanFailOnFreshId(const std::string& algorithm);
 
 }  // namespace cosr

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cosr/common/check.h"
-#include "cosr/durability/durability_hub.h"
 #include "cosr/realloc/factory.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -57,16 +56,14 @@ Status ConcurrentShardedReallocator::Make(
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (RoutingNeedsPlacementMap(options.routing) &&
-      AlgorithmInsertCanFailOnFreshId(inner_spec.algorithm)) {
-    // The placement map marks an id live at submit time; an inner
-    // algorithm that can then reject the insert on the shard would leave
-    // the map permanently claiming a ghost object.
-    return Status::FailedPrecondition(
-        inner_spec.algorithm +
-        " inserts can fail on the shard, which the submit-time id "
-        "placement map (map-keeping routing) cannot represent; use hash "
-        "routing");
+  if (options.routing != RoutingPolicy::kHashId || options.rebalance) {
+    // Each allocator's guarantees hold on its own and the shards'
+    // sub-ranges are disjoint, so hash routing needs no cross-shard
+    // coordination. The other modes would (an id map kept at submit time,
+    // migrations between workers); the inline driver keeps them.
+    return Status::InvalidArgument(
+        "the threaded driver routes by hash only: use kHashId routing "
+        "without rebalance, or ShardedReallocator for the other modes");
   }
 
   auto facade = std::unique_ptr<ConcurrentShardedReallocator>(
@@ -86,10 +83,6 @@ Status ConcurrentShardedReallocator::Make(
   const std::uint32_t workers =
       options.worker_threads == 0 ? shards : options.worker_threads;
   facade->dropped_ops_.assign(shards, 0);
-  if (facade->engine_.keeps_map()) facade->stamped_requests_.assign(shards, 0);
-  if (options.routing == RoutingPolicy::kLeastLoaded) {
-    facade->predicted_volume_.assign(shards, 0);
-  }
   facade->workers_.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
     facade->workers_.push_back(std::make_unique<Worker>());
@@ -100,10 +93,8 @@ Status ConcurrentShardedReallocator::Make(
     facade->shard_worker_.push_back(i % workers);
     facade->workers_[i % workers]->owned_shards.push_back(i);
   }
-  facade->name_ =
-      "concurrent-sharded[" + std::to_string(shards) + "x" +
-      std::to_string(workers) + "," + RoutingPolicyName(options.routing) +
-      (options.rebalance ? ",rebalance" : "") + "]/" + inner_spec.algorithm;
+  facade->name_ = "concurrent-sharded[" + std::to_string(shards) + "x" +
+                  std::to_string(workers) + ",hash]/" + inner_spec.algorithm;
   // Start the threads only once every shard and queue exists.
   for (std::uint32_t w = 0; w < workers; ++w) {
     Worker* worker = facade->workers_[w].get();
@@ -301,21 +292,9 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   requests_submitted_.fetch_add(count, std::memory_order_relaxed);
   // One submit stamp for the whole batch: the batch is the submission
   // event, and a per-op clock read would cost more than the queue hop the
-  // batch exists to amortize. Taken before any routing or backpressure
-  // wait, so the recorded queue-wait includes producer-side stalls.
+  // batch exists to amortize. Taken before any backpressure wait, so the
+  // recorded queue-wait includes producer-side stalls.
   const std::uint64_t submit_ns = MonotonicNanos();
-  std::size_t delivered = 0;
-  const Status status =
-      engine_.keeps_map()
-          ? SubmitMapped(ops, count, tokens, submit_ns, &delivered)
-          : SubmitHashed(ops, count, tokens, submit_ns, may_drop, &delivered);
-  if (accepted != nullptr) *accepted = delivered;
-  return status;
-}
-
-Status ConcurrentShardedReallocator::SubmitHashed(
-    const Request* ops, std::size_t count, std::shared_ptr<OpToken>* tokens,
-    std::uint64_t submit_ns, bool may_drop, std::size_t* accepted) {
   // Bucket the batch per shard, preserving op order within each shard,
   // and deliver each bucket with capacity-gated lock-free pushes — no
   // producer-side lock anywhere.
@@ -327,13 +306,14 @@ Status ConcurrentShardedReallocator::SubmitHashed(
   }
   // A drop statuses the batch with the failure of the *earliest* op (in
   // batch order) that failed to deliver, across all shard buckets.
+  std::size_t total_delivered = 0;
   std::size_t first_error_index = count;
   Status first_error;
   for (std::uint32_t s = 0; s < shard_count(); ++s) {
     if (buckets[s].empty()) continue;
     std::size_t delivered = 0;
     Status status = Deliver(s, std::move(buckets[s]), may_drop, &delivered);
-    *accepted += delivered;
+    total_delivered += delivered;
     if (status.ok()) continue;
     // Cold path: find the batch index of shard s's first undelivered op.
     std::size_t seen = 0;
@@ -345,113 +325,21 @@ Status ConcurrentShardedReallocator::SubmitHashed(
       }
     }
   }
-  return first_error;
-}
-
-Status ConcurrentShardedReallocator::SubmitMapped(
-    const Request* ops, std::size_t count, std::shared_ptr<OpToken>* tokens,
-    std::uint64_t submit_ns, std::size_t* accepted) {
-  // Map-keeping modes cannot re-derive an op's shard from the id alone
-  // (size-class deletes carry no size; least-loaded decisions depended on
-  // load; migrated ids' hashes are stale), so the facade keeps an
-  // id -> shard map, maintained at submit time. An op that reaches its
-  // shard always succeeds (Make rejects inner algorithms whose inserts
-  // can fail on a fresh id), and nothing here drops, so the map stays a
-  // faithful prediction of execution.
-  Status first_error;
-  std::vector<std::vector<Item>> staged(shard_count());
-  const auto push_staged = [&] {
-    for (std::uint32_t s = 0; s < shard_count(); ++s) {
-      if (staged[s].empty()) continue;
-      Push(s, std::move(staged[s]));
-      staged[s].clear();
-    }
-  };
-  std::unique_lock<std::mutex> lock(routing_mu_);
-  for (std::size_t i = 0; i < count;) {
-    const Request& op = ops[i];
-    const bool is_insert = op.type == Request::Type::kInsert;
-    const std::uint32_t holder =
-        engine_.placement().Lookup(op.id, shard_count());
-    Status rejected;
-    if (is_insert && op.size == 0) {
-      rejected = Status::InvalidArgument("size must be positive");
-    } else if (is_insert && holder != shard_count()) {
-      rejected = Status::AlreadyExists("object " + std::to_string(op.id) +
-                                       " is live on shard " +
-                                       std::to_string(holder));
-    } else if (!is_insert && holder == shard_count()) {
-      rejected = Status::NotFound("object " + std::to_string(op.id) +
-                                  " is not live on any shard");
-    }
-    if (!rejected.ok()) {
-      // Submit-time rejection skips just this op; the batch continues.
-      if (tokens != nullptr) tokens[i]->Complete(rejected);
-      if (first_error.ok()) first_error = std::move(rejected);
-      ++i;
-      continue;
-    }
-    // Least-loaded: the lowest predicted volume wins — predicted, not the
-    // execution-side gauge, so the decision is a pure function of the
-    // submission history, independent of worker timing.
-    const std::uint32_t target =
-        is_insert ? engine_.Route(op.id, op.size, predicted_volume_) : holder;
-    Worker& worker = WorkerOf(target);
-    if (Reserve(worker, 1) == 0) {
-      // Full: hand over what is staged (it holds reservations), then wait
-      // with the map lock released. Op i is routed afresh afterwards —
-      // other producers may have moved the map meanwhile.
-      push_staged();
-      lock.unlock();
-      {
-        std::unique_lock<std::mutex> worker_lock(worker.mu);
-        worker.cv_space.wait(worker_lock, [&] { return HasRoom(worker); });
-      }
-      lock.lock();
-      continue;
-    }
-    if (is_insert) {
-      engine_.placement().TryAssign(op.id, target);
-      if (!predicted_volume_.empty()) {
-        predicted_volume_[target] += op.size;
-        sizes_.emplace(op.id, op.size);
-      }
-    } else {
-      engine_.placement().Erase(op.id);
-      if (!predicted_volume_.empty()) {
-        auto it = sizes_.find(op.id);
-        predicted_volume_[target] -= it->second;
-        sizes_.erase(it);
-      }
-    }
-    ++stamped_requests_[target];
-    staged[target].push_back(
-        MakeItem(op, submit_ns, tokens != nullptr ? tokens[i] : nullptr));
-    ++*accepted;
-    ++i;
-  }
-  push_staged();
+  if (accepted != nullptr) *accepted = total_delivered;
   return first_error;
 }
 
 void ConcurrentShardedReallocator::Flush() {
-  // With rebalancing, a drain cycle publishes its completions only after
-  // its rebalance scan pushed any migrations it started, possibly onto a
-  // worker this pass already checked; a second pass drains those. Their
-  // cycles carry no requests and never scan, so no third pass is needed.
-  const int passes = options_.rebalance ? 2 : 1;
-  for (int pass = 0; pass < passes; ++pass) {
-    for (std::unique_ptr<Worker>& worker : workers_) {
-      std::unique_lock<std::mutex> lock(worker->mu);
-      // `submitted` is reserved just before each push, and a producer
-      // pushes everything it reserved before it can block, so a captured
-      // target is always eventually completed.
-      const std::uint64_t target =
-          worker->submitted.load(std::memory_order_relaxed);
-      worker->cv_drained.wait(lock, [&] {
-        return worker->completed.load(std::memory_order_acquire) >= target;
-      });
-    }
+  for (std::unique_ptr<Worker>& worker : workers_) {
+    std::unique_lock<std::mutex> lock(worker->mu);
+    // `submitted` is reserved just before each push, and a producer pushes
+    // everything it reserved before it can block, so a captured target is
+    // always eventually completed.
+    const std::uint64_t target =
+        worker->submitted.load(std::memory_order_relaxed);
+    worker->cv_drained.wait(lock, [&] {
+      return worker->completed.load(std::memory_order_acquire) >= target;
+    });
   }
 }
 
@@ -520,46 +408,6 @@ void ConcurrentShardedReallocator::AddShardListener(std::uint32_t index,
   roots_[index]->AddListener(listener);
 }
 
-void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
-  const RebalancePlan plan =
-      engine_.PlanScan(&worker.owned_shards, &worker.victims);
-  if (worker.victims.empty()) return;
-
-  std::lock_guard<std::mutex> lock(routing_mu_);
-  // Safety gate: migrate only when the hot shard has no stamped-but-
-  // unexecuted ops. Then the placement map and the applied state agree
-  // for every id on the shard — in particular no victim has a pending
-  // delete/reinsert that an out-of-band source delete would corrupt — and
-  // holding routing_mu_ keeps it that way (every submission stamps under
-  // this lock). stamped_requests_ is read under the lock; the executed-op
-  // count is the hot shard's record, which this very thread (its owner)
-  // writes. When the gate fails, the next scan simply retries.
-  if (stamped_requests_[plan.hot] != engine_.record(plan.hot).ops) return;
-  const std::size_t moved = engine_.MigrateOut(plan, worker.victims);
-  std::vector<Item> arrivals(moved);
-  for (std::size_t i = 0; i < moved; ++i) {
-    const auto& [id, extent] = worker.victims[i];
-    if (!predicted_volume_.empty()) {
-      predicted_volume_[plan.hot] -= extent.length;
-      predicted_volume_[plan.cold] += extent.length;
-    }
-    arrivals[i].op.kind = ShardOpKind::kMigrateIn;
-    arrivals[i].op.id = id;
-    arrivals[i].op.size = extent.length;
-  }
-  if (arrivals.empty()) return;
-  // Destination side: one batch of kMigrateIn ops on the cold shard's
-  // queue — capacity-exempt (a worker must never park on a producer-side
-  // backpressure wait), but ordered before any later-submitted op for
-  // these ids, because such an op can only be routed under the
-  // routing_mu_ we hold and lands behind us in the same FIFO. Lock order
-  // routing_mu_ -> worker.mu matches the submit path, and the push never
-  // blocks, so two workers rebalancing toward each other cannot deadlock.
-  WorkerOf(plan.cold).submitted.fetch_add(arrivals.size(),
-                                          std::memory_order_relaxed);
-  Push(plan.cold, std::move(arrivals));
-}
-
 void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
   const auto pending = [&] {
     for (std::uint32_t s : worker.owned_shards) {
@@ -572,7 +420,6 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
            item.op.kind == ShardOpKind::kDelete;
   };
   for (;;) {
-    bool stopping = false;
     // Spin before parking: work that lands within the window is taken
     // without a wake-up. The predicate is re-checked under the lock below,
     // so Push's empty-transition notify still covers the park.
@@ -582,19 +429,17 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
       worker.cv_ready.wait(lock, [&] { return pending() || worker.stop; });
       // Stop only once every owned shard's queue is drained.
       if (!pending()) break;
-      stopping = worker.stop;
     }
     // Take each owned shard's whole list in one acquire-exchange, then
     // execute node-by-node in arrival order. Only this thread ever takes,
     // so no other synchronization.
     std::uint64_t executed = 0;
-    std::uint64_t requests = 0;
     for (std::uint32_t s : worker.owned_shards) {
       auto* node = queues_[s]->TakeAll();
       while (node != nullptr) {
         // Counted before executing, so a snapshot marker later in the
-        // FIFO sees every earlier batch. Marker and migration nodes carry
-        // no requests and do not count.
+        // FIFO sees every earlier batch. Marker nodes carry no requests
+        // and do not count.
         const std::uint64_t node_requests = static_cast<std::uint64_t>(
             std::count_if(node->value.begin(), node->value.end(), is_request));
         if (node_requests > 0) {
@@ -602,7 +447,6 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
           ++record.remote_batches;
           record.batched_ops += node_requests;
         }
-        requests += node_requests;
         // One clock read per item, not two: each op's end timestamp is
         // the next op's start (the worker runs them back to back).
         std::uint64_t now = MonotonicNanos();
@@ -617,18 +461,7 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
         node = next;
       }
     }
-    // Background rebalancing rides the drain cadence: a scan every
-    // check_interval cycles that executed requests (a cycle of markers or
-    // migrations never starts one), skipped once shutdown has begun (a
-    // migration must never land in a queue whose worker already exited).
-    if (options_.rebalance && !stopping && requests > 0 &&
-        ++worker.drain_cycles >= options_.rebalance_options.check_interval) {
-      worker.drain_cycles = 0;
-      MaybeRebalance(worker);
-    }
-    // Completions publish after the scan, so a flusher that sees them also
-    // sees the scan's effects and its migration pushes (see Flush). The
-    // release pairs with Flush's acquire: once a flusher observes the
+    // The release pairs with Flush's acquire: once a flusher observes the
     // count, every effect of the cycle is visible to it.
     worker.completed.fetch_add(executed, std::memory_order_release);
     {

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,7 +86,12 @@ class OpToken {
 /// owning worker drains into the engine. The engine executes and accounts
 /// for the op exactly as the inline facade's does; this class keeps only
 /// what is about threads (queues, backpressure, the drop policy, tokens,
-/// Flush, and the routing_mu_ ordering).
+/// Flush).
+///
+/// Routing is hash-only: an op's shard is a pure function of its id, so no
+/// producer-side lock or id map exists on any submit path. Size-class and
+/// least-loaded routing and the rebalance scan stay on the inline driver
+/// (ShardedReallocator); Make rejects them here.
 ///
 /// Why that is sound: the source paper's guarantees are per-allocator, and
 /// the shards' sub-problems are disjoint by construction. In concurrent
@@ -129,15 +133,14 @@ class OpToken {
 ///
 /// Statuses are reported through tokens (SubmitTracked) or, for
 /// fire-and-forget Submit, counted per shard in failed_ops — nothing fails
-/// silently.
+/// silently. Duplicate inserts, missing deletes and zero sizes are the
+/// shard's verdict: they reach the shard like any other op and fail there.
 class ConcurrentShardedReallocator final : public Reallocator {
  public:
-  /// The shared shard settings (shard_count, routing, subrange_span,
-  /// rebalance, rebalance_options; see ShardEngine::Options) plus the
-  /// threading ones. With rebalance, each worker scans after every
-  /// rebalance_options.check_interval-th drain cycle that executed
-  /// requests, and drains the hot shard only when it owns it (migrations
-  /// then arrive as kMigrateIn ops on the destination's queue).
+  /// The shared shard settings (see ShardEngine::Options) plus the
+  /// threading ones. `routing` must stay kHashId and `rebalance` false:
+  /// Make rejects the rest (they need cross-shard coordination, and only
+  /// the inline driver keeps them).
   struct Options : ShardEngine::Options {
     /// Worker threads W (<= shard_count; shard i is pinned to worker
     /// i % W). 0 means one worker per shard.
@@ -145,7 +148,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// Bound on each worker's in-flight ops (submitted - completed,
     /// summed over its shards; the op executing right now counts).
     /// Producers block when the target worker is full (backpressure, not
-    /// drop). Migrations are exempt: a worker never waits on capacity.
+    /// drop).
     std::size_t queue_capacity = 4096;
     /// Overload policy for fire-and-forget Submit when the target worker
     /// is full. 0 (default) keeps pure backpressure: block until room
@@ -158,19 +161,15 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// — a token must retire. SubmitMany batches (tracked or not) follow
     /// the policy too: a batch that exhausts its retries drops exactly its
     /// undelivered suffix, counted per shard, with any suffix tokens
-    /// completed as ResourceExhausted. Map-keeping modes (size-class or
-    /// least-loaded routing, or rebalance) never drop: the id map is a
-    /// submit-time prediction of execution that a drop would falsify
-    /// (ghost/leaked map entries), so they keep pure backpressure
-    /// regardless of this knob.
+    /// completed as ResourceExhausted.
     std::size_t submit_max_retries = 0;
     std::chrono::microseconds submit_retry_backoff{50};
   };
 
   /// Builds K private shards, each an inner `inner_spec` reallocator (its
   /// shard_count/worker_threads/routing fields are ignored), and starts the
-  /// W worker threads. Fails when the spec is unknown or options are
-  /// degenerate.
+  /// W worker threads. Fails when the spec is unknown, options are
+  /// degenerate, or options ask for non-hash routing or rebalance.
   static Status Make(const ReallocatorSpec& inner_spec, const Options& options,
                      std::unique_ptr<ConcurrentShardedReallocator>* out);
 
@@ -178,29 +177,26 @@ class ConcurrentShardedReallocator final : public Reallocator {
   ~ConcurrentShardedReallocator() override;
 
   /// Fire-and-forget submission, a batch of one. Ok means "accepted and
-  /// enqueued"; the op's own outcome lands in the shard's failed_ops
-  /// counter if it fails. A non-ok return is a submit-time rejection
-  /// (map-keeping routing validates against its id map before enqueueing)
-  /// or — only with Options::submit_max_retries > 0 — a ResourceExhausted
-  /// drop after the bounded backpressure retries ran out.
+  /// enqueued"; the op's own outcome is the shard's status, counted in
+  /// its failed_ops if it fails. The only non-ok return is — with
+  /// Options::submit_max_retries > 0 — a ResourceExhausted drop after the
+  /// bounded backpressure retries ran out.
   Status Submit(const Request& op);
 
   /// Like Submit, but returns a completion token carrying the op's final
-  /// Status (already completed for submit-time rejections).
+  /// Status, as the shard returned it. Never drops.
   std::shared_ptr<OpToken> SubmitTracked(const Request& op);
 
   /// Batched fire-and-forget submission: semantically `Submit(op)` for
   /// each op in order. A batch costs its producer one routing pass plus
-  /// one lock-free push per target shard (map-keeping routing: one id-map
-  /// lock per batch instead of per op) — the queue hop amortizes to noise
-  /// against the ~0.6-1.5 us of per-op reallocation work.
+  /// one lock-free push per target shard — the queue hop amortizes to
+  /// noise against the ~0.6-1.5 us of per-op reallocation work.
   ///
-  /// Returns Ok when every op was enqueued. Submit-time rejections
-  /// (map validation) skip just that op and the batch continues; a
-  /// bounded-retry drop (hash routing without rebalance, see Options)
-  /// stops that shard's delivery and drops the undelivered suffix,
-  /// counted in dropped_ops. Either way the first non-ok status in op
-  /// order is returned and `*accepted` (when non-null) reports how many
+  /// Returns Ok when every op was enqueued; each op's own outcome is the
+  /// shard's status, counted in failed_ops. A bounded-retry drop (see
+  /// Options) stops that shard's delivery and drops the undelivered
+  /// suffix, counted in dropped_ops; the first dropped op's status in op
+  /// order is returned, and `*accepted` (when non-null) reports how many
   /// ops were actually enqueued.
   Status SubmitMany(const Request* ops, std::size_t count,
                     std::size_t* accepted = nullptr);
@@ -208,13 +204,12 @@ class ConcurrentShardedReallocator final : public Reallocator {
                     std::size_t* accepted = nullptr);
 
   /// Like SubmitMany, but returns one completion token per op (position-
-  /// matched). Rejected ops' tokens are already completed; dropped-suffix
+  /// matched), each carrying the shard's status for its op; dropped-suffix
   /// tokens complete with ResourceExhausted — statuses never vanish.
   std::vector<std::shared_ptr<OpToken>> SubmitManyTracked(const Request* ops,
                                                           std::size_t count);
 
-  /// Blocks until every op submitted before this call has retired, along
-  /// with any rebalance migrations their drain cycles started.
+  /// Blocks until every op submitted before this call has retired.
   void Flush();
 
   // Reallocator interface: synchronous semantics via an internal token
@@ -254,14 +249,11 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::uint32_t worker_threads() const {
     return static_cast<std::uint32_t>(workers_.size());
   }
-  RoutingPolicy routing() const { return options_.routing; }
 
-  /// The static routing prediction for an (id, size) insert. For
-  /// kLeastLoaded this is only the hash fallback: the live decision
-  /// happens under routing_mu_ at submit time, over the shards'
-  /// predicted volumes (predicted_volume_).
+  /// The shard every op on `id` goes to: the hash spray, which ignores
+  /// `size` (deletes pass 0).
   std::uint32_t shard_for(ObjectId id, std::uint64_t size) const {
-    return RouteToShard(options_.routing, shard_count(), id, size);
+    return RouteToShard(RoutingPolicy::kHashId, shard_count(), id, size);
   }
 
   /// Quiesced-read accessors (Flush first; see the class contract).
@@ -294,11 +286,11 @@ class ConcurrentShardedReallocator final : public Reallocator {
   };
 
   /// One worker: its shards' drain loop plus the in-flight accounting.
-  /// `submitted` is reserved (Reserve) or bumped (migrations) right
-  /// before each push; `completed` counts every executed op, published
-  /// once per drain cycle after its rebalance scan. Both are
-  /// atomic, so Flush's wait predicate and the capacity gate never need
-  /// the worker's lock; `mu` guards only `stop` and the condition waits.
+  /// `submitted` is reserved (Reserve) right before each push;
+  /// `completed` counts every executed op, published once per drain
+  /// cycle. Both are atomic, so Flush's wait predicate and the capacity
+  /// gate never need the worker's lock; `mu` guards only `stop` and the
+  /// condition waits.
   struct Worker {
     std::mutex mu;
     std::condition_variable cv_ready;    // worker waits: work available
@@ -309,35 +301,21 @@ class ConcurrentShardedReallocator final : public Reallocator {
     bool stop = false;
     std::vector<std::uint32_t> owned_shards;
     std::thread thread;
-    /// Rebalance pacing (worker thread only): drain cycles since the last
-    /// scan, and the scan's victim buffer.
-    std::uint64_t drain_cycles = 0;
-    std::vector<std::pair<ObjectId, Extent>> victims;
   };
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
   static Item MakeItem(const Request& op, std::uint64_t submit_ns,
                        std::shared_ptr<OpToken> token);
-  /// The one submission path behind every public submit: `tokens` is
-  /// null or holds `count` position-matched tokens; `may_drop` lets a
-  /// full worker drop under the bounded-retry policy (per-op tracked
-  /// submissions pass false). Returns the first error in op order and
-  /// reports the enqueued count in `*accepted` (when non-null).
+  /// The one submission path behind every public submit: buckets the
+  /// ops per shard, then Delivers each bucket. `tokens` is null or holds
+  /// `count` position-matched tokens; `may_drop` lets a full worker drop
+  /// under the bounded-retry policy (per-op tracked submissions pass
+  /// false). Returns the first drop in op order and reports the enqueued
+  /// count in `*accepted` (when non-null).
   Status SubmitBatch(const Request* ops, std::size_t count,
                      std::shared_ptr<OpToken>* tokens, bool may_drop,
                      std::size_t* accepted);
-  /// Hash routing without a map: bucket per shard, then Deliver each.
-  Status SubmitHashed(const Request* ops, std::size_t count,
-                      std::shared_ptr<OpToken>* tokens,
-                      std::uint64_t submit_ns, bool may_drop,
-                      std::size_t* accepted);
-  /// Map-keeping routing: map update, capacity reservation and push all
-  /// under routing_mu_ (see the field comment for the order argument).
-  /// Never drops.
-  Status SubmitMapped(const Request* ops, std::size_t count,
-                      std::shared_ptr<OpToken>* tokens,
-                      std::uint64_t submit_ns, std::size_t* accepted);
   /// Capacity-gated delivery of `items` (in order) to `shard`'s queue,
   /// chunked to the room reserved. With `may_drop` and bounded retries
   /// configured, gives up once the retries run out: the undelivered
@@ -364,12 +342,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
   void RecordDrop(std::uint32_t shard, std::uint64_t count,
                   const Status& status);
   void WorkerLoop(Worker& worker);
-  /// One background rebalance scan (worker thread): the engine plans over
-  /// the relaxed footprint gauges, and when `worker` owns the hot shard
-  /// the victims migrate out under routing_mu_ and arrive as one
-  /// kMigrateIn batch on the cold shard's queue. See the .cc for the
-  /// safety argument (the pending-ops gate).
-  void MaybeRebalance(Worker& worker);
 
   Options options_;
   /// Private roots, one per shard. Declared before engine_ so the shards'
@@ -377,39 +349,11 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::vector<std::unique_ptr<AddressSpace>> roots_;
   ShardEngine engine_;
   /// Per shard: its FIFO, and the index of the worker that owns it. Every
-  /// op for the shard — requests, markers, migrations — is pushed onto
-  /// the queue as a batch; only the owning worker takes.
+  /// op for the shard — requests and markers — is pushed onto the queue
+  /// as a batch; only the owning worker takes.
   std::vector<std::unique_ptr<RemoteQueue<std::vector<Item>>>> queues_;
   std::vector<std::uint32_t> shard_worker_;
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  /// Map-keeping modes only (size-class or least-loaded routing, or
-  /// rebalance enabled): the engine's id -> shard map is maintained at
-  /// submit time (deletes cannot re-derive their shard; migrated ids'
-  /// hashes are stale).
-  /// routing_mu_ — the one producer-side serialization point, and only
-  /// for these modes — covers each op's map update, its in-flight
-  /// reservation and its lock-free push, but never a wait: when the
-  /// target worker is full the producer pushes what it staged, releases
-  /// the lock, waits for room, and re-routes the op from scratch. Order
-  /// argument: every map update and the push of its op happen in one
-  /// routing_mu_ critical section, and the shard's queue is FIFO, so
-  /// per-shard execution order == arrival order == map-update order —
-  /// the invariant that makes the map exact. Migrations push under the
-  /// same lock, so they order the same way.
-  std::mutex routing_mu_;
-  /// kLeastLoaded only, guarded by routing_mu_: each shard's predicted
-  /// live volume (sum of the sizes routed there minus the sizes deleted/
-  /// migrated away) — the submit-time load signal the engine's
-  /// least-loaded routing minimizes — plus the live objects' sizes
-  /// (deletes must give their volume back).
-  std::vector<std::uint64_t> predicted_volume_;
-  std::unordered_map<ObjectId, std::uint64_t> sizes_;
-  /// Map-keeping modes only, guarded by routing_mu_: per-shard count of
-  /// stamped insert/delete submissions. A shard's owner compares it
-  /// against its executed-op counter to detect in-flight ops (the
-  /// rebalancer's safety gate).
-  std::vector<std::uint64_t> stamped_requests_;
 
   /// Count of real (insert/delete) submissions — the AddShardListener
   /// gate; internal quiesce/snapshot markers do not count.

@@ -9,24 +9,19 @@
 
 namespace cosr {
 
-/// The id -> shard placement map shared by both sharded facades: the
+/// The inline driver's id -> shard placement map (ShardEngine owns it): the
 /// authoritative record of which shard holds each live object, for routing
 /// policies that cannot re-derive the shard from the id alone (size-class:
 /// deletes carry no size; least-loaded: the decision depended on load at
-/// insert time) and for any facade with migration enabled (a migrated id's
-/// hash no longer names its shard).
+/// insert time) and with migration enabled (a migrated id's hash no longer
+/// names its shard).
 ///
-/// The map is a submit-time prediction of execution: TryAssign marks an id
-/// live on its shard before the insert executes, Erase frees it at delete
-/// submit time, and Reassign repoints it when the rebalancer migrates it.
-/// Keeping the prediction exact is the caller's contract (the concurrent
-/// facade pushes each op to its shard's FIFO under the same lock as the
-/// map update, so execution order matches; the single-threaded facade
-/// updates it only after the inner call succeeded).
+/// TryAssign marks an id live on its shard, Erase frees it, and Reassign
+/// repoints it when the rebalancer migrates it. The facade updates the map
+/// only after the inner call succeeded, so it records execution exactly.
 ///
-/// Thread-compatible: no internal locking. The single-threaded facade calls
-/// it from its one owner thread; the concurrent facade guards every access
-/// with its routing_mu_.
+/// Thread-compatible: no internal locking. The facade calls it from its
+/// one owner thread.
 class IdPlacementMap {
  public:
   /// Claims `id` for `shard`. Returns false (map unchanged) when the id is

@@ -29,10 +29,11 @@ namespace cosr {
 /// barriers) until flushed — call Flush() here first when a barrier must
 /// cover them.
 ///
-/// Error reporting is fire-and-forget like Submit: Add/Flush return the
-/// first submit-time rejection or drop status of the batch they flushed
-/// (Ok when nothing flushed or everything was enqueued), and
-/// stats().ops_not_enqueued counts every op that never reached a queue.
+/// Error reporting is fire-and-forget like Submit: each op's own outcome
+/// is the shard's status, counted in its failed_ops. Add/Flush return the
+/// first drop status of the batch they flushed (Ok when nothing flushed or
+/// everything was enqueued), and stats().ops_not_enqueued counts every op
+/// a drop kept from reaching a queue.
 class OpBuffer {
  public:
   /// Buffer sizes outside [kMinCapacity, kMaxCapacity] are clamped: big
@@ -62,8 +63,8 @@ class OpBuffer {
   Status Delete(ObjectId id) { return Add(Request::Delete(id)); }
 
   /// Submits everything buffered as one batch. Ok when the buffer was
-  /// empty or every op was enqueued; otherwise the batch's first error
-  /// (the buffer is emptied either way — rejected/dropped ops are not
+  /// empty or every op was enqueued; otherwise the batch's first drop
+  /// status (the buffer is emptied either way — dropped ops are not
   /// retried, matching fire-and-forget Submit).
   Status Flush();
 
@@ -74,7 +75,7 @@ class OpBuffer {
     std::uint64_t flushes = 0;       // total, including explicit/destructor
     std::uint64_t auto_flushes = 0;  // the subset triggered by a full buffer
     std::uint64_t ops_buffered = 0;  // every op ever Add()ed
-    /// Ops a flush could not enqueue (submit-time rejections + drops).
+    /// Ops a flush could not enqueue (bounded-retry drops).
     std::uint64_t ops_not_enqueued = 0;
   };
   const Stats& stats() const { return stats_; }

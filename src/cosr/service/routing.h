@@ -9,8 +9,8 @@
 
 namespace cosr {
 
-/// How ShardEngine (and so both sharded facades) assigns an incoming
-/// object to a shard.
+/// How ShardEngine assigns an incoming object to a shard. The inline
+/// facade takes every policy; the threaded one takes kHashId only.
 enum class RoutingPolicy {
   /// Uniform spray: shard = mix(id) mod K. Balances object count and (for
   /// size-independent workloads) volume; every shard sees the full size
@@ -24,9 +24,8 @@ enum class RoutingPolicy {
   kSizeClass,
   /// Load-aware: route each insert to the shard with the lowest live
   /// volume in the driver's load vector (the inline facade's volume
-  /// gauges; the concurrent facade's submit-time predicted volumes). Not
-  /// a pure function of (id, size), so the engine keeps an id -> shard
-  /// placement map and deletes still resolve. This is what keeps skewed
+  /// gauges). Not a pure function of (id, size), so the engine keeps an
+  /// id -> shard placement map and deletes still resolve. This is what keeps skewed
   /// (multi-tenant, Zipf) workloads from concentrating footprint on one
   /// hot shard.
   kLeastLoaded,

@@ -199,12 +199,9 @@ std::uint64_t ShardEngine::Execute(std::uint32_t index, const ShardOp& op,
 }
 
 RebalancePlan ShardEngine::PlanScan(
-    const std::vector<std::uint32_t>* owned,
     std::vector<std::pair<ObjectId, Extent>>* victims) {
   victims->clear();
-  // The footprint gauges are exact for the caller's own shards (it wrote
-  // them) and, on the threaded driver, at most one op stale for the rest —
-  // fine for a heuristic that re-runs every check_interval.
+  // Exact: the inline caller wrote every gauge.
   std::vector<std::uint64_t> footprints(shard_count());
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
     footprints[i] =
@@ -213,12 +210,6 @@ RebalancePlan ShardEngine::PlanScan(
   const RebalancePlan plan =
       PlanRebalance(footprints, options_.rebalance_options);
   if (!plan.has_move) return plan;
-  // Only the hot shard's owner drains it: the source deletes touch state
-  // that belongs to exactly one thread.
-  if (owned != nullptr &&
-      std::find(owned->begin(), owned->end(), plan.hot) == owned->end()) {
-    return plan;
-  }
   const Shard& hot = shards_[plan.hot];
   if (!hot.inner->DeletesDetachImmediately()) return plan;
   *victims = SelectRebalanceVictims(

@@ -72,10 +72,11 @@ struct ShardOp {
 /// Shard i's view is based at i * span in both modes, so placements,
 /// footprints and per-shard logs agree coordinate for coordinate.
 ///
-/// Thread-compatible per shard: all ops for shard s (Execute, MigrateOut
-/// as the source, Snapshot, record) must come from s's owner — the inline
-/// caller, or s's worker. The placement map and the scan's planning inputs
-/// are the driver's to serialize (the threaded driver's routing_mu_).
+/// Thread-compatible per shard: all ops for shard s (Execute, Snapshot,
+/// record) must come from s's owner — the inline caller, or s's worker.
+/// The placement map, the rebalance scan and MigrateOut are the inline
+/// driver's alone: the threaded driver routes by hash only, so it keeps no
+/// map and never migrates.
 class ShardEngine {
  public:
   /// The settings both facades share.
@@ -86,13 +87,12 @@ class ShardEngine {
     /// TiB-of-units of headroom — far beyond any in-process workload —
     /// while keeping K=16 facades well inside the 64-bit space.
     std::uint64_t subrange_span = 1ull << 44;
-    /// Enables rebalancing: a scan after every
-    /// rebalance_options.check_interval-th drain that executed requests
-    /// (inline: every check_interval-th request) drains a bounded batch of
-    /// the hottest shard's frontier objects to the coldest shard. Forces
-    /// the id placement map (a migrated id's hash no longer names its
-    /// shard). Rejected for inner algorithms whose inserts can fail on a
-    /// fresh id: a migration's destination insert must not fail.
+    /// Enables rebalancing (inline driver only): a scan after every
+    /// rebalance_options.check_interval-th request drains a bounded batch
+    /// of the hottest shard's frontier objects to the coldest shard.
+    /// Forces the id placement map (a migrated id's hash no longer names
+    /// its shard). Rejected for inner algorithms whose inserts can fail on
+    /// a fresh id: a migration's destination insert must not fail.
     bool rebalance = false;
     RebalanceOptions rebalance_options;
   };
@@ -143,11 +143,10 @@ class ShardEngine {
                         std::uint64_t start_ns, Status* status);
 
   /// The planning half of one rebalance scan, over the shards'
-  /// reserved-footprint gauges: PlanRebalance, and — when the hot shard is
-  /// in `owned` (null: every shard) and deletes there detach immediately —
-  /// SelectRebalanceVictims into `*victims`. Empty victims: nothing to do.
-  RebalancePlan PlanScan(const std::vector<std::uint32_t>* owned,
-                         std::vector<std::pair<ObjectId, Extent>>* victims);
+  /// reserved-footprint gauges: PlanRebalance, and — when deletes on the
+  /// hot shard detach immediately — SelectRebalanceVictims into
+  /// `*victims`. Empty victims: nothing to do.
+  RebalancePlan PlanScan(std::vector<std::pair<ObjectId, Extent>>* victims);
   /// The source half: deletes the victims from plan.hot in order, stopping
   /// at the first that would defer its remove (a deamortized mid-flush
   /// source would leave the id placed while the destination re-places
@@ -179,8 +178,7 @@ class ShardEngine {
     return counters_[index];
   }
   /// Shard owner only: the shard's accounting record, for the fields its
-  /// driver writes (the threaded driver's remote-batch counts) and reads
-  /// (the executed-op count behind the rebalance safety gate).
+  /// driver writes (the threaded driver's remote-batch counts).
   ShardStats::PerShard& record(std::uint32_t index) {
     return shards_[index].record;
   }

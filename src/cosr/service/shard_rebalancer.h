@@ -12,7 +12,8 @@
 namespace cosr {
 
 /// Knobs for hot-shard detection and migration batching: the rebalance
-/// scan ShardEngine runs for both sharded facades (Options::rebalance).
+/// scan ShardEngine runs for the inline sharded facade
+/// (Options::rebalance; the threaded driver rejects it).
 struct RebalanceOptions {
   /// A shard is footprint-hot when its reserved frontier exceeds this
   /// multiple of the mean frontier across shards.
@@ -21,13 +22,11 @@ struct RebalanceOptions {
   /// carry unavoidable constant-size overheads; migrating them is noise).
   std::uint64_t min_shard_footprint = 1u << 12;
   /// Per-scan migration budget: at most this many objects / bytes move in
-  /// one scan, bounding the latency a scan can add to the request (inline
-  /// facade) or drain cycle (concurrent facade) it follows.
+  /// one scan, bounding the latency a scan can add to the request it
+  /// follows.
   std::size_t max_batch_objects = 32;
   std::uint64_t max_batch_bytes = 1u << 16;
-  /// Scan cadence: one scan after every this many requests on the inline
-  /// facade, and after every this many drain cycles that executed
-  /// requests on each worker of the concurrent facade.
+  /// Scan cadence: one scan after every this many requests.
   std::uint32_t check_interval = 16;
 };
 

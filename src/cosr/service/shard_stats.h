@@ -46,8 +46,9 @@ struct ShardStats {
     double sync_wall_seconds = 0.0;
     double max_sync_stall_seconds = 0.0;
     /// Request-level counters, both facades: inserts/deletes the shard
-    /// executed, and those its reallocator rejected. Requests a
-    /// map-keeping facade rejects before any shard runs count nowhere.
+    /// executed, and those its reallocator rejected. Requests the inline
+    /// facade's placement map rejects before any shard runs count
+    /// nowhere.
     std::uint64_t ops = 0;
     std::uint64_t failed_ops = 0;
     /// Fire-and-forget submissions dropped by the bounded-retry overflow
@@ -65,8 +66,9 @@ struct ShardStats {
     /// factor.
     std::uint64_t remote_batches = 0;
     std::uint64_t batched_ops = 0;
-    /// Rebalancer accounting: objects (and their bytes) the rebalancer
-    /// drained OUT of this shard, and objects it delivered INTO it.
+    /// Rebalancer accounting (inline facade only): objects (and their
+    /// bytes) the rebalancer drained OUT of this shard, and objects it
+    /// delivered INTO it.
     /// Exact: each migrated object counts once on its source's
     /// migrations/migrated_bytes and once on its destination's
     /// migrations_in, so sum(migrations) == sum(migrations_in) over a

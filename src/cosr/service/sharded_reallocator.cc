@@ -47,7 +47,7 @@ Status ShardedReallocator::ExecuteRequest(std::uint32_t shard,
       ++requests_since_scan_ >=
           engine_.options().rebalance_options.check_interval) {
     requests_since_scan_ = 0;
-    const RebalancePlan plan = engine_.PlanScan(/*owned=*/nullptr, &victims_);
+    const RebalancePlan plan = engine_.PlanScan(&victims_);
     const std::size_t moved = engine_.MigrateOut(plan, victims_);
     for (std::size_t i = 0; i < moved; ++i) {
       ShardOp arrival;

@@ -85,7 +85,7 @@ class ShardedReallocator final : public Reallocator {
 
   /// The routing decision for an (id, size) insert. For kLeastLoaded this
   /// consults the shards' live volumes (lowest wins, lowest index breaking
-  /// ties — the same gauge the concurrent facade predicts at submit time).
+  /// ties).
   /// Volume, not frontier, deliberately: an argmin over frontiers starves
   /// gap-rich shards — a shard whose frontier is high but mostly free
   /// would never receive another insert, so its gaps never refill, while

@@ -16,6 +16,9 @@
 //    failures are counted per shard.
 //  * The spin-then-park hand-off — synchronous Insert/Delete from many
 //    threads, completing both mid-spin and after a park, loses nothing.
+//  * Hash routing only — Make (and the factory, and the crash fuzz that
+//    builds on it) reject size-class and least-loaded routing and
+//    rebalance with a Status, never an abort.
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +33,7 @@
 
 #include "cosr/common/random.h"
 #include "cosr/cost/cost_battery.h"
+#include "cosr/durability/crash_fuzz.h"
 #include "cosr/durability/durability_hub.h"
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/metrics/cost_meter.h"
@@ -184,9 +188,8 @@ TEST(ConcurrentDifferential, DeamortizedK4W2) {
   RunConcurrentDifferential("deamortized", 4, 2, RoutingPolicy::kHashId, 15);
 }
 
-TEST(ConcurrentDifferential, CostObliviousK4W4SizeClassRouting) {
-  RunConcurrentDifferential("cost-oblivious", 4, 4, RoutingPolicy::kSizeClass,
-                            16);
+TEST(ConcurrentDifferential, CostObliviousK4W4) {
+  RunConcurrentDifferential("cost-oblivious", 4, 4, RoutingPolicy::kHashId, 16);
 }
 
 // ------------------------------------------- K=1/W=1 bare-algorithm identity
@@ -316,84 +319,15 @@ TEST(ConcurrentMpsc, MultipleProducersLoseNothing) {
   }
 }
 
-TEST(ConcurrentMpsc, SizeClassRoutingSurvivesProducerRaces) {
-  // Size-class routing's id -> shard map updates atomically with the
-  // enqueue, so a delete followed by a re-insert into a *different* size
-  // class (hence different shard/worker) can never desync the map from
-  // shard state, even with producers racing. Each producer churns its own
-  // ids through alternating size classes; with the map exact, zero ops
-  // may fail.
-  constexpr std::uint32_t kProducers = 4;
-  constexpr std::uint64_t kIdsPerProducer = 400;
-
-  ReallocatorSpec spec;
-  spec.algorithm = "first-fit";
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = 8;
-  options.worker_threads = 4;
-  options.routing = RoutingPolicy::kSizeClass;
-  options.queue_capacity = 32;  // frequent backpressure while routing
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(
-      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
-
-  std::atomic<std::uint64_t> expected_volume{0};
-  std::vector<std::thread> producers;
-  for (std::uint32_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      const ObjectId base = ObjectId{p} * 1000000;
-      std::uint64_t kept = 0;
-      for (std::uint64_t j = 0; j < kIdsPerProducer; ++j) {
-        const ObjectId id = base + j;
-        // Three incarnations per id, each in a different size class, so
-        // the delete and the next insert usually target different shards
-        // (and therefore different workers).
-        for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
-          ASSERT_TRUE(concurrent->Submit(Request::Insert(id, size)).ok());
-          ASSERT_TRUE(concurrent->Submit(Request::Delete(id)).ok());
-        }
-        const std::uint64_t final_size = 1 + j % 64;
-        ASSERT_TRUE(concurrent->Submit(Request::Insert(id, final_size)).ok());
-        kept += final_size;
-      }
-      expected_volume.fetch_add(kept, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  concurrent->Flush();
-
-  const ShardStats stats = concurrent->Stats();
-  std::uint64_t failed = 0, objects = 0;
-  for (const ShardStats::PerShard& shard : stats.shards) {
-    failed += shard.failed_ops;
-    objects += shard.objects;
-  }
-  EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(objects, kProducers * kIdsPerProducer);
-  EXPECT_EQ(stats.volume, expected_volume.load());
-
-  // And the map still deletes everything (no leaked entries, no ghosts).
-  for (std::uint32_t p = 0; p < kProducers; ++p) {
-    for (std::uint64_t j = 0; j < kIdsPerProducer; ++j) {
-      ASSERT_TRUE(
-          concurrent->Submit(Request::Delete(ObjectId{p} * 1000000 + j)).ok());
-    }
-  }
-  concurrent->Flush();
-  EXPECT_EQ(concurrent->volume(), 0u);
-}
-
-/// Map-keeping admission under races: 4 producers churn ids through
-/// alternating size classes — the delete and the next insert usually
-/// target different shards/workers — through a MIX of per-op Submit and
-/// SubmitMany batches, at an in-flight capacity of 8, so the
-/// reserve / push-staged / wait / re-route loop under routing_mu_ runs
-/// constantly. Any divergence of a shard's arrival order from the map's
-/// update order executes some delete before its insert (or an insert
-/// before the prior delete) and surfaces as failed_ops.
-void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
-  SCOPED_TRACE(std::string(RoutingPolicyName(routing)) +
-               (rebalance ? "+rebalance" : ""));
+/// Per-id order under races: 4 producers churn their own ids through
+/// three incarnations of different sizes each, through a MIX of per-op
+/// Submit and SubmitMany batches, at an in-flight capacity of 8, so the
+/// reserve / wait / chunked-delivery loop runs constantly. Every op on an
+/// id hashes to one shard, and one producer's ops on one shard stay FIFO
+/// whichever entry point pushed them, so any reordering executes some
+/// delete before its insert (or an insert before the prior delete) and
+/// surfaces as failed_ops.
+TEST(ConcurrentMpsc, ReincarnationsKeepPerIdOrderUnderRaces) {
   constexpr std::uint32_t kProducers = 4;
   constexpr std::uint64_t kIdsPerProducer = 300;
 
@@ -402,9 +336,6 @@ void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 8;
   options.worker_threads = 4;
-  options.routing = routing;
-  options.rebalance = rebalance;
-  options.rebalance_options.check_interval = 1;
   options.queue_capacity = 8;  // constant backpressure during admission
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
@@ -421,8 +352,6 @@ void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
         const ObjectId id = base + j;
         const std::uint64_t final_size = 1 + j % 64;
         if (j % 2 == 0) {
-          // Batched incarnations: one SubmitMany (one routing_mu_ hold
-          // unless a worker fills up) stages ops on several shards.
           batch.clear();
           for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
             batch.push_back(Request::Insert(id, size));
@@ -431,7 +360,7 @@ void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
           batch.push_back(Request::Insert(id, final_size));
           std::size_t accepted = 0;
           ASSERT_TRUE(concurrent->SubmitMany(batch, &accepted).ok());
-          ASSERT_EQ(accepted, batch.size());  // map-keeping never drops
+          ASSERT_EQ(accepted, batch.size());  // pure backpressure: no drops
         } else {
           for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
             ASSERT_TRUE(concurrent->Submit(Request::Insert(id, size)).ok());
@@ -459,7 +388,7 @@ void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
   EXPECT_EQ(stats.volume, expected_volume.load());
   EXPECT_EQ(stats.dropped_ops, 0u);
 
-  // The map still deletes everything — no leaked entries, no ghosts.
+  // Every survivor still deletes: nothing leaked, nothing doubled.
   for (std::uint32_t p = 0; p < kProducers; ++p) {
     for (std::uint64_t j = 0; j < kIdsPerProducer; ++j) {
       ASSERT_TRUE(
@@ -468,18 +397,11 @@ void RunMapOrderUnderRaces(RoutingPolicy routing, bool rebalance) {
   }
   concurrent->Flush();
   EXPECT_EQ(concurrent->volume(), 0u);
-}
-
-TEST(ConcurrentMpsc, SizeClassAdmissionKeepsMapOrderUnderRaces) {
-  RunMapOrderUnderRaces(RoutingPolicy::kSizeClass, /*rebalance=*/false);
-}
-
-TEST(ConcurrentMpsc, LeastLoadedAdmissionKeepsMapOrderUnderRaces) {
-  RunMapOrderUnderRaces(RoutingPolicy::kLeastLoaded, /*rebalance=*/false);
-}
-
-TEST(ConcurrentMpsc, RebalancedHashAdmissionKeepsMapOrderUnderRaces) {
-  RunMapOrderUnderRaces(RoutingPolicy::kHashId, /*rebalance=*/true);
+  std::uint64_t failed_after = 0;
+  for (const ShardStats::PerShard& shard : concurrent->Stats().shards) {
+    failed_after += shard.failed_ops;
+  }
+  EXPECT_EQ(failed_after, 0u);
 }
 
 // ------------------------------------------------ drain / shutdown ordering
@@ -572,34 +494,6 @@ TEST(ConcurrentStatus, TokensCarryShardVerdicts) {
     failed += shard.failed_ops;
   }
   EXPECT_EQ(failed, 5u);
-}
-
-TEST(ConcurrentStatus, SizeClassRoutingValidatesAtSubmit) {
-  ReallocatorSpec spec;
-  spec.algorithm = "cost-oblivious";
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = 4;
-  options.worker_threads = 2;
-  options.routing = RoutingPolicy::kSizeClass;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(
-      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
-
-  EXPECT_TRUE(concurrent->Submit(Request::Insert(1, 100)).ok());
-  // Submit-side rejections return (and token-complete) without enqueueing.
-  EXPECT_EQ(concurrent->Submit(Request::Insert(1, 5000)).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(concurrent->Submit(Request::Delete(2)).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(concurrent->Submit(Request::Insert(3, 0)).code(),
-            StatusCode::kInvalidArgument);
-  const auto token = concurrent->SubmitTracked(Request::Delete(2));
-  EXPECT_TRUE(token->done());
-  EXPECT_EQ(token->Wait().code(), StatusCode::kNotFound);
-
-  EXPECT_TRUE(concurrent->Submit(Request::Delete(1)).ok());
-  concurrent->Flush();
-  EXPECT_EQ(concurrent->volume(), 0u);
 }
 
 TEST(ConcurrentStatus, SyncRoundTripsFromManyThreads) {
@@ -980,25 +874,56 @@ TEST(ConcurrentFactory, DegenerateOptionsFail) {
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 }
 
-TEST(ConcurrentFactory, SizeClassRoutingRejectsFallibleInserts) {
-  // pma inserts can fail on the shard (uniform slot_size), which the
-  // size-class routing map cannot represent — rejected at Make, not
-  // corrupted at runtime. Hash routing has no map and stays allowed.
+TEST(ConcurrentFactory, NonHashModesAreRejected) {
+  // The threaded driver routes by hash only: size-class and least-loaded
+  // routing and rebalance are refused at Make with InvalidArgument, and so
+  // by everything built on it.
   ReallocatorSpec spec;
-  spec.algorithm = "pma";
+  spec.algorithm = "cost-oblivious";
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 4;
   options.worker_threads = 2;
-  options.routing = RoutingPolicy::kSizeClass;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  EXPECT_EQ(ConcurrentShardedReallocator::Make(spec, options, &concurrent)
-                .code(),
-            StatusCode::kFailedPrecondition);
-
+  for (const RoutingPolicy routing :
+       {RoutingPolicy::kSizeClass, RoutingPolicy::kLeastLoaded}) {
+    options.routing = routing;
+    EXPECT_EQ(
+        ConcurrentShardedReallocator::Make(spec, options, &concurrent).code(),
+        StatusCode::kInvalidArgument)
+        << RoutingPolicyName(routing);
+  }
   options.routing = RoutingPolicy::kHashId;
+  options.rebalance = true;
+  EXPECT_EQ(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(concurrent == nullptr);
+
+  spec.shard_count = 4;
+  spec.worker_threads = 2;
+  spec.routing = RoutingPolicy::kSizeClass;
+  EXPECT_EQ(MakeConcurrentReallocator(spec, &concurrent).code(),
+            StatusCode::kInvalidArgument);
+
+  // The crash fuzz's concurrent rebalance configuration is a Status, not
+  // an abort.
+  CrashFuzzOptions fuzz;
+  fuzz.shard_count = 4;
+  fuzz.concurrent = true;
+  fuzz.rebalance = true;
+  CrashFuzzReport report;
+  EXPECT_FALSE(RunCrashFuzz(fuzz, &report).ok());
+
+  // Hash routing has no submit-time map, so an inner algorithm whose
+  // inserts can fail on a fresh id (pma: uniform slot_size) is allowed;
+  // its failures surface through tokens as the shard's verdict.
+  spec = {};
+  spec.algorithm = "pma";
+  options = {};
+  options.shard_count = 4;
+  options.worker_threads = 2;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
-  // On-shard failures surface through tokens and failed_ops as usual.
   EXPECT_TRUE(concurrent->SubmitTracked(Request::Insert(1, 1))->Wait().ok());
   EXPECT_FALSE(concurrent->SubmitTracked(Request::Insert(2, 64))->Wait().ok());
 }

@@ -70,7 +70,7 @@ std::vector<FuzzConfig> Configs() {
   // Migration-active cells: crash points land while the rebalancer's
   // cross-shard migrations (Delete journaled on the source shard's log,
   // Place on the destination's) interleave with ordinary churn. One
-  // synchronous cell per algorithm plus one concurrent cell.
+  // synchronous cell per algorithm (the threaded driver never migrates).
   for (const std::string algorithm : {"checkpointed", "deamortized"}) {
     FuzzConfig rebalance;
     rebalance.scenario = "zipf-churn";
@@ -81,15 +81,6 @@ std::vector<FuzzConfig> Configs() {
     rebalance.label = "zipf-churn/" + algorithm + "/sharded-k4-rebalance";
     configs.push_back(rebalance);
   }
-  FuzzConfig concurrent_rebalance;
-  concurrent_rebalance.scenario = "zipf-churn";
-  concurrent_rebalance.algorithm = "checkpointed";
-  concurrent_rebalance.shard_count = 4;
-  concurrent_rebalance.concurrent = true;
-  concurrent_rebalance.rebalance = true;
-  concurrent_rebalance.label =
-      "zipf-churn/checkpointed/concurrent-k4-rebalance";
-  configs.push_back(concurrent_rebalance);
   // Group-commit cells: coalesced syncs leave unsynced checkpoint records
   // on the crash surface (legal landing points), and compaction adds the
   // mid-rewrite surface — cuts inside retired pre-compaction streams and
@@ -160,11 +151,9 @@ TEST(DurabilityFuzzTest, ThousandsOfCrashPointsAllRecoverByteForByte) {
       EXPECT_GT(report.compactions, 0u) << config.label;
       EXPECT_GT(report.pre_compaction_points, 0u) << config.label;
     }
-    // The synchronous migration cells must actually migrate, or the
-    // "crash-consistent under migration" claim is vacuous (the concurrent
-    // cell's migration count depends on worker timing, so it is reported
-    // but not load-bearing there).
-    if (config.rebalance && !config.concurrent) {
+    // The migration cells must actually migrate, or the
+    // "crash-consistent under migration" claim is vacuous.
+    if (config.rebalance) {
       EXPECT_GT(report.migrations, 0u) << config.label;
     }
     total_points += report.crash_points;

@@ -1,10 +1,11 @@
 // The cross-shard rebalancer, from the planning heuristics up through live
-// migrations on both facades:
+// migrations on the inline facade (the threaded driver routes by hash
+// only and rejects rebalance; concurrent_sharded_test pins that):
 //
 //  * PlanRebalance / SelectRebalanceVictims — pure-function unit tests:
 //    hot/cold selection, thresholds, batch budgets, anti-ping-pong.
 //  * Make-time gate — rebalance over an algorithm whose inserts can fail
-//    on a fresh id (pma) is rejected by both facades.
+//    on a fresh id (pma) is rejected.
 //  * Synchronous migration correctness — after a churn drive with the
 //    facade's rebalance scan running, every surviving object's bytes still
 //    verify against a SimulatedDisk, the facade's live set matches a model
@@ -13,15 +14,10 @@
 //    (sum of out-migrations == sum of in-migrations == the extra places
 //    the parent saw).
 //  * K=1 — the rebalancer never acts on a one-shard facade.
-//  * Concurrent hammer — producers submit churn while the background
-//    rebalancer drains victims between queue cycles; runs under TSan in
-//    CI. Tracked tokens must keep resolving (deletes of migrated ids
-//    succeed), and the accounting must still balance after Flush.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,7 +26,6 @@
 
 #include "cosr/common/random.h"
 #include "cosr/realloc/factory.h"
-#include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/shard_rebalancer.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/address_space.h"
@@ -139,7 +134,7 @@ TEST(SelectVictimsTest, AntiPingPongStopsBeforeInvertingTheImbalance) {
 
 TEST(ShardRebalancerTest, RebalanceRejectsFallibleInsertsAtMake) {
   // A migration's destination insert must not fail, so rebalance over pma
-  // (inserts can fail on a fresh id) is refused up front on both facades.
+  // (inserts can fail on a fresh id) is refused up front.
   ReallocatorSpec spec;
   spec.algorithm = "pma";
   AddressSpace parent;
@@ -149,15 +144,6 @@ TEST(ShardRebalancerTest, RebalanceRejectsFallibleInsertsAtMake) {
   std::unique_ptr<ShardedReallocator> sharded;
   EXPECT_EQ(ShardedReallocator::Make(spec, options, &parent, &sharded).code(),
             StatusCode::kFailedPrecondition);
-  ConcurrentShardedReallocator::Options concurrent_options;
-  concurrent_options.shard_count = 4;
-  concurrent_options.worker_threads = 2;
-  concurrent_options.rebalance = true;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  EXPECT_EQ(
-      ConcurrentShardedReallocator::Make(spec, concurrent_options, &concurrent)
-          .code(),
-      StatusCode::kFailedPrecondition);
 
   // The inline facade updates its map only after the shard executed, so
   // map-keeping routing alone stays allowed there.
@@ -315,114 +301,6 @@ TEST(ShardRebalancerTest, SingleShardFacadeNeverActs) {
   }
   EXPECT_EQ(sharded->Stats().shards[0].migrations, 0u);
   EXPECT_EQ(sharded->Stats().migrations, 0u);
-}
-
-// ------------------------------------------------------- concurrent hammer
-
-/// Producers hammer churn into the facade while its workers run the
-/// background rebalancer between queue drains (aggressive trigger, scan
-/// every cycle). TSan-gated in CI: the migration path (inline source
-/// delete under the routing lock + direct destination push) must be clean
-/// against concurrent submission. Afterwards every live id must still
-/// resolve (tracked deletes succeed), and the ledger must balance.
-void RunConcurrentHammer(RoutingPolicy routing) {
-  SCOPED_TRACE(RoutingPolicyName(routing));
-  ReallocatorSpec spec;
-  spec.algorithm = "first-fit";
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = 8;
-  options.worker_threads = 4;
-  options.routing = routing;
-  options.rebalance = true;
-  options.rebalance_options.hot_footprint_ratio = 1.05;
-  options.rebalance_options.min_shard_footprint = 64;
-  options.rebalance_options.check_interval = 1;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(ConcurrentShardedReallocator::Make(spec, options, &concurrent)
-                  .ok());
-
-  constexpr int kProducers = 4;
-  constexpr ObjectId kPerProducer = 600;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&concurrent, p] {
-      Rng rng(100 + p);
-      const ObjectId base = 1 + static_cast<ObjectId>(p) * kPerProducer;
-      // Insert a private id range with heavy-tail sizes, churning a third
-      // of it to keep deletes interleaved with the rebalancer's drains.
-      for (ObjectId id = base; id < base + kPerProducer; ++id) {
-        const std::uint64_t size =
-            rng.Bernoulli(0.1) ? 256 + rng.UniformU64(256)
-                               : 1 + rng.UniformU64(32);
-        EXPECT_TRUE(concurrent->Submit(Request::Insert(id, size)).ok());
-        if (id % 3 == 0) {
-          EXPECT_TRUE(concurrent->Submit(Request::Delete(id)).ok());
-        }
-      }
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  concurrent->Flush();
-
-  // Every surviving id still resolves through the placement map, wherever
-  // migration put it: a tracked delete must find it.
-  std::uint64_t resolved = 0;
-  for (int p = 0; p < kProducers; ++p) {
-    const ObjectId base = 1 + static_cast<ObjectId>(p) * kPerProducer;
-    for (ObjectId id = base; id < base + kPerProducer; ++id) {
-      if (id % 3 == 0) continue;  // churned away above
-      ASSERT_TRUE(concurrent->SubmitTracked(Request::Delete(id))->Wait().ok())
-          << "id " << id << " unresolvable after migrations";
-      ++resolved;
-    }
-  }
-  EXPECT_GT(resolved, 0u);
-  concurrent->Flush();
-
-  const ShardStats stats = concurrent->Stats();
-  std::uint64_t out = 0, in = 0, out_bytes = 0;
-  for (const ShardStats::PerShard& shard : stats.shards) {
-    out += shard.migrations;
-    in += shard.migrations_in;
-    out_bytes += shard.migrated_bytes;
-    EXPECT_EQ(shard.failed_ops, 0u);
-  }
-  EXPECT_EQ(out, in);
-  EXPECT_EQ(stats.migrations, out);
-  EXPECT_EQ(stats.migrated_bytes, out_bytes);
-  EXPECT_EQ(concurrent->volume(), 0u);  // everything was deleted
-  for (std::uint32_t s = 0; s < options.shard_count; ++s) {
-    EXPECT_TRUE(concurrent->shard_space(s).SelfCheck());
-  }
-}
-
-TEST(ConcurrentRebalanceHammer, HashRouting) {
-  RunConcurrentHammer(RoutingPolicy::kHashId);
-}
-
-TEST(ConcurrentRebalanceHammer, LeastLoadedRouting) {
-  RunConcurrentHammer(RoutingPolicy::kLeastLoaded);
-}
-
-TEST(ConcurrentRebalanceHammer, SingleShardNeverMigrates) {
-  ReallocatorSpec spec;
-  spec.algorithm = "first-fit";
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = 1;
-  options.rebalance = true;
-  options.rebalance_options.hot_footprint_ratio = 1.0;
-  options.rebalance_options.min_shard_footprint = 0;
-  options.rebalance_options.check_interval = 1;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(ConcurrentShardedReallocator::Make(spec, options, &concurrent)
-                  .ok());
-  for (ObjectId id = 1; id <= 500; ++id) {
-    ASSERT_TRUE(concurrent->Submit(Request::Insert(id, 16)).ok());
-  }
-  concurrent->Flush();
-  const ShardStats stats = concurrent->Stats();
-  EXPECT_EQ(stats.migrations, 0u);
-  EXPECT_EQ(stats.shards[0].migrations_in, 0u);
 }
 
 }  // namespace

@@ -205,10 +205,19 @@ void RunFuzzChurn(const std::string& algorithm, std::uint32_t shard_count,
     if (insert) {
       const ObjectId id = next_id++;
       const std::uint64_t size = rng.UniformRange(1, 2048);
+      // The routed shard is the one declared by the routing function, or
+      // for least-loaded a shard of least live volume.
+      const std::uint32_t routed = sharded->shard_for(id, size);
+      if (routing == RoutingPolicy::kLeastLoaded) {
+        for (std::uint32_t s = 0; s < shard_count; ++s) {
+          ASSERT_LE(sharded->shard(routed).volume(),
+                    sharded->shard(s).volume());
+        }
+      } else {
+        ASSERT_EQ(routed, RouteToShard(routing, shard_count, id, size));
+      }
       ASSERT_TRUE(sharded->Insert(id, size).ok());
-      // The routed shard is the one declared by the routing function.
-      ASSERT_EQ(sharded->shard_of(id),
-                RouteToShard(routing, shard_count, id, size));
+      ASSERT_EQ(sharded->shard_of(id), routed);
       model.emplace(id, size);
       live.push_back(id);
     } else {
@@ -245,6 +254,10 @@ TEST(ShardedFuzz, CostObliviousK4Hash) {
 
 TEST(ShardedFuzz, CostObliviousK4SizeClass) {
   RunFuzzChurn("cost-oblivious", 4, RoutingPolicy::kSizeClass, 102);
+}
+
+TEST(ShardedFuzz, CostObliviousK4LeastLoaded) {
+  RunFuzzChurn("cost-oblivious", 4, RoutingPolicy::kLeastLoaded, 105);
 }
 
 TEST(ShardedFuzz, FirstFitK16Hash) {

@@ -1,7 +1,7 @@
 // SubmitMany / OpBuffer — batched submission, proven against its oracles:
 //
-//  * Differential grid (K x W x routing): one trace driven through
-//    SubmitMany batches must land in exactly the per-shard stats that the
+//  * Differential grid (K x W, hash routing — the threaded driver's only
+//    policy): one trace driven through SubmitMany batches must land in exactly the per-shard stats that the
 //    same trace driven op-by-op through Submit and the single-threaded
 //    ShardedReallocator produce. At W=1 the guarantee sharpens to
 //    per-shard *event-sequence* equality — op-for-op, batching changes
@@ -13,8 +13,9 @@
 //  * Drain ordering: mid-batch Flush() makes buffered ops visible;
 //    destructor flush drains the tail; auto-flush fires on fill.
 //  * Statuses never vanish: SubmitManyTracked position-matches tokens,
-//    submit-time rejections complete their token and skip just that op,
-//    `accepted` reports exactly the enqueued count.
+//    each carrying the shard's verdict for its op (a failed op fails
+//    alone, the batch continues), and `accepted` reports exactly the
+//    enqueued count.
 
 #include <atomic>
 #include <cstdint>
@@ -214,26 +215,6 @@ TEST(SubmitBatchDifferential, K4W4Hash) {
   RunBatchDifferential(4, 4, RoutingPolicy::kHashId, 33);
 }
 
-TEST(SubmitBatchDifferential, K1W1SizeClass) {
-  RunBatchDifferential(1, 1, RoutingPolicy::kSizeClass, 34);
-}
-
-TEST(SubmitBatchDifferential, K4W1SizeClass) {
-  RunBatchDifferential(4, 1, RoutingPolicy::kSizeClass, 35);
-}
-
-TEST(SubmitBatchDifferential, K4W4SizeClass) {
-  RunBatchDifferential(4, 4, RoutingPolicy::kSizeClass, 36);
-}
-
-TEST(SubmitBatchDifferential, K4W1LeastLoaded) {
-  RunBatchDifferential(4, 1, RoutingPolicy::kLeastLoaded, 37);
-}
-
-TEST(SubmitBatchDifferential, K4W4LeastLoaded) {
-  RunBatchDifferential(4, 4, RoutingPolicy::kLeastLoaded, 38);
-}
-
 // ------------------------------------------------ multi-producer OpBuffers
 
 TEST(SubmitBatchMpsc, ProducerBuffersLoseNothing) {
@@ -377,14 +358,14 @@ TEST(SubmitBatchStatus, TrackedTokensPositionMatchAndRejectionsSkip) {
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 4;
   options.worker_threads = 2;
-  options.routing = RoutingPolicy::kSizeClass;
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 
   // ops[1] duplicates ops[0]'s id (AlreadyExists), ops[3] deletes a dead
-  // id (NotFound), ops[5] has size 0 (InvalidArgument) — each rejection
-  // skips just its own op and the batch continues.
+  // id (NotFound), ops[5] has size 0 (InvalidArgument). Every op on one id
+  // hashes to one shard and runs in batch order there, so each verdict is
+  // the shard's: a failed op fails alone and the batch continues.
   const std::vector<Request> ops = {
       Request::Insert(1, 100), Request::Insert(1, 5000),
       Request::Insert(2, 700), Request::Delete(999),
@@ -400,22 +381,23 @@ TEST(SubmitBatchStatus, TrackedTokensPositionMatchAndRejectionsSkip) {
   EXPECT_TRUE(tokens[4]->Wait().ok());
   EXPECT_EQ(tokens[5]->Wait().code(), StatusCode::kInvalidArgument);
 
-  // Fire-and-forget SubmitMany reports the first error in op order and
-  // the exact accepted count.
+  // Fire-and-forget SubmitMany enqueues every op (nothing is judged at
+  // submit) and reports the exact accepted count.
   std::size_t accepted = 0;
-  const Status first = concurrent->SubmitMany(ops, &accepted);
-  // id 1 was deleted above, so now ops[0] succeeds and ops[1] duplicates
-  // it again (the first error); ops[2] collides with the still-live id 2,
-  // ops[3]/ops[5] fail as before — only ops[0] and ops[4] enqueue.
-  EXPECT_EQ(first.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(accepted, 2u);
+  EXPECT_TRUE(concurrent->SubmitMany(ops, &accepted).ok());
+  EXPECT_EQ(accepted, ops.size());
   concurrent->Flush();
+  // id 1 was deleted above, so now ops[0] succeeds and ops[1] duplicates
+  // it again; ops[2] collides with the still-live id 2; ops[3] and ops[5]
+  // fail as before. The shards counted the 3 tracked failures plus these
+  // 4.
   const ShardStats stats = concurrent->Stats();
   std::uint64_t failed = 0;
   for (const ShardStats::PerShard& shard : stats.shards) {
     failed += shard.failed_ops;
   }
-  EXPECT_EQ(failed, 0u);  // rejections never reached a shard
+  EXPECT_EQ(failed, 7u);
+  EXPECT_EQ(stats.volume, 700u);  // only id 2 is live
 }
 
 }  // namespace

@@ -367,6 +367,14 @@ def check_durability(data, path):
         require(row["syncs"] <= row["checkpoints"], path,
                 f"fuzz {row['scenario']}/{row['policy']}: more syncs than "
                 "checkpoints")
+        # Rebalance runs on the inline driver only (the threaded one routes
+        # by hash only), and a migration cell that never migrated fuzzes
+        # nothing the plain cells do not.
+        if row["rebalance"]:
+            require(row["facade"] == "sharded" and row["migrations"] > 0,
+                    path, f"fuzz rebalance cell {row['scenario']}/"
+                    f"{row['algorithm']}/{row['facade']}: must be sharded "
+                    "and migrate")
     points = sum(r["crash_points"] for r in sections["fuzz"])
     require(points == data["total_crash_points"], path,
             "total_crash_points disagrees with the fuzz rows")
