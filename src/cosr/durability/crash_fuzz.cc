@@ -216,6 +216,11 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
         "crash fuzz requires a checkpoint-managed algorithm, got " +
         options.algorithm);
   }
+  if (options.concurrent && options.rebalance) {
+    return Status::InvalidArgument(
+        "the threaded driver routes by hash only and never rebalances; "
+        "rebalance needs concurrent = false");
+  }
 
   Trace trace;
   COSR_RETURN_IF_ERROR(FindTrace(options.scenario, &trace));
@@ -268,9 +273,6 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     facade_options.worker_threads = options.worker_threads;
     facade_options.routing = RoutingPolicy::kHashId;
     facade_options.subrange_span = options.subrange_span;
-    // The threaded driver rejects rebalance; its InvalidArgument is this
-    // run's result.
-    facade_options.rebalance = options.rebalance;
     COSR_RETURN_IF_ERROR(
         ConcurrentShardedReallocator::Make(spec, facade_options, &concurrent));
     ConcurrentShardedReallocator* raw = concurrent.get();

@@ -42,7 +42,8 @@ struct CrashFuzzOptions {
   /// Enables the synchronous facade's rebalance scan (Options::rebalance)
   /// every 25 requests, with thresholds scaled down so the smoke-size
   /// traces actually migrate. Synchronous only: the concurrent facade
-  /// routes by hash only, so RunCrashFuzz returns its InvalidArgument.
+  /// routes by hash only, so RunCrashFuzz returns InvalidArgument for
+  /// concurrent + rebalance.
   bool rebalance = false;
   /// Trace prefix length to drive (a prefix of a valid trace is valid).
   std::size_t operations = 300;

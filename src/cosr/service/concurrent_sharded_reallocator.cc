@@ -56,14 +56,14 @@ Status ConcurrentShardedReallocator::Make(
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (options.routing != RoutingPolicy::kHashId || options.rebalance) {
+  if (options.routing != RoutingPolicy::kHashId) {
     // Each allocator's guarantees hold on its own and the shards'
     // sub-ranges are disjoint, so hash routing needs no cross-shard
-    // coordination. The other modes would (an id map kept at submit time,
-    // migrations between workers); the inline driver keeps them.
+    // coordination. The other policies would (an id map kept at submit
+    // time); the inline driver keeps them.
     return Status::InvalidArgument(
-        "the threaded driver routes by hash only: use kHashId routing "
-        "without rebalance, or ShardedReallocator for the other modes");
+        "the threaded driver routes by hash only: use kHashId routing, or "
+        "ShardedReallocator for the other policies");
   }
 
   auto facade = std::unique_ptr<ConcurrentShardedReallocator>(

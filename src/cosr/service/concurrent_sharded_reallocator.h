@@ -90,8 +90,9 @@ class OpToken {
 ///
 /// Routing is hash-only: an op's shard is a pure function of its id, so no
 /// producer-side lock or id map exists on any submit path. Size-class and
-/// least-loaded routing and the rebalance scan stay on the inline driver
-/// (ShardedReallocator); Make rejects them here.
+/// least-loaded routing and the rebalance scan live on the inline driver
+/// (ShardedReallocator); Make rejects the other policies here, and the
+/// Options carry no rebalance fields.
 ///
 /// Why that is sound: the source paper's guarantees are per-allocator, and
 /// the shards' sub-problems are disjoint by construction. In concurrent
@@ -121,8 +122,8 @@ class OpToken {
 ///     relaxed reads of each shard's two single-writer gauges
 ///     (ShardCounters: volume and reserved_footprint), summed on read;
 ///     exact once drained. Every other per-shard number (ops, peaks,
-///     batches, migrations, latency) lives in the shard's record, which
-///     only its worker touches; read it through Stats().
+///     batches, latency) lives in the shard's record, which only its
+///     worker touches; read it through Stats().
 ///   * AddShardListener / shard / shard_view / shard_space — the listener
 ///     hook must run before the first Insert/Delete (CHECK-enforced); the
 ///     accessors must only be read while no producer is submitting and
@@ -138,9 +139,9 @@ class OpToken {
 class ConcurrentShardedReallocator final : public Reallocator {
  public:
   /// The shared shard settings (see ShardEngine::Options) plus the
-  /// threading ones. `routing` must stay kHashId and `rebalance` false:
-  /// Make rejects the rest (they need cross-shard coordination, and only
-  /// the inline driver keeps them).
+  /// threading ones. `routing` must stay kHashId: Make rejects the other
+  /// policies (they need cross-shard coordination, and only the inline
+  /// driver keeps them).
   struct Options : ShardEngine::Options {
     /// Worker threads W (<= shard_count; shard i is pinned to worker
     /// i % W). 0 means one worker per shard.
@@ -169,7 +170,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Builds K private shards, each an inner `inner_spec` reallocator (its
   /// shard_count/worker_threads/routing fields are ignored), and starts the
   /// W worker threads. Fails when the spec is unknown, options are
-  /// degenerate, or options ask for non-hash routing or rebalance.
+  /// degenerate, or options ask for non-hash routing.
   static Status Make(const ReallocatorSpec& inner_spec, const Options& options,
                      std::unique_ptr<ConcurrentShardedReallocator>* out);
 

@@ -31,15 +31,6 @@ const char* RoutingPolicyName(RoutingPolicy routing) {
   return "?";
 }
 
-std::uint32_t LeastLoadedShard(const std::vector<std::uint64_t>& loads) {
-  COSR_CHECK(!loads.empty());
-  std::uint32_t best = 0;
-  for (std::uint32_t i = 1; i < loads.size(); ++i) {
-    if (loads[i] < loads[best]) best = i;
-  }
-  return best;
-}
-
 std::uint32_t RouteToShard(RoutingPolicy routing, std::uint32_t shard_count,
                            ObjectId id, std::uint64_t size) {
   COSR_CHECK(shard_count > 0);

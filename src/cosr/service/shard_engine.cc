@@ -72,21 +72,13 @@ Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
         spec.algorithm + " never checkpoints, so its log would have "
         "no recoverable prefix");
   }
-  if (options.rebalance && AlgorithmInsertCanFailOnFreshId(spec.algorithm)) {
-    return Status::FailedPrecondition(
-        spec.algorithm +
-        " inserts can fail on a fresh id, and a migration's destination "
-        "insert must not fail; rebalance needs another algorithm");
-  }
 
   ReallocatorSpec inner_spec = spec;
   inner_spec.shard_count = 1;  // the engine is the only sharding layer
   inner_spec.worker_threads = 0;
   inner_spec.durability = nullptr;  // per-shard wiring happens here
 
-  options_ = options;
   mode_ = mode;
-  keeps_map_ = RoutingNeedsPlacementMap(options.routing) || options.rebalance;
   counters_ = std::vector<ShardCounters>(shard_count);
   shards_.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
@@ -119,15 +111,6 @@ Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
     roots.front()->AddListener(log_forwarder_.get());
   }
   return Status::Ok();
-}
-
-std::uint32_t ShardEngine::Route(
-    ObjectId id, std::uint64_t size,
-    const std::vector<std::uint64_t>& loads) const {
-  if (options_.routing == RoutingPolicy::kLeastLoaded && shard_count() > 1) {
-    return LeastLoadedShard(loads);
-  }
-  return RouteToShard(options_.routing, shard_count(), id, size);
 }
 
 void ShardEngine::SelectLog(MoveLog* log) {
@@ -165,13 +148,6 @@ std::uint64_t ShardEngine::Execute(std::uint32_t index, const ShardOp& op,
     case ShardOpKind::kCheckpoint:
       if (shard.manager != nullptr) shard.view->Checkpoint();
       break;
-    case ShardOpKind::kMigrateIn:
-      // Cannot fail: Init rejects rebalancing over algorithms whose
-      // inserts can fail on a fresh id. The place journals on this shard's
-      // log like any other insert.
-      COSR_CHECK_OK(shard.inner->Insert(op.id, op.size));
-      ++record.migrations_in;
-      break;
     case ShardOpKind::kSnapshot:
       *op.snapshot_out = Snapshot(index);
       break;
@@ -198,49 +174,22 @@ std::uint64_t ShardEngine::Execute(std::uint32_t index, const ShardOp& op,
   return end_ns;
 }
 
-RebalancePlan ShardEngine::PlanScan(
-    std::vector<std::pair<ObjectId, Extent>>* victims) {
-  victims->clear();
-  // Exact: the inline caller wrote every gauge.
-  std::vector<std::uint64_t> footprints(shard_count());
-  for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    footprints[i] =
-        counters_[i].reserved_footprint.load(std::memory_order_relaxed);
-  }
-  const RebalancePlan plan =
-      PlanRebalance(footprints, options_.rebalance_options);
-  if (!plan.has_move) return plan;
-  const Shard& hot = shards_[plan.hot];
-  if (!hot.inner->DeletesDetachImmediately()) return plan;
-  *victims = SelectRebalanceVictims(
-      hot.view->Snapshot(), options_.rebalance_options,
-      hot.inner->reserved_footprint(), footprints[plan.cold],
-      plan.target_footprint);
-  return plan;
-}
-
-std::size_t ShardEngine::MigrateOut(
-    const RebalancePlan& plan,
-    const std::vector<std::pair<ObjectId, Extent>>& victims) {
-  Shard& hot = shards_[plan.hot];
-  SelectLog(hot.log);
-  std::size_t moved = 0;
-  for (; moved < victims.size(); ++moved) {
-    // Re-checked per victim: the previous delete may itself have started
-    // a deferred flush. A deferred remove would leave the id placed while
-    // the destination re-places it, and would journal the remove after
-    // the destination's place — breaking the remove-before-place order
-    // crash recovery leans on.
-    if (!hot.inner->DeletesDetachImmediately()) break;
-    const auto& [id, extent] = victims[moved];
-    COSR_CHECK_OK(hot.inner->Delete(id));
-    ++hot.record.migrations;
-    hot.record.migrated_bytes += extent.length;
-    StoreGauges(plan.hot);
-    placement_.Reassign(id, plan.hot, plan.cold);
-  }
+bool ShardEngine::Migrate(std::uint32_t from, std::uint32_t to, ObjectId id,
+                          std::uint64_t length) {
+  Shard& source = shards_[from];
+  if (!source.inner->DeletesDetachImmediately()) return false;
+  SelectLog(source.log);
+  COSR_CHECK_OK(source.inner->Delete(id));
+  ++source.record.migrations;
+  source.record.migrated_bytes += length;
+  StoreGauges(from);
+  Shard& destination = shards_[to];
+  SelectLog(destination.log);
+  COSR_CHECK_OK(destination.inner->Insert(id, length));
+  ++destination.record.migrations_in;
+  StoreGauges(to);
   SelectLog(nullptr);
-  return moved;
+  return true;
 }
 
 ShardStats::PerShard ShardEngine::Snapshot(std::uint32_t index) const {

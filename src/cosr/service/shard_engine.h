@@ -1,22 +1,17 @@
 #ifndef COSR_SERVICE_SHARD_ENGINE_H_
 #define COSR_SERVICE_SHARD_ENGINE_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cosr/common/status.h"
 #include "cosr/common/types.h"
 #include "cosr/realloc/reallocator.h"
-#include "cosr/service/id_placement_map.h"
 #include "cosr/service/routing.h"
-#include "cosr/service/shard_rebalancer.h"
 #include "cosr/service/shard_stats.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/checkpoint_manager.h"
-#include "cosr/storage/extent.h"
 #include "cosr/storage/space.h"
 
 namespace cosr {
@@ -25,15 +20,12 @@ struct ReallocatorSpec;
 class MoveLog;
 
 /// The kinds of op a shard executes. Requests (insert/delete) are the
-/// client-visible ones; the rest are internal.
+/// client-visible ones; the rest are internal. Each touches one shard.
 enum class ShardOpKind : std::uint8_t {
   kInsert,
   kDelete,
   kQuiesce,
   kCheckpoint,
-  /// A migrated object arriving on its destination shard; the source half
-  /// (delete, map repoint) already ran in ShardEngine::MigrateOut.
-  kMigrateIn,
   /// Writes a copy of the shard's ShardStats::PerShard to
   /// `snapshot_out`, which must outlive the op.
   kSnapshot,
@@ -55,46 +47,40 @@ struct ShardOp {
 /// unmodified factory algorithm on a SubSpaceView of the sub-range
 /// [i * span, (i+1) * span) with its own scoped CheckpointManager (managed
 /// algorithms) and durability log (with a DurabilityHub). The engine owns
-/// everything the facades share — the shard set and its Make-time
-/// validation, routing and the IdPlacementMap, executing one op on one
-/// shard with its accounting (the shard's ShardStats::PerShard record,
-/// written in place, and its two ShardCounters gauges), the rebalance
-/// scan, and the per-shard snapshot and ShardStats merge — and
-/// leaves to its driver only how ops reach a shard:
+/// only what both facades share — the shard set and its Make-time
+/// validation, executing one op on one shard with its accounting (the
+/// shard's ShardStats::PerShard record, written in place, and its two
+/// ShardCounters gauges), and the per-shard snapshot and ShardStats merge
+/// — plus Migrate, the one cross-shard primitive. Each driver decides
+/// which shard an op goes to and how it gets there:
 ///   * kInline (ShardedReallocator): ops run on the caller's thread over
 ///     the caller's one parent Space. The parent's event stream carries
 ///     every shard's events, so the per-shard logs hang behind one
 ///     listener that forwards each event to the log of the shard the
-///     engine is executing.
+///     engine is executing. This driver also owns the routing policies
+///     that need an id -> shard map and the rebalance scan that calls
+///     Migrate.
 ///   * kThreaded (ConcurrentShardedReallocator): each shard owns a private
 ///     root and is executed only by its worker thread; logs attach to the
-///     private roots directly.
+///     private roots directly. Routing is by hash only.
 /// Shard i's view is based at i * span in both modes, so placements,
 /// footprints and per-shard logs agree coordinate for coordinate.
 ///
 /// Thread-compatible per shard: all ops for shard s (Execute, Snapshot,
 /// record) must come from s's owner — the inline caller, or s's worker.
-/// The placement map, the rebalance scan and MigrateOut are the inline
-/// driver's alone: the threaded driver routes by hash only, so it keeps no
-/// map and never migrates.
+/// Migrate touches two shards, so only the inline driver, which owns them
+/// all, calls it.
 class ShardEngine {
  public:
   /// The settings both facades share.
   struct Options {
     std::uint32_t shard_count = 4;
+    /// Read by the drivers; the engine itself never routes.
     RoutingPolicy routing = RoutingPolicy::kHashId;
     /// Width of each shard's sub-range. The default leaves each shard 16
     /// TiB-of-units of headroom — far beyond any in-process workload —
     /// while keeping K=16 facades well inside the 64-bit space.
     std::uint64_t subrange_span = 1ull << 44;
-    /// Enables rebalancing (inline driver only): a scan after every
-    /// rebalance_options.check_interval-th request drains a bounded batch
-    /// of the hottest shard's frontier objects to the coldest shard.
-    /// Forces the id placement map (a migrated id's hash no longer names
-    /// its shard). Rejected for inner algorithms whose inserts can fail on
-    /// a fresh id: a migration's destination insert must not fail.
-    bool rebalance = false;
-    RebalanceOptions rebalance_options;
   };
 
   enum class Mode { kInline, kThreaded };
@@ -109,29 +95,14 @@ class ShardEngine {
   /// ignored). `roots` holds the one shared parent (kInline) or one
   /// private root per shard (kThreaded); no root may carry a
   /// CheckpointManager, because each shard scopes its own. Fails when the
-  /// spec is unknown, `options` are degenerate, durability is asked of an
-  /// algorithm that never checkpoints, or rebalancing is asked of an
-  /// algorithm whose inserts can fail on a fresh id.
+  /// spec is unknown, `options` are degenerate, or durability is asked of
+  /// an algorithm that never checkpoints.
   Status Init(const ReallocatorSpec& spec, const Options& options, Mode mode,
               const std::vector<Space*>& roots);
 
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  const Options& options() const { return options_; }
-  /// Whether deletes resolve through placement() rather than the hash:
-  /// map-keeping routing, or rebalancing.
-  bool keeps_map() const { return keeps_map_; }
-  IdPlacementMap& placement() { return placement_; }
-  const IdPlacementMap& placement() const { return placement_; }
-
-  /// The routing decision for an (id, size) insert (and, without the map,
-  /// for a delete: size 0 under hash routing). kLeastLoaded returns
-  /// the argmin of `loads` (one entry per shard, lowest index breaking
-  /// ties) — the driver's load signal; the other policies are pure
-  /// functions of (id, size) and ignore it.
-  std::uint32_t Route(ObjectId id, std::uint64_t size,
-                      const std::vector<std::uint64_t>& loads) const;
 
   /// Runs `op` on `shard` with its accounting. A request counts into the
   /// shard's record and its latency: kInline takes one service sample
@@ -142,20 +113,18 @@ class ShardEngine {
   std::uint64_t Execute(std::uint32_t shard, const ShardOp& op,
                         std::uint64_t start_ns, Status* status);
 
-  /// The planning half of one rebalance scan, over the shards'
-  /// reserved-footprint gauges: PlanRebalance, and — when deletes on the
-  /// hot shard detach immediately — SelectRebalanceVictims into
-  /// `*victims`. Empty victims: nothing to do.
-  RebalancePlan PlanScan(std::vector<std::pair<ObjectId, Extent>>* victims);
-  /// The source half: deletes the victims from plan.hot in order, stopping
-  /// at the first that would defer its remove (a deamortized mid-flush
-  /// source would leave the id placed while the destination re-places
-  /// it), counting each migration out and repointing the map. Returns how
-  /// many leading victims moved; each must then arrive on plan.cold as a
-  /// kMigrateIn op, in order.
-  std::size_t MigrateOut(
-      const RebalancePlan& plan,
-      const std::vector<std::pair<ObjectId, Extent>>& victims);
+  /// Moves live object `id` (`length` units) from shard `from` to shard
+  /// `to`: the delete on `from`, then the insert on `to`, each journaled
+  /// on its own shard's log, so the remove always precedes the place.
+  /// Counts migrations/migrated_bytes on `from` and migrations_in on `to`
+  /// and stores both shards' gauges. Returns false, touching nothing, when
+  /// deletes on `from` do not detach immediately: a deamortized source
+  /// mid-flush would leave the id placed while `to` re-places it, and
+  /// would journal the remove after the place. Neither half may fail (the
+  /// caller rules out algorithms whose inserts can fail on a fresh id), so
+  /// both are CHECKed.
+  bool Migrate(std::uint32_t from, std::uint32_t to, ObjectId id,
+               std::uint64_t length);
 
   /// Shard `index`'s accounting, copied by its owner (kSnapshot runs
   /// this): the record plus what the view, manager and log report.
@@ -211,12 +180,9 @@ class ShardEngine {
   /// Points the inline log forwarder (when there is one) at `log`.
   void SelectLog(MoveLog* log);
 
-  Options options_;
   Mode mode_ = Mode::kInline;
-  bool keeps_map_ = false;
   std::vector<Shard> shards_;
   std::vector<ShardCounters> counters_;  // parallel to shards_
-  IdPlacementMap placement_;
   /// kInline with durability only: the listener on the shared parent.
   std::unique_ptr<ExecutingShardLog> log_forwarder_;
 };

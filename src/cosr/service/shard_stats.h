@@ -15,10 +15,11 @@ namespace cosr {
 /// concurrent): the per-shard breakdown plus the two global footprint views
 /// the service layer reports.
 ///
-/// Thread-compatible: a plain value snapshot. Produce it from a quiesced
-/// facade (ShardedReallocator::Stats(), or
-/// ConcurrentShardedReallocator::Stats() which drains first) and share the
-/// copy freely.
+/// Thread-compatible: a plain value snapshot, shared freely once made.
+/// ShardedReallocator::Stats() copies every shard on the caller's thread;
+/// ConcurrentShardedReallocator::Stats() copies each shard on its owning
+/// worker through a marker op that rides the shard's FIFO, so it is safe
+/// under live submission and exact once the facade is drained.
 struct ShardStats {
   /// One shard's accounting. ShardEngine keeps one per shard, which the
   /// shard's owner writes in place as it executes ops (the counters and
@@ -130,10 +131,11 @@ struct ShardStats {
   LatencyHistogram latency_service;
 };
 
-/// The two per-shard gauges other threads read while the shard runs: the
-/// least-loaded router and the rebalance scan (any worker) read them, and
-/// so do the facades' volume() / reserved_footprint(). Sized and aligned
-/// to its own cache line so K shards never false-share.
+/// The two per-shard gauges readable at any time: the facades' volume() /
+/// reserved_footprint() sum them, and the inline driver's least-loaded
+/// router and rebalance scan read them on its own thread. Only the
+/// threaded driver's readers cross threads. Sized and aligned to its own
+/// cache line so K shards never false-share.
 ///
 /// Thread-safe under the single-writer discipline: exactly one thread (the
 /// shard's owner — the caller on the inline facade, its worker thread on

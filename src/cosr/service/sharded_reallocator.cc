@@ -1,5 +1,9 @@
 #include "cosr/service/sharded_reallocator.h"
 
+#include <utility>
+#include <vector>
+
+#include "cosr/common/check.h"
 #include "cosr/metrics/latency_histogram.h"
 
 namespace cosr {
@@ -10,9 +14,19 @@ Status ShardedReallocator::Make(const ReallocatorSpec& inner_spec,
   if (parent == nullptr || out == nullptr) {
     return Status::InvalidArgument("parent and out must be non-null");
   }
+  if (options.rebalance &&
+      AlgorithmInsertCanFailOnFreshId(inner_spec.algorithm)) {
+    return Status::FailedPrecondition(
+        inner_spec.algorithm +
+        " inserts can fail on a fresh id, and a migration's destination "
+        "insert must not fail; rebalance needs another algorithm");
+  }
   auto sharded = std::unique_ptr<ShardedReallocator>(new ShardedReallocator());
   COSR_RETURN_IF_ERROR(sharded->engine_.Init(
       inner_spec, options, ShardEngine::Mode::kInline, {parent}));
+  sharded->options_ = options;
+  sharded->keeps_map_ =
+      options.routing != RoutingPolicy::kHashId || options.rebalance;
   sharded->name_ = "sharded[" + std::to_string(options.shard_count) + "," +
                    RoutingPolicyName(options.routing) + "]/" +
                    inner_spec.algorithm;
@@ -22,56 +36,79 @@ Status ShardedReallocator::Make(const ReallocatorSpec& inner_spec,
 
 std::uint32_t ShardedReallocator::shard_for(ObjectId id,
                                             std::uint64_t size) const {
-  if (engine_.options().routing == RoutingPolicy::kLeastLoaded) {
-    // The volume gauges are exact here: this thread wrote every one.
-    loads_.resize(shard_count());
-    for (std::uint32_t i = 0; i < shard_count(); ++i) {
-      loads_[i] = engine_.counters(i).volume.load(std::memory_order_relaxed);
+  if (options_.routing != RoutingPolicy::kLeastLoaded) {
+    return RouteToShard(options_.routing, shard_count(), id, size);
+  }
+  // The volume gauges are exact here: this thread wrote every one. The
+  // lowest index wins ties, so the choice is deterministic.
+  std::uint32_t best = 0;
+  std::uint64_t best_volume = engine_.counters(0).volume.load(
+      std::memory_order_relaxed);
+  for (std::uint32_t i = 1; i < shard_count(); ++i) {
+    const std::uint64_t volume =
+        engine_.counters(i).volume.load(std::memory_order_relaxed);
+    if (volume < best_volume) {
+      best = i;
+      best_volume = volume;
     }
   }
-  return engine_.Route(id, size, loads_);
+  return best;
 }
 
 Status ShardedReallocator::ExecuteRequest(std::uint32_t shard,
                                           const ShardOp& op) {
   Status status;
   engine_.Execute(shard, op, MonotonicNanos(), &status);
-  if (status.ok() && engine_.keeps_map()) {
+  if (status.ok() && keeps_map_) {
     if (op.kind == ShardOpKind::kInsert) {
-      engine_.placement().TryAssign(op.id, shard);
+      placement_.Insert(op.id, shard);
     } else {
-      engine_.placement().Erase(op.id);
+      placement_.Erase(op.id);
     }
   }
-  if (engine_.options().rebalance &&
-      ++requests_since_scan_ >=
-          engine_.options().rebalance_options.check_interval) {
+  if (options_.rebalance &&
+      ++requests_since_scan_ >= options_.rebalance_options.check_interval) {
     requests_since_scan_ = 0;
-    const RebalancePlan plan = engine_.PlanScan(&victims_);
-    const std::size_t moved = engine_.MigrateOut(plan, victims_);
-    for (std::size_t i = 0; i < moved; ++i) {
-      ShardOp arrival;
-      arrival.kind = ShardOpKind::kMigrateIn;
-      arrival.id = victims_[i].first;
-      arrival.size = victims_[i].second.length;
-      Status ignored;
-      engine_.Execute(plan.cold, arrival, 0, &ignored);
-    }
+    Rebalance();
   }
   return status;
 }
 
+void ShardedReallocator::Rebalance() {
+  // Exact: this thread wrote every gauge.
+  std::vector<std::uint64_t> footprints(shard_count());
+  for (std::uint32_t i = 0; i < shard_count(); ++i) {
+    footprints[i] =
+        engine_.counters(i).reserved_footprint.load(std::memory_order_relaxed);
+  }
+  const RebalancePlan plan =
+      PlanRebalance(footprints, options_.rebalance_options);
+  if (!plan.has_move || !shard(plan.hot).DeletesDetachImmediately()) return;
+  const std::vector<std::pair<ObjectId, Extent>> victims =
+      SelectRebalanceVictims(shard_view(plan.hot).Snapshot(),
+                             options_.rebalance_options,
+                             shard(plan.hot).reserved_footprint(),
+                             footprints[plan.cold], plan.target_footprint);
+  for (const auto& [id, extent] : victims) {
+    // Migrate re-checks the source per victim: the previous victim's
+    // delete may itself have started a deferred flush.
+    if (!engine_.Migrate(plan.hot, plan.cold, id, extent.length)) break;
+    std::uint32_t* holder = placement_.Find(id);
+    COSR_CHECK(holder != nullptr && *holder == plan.hot);
+    *holder = plan.cold;
+  }
+}
+
 Status ShardedReallocator::Insert(ObjectId id, std::uint64_t size) {
   owner_fence_.Assert("ShardedReallocator");
-  if (engine_.keeps_map()) {
+  if (keeps_map_) {
     // A live duplicate may be parked on a *different* shard (same id,
     // different size class or load), which that shard's reallocator cannot
     // detect.
-    const std::uint32_t holder = engine_.placement().Lookup(id, shard_count());
-    if (holder != shard_count()) {
+    if (const std::uint32_t* holder = placement_.Find(id)) {
       return Status::AlreadyExists("object " + std::to_string(id) +
                                    " is live on shard " +
-                                   std::to_string(holder));
+                                   std::to_string(*holder));
     }
   }
   ShardOp op;
@@ -84,12 +121,13 @@ Status ShardedReallocator::Insert(ObjectId id, std::uint64_t size) {
 Status ShardedReallocator::Delete(ObjectId id) {
   owner_fence_.Assert("ShardedReallocator");
   std::uint32_t target;
-  if (engine_.keeps_map()) {
-    target = engine_.placement().Lookup(id, shard_count());
-    if (target == shard_count()) {
+  if (keeps_map_) {
+    const std::uint32_t* holder = placement_.Find(id);
+    if (holder == nullptr) {
       return Status::NotFound("object " + std::to_string(id) +
                               " is not live on any shard");
     }
+    target = *holder;
   } else {
     target = shard_for(id, /*size=*/0);
   }
@@ -110,8 +148,9 @@ void ShardedReallocator::ExecuteOnEveryShard(ShardOpKind kind) {
 }
 
 std::uint32_t ShardedReallocator::shard_of(ObjectId id) const {
-  if (engine_.keeps_map()) {
-    return engine_.placement().Lookup(id, shard_count());
+  if (keeps_map_) {
+    const std::uint32_t* holder = placement_.Find(id);
+    return holder != nullptr ? *holder : shard_count();
   }
   const std::uint32_t target = shard_for(id, /*size=*/0);
   return shard_view(target).contains(id) ? target : shard_count();

@@ -4,20 +4,19 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "cosr/common/owner_fence.h"
 #include "cosr/common/status.h"
 #include "cosr/common/types.h"
+#include "cosr/common/u64_hash_map.h"
 #include "cosr/realloc/factory.h"
 #include "cosr/realloc/reallocator.h"
 #include "cosr/service/routing.h"
 #include "cosr/service/shard_engine.h"
+#include "cosr/service/shard_rebalancer.h"
 #include "cosr/service/shard_stats.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/checkpoint_manager.h"
-#include "cosr/storage/extent.h"
 #include "cosr/storage/space.h"
 
 namespace cosr {
@@ -39,10 +38,14 @@ namespace cosr {
 /// the invariant the scale-out literature builds on — at the price of the
 /// per-shard constant overheads measured by bench/exp_sharded.cc.
 ///
-/// With Options::rebalance, a rebalance scan runs after every
-/// rebalance_options.check_interval-th request that reached a shard,
-/// inside that request's call: its migrations land before the call
-/// returns, on the same shards' logs and counters as any other op.
+/// Routing and rebalancing live here, not in the engine: every policy runs
+/// on this driver, and the ones a pure function of (id, size) cannot
+/// re-derive on delete — size-class, least-loaded, and any migration —
+/// keep an id -> shard map. With Options::rebalance, a rebalance scan runs
+/// after every rebalance_options.check_interval-th request that reached a
+/// shard, inside that request's call: each victim moves by one
+/// ShardEngine::Migrate, landing before the call returns on the same
+/// shards' logs and counters as any other op.
 ///
 /// Thread-compatible: all requests must come from one thread at a time
 /// (the facade routes into shared per-shard state and a routing map with no
@@ -51,14 +54,26 @@ namespace cosr {
 /// parallel submission.
 class ShardedReallocator final : public Reallocator {
  public:
-  using Options = ShardEngine::Options;
+  /// The shared shard settings plus rebalancing, which only this driver
+  /// runs.
+  struct Options : ShardEngine::Options {
+    /// Enables rebalancing: a scan after every
+    /// rebalance_options.check_interval-th request drains a bounded batch
+    /// of the hottest shard's frontier objects to the coldest shard.
+    /// Forces the id map (a migrated id's hash no longer names its shard).
+    /// Rejected for inner algorithms whose inserts can fail on a fresh id:
+    /// a migration's destination insert must not fail.
+    bool rebalance = false;
+    RebalanceOptions rebalance_options;
+  };
 
   /// Builds K shards over `parent`, each with an inner reallocator made
   /// from `inner_spec` (whose shard_count/routing fields are ignored).
   /// `parent` must not carry a CheckpointManager: shards that need one own
   /// a private manager, scoped by their view. Fails when the inner spec is
-  /// unknown to the factory or `options` are degenerate (see
-  /// ShardEngine::Init).
+  /// unknown to the factory, `options` are degenerate (see
+  /// ShardEngine::Init), or rebalance is asked of an algorithm whose
+  /// inserts can fail on a fresh id.
   static Status Make(const ReallocatorSpec& inner_spec, const Options& options,
                      Space* parent, std::unique_ptr<ShardedReallocator>* out);
 
@@ -81,7 +96,7 @@ class ShardedReallocator final : public Reallocator {
   ShardStats Stats() const;
 
   std::uint32_t shard_count() const { return engine_.shard_count(); }
-  RoutingPolicy routing() const { return engine_.options().routing; }
+  RoutingPolicy routing() const { return options_.routing; }
 
   /// The routing decision for an (id, size) insert. For kLeastLoaded this
   /// consults the shards' live volumes (lowest wins, lowest index breaking
@@ -114,22 +129,37 @@ class ShardedReallocator final : public Reallocator {
  private:
   ShardedReallocator() = default;
 
-  /// Runs one request on `shard` and, every check_interval-th request
-  /// when rebalancing, one rebalance scan after it.
+  /// Shard index of a live id in the map; kValue marks an empty slot.
+  struct MappedShard {
+    static constexpr std::uint32_t kValue = 0xffffffffu;
+    static bool IsVacant(std::uint32_t shard) { return shard == kValue; }
+  };
+
+  /// Runs one request on `shard`, records a successful one in the map
+  /// (when kept), and, every check_interval-th request when rebalancing,
+  /// runs one rebalance scan after it.
   Status ExecuteRequest(std::uint32_t shard, const ShardOp& op);
+  /// One scan: PlanRebalance over the footprint gauges, then — when the
+  /// hot shard's deletes detach immediately — SelectRebalanceVictims over
+  /// its view, migrated in order until the first Migrate that refuses.
+  void Rebalance();
   void ExecuteOnEveryShard(ShardOpKind kind);
 
   /// Debug fence: the facade is thread-compatible, so every request must
   /// come from the thread that issued the first one.
   OwnerThreadFence owner_fence_;
 
+  Options options_;
   ShardEngine engine_;
-  /// kLeastLoaded only: the shards' volume gauges, refilled per decision.
-  mutable std::vector<std::uint64_t> loads_;
-  /// Rebalance pacing: requests since the last scan, and the scan's reused
-  /// victim buffer.
+  /// Whether deletes resolve through placement_ rather than the hash: only
+  /// hash routing can re-derive a shard from the id alone (deletes carry
+  /// no size), and a migrated id's hash no longer names its shard.
+  bool keeps_map_ = false;
+  /// The id -> shard map of every live id, written only after the shard
+  /// executed, so it records execution exactly.
+  U64HashMap<std::uint32_t, MappedShard> placement_;
+  /// Rebalance pacing: requests since the last scan.
   std::uint32_t requests_since_scan_ = 0;
-  std::vector<std::pair<ObjectId, Extent>> victims_;
   std::string name_;
 };
 

@@ -876,8 +876,8 @@ TEST(ConcurrentFactory, DegenerateOptionsFail) {
 
 TEST(ConcurrentFactory, NonHashModesAreRejected) {
   // The threaded driver routes by hash only: size-class and least-loaded
-  // routing and rebalance are refused at Make with InvalidArgument, and so
-  // by everything built on it.
+  // routing are refused at Make with InvalidArgument, and so by everything
+  // built on it. Its Options carry no rebalance fields at all.
   ReallocatorSpec spec;
   spec.algorithm = "cost-oblivious";
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
@@ -892,11 +892,6 @@ TEST(ConcurrentFactory, NonHashModesAreRejected) {
         StatusCode::kInvalidArgument)
         << RoutingPolicyName(routing);
   }
-  options.routing = RoutingPolicy::kHashId;
-  options.rebalance = true;
-  EXPECT_EQ(
-      ConcurrentShardedReallocator::Make(spec, options, &concurrent).code(),
-      StatusCode::kInvalidArgument);
   EXPECT_TRUE(concurrent == nullptr);
 
   spec.shard_count = 4;

@@ -121,11 +121,21 @@ std::vector<FuzzConfig> Configs() {
   return configs;
 }
 
-TEST(DurabilityFuzzTest, ThousandsOfCrashPointsAllRecoverByteForByte) {
-  std::size_t total_points = 0;
-  std::size_t total_checkpoints = 0;
-  std::size_t total_objects = 0;
+/// Crash points, checkpoints and verified objects summed over the cells
+/// one test ran.
+struct FuzzTotals {
+  std::size_t points = 0;
+  std::size_t checkpoints = 0;
+  std::size_t objects = 0;
+};
+
+/// Fuzzes every cell whose facade starts worker threads (`threaded`) or
+/// every cell that runs on the calling thread alone, and sums what they
+/// covered.
+FuzzTotals RunCells(bool threaded) {
+  FuzzTotals totals;
   for (const FuzzConfig& config : Configs()) {
+    if (config.concurrent != threaded) continue;
     CrashFuzzOptions options;
     options.scenario = config.scenario;
     options.algorithm = config.algorithm;
@@ -137,7 +147,8 @@ TEST(DurabilityFuzzTest, ThousandsOfCrashPointsAllRecoverByteForByte) {
     options.seed = 7;
     CrashFuzzReport report;
     const Status status = RunCrashFuzz(options, &report);
-    ASSERT_TRUE(status.ok()) << config.label << ": " << status.ToString();
+    EXPECT_TRUE(status.ok()) << config.label << ": " << status.ToString();
+    if (!status.ok()) continue;
     EXPECT_GT(report.crash_points, 0u) << config.label;
     EXPECT_GT(report.checkpoints, 0u) << config.label;
     EXPECT_GT(report.log_records, 0u) << config.label;
@@ -156,15 +167,30 @@ TEST(DurabilityFuzzTest, ThousandsOfCrashPointsAllRecoverByteForByte) {
     if (config.rebalance) {
       EXPECT_GT(report.migrations, 0u) << config.label;
     }
-    total_points += report.crash_points;
-    total_checkpoints += report.checkpoints;
-    total_objects += report.objects_verified;
+    totals.points += report.crash_points;
+    totals.checkpoints += report.checkpoints;
+    totals.objects += report.objects_verified;
   }
-  // The issue's acceptance bar: at least 1000 injected crash/torn-write
-  // points across the whole matrix, all recovering exactly.
-  EXPECT_GE(total_points, 1000u);
-  EXPECT_GT(total_checkpoints, 0u);
-  EXPECT_GT(total_objects, 0u);
+  return totals;
+}
+
+// The matrix is split by threading so a race detector can run only the
+// cells where a worker thread exists; the synchronous cells have a single
+// thread and nothing to race.
+TEST(DurabilityFuzzTest, SynchronousCellsRecoverByteForByte) {
+  const FuzzTotals totals = RunCells(/*threaded=*/false);
+  // At least 1000 injected crash/torn-write points, all recovering
+  // exactly.
+  EXPECT_GE(totals.points, 1000u);
+  EXPECT_GT(totals.checkpoints, 0u);
+  EXPECT_GT(totals.objects, 0u);
+}
+
+TEST(DurabilityFuzzTest, ThreadedCellsRecoverByteForByte) {
+  const FuzzTotals totals = RunCells(/*threaded=*/true);
+  EXPECT_GE(totals.points, 100u);
+  EXPECT_GT(totals.checkpoints, 0u);
+  EXPECT_GT(totals.objects, 0u);
 }
 
 TEST(DurabilityFuzzTest, SameSeedSameReport) {

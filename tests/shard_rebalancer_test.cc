@@ -13,12 +13,16 @@
 //    shard_of across migrations, and migration stats balance exactly
 //    (sum of out-migrations == sum of in-migrations == the extra places
 //    the parent saw).
+//  * Deferred deletes — a scan stops at the first victim whose source
+//    delete would be deferred (deamortized mid-flush), so no id is ever
+//    placed on two shards.
 //  * K=1 — the rebalancer never acts on a one-shard facade.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -280,6 +284,72 @@ TEST(ShardRebalancerTest, MigrationDifferentialFirstFit) {
 
 TEST(ShardRebalancerTest, MigrationDifferentialCostOblivious) {
   RunMigrationDifferential("cost-oblivious");
+}
+
+TEST(ShardRebalancerTest, DeferredDeleteStopKeepsEachIdOnOneShard) {
+  // A deamortized source mid-flush logs deletes instead of applying them,
+  // so a migration out of it would leave the id placed while the
+  // destination re-places it. A victim's own delete can start that flush,
+  // which is why the scan re-checks DeletesDetachImmediately per victim.
+  // This run must reach that stop: some scan leaves its source mid-flush
+  // (without the re-check, the destination's place of a still-placed id
+  // aborts). After every request each live id sits in exactly one shard's
+  // view, the one shard_of names.
+  // Size-class routing builds large imbalances, a small epsilon makes
+  // flushes frequent, small objects keep each victim's flush work share
+  // short of finishing one, and a sparse scan cadence lets each scan pick
+  // many victims.
+  const Trace trace = MakeChurnTrace({.operations = 4000,
+                                      .target_live_volume = 1u << 16,
+                                      .min_size = 1,
+                                      .max_size = 64,
+                                      .distribution = SizeDistribution::kZipf,
+                                      .seed = 1});
+  AddressSpace parent;
+  ReallocatorSpec spec;
+  spec.algorithm = "deamortized";
+  spec.epsilon = 0.05;
+  ShardedReallocator::Options options;
+  options.shard_count = 2;
+  options.routing = RoutingPolicy::kSizeClass;
+  options.subrange_span = 1ull << 22;
+  options.rebalance = true;
+  options.rebalance_options.hot_footprint_ratio = 1.0;
+  options.rebalance_options.min_shard_footprint = 0;
+  options.rebalance_options.check_interval = 256;
+  std::unique_ptr<ShardedReallocator> sharded;
+  ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
+
+  std::unordered_set<ObjectId> live;
+  std::vector<std::uint64_t> migrations(options.shard_count, 0);
+  std::uint64_t scans_leaving_source_mid_flush = 0;
+  for (const Request& request : trace.requests()) {
+    if (request.type == Request::Type::kInsert) {
+      ASSERT_TRUE(sharded->Insert(request.id, request.size).ok());
+      live.insert(request.id);
+    } else {
+      ASSERT_TRUE(sharded->Delete(request.id).ok());
+      live.erase(request.id);
+    }
+    const ShardStats stats = sharded->Stats();
+    for (std::uint32_t i = 0; i < options.shard_count; ++i) {
+      if (stats.shards[i].migrations > migrations[i] &&
+          !sharded->shard(i).DeletesDetachImmediately()) {
+        ++scans_leaving_source_mid_flush;
+      }
+      migrations[i] = stats.shards[i].migrations;
+    }
+    for (const ObjectId id : live) {
+      const std::uint32_t owner = sharded->shard_of(id);
+      ASSERT_LT(owner, options.shard_count) << "object " << id;
+      for (std::uint32_t i = 0; i < options.shard_count; ++i) {
+        ASSERT_EQ(sharded->shard_view(i).contains(id), i == owner)
+            << "object " << id << " on shard " << i;
+      }
+    }
+  }
+  EXPECT_GT(scans_leaving_source_mid_flush, 0u)
+      << "no scan reached the deferred-delete stop: the test is vacuous";
 }
 
 TEST(ShardRebalancerTest, SingleShardFacadeNeverActs) {
