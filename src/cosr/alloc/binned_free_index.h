@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cosr/alloc/boundary_table.h"
+#include "cosr/common/huge_pages.h"
 #include "cosr/common/status.h"
 #include "cosr/storage/extent.h"
 
@@ -97,7 +98,7 @@ class BinnedFreeIndex {
   /// Unlinks `index` from its bin, boundary tables, and the pool.
   void RemoveGap(std::uint32_t index);
 
-  std::vector<Gap> nodes_;
+  std::vector<Gap, HugePageAllocator<Gap>> nodes_;  // advised from 4 MiB
   std::vector<std::uint32_t> free_nodes_;  // recycled pool indices
   std::uint32_t bin_head_[kNumBins];  // kNil-filled by the constructor
   std::uint32_t bin_tail_[kNumBins];

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cosr/common/huge_pages.h"
 #include "cosr/common/math_util.h"
 
 namespace cosr {
@@ -18,6 +19,8 @@ namespace cosr {
 /// probe run back into the hole, so the table never holds tombstones and
 /// a lookup stops at the first empty slot. Each entry lives inline in its
 /// slot: an insert or erase allocates nothing unless the table doubles.
+/// A slot array of 4 MiB or more gets huge-page advice
+/// (cosr/common/huge_pages.h).
 ///
 /// Every key is valid (offset 0 included), so an empty slot is marked by
 /// its value: `Vacancy::kValue` is the one Value that is never stored, and
@@ -106,7 +109,7 @@ class U64HashMap {
 
   /// Moves every entry into a fresh array of `capacity` (a power of two).
   void Rehash(std::size_t capacity) {
-    std::vector<Slot> old(capacity);
+    SlotArray old(capacity);
     old.swap(slots_);
     mask_ = capacity - 1;
     shift_ = static_cast<std::uint32_t>(64 - FloorLog2(capacity));
@@ -118,7 +121,9 @@ class U64HashMap {
     }
   }
 
-  std::vector<Slot> slots_;
+  using SlotArray = std::vector<Slot, HugePageAllocator<Slot>>;
+
+  SlotArray slots_;
   std::size_t mask_ = 0;
   std::uint32_t shift_ = 64;  // 64 - log2(capacity)
   std::size_t size_ = 0;

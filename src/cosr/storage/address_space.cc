@@ -1,6 +1,7 @@
 #include "cosr/storage/address_space.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "cosr/common/check.h"
@@ -61,14 +62,14 @@ bool AddressSpace::TryPlace(ObjectId id, const Extent& extent) {
   COSR_CHECK_MSG(extent.length > 0,
                  "empty extent for object " + std::to_string(id));
   Extent* slot;
-  if (id < slots_.size()) {
-    if (slots_[id].length != 0) return false;
+  if (id < dense_size_) {
+    slot = &DenseSlot(id);
+    if (slot->length != 0) return false;
     if (!overflow_.empty() && overflow_.count(id) > 0) return false;
-    slot = &slots_[id];
   } else if (DenseEligible(id)) {
     if (!overflow_.empty() && overflow_.count(id) > 0) return false;
-    slots_.resize(id + 1);
-    slot = &slots_[id];
+    GrowDense(id + 1);
+    slot = &DenseSlot(id);
   } else {
     const auto [it, inserted] = overflow_.try_emplace(id, Extent{});
     if (!inserted) return false;
@@ -187,15 +188,19 @@ void AddressSpace::ApplyMoves(const MovePlan* plans, std::size_t count) {
 }
 
 bool AddressSpace::TryRemove(ObjectId id, Extent* removed) {
-  Extent* slot = SlotFor(id);
-  if (slot == nullptr) return false;
-  const Extent extent = *slot;
-  COSR_CHECK(index_.Erase(extent.offset));
-  if (id < slots_.size() && slots_[id].length != 0) {
-    slots_[id] = Extent{};
+  Extent extent;
+  Extent* dense = id < dense_size_ ? &DenseSlot(id) : nullptr;
+  if (dense != nullptr && dense->length != 0) {
+    extent = *dense;
+    *dense = Extent{};
   } else {
-    overflow_.erase(id);
+    if (overflow_.empty()) return false;
+    const auto it = overflow_.find(id);
+    if (it == overflow_.end()) return false;
+    extent = it->second;
+    overflow_.erase(it);
   }
+  COSR_CHECK(index_.Erase(extent.offset));
   --count_;
   *removed = extent;
   live_volume_ -= extent.length;
@@ -262,8 +267,8 @@ void AddressSpace::ForEachInRange(std::uint64_t lo, std::uint64_t hi,
 bool AddressSpace::SelfCheck() const {
   if (!index_.SelfCheck() || index_.size() != count_) return false;
   std::size_t dense = 0;
-  for (const Extent& slot : slots_) {
-    if (slot.length != 0) ++dense;
+  for (ObjectId id = 0; id < dense_size_; ++id) {
+    if (DenseSlot(id).length != 0) ++dense;
   }
   if (dense + overflow_.size() != count_) return false;
   std::uint64_t volume = 0;
@@ -288,7 +293,10 @@ bool AddressSpace::SelfCheck() const {
 // ---------------------------------------------------------------- private
 
 Extent* AddressSpace::SlotFor(ObjectId id) {
-  if (id < slots_.size() && slots_[id].length != 0) return &slots_[id];
+  if (id < dense_size_) {
+    Extent& slot = DenseSlot(id);
+    if (slot.length != 0) return &slot;
+  }
   if (!overflow_.empty()) {
     auto it = overflow_.find(id);
     if (it != overflow_.end()) return &it->second;
@@ -298,6 +306,18 @@ Extent* AddressSpace::SlotFor(ObjectId id) {
 
 const Extent* AddressSpace::SlotFor(ObjectId id) const {
   return const_cast<AddressSpace*>(this)->SlotFor(id);
+}
+
+void AddressSpace::GrowDense(std::size_t size) {
+  while (dense_size_ < size) {
+    const std::size_t in_chunk = dense_size_ & (kSlotsPerChunk - 1);
+    if (in_chunk == 0) slot_chunks_.Add();
+    const std::size_t n =
+        std::min(kSlotsPerChunk - in_chunk, size - dense_size_);
+    Extent* first = slot_chunks_.back() + in_chunk;
+    std::uninitialized_fill(first, first + n, Extent{});
+    dense_size_ += n;
+  }
 }
 
 void AddressSpace::IndexInsertChecked(ObjectId id, const Extent& extent) {

@@ -3,10 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
+#include "cosr/common/huge_pages.h"
 #include "cosr/common/types.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/storage/extent.h"
@@ -27,12 +27,15 @@ namespace cosr {
 ///
 /// Storage is a dense ObjectId-indexed slot table (ids are sequential
 /// uint64s from the workload layer; sparse ids spill into a small overflow
-/// map) plus a paged sorted-vector offset index (OffsetIndex): O(1) id
-/// lookups, cache-friendly neighbor checks, O(1) footprint, and a batched
-/// ApplyMoves that validates once per batch and re-indexes the batch in
-/// one ordered pass over the touched pages (OffsetIndex::ApplyBatch):
-/// O(P * page + m log m) for m moves touching P pages, where single moves
-/// would cost O(m * page) in erase and insert memmoves. Differential fuzzing
+/// map) in fixed 2 MiB chunks behind a flat chunk-pointer array, plus a
+/// paged sorted-vector offset index (OffsetIndex) on its own page pool:
+/// O(1) id lookups, cache-friendly neighbor checks, O(1) footprint, and a
+/// batched ApplyMoves that validates once per batch and re-indexes the
+/// batch in one ordered pass over the touched pages
+/// (OffsetIndex::ApplyBatch): O(P * page + m log m) for m moves touching P
+/// pages, where single moves would cost O(m * page) in erase and insert
+/// memmoves. Slot chunks and index pages past the first 4 MiB of each get
+/// huge-page advice (cosr/common/huge_pages.h). Differential fuzzing
 /// (tests/address_space_engine_test.cc) drives it against the test-side
 /// map model tests/reference/reference_space.h, whose ApplyMoves validates
 /// every move sequentially.
@@ -120,32 +123,50 @@ class AddressSpace final : public Space {
   bool SelfCheck() const override;
 
  private:
+  /// Dense ids per slot chunk: 2^17 16-byte Extents, one 2 MiB huge page.
+  static constexpr int kSlotChunkShift = 17;
+  static constexpr std::size_t kSlotsPerChunk = std::size_t{1}
+                                                << kSlotChunkShift;
+  static_assert(kSlotsPerChunk == ChunkList<Extent>::kPerChunk);
+  static constexpr std::size_t kDenseFloor = 4096;
+
+  /// The dense slot of `id`, which must be below dense_size_: one load
+  /// from the chunk-pointer array, then the slot itself.
+  Extent& DenseSlot(ObjectId id) const {
+    return slot_chunks_[id >> kSlotChunkShift][id & (kSlotsPerChunk - 1)];
+  }
+
   /// Mutable slot of a placed object, or nullptr. Dense ids resolve with
-  /// one deque probe; the overflow map is consulted only when non-empty.
+  /// one DenseSlot probe; the overflow map is consulted only when
+  /// non-empty.
   Extent* SlotFor(ObjectId id);
   const Extent* SlotFor(ObjectId id) const;
 
   /// Whether a fresh id may live in the dense table (growing it at most
   /// geometrically); everything else goes to the overflow map.
   bool DenseEligible(ObjectId id) const {
-    return id < slots_.size() + slots_.size() / 2 + kDenseFloor;
+    return id < dense_size_ + dense_size_ / 2 + kDenseFloor;
   }
+
+  /// Extends the dense table to `size` empty slots, adding chunks as
+  /// needed. Existing slots never move.
+  void GrowDense(std::size_t size);
 
   /// Inserts into the offset index and CHECKs the new entry against its
   /// neighbors — with pairwise-disjoint existing entries, only the direct
   /// neighbors can overlap, so this enforces full disjointness inductively.
   void IndexInsertChecked(ObjectId id, const Extent& extent);
 
-  static constexpr std::size_t kDenseFloor = 4096;
-
   CheckpointManager* checkpoints_;
   std::vector<SpaceListener*> listeners_;
   std::uint64_t live_volume_ = 0;
 
-  // The dense table is a deque so it grows at the back in fixed-size
-  // blocks: existing slots are never relocated or copied, and growth costs
-  // no transient second copy of the table.
-  std::deque<Extent> slots_;  // length == 0 means the slot is empty
+  // The dense table: ids [0, dense_size_) in fixed kSlotsPerChunk chunks
+  // behind a flat pointer array, so growth never relocates or copies a
+  // slot. Only the slots below dense_size_ are ever written, so the unused
+  // tail of the last chunk stays unbacked. A slot with length 0 is empty.
+  ChunkList<Extent> slot_chunks_;
+  std::size_t dense_size_ = 0;
   std::unordered_map<ObjectId, Extent> overflow_;
   OffsetIndex index_;
   std::size_t count_ = 0;

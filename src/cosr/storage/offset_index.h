@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cosr/common/huge_pages.h"
 #include "cosr/common/types.h"
 
 namespace cosr {
@@ -13,7 +14,7 @@ namespace cosr {
 /// B-tree-flavored paged sorted vector. Entries live in small sorted pages;
 /// a flat array of page minima locates the target page with one binary
 /// search over contiguous integers, a second binary search lands inside a
-/// ~2 KiB page, and an insert/erase memmoves at most one page. Chosen over
+/// 2 KiB page, and an insert/erase memmoves at most one page. Chosen over
 /// std::map (pointer-chasing red-black tree) and a skip structure (extra
 /// per-node pointers, no cache density) — bench/exp_address_space.cc
 /// measures the resulting AddressSpace against the std::map reference
@@ -29,14 +30,25 @@ namespace cosr {
 /// Pages split when full and are dropped when empty; deletions in between
 /// may leave pages underfull, which costs memory slack but never asymptotic
 /// time (the minima array stays one entry per page). Every page holds
-/// fewer than kPageCapacity entries, and its storage never grows past
-/// kPageCapacity.
+/// fewer than kPageCapacity entries.
+///
+/// Pages are fixed 2 KiB blocks carved from 2 MiB chunks the index owns
+/// (its page pool); each page's entry count sits beside its pointer in the
+/// page array. A dropped page goes on the pool's free list and the next
+/// split takes it back, so a steady-state split or drop allocates nothing.
+/// Chunks from the third on get huge-page advice (ChunkList in
+/// cosr/common/huge_pages.h), so at millions of entries the pages share a
+/// few TLB entries; an index under two chunks never touches a huge page.
+/// In AddressSanitizer builds a page is poisoned while it sits on the free
+/// list, so a stale entry pointer into a dropped page still reports.
 class OffsetIndex {
  public:
-  // 128 16-byte entries = 2 KiB per page: large enough that the minima
-  // array stays tiny, small enough that an insertion memmove is a
-  // cache-resident operation.
+  // A page is 128 16-byte entries = 2 KiB, of which at most 127 are used:
+  // large enough that the minima array stays tiny, small enough that an
+  // insertion memmove is a cache-resident operation.
   static constexpr std::size_t kPageCapacity = 128;
+  /// Pages per pool chunk (one 2 MiB huge page).
+  static constexpr std::size_t kPagesPerChunk = 1024;
 
   struct Entry {
     std::uint64_t offset = 0;
@@ -52,6 +64,11 @@ class OffsetIndex {
     bool has_pred = false;
     bool has_succ = false;
   };
+
+  OffsetIndex() = default;
+  OffsetIndex(const OffsetIndex&) = delete;
+  OffsetIndex& operator=(const OffsetIndex&) = delete;
+  ~OffsetIndex() { ReleaseChunks(); }
 
   /// Inserts (offset, id) and reports the resulting neighbors.
   Neighbors Insert(std::uint64_t offset, ObjectId id);
@@ -78,7 +95,7 @@ class OffsetIndex {
 
   /// The entry with the largest offset, or nullptr when empty.
   const Entry* Last() const {
-    return pages_.empty() ? nullptr : &pages_.back().entries.back();
+    return pages_.empty() ? nullptr : &pages_.back().back();
   }
 
   /// The entry with the largest offset strictly below `limit`, or nullptr
@@ -92,6 +109,11 @@ class OffsetIndex {
   /// The first offset of every page, ascending: where the page boundaries
   /// fall (diagnostics and tests).
   const std::vector<std::uint64_t>& page_minima() const { return page_min_; }
+  /// Pages the pool holds, in use or free: its chunks times kPagesPerChunk.
+  std::size_t pool_pages() const {
+    return chunks_.size() * kPagesPerChunk;
+  }
+  /// Removes every entry and returns the pool's chunks.
   void Clear();
 
   /// Verifies the page structure: no page is empty, each holds fewer than
@@ -103,8 +125,8 @@ class OffsetIndex {
   /// Visits every entry in ascending offset order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Page& page : pages_) {
-      for (const Entry& entry : page.entries) fn(entry);
+    for (const PageRef& page : pages_) {
+      for (const Entry& entry : page) fn(entry);
     }
   }
 
@@ -115,18 +137,38 @@ class OffsetIndex {
     if (pages_.empty() || lo >= hi) return;
     const std::size_t first = FindPage(lo);
     for (std::size_t p = first; p < pages_.size(); ++p) {
-      const std::vector<Entry>& entries = pages_[p].entries;
-      for (std::size_t i = p == first ? LowerBound(pages_[p], lo) : 0;
-           i < entries.size(); ++i) {
-        if (entries[i].offset >= hi) return;
-        fn(entries[i]);
+      const PageRef& page = pages_[p];
+      for (std::size_t i = p == first ? LowerBound(page, lo) : 0;
+           i < page.size; ++i) {
+        if (page[i].offset >= hi) return;
+        fn(page[i]);
       }
     }
   }
 
  private:
+  /// A pool page. In use, entries[0, size) hold its entries in ascending
+  /// offset order, with `size` in its PageRef; on the free list, its first
+  /// bytes hold the next free page.
   struct Page {
-    std::vector<Entry> entries;
+    Entry entries[kPageCapacity];
+  };
+  static_assert(sizeof(Page) == 2048, "a page is 2 KiB");
+  static_assert(kPagesPerChunk == ChunkList<Page>::kPerChunk);
+
+  /// A page as the index holds it: the page and its entry count, side by
+  /// side, so a search reads the count from the line that holds the
+  /// pointer instead of from the page. A null `page` is an emptied slot
+  /// waiting for DropEmptyPages.
+  struct PageRef {
+    Page* page = nullptr;
+    std::size_t size = 0;
+
+    Entry* begin() const { return page->entries; }
+    Entry* end() const { return page->entries + size; }
+    Entry& operator[](std::size_t i) const { return page->entries[i]; }
+    const Entry& front() const { return page->entries[0]; }
+    const Entry& back() const { return page->entries[size - 1]; }
   };
 
   /// Index of the page whose range covers `offset` (the last page whose
@@ -134,11 +176,13 @@ class OffsetIndex {
   std::size_t FindPage(std::uint64_t offset) const;
 
   /// Position of the first entry of `page` at or above `offset`.
-  static std::size_t LowerBound(const Page& page, std::uint64_t offset);
+  static std::size_t LowerBound(const PageRef& page, std::uint64_t offset);
 
-  /// ApplyBatch's two halves. EraseSorted leaves emptied pages in place,
-  /// with their old minimum, so they still bound a range the inserts can
-  /// refill; ApplyBatch drops the ones left empty afterwards.
+  /// ApplyBatch's two halves. EraseSorted returns an emptied page to the
+  /// pool but leaves its slot in place, null and with its old minimum, so
+  /// it still bounds a range the inserts can refill (with a fresh page);
+  /// ApplyBatch drops the slots left null afterwards, a scan of the
+  /// pointer array that reads no page.
   bool EraseSorted(const std::uint64_t* offsets, std::size_t count,
                    bool* emptied);
   void InsertSorted(const Entry* entries, std::size_t count);
@@ -146,14 +190,28 @@ class OffsetIndex {
   /// Right-to-left merge of `count` sorted entries into page `p`, whose
   /// range holds all of them. A page that would reach kPageCapacity is
   /// split into pieces of kPageCapacity/2 to 3/4 kPageCapacity entries
-  /// (a full page and no entries: two halves).
+  /// (a full page and one entry: two halves).
   void MergeIntoPage(std::size_t p, const Entry* entries, std::size_t count);
 
   void DropEmptyPages();
 
-  std::vector<Page> pages_;
-  std::vector<std::uint64_t> page_min_;  // pages_[i].entries.front().offset
+  /// An empty page from the free list, else carved from the last chunk,
+  /// else from a new chunk.
+  Page* AcquirePage();
+  /// Puts `page` on the free list.
+  void ReleasePage(Page* page);
+  /// Frees every chunk and empties the free list.
+  void ReleaseChunks();
+
+  std::vector<PageRef> pages_;
+  std::vector<std::uint64_t> page_min_;  // pages_[i].front().offset
   std::size_t size_ = 0;
+
+  // The page pool: chunks of kPagesPerChunk pages, the first `carved_`
+  // pages of the last chunk handed out so far, and the free list.
+  ChunkList<Page> chunks_;
+  std::size_t carved_ = kPagesPerChunk;
+  Page* free_pages_ = nullptr;
 };
 
 template <typename Fn>
@@ -167,24 +225,24 @@ void OffsetIndex::ForEachNeighborhood(const Entry* keys, std::size_t count,
     // next entry; anything else searches.
     std::size_t next_p = p;
     std::size_t next_i = i + 1;
-    if (next_p < pages_.size() && next_i == pages_[next_p].entries.size()) {
+    if (next_p < pages_.size() && next_i == pages_[next_p].size) {
       ++next_p;
       next_i = 0;
     }
     if (k > 0 && next_p < pages_.size() &&
-        pages_[next_p].entries[next_i].offset == offset) {
+        pages_[next_p][next_i].offset == offset) {
       p = next_p;
       i = next_i;
     } else {
       p = FindPage(offset);
       i = LowerBound(pages_[p], offset);
     }
-    const std::vector<Entry>& page = pages_[p].entries;
+    const PageRef& page = pages_[p];
     const Entry* pred = i > 0    ? &page[i - 1]
-                        : p > 0  ? &pages_[p - 1].entries.back()
+                        : p > 0  ? &pages_[p - 1].back()
                                  : nullptr;
-    const Entry* succ = i + 1 < page.size()     ? &page[i + 1]
-                        : p + 1 < pages_.size() ? &pages_[p + 1].entries.front()
+    const Entry* succ = i + 1 < page.size       ? &page[i + 1]
+                        : p + 1 < pages_.size() ? &pages_[p + 1].front()
                                                 : nullptr;
     fn(pred, page[i], succ);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "cosr/storage/checkpoint_manager.h"
@@ -214,6 +215,80 @@ TEST(AddressSpaceCheckpointTest, MoveTargetReusableAfterCheckpoint) {
   space.Checkpoint();
   space.Place(2, Extent{0, 10});
   EXPECT_EQ(space.object_count(), 2u);
+}
+
+// The dense slot table admits a fresh id below size + size / 2 + 4096
+// (the overflow cutoff) and keeps 2^17 slots per chunk.
+constexpr ObjectId kSlotChunk = ObjectId{1} << 17;
+
+ObjectId OverflowCutoff(ObjectId dense_size) {
+  return dense_size + dense_size / 2 + 4096;
+}
+
+TEST(AddressSpaceSlotTest, IdsAtTheOverflowCutoff) {
+  AddressSpace space;
+  // The cutoff itself spills to the overflow map; the id below it grows the
+  // table to 4096 slots and moves the cutoff past the spilled id.
+  ASSERT_TRUE(space.TryPlace(OverflowCutoff(0), Extent{0, 8}));
+  ASSERT_TRUE(space.TryPlace(OverflowCutoff(0) - 1, Extent{8, 8}));
+  const ObjectId spilled = OverflowCutoff(4096);
+  ASSERT_TRUE(space.TryPlace(spilled, Extent{16, 8}));
+  ASSERT_TRUE(space.TryPlace(spilled - 1, Extent{24, 8}));
+  ASSERT_TRUE(space.TryPlace(OverflowCutoff(spilled) - 1, Extent{40, 8}));
+  EXPECT_TRUE(space.SelfCheck());
+  // Both spilled ids now lie below the dense size with empty dense slots:
+  // they still resolve, and a second place of either is refused.
+  for (const ObjectId id : {OverflowCutoff(0), spilled}) {
+    EXPECT_TRUE(space.contains(id));
+    EXPECT_FALSE(space.TryPlace(id, Extent{100, 8})) << id;
+  }
+  EXPECT_EQ(space.extent_of(spilled), (Extent{16, 8}));
+  space.Remove(spilled);
+  EXPECT_FALSE(space.contains(spilled));
+  // Placed again, the id takes its dense slot.
+  ASSERT_TRUE(space.TryPlace(spilled, Extent{32, 8}));
+  EXPECT_EQ(space.extent_of(spilled), (Extent{32, 8}));
+  EXPECT_EQ(space.object_count(), 5u);
+  EXPECT_TRUE(space.SelfCheck());
+}
+
+TEST(AddressSpaceSlotTest, IdsAroundTheFirstChunkBoundary) {
+  AddressSpace space;
+  std::uint64_t offset = 0;
+  const auto place = [&](ObjectId id) {
+    offset += 16;
+    return space.TryPlace(id, Extent{offset, 8});
+  };
+  // Placed while the table is small, the boundary id spills to overflow.
+  ASSERT_TRUE(place(kSlotChunk));
+  // Grow the table one cutoff step at a time (4095, 10239, ...) until every
+  // id up to kSlotChunk + 1 is dense-eligible.
+  ObjectId dense = 0;
+  while (OverflowCutoff(dense) <= kSlotChunk + 1) {
+    const ObjectId id = OverflowCutoff(dense) - 1;
+    ASSERT_TRUE(place(id));
+    dense = id + 1;
+  }
+  ASSERT_LT(dense, kSlotChunk - 1);
+  // The last slot of chunk 0 and the first two of chunk 1; kSlotChunk is
+  // already placed (in overflow), so its dense slot must stay refused.
+  ASSERT_TRUE(place(kSlotChunk - 1));
+  ASSERT_TRUE(place(kSlotChunk + 1));
+  EXPECT_FALSE(place(kSlotChunk));
+  const Extent before = space.extent_of(kSlotChunk);
+  for (const ObjectId id : {kSlotChunk - 1, kSlotChunk, kSlotChunk + 1}) {
+    EXPECT_FALSE(space.TryPlace(id, Extent{1u << 30, 8})) << id;
+    EXPECT_TRUE(space.contains(id)) << id;
+  }
+  EXPECT_EQ(space.extent_of(kSlotChunk), before);
+  EXPECT_TRUE(space.SelfCheck());
+  for (const ObjectId id : {kSlotChunk - 1, kSlotChunk, kSlotChunk + 1}) {
+    space.Remove(id);
+    EXPECT_FALSE(space.contains(id)) << id;
+    ASSERT_TRUE(place(id)) << id;
+    EXPECT_EQ(space.extent_of(id), (Extent{offset, 8}));
+  }
+  EXPECT_TRUE(space.SelfCheck());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -28,7 +29,9 @@ std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
 // Every replacement is out of line, so the compiler never pairs an
-// inlined free() with a new expression (-Wmismatched-new-delete).
+// inlined free() with a new expression (-Wmismatched-new-delete). The
+// aligned overloads count too: the storage layer takes its big chunks
+// (cosr/common/huge_pages.h) through them.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
@@ -37,12 +40,39 @@ std::atomic<std::uint64_t> g_allocations{0};
 [[gnu::noinline]] void* operator new[](std::size_t size) {
   return ::operator new(size);
 }
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t alignment) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t align =
+      std::max(static_cast<std::size_t>(alignment), sizeof(void*));
+  void* p = nullptr;
+  if (posix_memalign(&p, align, size == 0 ? 1 : size) == 0) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       std::align_val_t alignment) {
+  return ::operator new(size, alignment);
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -116,12 +146,16 @@ TEST_P(AllocationGateTest, SteadyStateRequestsStayUnderTheBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     K1Facade, AllocationGateTest,
-    ::testing::Values(GateCase{"first-fit", false, 0.02},
-                      GateCase{"cost-oblivious", false, 0.06},
-                      GateCase{"checkpointed", false, 0.2},
-                      GateCase{"checkpointed", true, 0.2},
-                      GateCase{"deamortized", false, 0.1},
-                      GateCase{"deamortized", true, 0.1}),
+    // Measured: 2, 4 and 4 allocations in 200k requests for the first
+    // three, 28 with the file log, and 0.015 per request for deamortized
+    // (its flush log, a std::deque). Slot-table growth and OffsetIndex page
+    // splits allocate nothing per request.
+    ::testing::Values(GateCase{"first-fit", false, 0.00005},
+                      GateCase{"cost-oblivious", false, 0.00005},
+                      GateCase{"checkpointed", false, 0.00005},
+                      GateCase{"checkpointed", true, 0.0003},
+                      GateCase{"deamortized", false, 0.016},
+                      GateCase{"deamortized", true, 0.016}),
     [](const ::testing::TestParamInfo<GateCase>& info) {
       std::string name = info.param.algorithm;
       for (char& c : name) {
