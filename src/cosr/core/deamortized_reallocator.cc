@@ -154,12 +154,13 @@ void DeamortizedReallocator::DoWork(std::uint64_t budget) {
   std::uint64_t done = RunFlushPlan(budget);
   // Past the install: drain the log (the re-insert / re-delete phase).
   while (done < budget) {
-    if (log_.empty()) {
+    if (log_head_ == log_.size()) {
+      log_.clear();
+      log_head_ = 0;
       FinishFlush();
       return;
     }
-    const LogEntry entry = log_.front();
-    log_.pop_front();
+    const LogEntry entry = log_[log_head_++];
     done += entry.size;
     if (entry.is_delete) {
       ApplyDelete(entry.id);  // drops the pending mark with the entry

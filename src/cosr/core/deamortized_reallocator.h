@@ -1,8 +1,8 @@
 #ifndef COSR_CORE_DEAMORTIZED_REALLOCATOR_H_
 #define COSR_CORE_DEAMORTIZED_REALLOCATOR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -60,7 +60,7 @@ class DeamortizedReallocator : public CheckpointedReallocator {
   bool flush_in_progress() const { return active_; }
   std::uint64_t tail_capacity() const { return tail_capacity_; }
   std::uint64_t tail_used() const { return tail_used_; }
-  std::uint64_t log_size() const { return log_.size(); }
+  std::uint64_t log_size() const { return log_.size() - log_head_; }
 
   /// Largest volume physically moved by any single update (the quantity
   /// bounded by (work_factor/eps)*w + ∆ in Lemma 3.6).
@@ -130,8 +130,11 @@ class DeamortizedReallocator : public CheckpointedReallocator {
   bool active_ = false;
   bool retrigger_ = false;
 
-  // Log state.
-  std::deque<LogEntry> log_;
+  // Log state: a FIFO over one vector that keeps its capacity across
+  // flushes. log_head_ is the next entry to replay; the vector is cleared
+  // when the log drains.
+  std::vector<LogEntry> log_;
+  std::size_t log_head_ = 0;
   std::uint64_t log_cursor_ = 0;
 
   // Work metering.

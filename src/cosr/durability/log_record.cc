@@ -1,20 +1,10 @@
 #include "cosr/durability/log_record.h"
 
+#include "cosr/common/crc32c.h"
+
 namespace cosr {
 
 namespace {
-
-// FNV-1a over the framed bytes, folded to 32 bits. Not cryptographic —
-// the log is trusted storage; the checksum only needs to catch torn tails
-// and bit rot, like the CRC in every WAL format.
-std::uint32_t Checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return static_cast<std::uint32_t>(hash ^ (hash >> 32));
-}
 
 void PutU32(std::uint32_t value, std::uint8_t* p) {
   for (int i = 0; i < 4; ++i) {
@@ -57,11 +47,15 @@ std::uint8_t* BeginRecord(LogRecordType type, std::uint32_t payload,
   return record + kLogRecordHeaderBytes;
 }
 
-/// Writes the checksum behind a filled payload of `payload` bytes.
+/// Writes the CRC32C of the framed bytes behind a filled payload of
+/// `payload` bytes. Not cryptographic: the log is trusted storage, and the
+/// checksum only needs to catch torn tails and bit rot, as in every WAL
+/// format. Logs from builds that checksummed with FNV-1a fail it at their
+/// first record.
 void SealRecord(std::uint8_t* body, std::uint32_t payload) {
   std::uint8_t* record = body - kLogRecordHeaderBytes;
   const std::size_t framed = kLogRecordHeaderBytes + payload;
-  PutU32(Checksum(record, framed), record + framed);
+  PutU32(Crc32c(record, framed), record + framed);
 }
 
 /// kPlace and kRemove share one payload shape.
@@ -126,11 +120,13 @@ LogParseResult CheckRecordFrame(const std::uint8_t* data, std::size_t size,
     return LogParseResult::kCorrupt;
   }
   const std::uint32_t payload = GetU32(data + start + 1);
-  if (size - start - kLogRecordHeaderBytes < payload + 4u) {
+  // In 64 bits: a hostile length near 2^32 must not wrap past the check.
+  if (std::uint64_t{size - start - kLogRecordHeaderBytes} <
+      std::uint64_t{payload} + 4u) {
     return LogParseResult::kTruncated;
   }
   const std::size_t body_end = start + kLogRecordHeaderBytes + payload;
-  if (GetU32(data + body_end) != Checksum(data + start, body_end - start)) {
+  if (GetU32(data + body_end) != Crc32c(data + start, body_end - start)) {
     return LogParseResult::kCorrupt;
   }
   const std::uint8_t* p = data + start + kLogRecordHeaderBytes;

@@ -15,10 +15,12 @@ namespace cosr {
 ///
 ///   [u8 type][u32 payload_len][payload][u32 checksum]
 ///
-/// all fixed-width fields little-endian; the checksum (FNV-1a, folded to
-/// 32 bits) covers type, payload_len, and payload, so a torn write inside
-/// ANY of the fields — including a clipped length — fails verification and
-/// ends the valid prefix. Payloads:
+/// all fixed-width fields little-endian; the checksum (CRC32C, see
+/// cosr/common/crc32c.h) covers type, payload_len, and payload, so a torn
+/// write inside ANY of the fields — including a clipped length — fails
+/// verification and ends the valid prefix. Logs written before the checksum
+/// became CRC32C (it was FNV-1a folded to 32 bits, with the same framing)
+/// read as kCorrupt at their first record. Payloads:
 ///
 ///   kPlace      id u64, offset u64, length u64
 ///   kRemove     id u64, offset u64, length u64   (the freed extent)

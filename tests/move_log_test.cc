@@ -92,7 +92,9 @@ TEST(LogRecordTest, EncodeParseRoundtrip) {
 TEST(LogRecordTest, WireBytesMatchGolden) {
   // One record of each type, with fields that fill all eight bytes, and a
   // 7-move batch. The digests were recorded from the byte-at-a-time
-  // encoders; any change to the wire format or framing breaks them.
+  // encoders and re-recorded when the trailer became CRC32C (with every
+  // trailer zeroed, the bytes were unchanged); any change to the wire
+  // format, framing or checksum breaks them.
   std::vector<std::uint8_t> place;
   EncodePlaceRecord(0x0123456789abcdefull, Extent{0xfedcba9876543210ull, 4096},
                     &place);
@@ -113,13 +115,13 @@ TEST(LogRecordTest, WireBytesMatchGolden) {
   EXPECT_EQ(remove.size(), kLogRecordFrameBytes + 24);
   EXPECT_EQ(checkpoint.size(), kLogRecordFrameBytes + 8);
   EXPECT_EQ(batch.size(), kLogRecordFrameBytes + 4 + 7 * 32);
-  EXPECT_EQ(BytesDigest(place), 0x91a2fb30b3eaffcdull)
+  EXPECT_EQ(BytesDigest(place), 0xdc482754eddb3867ull)
       << std::hex << BytesDigest(place);
-  EXPECT_EQ(BytesDigest(remove), 0xd27672f5366c4f5aull)
+  EXPECT_EQ(BytesDigest(remove), 0x4364421f723fedb6ull)
       << std::hex << BytesDigest(remove);
-  EXPECT_EQ(BytesDigest(checkpoint), 0xaf96e75bd130ed90ull)
+  EXPECT_EQ(BytesDigest(checkpoint), 0x5d95ee64599ac7beull)
       << std::hex << BytesDigest(checkpoint);
-  EXPECT_EQ(BytesDigest(batch), 0xfad59167d1c9cdf2ull)
+  EXPECT_EQ(BytesDigest(batch), 0xb9d00f95c87d59d8ull)
       << std::hex << BytesDigest(batch);
 
   // Encoders append: the same records behind existing bytes are the
@@ -175,6 +177,47 @@ TEST(LogRecordTest, UnknownTypeByteIsCorrupt) {
   LogRecord record;
   EXPECT_EQ(ParseLogRecord(log.data(), log.size(), &offset, &record),
             LogParseResult::kCorrupt);
+}
+
+TEST(LogRecordTest, HostilePayloadLengthIsTruncatedNotARead) {
+  // A header claiming a payload within 4 bytes of 2^32: payload + trailer
+  // wraps in 32 bits, so the bounds check must be done wider or the
+  // checksum read lands ~4 GiB past the buffer.
+  for (const std::uint32_t length :
+       {0xFFFFFFFCu, 0xFFFFFFFDu, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(length);
+    std::vector<std::uint8_t> log;
+    EncodePlaceRecord(7, Extent{100, 40}, &log);
+    EncodeCheckpointRecord(1, &log);
+    const std::size_t valid_end = log.size();
+    log.push_back(static_cast<std::uint8_t>(LogRecordType::kPlace));
+    for (int i = 0; i < 4; ++i) {
+      log.push_back(static_cast<std::uint8_t>(length >> (8 * i)));
+    }
+    log.resize(log.size() + 11, 0);  // a few payload bytes
+
+    std::size_t offset = valid_end;
+    LogRecordType type = LogRecordType::kPlace;
+    std::uint64_t seq = 0;
+    EXPECT_EQ(SkimLogRecord(log.data(), log.size(), &offset, &type, &seq),
+              LogParseResult::kTruncated);
+    EXPECT_EQ(offset, valid_end);
+    LogRecord record;
+    EXPECT_EQ(ParseLogRecord(log.data(), log.size(), &offset, &record),
+              LogParseResult::kTruncated);
+    EXPECT_EQ(offset, valid_end);
+
+    AddressSpace recovered;
+    RecoveryResult result;
+    ASSERT_TRUE(
+        RecoveryManager::Recover(log.data(), log.size(), &recovered, &result)
+            .ok());
+    EXPECT_TRUE(result.torn_tail);
+    EXPECT_EQ(result.checkpoint_seq, 1u);
+    EXPECT_EQ(result.records_replayed, 2u);
+    EXPECT_EQ(result.bytes_discarded, log.size() - valid_end);
+    EXPECT_EQ(recovered.extent_of(7), (Extent{100, 40}));
+  }
 }
 
 TEST(MemoryLogSinkTest, SurvivingPrefixNeverFallsBelowSyncedSize) {
@@ -645,10 +688,12 @@ TEST(ShardLogWiringTest, DriversLogIdenticallyDeamortized) {
 /// Per-shard digests of the compacted deamortized logs of RunCompactedLogs,
 /// recorded from the log that mirrored every live extent from its own
 /// event stream. Compaction now reads the shard's range of the space, in
-/// the same offset order, so the bytes must not change.
+/// the same offset order, so the bytes must not change. Re-recorded when
+/// the record trailer became CRC32C; with every trailer zeroed, the logs
+/// were byte-identical to the earlier ones.
 constexpr std::uint64_t kCompactedLogDigests[4] = {
-    0x0538f2004103551dull, 0xfac289d473c187d9ull,
-    0x0aca47899e5c8aadull, 0x1b36c115ef15f6a1ull};
+    0x11922d99cd8c51e4ull, 0x4c51b2e8fd0caa2dull,
+    0x27342b175a308fa5ull, 0xe009b200714a2104ull};
 
 /// Runs one seeded K=4 deamortized trace with a small compaction threshold
 /// through the inline facade (one shared parent) or the threaded one (a
