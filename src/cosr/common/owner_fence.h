@@ -14,13 +14,16 @@ namespace cosr {
 /// different thread CHECK-fails with a message naming the class. Embed one
 /// per instance and call Assert at the top of every mutating entry point.
 ///
-/// The enforced property is thread-*affinity* (ownership pins to the first
-/// mutator forever) — deliberately stricter than thread-compatibility,
-/// which would also allow fully-synchronized cross-thread handoff. Inside
-/// this codebase every embedding class is used thread-affine (one caller
-/// thread, or one worker per shard), so the stricter fence catches real
-/// races without false positives; a legal-handoff consumer would need a
-/// release mechanism this fence intentionally does not offer.
+/// The enforced property is thread-*affinity*: ownership stays with one
+/// thread until it is handed off explicitly. That is stricter than
+/// thread-compatibility, which would also allow any fully-synchronized
+/// cross-thread use, so the fence catches real races without false
+/// positives. An object that legally moves between threads (a shard of
+/// the concurrent facade, which any worker may claim) moves ownership with
+/// HandOff: the claiming thread calls it right after taking the claim that
+/// serializes it against the previous owner. A mutation from any thread
+/// that did not take over since (the previous holder, or a thread that
+/// never claimed) still CHECK-fails.
 ///
 /// The member exists in all build modes so the object layout never differs
 /// between Debug and Release translation units (mixing those must not
@@ -41,6 +44,16 @@ class OwnerThreadFence {
     }
 #else
     (void)what;
+#endif
+  }
+
+  /// Makes the calling thread the owner. The caller must hold whatever
+  /// serializes the object across threads (the claim that orders it after
+  /// the previous owner's last mutation); the fence only checks that later
+  /// mutations come from this thread.
+  void HandOff() {
+#ifndef NDEBUG
+    owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
 #endif
   }
 

@@ -236,9 +236,9 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
   spec.durability = &hub;
 
   // Per-shard checkpoint-time snapshots, keyed by sequence number. Written
-  // by the thread driving the shard (the fuzz thread, or the shard's
-  // owning worker in concurrent mode — single writer per map); read after
-  // the facade drains.
+  // by the thread driving the shard (the fuzz thread, or the worker holding
+  // the shard's claim in concurrent mode — one writer per map at a time,
+  // each drain ordered after the last); read after the facade drains.
   std::vector<std::map<std::uint64_t, StateSnapshot>> snapshots(
       options.shard_count);
 
@@ -279,8 +279,9 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     for (std::uint32_t i = 0; i < options.shard_count; ++i) {
       raw->shard_manager(i)->SetCheckpointHook(
           [&snapshots, raw, i](std::uint64_t seq) {
-            // Fires on shard i's owning worker; the private root is only
-            // ever touched by that worker, so the read is race-free.
+            // Fires on the worker holding shard i's claim; the private
+            // root is only ever touched under that claim, so the read is
+            // race-free.
             snapshots[i][seq] = raw->shard_space(i).Snapshot();
           });
     }

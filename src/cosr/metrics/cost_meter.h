@@ -19,10 +19,12 @@ namespace cosr {
 /// allocation costs f(w) over all inserted objects; the numerator is the
 /// total write cost (initial placements plus every reallocation).
 ///
-/// Thread-compatible: one meter must only hear one thread's events. Under
-/// the concurrent service facade, attach one meter per shard (events fire
-/// on the shard's worker thread) and MergeFrom the K meters after a drain
-/// — the aggregation-safe pattern; never share one meter across shards.
+/// Thread-compatible: one meter must only hear one thread at a time, each
+/// event ordered after the last. Under the concurrent service facade,
+/// attach one meter per shard (events fire on the worker holding the
+/// shard's claim, and claims are ordered) and MergeFrom the K meters after
+/// a drain — the aggregation-safe pattern; never share one meter across
+/// shards.
 class CostMeter : public SpaceListener {
  public:
   struct FunctionTotals {

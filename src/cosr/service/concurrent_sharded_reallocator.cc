@@ -50,8 +50,8 @@ Status ConcurrentShardedReallocator::Make(
   }
   if (options.worker_threads > options.shard_count) {
     return Status::InvalidArgument(
-        "worker_threads must be <= shard_count (a shard is owned by "
-        "exactly one worker)");
+        "worker_threads must be <= shard_count (at most one worker can "
+        "drain a shard at a time)");
   }
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
@@ -83,40 +83,32 @@ Status ConcurrentShardedReallocator::Make(
   const std::uint32_t workers =
       options.worker_threads == 0 ? shards : options.worker_threads;
   facade->dropped_ops_.assign(shards, 0);
-  facade->workers_.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    facade->workers_.push_back(std::make_unique<Worker>());
-  }
   for (std::uint32_t i = 0; i < shards; ++i) {
-    facade->queues_.push_back(
-        std::make_unique<RemoteQueue<std::vector<Item>>>());
-    facade->shard_worker_.push_back(i % workers);
-    facade->workers_[i % workers]->owned_shards.push_back(i);
+    facade->lanes_.push_back(std::make_unique<Lane>());
   }
   facade->name_ = "concurrent-sharded[" + std::to_string(shards) + "x" +
                   std::to_string(workers) + ",hash]/" + inner_spec.algorithm;
-  // Start the threads only once every shard and queue exists.
+  // Start the threads only once every shard and lane exists. Each worker
+  // starts its scans at a different shard, so idle workers spread over
+  // the shards instead of racing for the same claim.
+  ConcurrentShardedReallocator* self = facade.get();
+  facade->workers_.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
-    Worker* worker = facade->workers_[w].get();
-    ConcurrentShardedReallocator* self = facade.get();
-    worker->thread = std::thread([self, worker] { self->WorkerLoop(*worker); });
+    const std::uint32_t first = w * shards / workers;
+    facade->workers_.emplace_back([self, first] { self->WorkerLoop(first); });
   }
   *out = std::move(facade);
   return Status::Ok();
 }
 
 ConcurrentShardedReallocator::~ConcurrentShardedReallocator() {
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(worker->mu);
-      worker->stop = true;
-    }
-    worker->cv_ready.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    stop_ = true;
   }
-  // Workers drain their remaining queue before honoring stop.
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  cv_work_.notify_all();
+  // Workers drain every queue before honoring stop.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 ConcurrentShardedReallocator::Item ConcurrentShardedReallocator::MakeItem(
@@ -140,21 +132,21 @@ void ConcurrentShardedReallocator::RecordDrop(std::uint32_t shard,
   last_drop_status_ = status;
 }
 
-bool ConcurrentShardedReallocator::HasRoom(const Worker& worker) const {
+bool ConcurrentShardedReallocator::HasRoom(const Lane& lane) const {
   // `completed` is read first: it only counts ops `submitted` already
   // counted, so the difference never underflows; reading it early at
   // worst overestimates in-flight, which is the safe direction.
   const std::uint64_t completed =
-      worker.completed.load(std::memory_order_acquire);
-  return worker.submitted.load(std::memory_order_relaxed) - completed <
+      lane.completed.load(std::memory_order_acquire);
+  return lane.submitted.load(std::memory_order_relaxed) - completed <
          options_.queue_capacity;
 }
 
-std::size_t ConcurrentShardedReallocator::Reserve(Worker& worker,
+std::size_t ConcurrentShardedReallocator::Reserve(Lane& lane,
                                                   std::size_t want) const {
   const std::uint64_t completed =
-      worker.completed.load(std::memory_order_acquire);
-  std::uint64_t submitted = worker.submitted.load(std::memory_order_relaxed);
+      lane.completed.load(std::memory_order_acquire);
+  std::uint64_t submitted = lane.submitted.load(std::memory_order_relaxed);
   for (;;) {
     const std::uint64_t in_flight = submitted - completed;  // see HasRoom
     if (in_flight >= options_.queue_capacity) return 0;
@@ -162,8 +154,8 @@ std::size_t ConcurrentShardedReallocator::Reserve(Worker& worker,
         want, options_.queue_capacity - in_flight);
     // A failed CAS reloads `submitted`, which only grows, so the stale
     // `completed` keeps erring on the safe side.
-    if (worker.submitted.compare_exchange_weak(submitted, submitted + granted,
-                                               std::memory_order_relaxed)) {
+    if (lane.submitted.compare_exchange_weak(submitted, submitted + granted,
+                                             std::memory_order_relaxed)) {
       return static_cast<std::size_t>(granted);
     }
   }
@@ -171,16 +163,15 @@ std::size_t ConcurrentShardedReallocator::Reserve(Worker& worker,
 
 void ConcurrentShardedReallocator::Push(std::uint32_t shard,
                                         std::vector<Item> items) {
-  Worker& worker = WorkerOf(shard);
-  const bool was_empty = queues_[shard]->Push(
+  const bool was_empty = lanes_[shard]->queue.Push(
       new RemoteQueue<std::vector<Item>>::Node(std::move(items)));
-  if (was_empty) {
-    // Empty -> non-empty is the only transition that can race a worker
-    // going to sleep. The empty critical section pairs our release-push
-    // with the worker's under-lock predicate check: either the worker
-    // sees the push, or it is already waiting and the notify lands.
-    { std::lock_guard<std::mutex> lock(worker.mu); }
-    worker.cv_ready.notify_one();
+  // Empty -> non-empty is the only transition that can race a worker going
+  // to sleep, and a spinning worker will see it (the class contract has
+  // the argument). The empty critical section orders our push against
+  // every park check.
+  if (was_empty && spinning_.load(std::memory_order_seq_cst) == 0) {
+    { std::lock_guard<std::mutex> lock(park_mu_); }
+    cv_work_.notify_one();
   }
 }
 
@@ -190,22 +181,22 @@ Status ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
                                              std::size_t* delivered) {
   *delivered = 0;
   const std::size_t total = items.size();
-  Worker& worker = WorkerOf(shard);
+  Lane& lane = *lanes_[shard];
   const bool droppable = may_drop && options_.submit_max_retries > 0;
   auto backoff = options_.submit_retry_backoff;
   std::size_t attempts = 0;
   while (*delivered < total) {
-    const std::size_t granted = Reserve(worker, total - *delivered);
+    const std::size_t granted = Reserve(lane, total - *delivered);
     if (granted == 0) {
-      std::unique_lock<std::mutex> lock(worker.mu);
-      const auto room = [&] { return HasRoom(worker); };
+      std::unique_lock<std::mutex> lock(lane.mu);
+      const auto room = [&] { return HasRoom(lane); };
       if (!droppable) {
-        worker.cv_space.wait(lock, room);
+        lane.cv_space.wait(lock, room);
         continue;
       }
       if (attempts == options_.submit_max_retries) break;  // drop suffix
       ++attempts;
-      worker.cv_space.wait_for(lock, backoff, room);
+      lane.cv_space.wait_for(lock, backoff, room);
       backoff *= 2;
       continue;
     }
@@ -297,11 +288,19 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   const std::uint64_t submit_ns = MonotonicNanos();
   // Bucket the batch per shard, preserving op order within each shard,
   // and deliver each bucket with capacity-gated lock-free pushes — no
-  // producer-side lock anywhere.
-  std::vector<std::vector<Item>> buckets(shard_count());
+  // producer-side lock anywhere. Routing once and counting first sizes
+  // every bucket with one allocation.
+  const std::uint32_t shards = shard_count();
+  std::vector<std::uint32_t> route(count);
+  std::vector<std::size_t> sizes(shards, 0);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t shard = shard_for(ops[i].id, ops[i].size);
-    buckets[shard].push_back(
+    route[i] = shard_for(ops[i].id, ops[i].size);
+    ++sizes[route[i]];
+  }
+  std::vector<std::vector<Item>> buckets(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) buckets[s].reserve(sizes[s]);
+  for (std::size_t i = 0; i < count; ++i) {
+    buckets[route[i]].push_back(
         MakeItem(ops[i], submit_ns, tokens != nullptr ? tokens[i] : nullptr));
   }
   // A drop statuses the batch with the failure of the *earliest* op (in
@@ -309,7 +308,7 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   std::size_t total_delivered = 0;
   std::size_t first_error_index = count;
   Status first_error;
-  for (std::uint32_t s = 0; s < shard_count(); ++s) {
+  for (std::uint32_t s = 0; s < shards; ++s) {
     if (buckets[s].empty()) continue;
     std::size_t delivered = 0;
     Status status = Deliver(s, std::move(buckets[s]), may_drop, &delivered);
@@ -318,7 +317,7 @@ Status ConcurrentShardedReallocator::SubmitBatch(
     // Cold path: find the batch index of shard s's first undelivered op.
     std::size_t seen = 0;
     for (std::size_t i = 0; i < first_error_index; ++i) {
-      if (shard_for(ops[i].id, ops[i].size) == s && seen++ == delivered) {
+      if (route[i] == s && seen++ == delivered) {
         first_error_index = i;
         first_error = std::move(status);
         break;
@@ -330,15 +329,15 @@ Status ConcurrentShardedReallocator::SubmitBatch(
 }
 
 void ConcurrentShardedReallocator::Flush() {
-  for (std::unique_ptr<Worker>& worker : workers_) {
-    std::unique_lock<std::mutex> lock(worker->mu);
+  for (std::unique_ptr<Lane>& lane : lanes_) {
+    std::unique_lock<std::mutex> lock(lane->mu);
     // `submitted` is reserved just before each push, and a producer pushes
     // everything it reserved before it can block, so a captured target is
     // always eventually completed.
     const std::uint64_t target =
-        worker->submitted.load(std::memory_order_relaxed);
-    worker->cv_drained.wait(lock, [&] {
-      return worker->completed.load(std::memory_order_acquire) >= target;
+        lane->submitted.load(std::memory_order_relaxed);
+    lane->cv_drained.wait(lock, [&] {
+      return lane->completed.load(std::memory_order_acquire) >= target;
     });
   }
 }
@@ -368,12 +367,11 @@ void ConcurrentShardedReallocator::MarkEveryShard(ShardOpKind kind) {
 }
 
 ShardStats ConcurrentShardedReallocator::Stats() {
-  // Each shard is snapshotted *on its owning worker* by a queued marker
-  // op: the shard's FIFO puts the marker behind every op submitted before
-  // this call, whichever entry point submitted it,
-  // and only the owner ever touches the shard's mutable state, so the
-  // read is race-free even while other producers keep submitting (their
-  // later ops simply land behind the marker).
+  // Each shard is snapshotted by a queued marker op: the shard's FIFO puts
+  // the marker behind every op submitted before this call, whichever entry
+  // point submitted it, and only the claim holder ever touches the shard's
+  // mutable state, so the read is race-free even while other producers
+  // keep submitting (their later ops simply land behind the marker).
   std::vector<ShardStats::PerShard> shards(shard_count());
   std::vector<std::shared_ptr<OpToken>> tokens;
   tokens.reserve(shard_count());
@@ -408,70 +406,89 @@ void ConcurrentShardedReallocator::AddShardListener(std::uint32_t index,
   roots_[index]->AddListener(listener);
 }
 
-void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
-  const auto pending = [&] {
-    for (std::uint32_t s : worker.owned_shards) {
-      if (!queues_[s]->empty()) return true;
-    }
+bool ConcurrentShardedReallocator::Claimable() const {
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (lane->claimable()) return true;
+  }
+  return false;
+}
+
+bool ConcurrentShardedReallocator::TryDrain(std::uint32_t shard) {
+  Lane& lane = *lanes_[shard];
+  if (!lane.claimable() ||
+      lane.claimed.exchange(true, std::memory_order_seq_cst)) {
     return false;
-  };
+  }
+  // The exchange synchronizes-with the previous holder's release store
+  // below, so every write of the previous drain happens-before this one.
+  engine_.HandOff(shard);
   const auto is_request = [](const Item& item) {
     return item.op.kind == ShardOpKind::kInsert ||
            item.op.kind == ShardOpKind::kDelete;
   };
-  for (;;) {
-    // Spin before parking: work that lands within the window is taken
-    // without a wake-up. The predicate is re-checked under the lock below,
-    // so Push's empty-transition notify still covers the park.
-    SpinUntil(pending);
-    {
-      std::unique_lock<std::mutex> lock(worker.mu);
-      worker.cv_ready.wait(lock, [&] { return pending() || worker.stop; });
-      // Stop only once every owned shard's queue is drained.
-      if (!pending()) break;
+  // Take the whole list in one exchange, then execute node by
+  // node in arrival order.
+  std::uint64_t executed = 0;
+  auto* node = lane.queue.TakeAll();
+  while (node != nullptr) {
+    // Counted before executing, so a snapshot marker later in the FIFO
+    // sees every earlier batch. Marker nodes carry no requests and do not
+    // count.
+    const std::uint64_t node_requests = static_cast<std::uint64_t>(
+        std::count_if(node->value.begin(), node->value.end(), is_request));
+    if (node_requests > 0) {
+      ShardStats::PerShard& record = engine_.record(shard);
+      ++record.remote_batches;
+      record.batched_ops += node_requests;
     }
-    // Take each owned shard's whole list in one acquire-exchange, then
-    // execute node-by-node in arrival order. Only this thread ever takes,
-    // so no other synchronization.
-    std::uint64_t executed = 0;
-    for (std::uint32_t s : worker.owned_shards) {
-      auto* node = queues_[s]->TakeAll();
-      while (node != nullptr) {
-        // Counted before executing, so a snapshot marker later in the
-        // FIFO sees every earlier batch. Marker nodes carry no requests
-        // and do not count.
-        const std::uint64_t node_requests = static_cast<std::uint64_t>(
-            std::count_if(node->value.begin(), node->value.end(), is_request));
-        if (node_requests > 0) {
-          ShardStats::PerShard& record = engine_.record(s);
-          ++record.remote_batches;
-          record.batched_ops += node_requests;
-        }
-        // One clock read per item, not two: each op's end timestamp is
-        // the next op's start (the worker runs them back to back).
-        std::uint64_t now = MonotonicNanos();
-        for (const Item& item : node->value) {
-          Status status;
-          now = engine_.Execute(s, item.op, now, &status);
-          if (item.token != nullptr) item.token->Complete(std::move(status));
-        }
-        executed += node->value.size();
-        auto* next = node->next;
-        delete node;
-        node = next;
-      }
+    // One clock read per item, not two: each op's end timestamp is the
+    // next op's start (the worker runs them back to back).
+    std::uint64_t now = MonotonicNanos();
+    for (const Item& item : node->value) {
+      Status status;
+      now = engine_.Execute(shard, item.op, now, &status);
+      if (item.token != nullptr) item.token->Complete(std::move(status));
     }
+    executed += node->value.size();
+    auto* next = node->next;
+    delete node;
+    node = next;
+  }
+  if (executed > 0) {
     // The release pairs with Flush's acquire: once a flusher observes the
-    // count, every effect of the cycle is visible to it.
-    worker.completed.fetch_add(executed, std::memory_order_release);
+    // count, every effect of the drain is visible to it.
+    lane.completed.fetch_add(executed, std::memory_order_release);
     {
       // Notify under the lock so a flusher can never check its predicate
       // between our increment and our notify and then sleep forever.
-      std::lock_guard<std::mutex> lock(worker.mu);
+      std::lock_guard<std::mutex> lock(lane.mu);
     }
-    worker.cv_drained.notify_all();
+    lane.cv_drained.notify_all();
     // Completions also free in-flight room for waiting producers.
-    worker.cv_space.notify_all();
+    lane.cv_space.notify_all();
+  }
+  lane.claimed.store(false, std::memory_order_seq_cst);
+  return executed > 0;
+}
+
+void ConcurrentShardedReallocator::WorkerLoop(std::uint32_t first) {
+  const std::uint32_t shards = shard_count();
+  for (;;) {
+    bool ran = false;
+    for (std::uint32_t k = 0; k < shards; ++k) {
+      ran = TryDrain((first + k) % shards) || ran;
+    }
+    if (ran) continue;
+    // Spin before parking: work that lands within the window is taken
+    // without a wake-up, and while we spin, producers skip the wake-up.
+    spinning_.fetch_add(1, std::memory_order_seq_cst);
+    const bool found = SpinUntil([this] { return Claimable(); });
+    spinning_.fetch_sub(1, std::memory_order_seq_cst);
+    if (found) continue;
+    std::unique_lock<std::mutex> lock(park_mu_);
+    cv_work_.wait(lock, [this] { return Claimable() || stop_; });
+    // Stop only once no shard has claimable work.
+    if (stop_ && !Claimable()) break;
   }
 }
 

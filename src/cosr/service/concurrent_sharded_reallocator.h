@@ -29,24 +29,24 @@ namespace cosr {
 
 struct ReallocatorSpec;
 
-/// How long a thread on the synchronous round-trip path busy-polls before
-/// it parks on a condvar: the worker waiting for its queue to fill, and
-/// the caller waiting for its OpToken. A futex park/unpark pair costs
-/// ~10 us on a 4-vCPU x86 VM, while a warm worker serves one op in ~0.5 us,
-/// so an idle round trip that parks twice spends almost all of its time
-/// waking threads. 50 us covers several back-to-back round trips and
-/// still bounds the CPU an idle thread burns before it sleeps.
+/// How long a thread busy-polls before it parks on a condvar: an idle
+/// worker waiting for any shard to have claimable work, and the caller of
+/// a synchronous round trip waiting for its OpToken. A futex park/unpark
+/// pair costs ~10 us on a 4-vCPU x86 VM, while a warm worker serves one op
+/// in ~0.5 us, so an idle round trip that parks twice spends almost all of
+/// its time waking threads. 50 us covers several back-to-back round trips
+/// and still bounds the CPU an idle thread burns before it sleeps.
 inline constexpr std::chrono::microseconds kSpinBeforePark{50};
 
 /// Per-op completion handle for ConcurrentShardedReallocator::SubmitTracked.
 ///
-/// Thread-safe: any thread may Wait()/done(); the owning facade's worker
-/// completes it exactly once. Completion writes the Status, then sets an
-/// atomic flag with release inside the mutex, then notifies. done() is one
-/// acquire load. Wait() spins on the flag for up to kSpinBeforePark and
-/// only then parks on the condvar (spin-then-park), so a short op is
-/// picked up without a thread wake-up. The Status reference returned by
-/// Wait() stays valid for the token's lifetime.
+/// Thread-safe: any thread may Wait()/done(); the facade worker that
+/// executes the op completes it exactly once. Completion writes the
+/// Status, then sets an atomic flag with release inside the mutex, then
+/// notifies. done() is one acquire load. Wait() spins on the flag for up
+/// to kSpinBeforePark and only then parks on the condvar (spin-then-park),
+/// so a short op is picked up without a thread wake-up. The Status
+/// reference returned by Wait() stays valid for the token's lifetime.
 ///
 /// Lifetime: a spinning waiter may return, and drop its reference, as soon
 /// as the flag is set, while the completer is still inside Complete (it
@@ -79,14 +79,68 @@ class OpToken {
 };
 
 /// The concurrent execution mode of the service layer: the threaded driver
-/// of ShardEngine. K shards as in ShardedReallocator, but each shard is
-/// driven by one of W worker threads, so the K reallocators genuinely run
-/// in parallel. Every op reaches its shard the same way: pushed onto that
-/// shard's lock-free RemoteQueue (one FIFO per shard), which only the
-/// owning worker drains into the engine. The engine executes and accounts
-/// for the op exactly as the inline facade's does; this class keeps only
-/// what is about threads (queues, backpressure, the drop policy, tokens,
-/// Flush).
+/// of ShardEngine. K shards as in ShardedReallocator, driven by a pool of
+/// W worker threads, so the K reallocators genuinely run in parallel.
+/// Every op reaches its shard the same way: pushed onto that shard's
+/// lock-free RemoteQueue (one FIFO per shard). No shard belongs to a
+/// worker. Any idle worker claims any shard that has queued work, drains
+/// it into the engine and hands the claim back, so a shard stuck in a long
+/// flush never holds up its siblings (work-conserving drain). The engine
+/// executes and accounts for the op exactly as the inline facade's does;
+/// this class keeps only what is about threads (queues, claims, parking,
+/// backpressure, the drop policy, tokens, Flush).
+///
+/// Claims. Each shard has one `claimed` flag. A worker takes it with an
+/// exchange, hands the shard's debug fence to itself
+/// (ShardEngine::HandOff), detaches the whole queue with TakeAll, executes
+/// it in arrival order, and stores the flag back. So at most one thread
+/// executes a shard at any time, and each claim synchronizes-with the
+/// previous release: every drain happens-after the one before it, exactly
+/// as if one thread owned the shard. Per-shard FIFO order, markers,
+/// records, logs and listeners therefore behave as under a fixed owner;
+/// only the thread differs from drain to drain.
+///
+/// Parking. A worker scans every shard, draining each it can claim, and
+/// rescans after any drain. When a scan finds nothing, it spins for
+/// kSpinBeforePark, counted in `spinning_`, polling for a *claimable*
+/// shard (queue non-empty, flag clear). Then it checks again under
+/// `park_mu_` and parks on `cv_work_` only if no shard is claimable. A
+/// push that makes a queue non-empty (RemoteQueue reports it) wakes one
+/// parked worker, by an empty critical section on `park_mu_` and
+/// notify_one, unless some worker is spinning. Every later push onto that
+/// queue is covered by the one that made it non-empty. Skipping the wake
+/// while a worker spins matters: a woken worker that finds the op already
+/// taken costs the producer a futex call and takes a core from the
+/// spinners.
+///
+/// Why no wake-up is lost. The queue heads, the claim flags and
+/// `spinning_` are only accessed seq_cst, so all those accesses lie in
+/// one total order S, consistent with happens-before. A worker's *check*
+/// is a scan, or a spin poll or park check that finds nothing claimable
+/// (one that finds work leads to a scan): each loads every head, and the
+/// flag of every non-empty queue. Every worker runs a check after each
+/// release and after leaving its spin, and its last action before it
+/// parks is a park check. Suppose every worker is parked while shard s
+/// still holds the node of push P, the push that made s non-empty.
+///   1. No claim of s follows P in S: its TakeAll would follow P too and
+///      take P's node. So after P, s's flag is at most released, once,
+///      and then stays clear.
+///   2. So no check follows P in S. It would find s non-empty, and either
+///      find the flag clear, so that s gets claimed after P (against 1), or
+///      find it set, so that the holder releases it later and then runs a
+///      check that finds it clear.
+///   3. If P read `spinning_` > 0, some worker's decrement of `spinning_`
+///      follows that read in S, and so does the check after it: against
+///      2.
+///   4. Otherwise P notified after an empty critical section on
+///      `park_mu_`. A park check whose critical section came after P's
+///      would happen-after P, against 2. So every worker was already
+///      waiting when P notified, and the one it woke checked again after
+///      P, against 2.
+/// Destruction sets `stop_` under `park_mu_` and a worker exits only from
+/// a park check that finds nothing claimable, so with "parked or exited"
+/// in place of "parked" the same argument shows every queue is drained
+/// before the last worker leaves.
 ///
 /// Routing is hash-only: an op's shard is a pure function of its id, so no
 /// producer-side lock or id map exists on any submit path. Size-class and
@@ -115,22 +169,25 @@ class OpToken {
 ///   * Flush / Quiesce — thread-safe; they drain everything submitted
 ///     before the call (release/acquire on the completion counters).
 ///   * Stats — thread-safe even while other producers keep submitting:
-///     each shard is snapshotted *on its owning worker* by a marker op
-///     that rides the same FIFO, so it reflects every op enqueued before
-///     the call (plus possibly some concurrent ones) with no racy reads.
+///     each shard is snapshotted by the worker draining it, through a
+///     marker op that rides the same FIFO, so it reflects every op
+///     enqueued before the call (plus possibly some concurrent ones) with
+///     no racy reads.
 ///   * volume / reserved_footprint / counters — thread-safe at any time:
 ///     relaxed reads of each shard's two single-writer gauges
 ///     (ShardCounters: volume and reserved_footprint), summed on read;
 ///     exact once drained. Every other per-shard number (ops, peaks,
-///     batches, latency) lives in the shard's record, which only its
-///     worker touches; read it through Stats().
+///     batches, latency) lives in the shard's record, which only the
+///     worker holding the shard's claim touches; read it through Stats().
 ///   * AddShardListener / shard / shard_view / shard_space — the listener
 ///     hook must run before the first Insert/Delete (CHECK-enforced); the
 ///     accessors must only be read while no producer is submitting and
-///     the facade is drained (external quiescence). Listeners fire on the
-///     owning shard's worker thread only, so a listener shared across
-///     shards must be internally synchronized (per-shard listeners need
-///     no locking at all — the documented fan-out rule).
+///     the facade is drained (external quiescence). A shard's listeners
+///     fire on whichever worker holds its claim: never on two threads at
+///     once, and each call happens-after the previous one. So per-shard
+///     listeners need no locking at all (the documented fan-out rule),
+///     while a listener shared across shards must be internally
+///     synchronized.
 ///
 /// Statuses are reported through tokens (SubmitTracked) or, for
 /// fire-and-forget Submit, counted per shard in failed_ops — nothing fails
@@ -143,19 +200,19 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// policies (they need cross-shard coordination, and only the inline
   /// driver keeps them).
   struct Options : ShardEngine::Options {
-    /// Worker threads W (<= shard_count; shard i is pinned to worker
-    /// i % W). 0 means one worker per shard.
+    /// Worker threads W (<= shard_count), a pool shared by all shards:
+    /// any idle worker drains any shard with queued work. 0 means one
+    /// worker per shard.
     std::uint32_t worker_threads = 0;
-    /// Bound on each worker's in-flight ops (submitted - completed,
-    /// summed over its shards; the op executing right now counts).
-    /// Producers block when the target worker is full (backpressure, not
-    /// drop).
+    /// Bound on each shard's in-flight ops (submitted - completed; the op
+    /// executing right now counts). Producers block when the target shard
+    /// is full (backpressure, not drop).
     std::size_t queue_capacity = 4096;
-    /// Overload policy for fire-and-forget Submit when the target worker
+    /// Overload policy for fire-and-forget Submit when the target shard
     /// is full. 0 (default) keeps pure backpressure: block until room
     /// frees up. With N >= 1 the producer retries up to N bounded waits
     /// with doubling backoff (starting at submit_retry_backoff); if the
-    /// worker is still full the op is DROPPED: Submit returns
+    /// shard is still full the op is DROPPED: Submit returns
     /// ResourceExhausted and the drop is recorded in Stats() (per-shard
     /// dropped_ops plus the facade-wide last_drop_status). Per-op
     /// tracked/synchronous submissions and internal markers always block
@@ -174,7 +231,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   static Status Make(const ReallocatorSpec& inner_spec, const Options& options,
                      std::unique_ptr<ConcurrentShardedReallocator>* out);
 
-  /// Drains all queues, stops and joins the workers.
+  /// Drains all queues, then stops and joins the workers.
   ~ConcurrentShardedReallocator() override;
 
   /// Fire-and-forget submission, a batch of one. Ok means "accepted and
@@ -227,23 +284,23 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::uint64_t reserved_footprint() const override;
   std::uint64_t volume() const override;
 
-  /// Drains, then runs every shard's deferred work on its own worker.
+  /// Drains, then runs every shard's deferred work on a worker.
   void Quiesce() override { MarkEveryShard(ShardOpKind::kQuiesce); }
-  /// Drains, then checkpoints every managed shard on its own worker —
+  /// Drains, then checkpoints every managed shard on a worker —
   /// forcing a durable point on every per-shard move log when the facade
   /// was built with a DurabilityHub. No-op for unmanaged shards.
   void CheckpointAll() { MarkEveryShard(ShardOpKind::kCheckpoint); }
   const char* name() const override { return name_.c_str(); }
 
   /// Snapshots per-shard and aggregate accounting via per-shard marker
-  /// ops on the owning workers (see the class contract): consistent per
+  /// ops drained like any other op (see the class contract): consistent per
   /// shard, safe under concurrent submission, exact when quiesced.
   ShardStats Stats();
 
   /// Registers a listener on shard `index`'s private space. Must be called
   /// before the first Insert/Delete submission (CHECK-enforced; internal
-  /// Stats/Quiesce markers don't count); events are delivered on that
-  /// shard's worker thread.
+  /// Stats/Quiesce markers don't count); events are delivered on the
+  /// worker holding that shard's claim.
   void AddShardListener(std::uint32_t index, SpaceListener* listener);
 
   std::uint32_t shard_count() const { return engine_.shard_count(); }
@@ -270,7 +327,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Shard `index`'s CheckpointManager (nullptr for unmanaged algorithms).
   /// Mutating it (e.g. SetCheckpointHook) must happen before the first
   /// Insert/Delete submission, like AddShardListener; hooks then fire on
-  /// the shard's owning worker thread.
+  /// the worker holding the shard's claim.
   CheckpointManager* shard_manager(std::uint32_t index) const {
     return engine_.shard_manager(index);
   }
@@ -286,22 +343,26 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::shared_ptr<OpToken> token;  // null for fire-and-forget
   };
 
-  /// One worker: its shards' drain loop plus the in-flight accounting.
-  /// `submitted` is reserved (Reserve) right before each push;
-  /// `completed` counts every executed op, published once per drain
-  /// cycle. Both are atomic, so Flush's wait predicate and the capacity
-  /// gate never need the worker's lock; `mu` guards only `stop` and the
-  /// condition waits.
-  struct Worker {
-    std::mutex mu;
-    std::condition_variable cv_ready;    // worker waits: work available
-    std::condition_variable cv_space;    // producers wait: in-flight room
-    std::condition_variable cv_drained;  // flushers wait: batch retired
+  /// One shard's queue, claim and in-flight accounting. `submitted` is
+  /// reserved (Reserve) right before each push; `completed` counts every
+  /// executed op, published once per drain. Both are atomic, so Flush's
+  /// wait predicate and the capacity gate never need `mu`, which guards
+  /// only the condition waits. Aligned so two shards' hot atomics never
+  /// share a cache line.
+  struct alignas(64) Lane {
+    RemoteQueue<std::vector<Item>> queue;
+    /// Set while one worker drains the shard (see the class contract).
+    std::atomic<bool> claimed{false};
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> completed{0};
-    bool stop = false;
-    std::vector<std::uint32_t> owned_shards;
-    std::thread thread;
+    std::mutex mu;
+    std::condition_variable cv_space;    // producers wait: in-flight room
+    std::condition_variable cv_drained;  // flushers wait: ops retired
+
+    /// Queued work and no worker draining it.
+    bool claimable() const {
+      return !queue.empty() && !claimed.load(std::memory_order_seq_cst);
+    }
   };
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
@@ -310,7 +371,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
                        std::shared_ptr<OpToken> token);
   /// The one submission path behind every public submit: buckets the
   /// ops per shard, then Delivers each bucket. `tokens` is null or holds
-  /// `count` position-matched tokens; `may_drop` lets a full worker drop
+  /// `count` position-matched tokens; `may_drop` lets a full shard drop
   /// under the bounded-retry policy (per-op tracked submissions pass
   /// false). Returns the first drop in op order and reports the enqueued
   /// count in `*accepted` (when non-null).
@@ -330,40 +391,56 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Delivers one internal marker op to `shard`; markers never drop.
   void SubmitMarker(std::uint32_t shard, ShardOp op,
                     std::shared_ptr<OpToken> token = nullptr);
-  /// Pushes `items` onto `shard`'s queue, waking its worker if the queue
-  /// was empty. The caller has already counted them in `submitted`.
+  /// Pushes `items` onto `shard`'s queue, waking a parked worker if the
+  /// queue was empty. The caller has already counted them in `submitted`.
   void Push(std::uint32_t shard, std::vector<Item> items);
-  /// Claims up to `want` ops of `worker`'s in-flight room; returns how
-  /// many (0 when full).
-  std::size_t Reserve(Worker& worker, std::size_t want) const;
-  bool HasRoom(const Worker& worker) const;
-  Worker& WorkerOf(std::uint32_t shard) {
-    return *workers_[shard_worker_[shard]];
-  }
+  /// Claims up to `want` ops of `lane`'s in-flight room; returns how many
+  /// (0 when full).
+  std::size_t Reserve(Lane& lane, std::size_t want) const;
+  bool HasRoom(const Lane& lane) const;
   void RecordDrop(std::uint32_t shard, std::uint64_t count,
                   const Status& status);
-  void WorkerLoop(Worker& worker);
+  /// Whether some shard is claimable.
+  bool Claimable() const;
+  /// Claims `shard` if it has queued work and is unclaimed, executes
+  /// everything queued, and releases the claim. Returns whether it ran
+  /// anything.
+  bool TryDrain(std::uint32_t shard);
+  /// Scans every shard from `first` on, draining each it can claim, until
+  /// a scan finds nothing; then spins, and parks until some shard is
+  /// claimable, or exits once stop_ is set and nothing is.
+  void WorkerLoop(std::uint32_t first);
 
   Options options_;
   /// Private roots, one per shard. Declared before engine_ so the shards'
   /// views and reallocators are destroyed first.
   std::vector<std::unique_ptr<AddressSpace>> roots_;
   ShardEngine engine_;
-  /// Per shard: its FIFO, and the index of the worker that owns it. Every
-  /// op for the shard — requests and markers — is pushed onto the queue
-  /// as a batch; only the owning worker takes.
-  std::vector<std::unique_ptr<RemoteQueue<std::vector<Item>>>> queues_;
-  std::vector<std::uint32_t> shard_worker_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  /// One lane per shard. Every op for the shard, requests and markers, is
+  /// pushed onto its queue as a batch; only the claim holder takes.
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<std::thread> workers_;
+  // The park state, `spinning_` and `requests_submitted_` each start a
+  // cache line. Producers lock `park_mu_` on pushes onto empty queues and
+  // count every batch in `requests_submitted_`; workers update
+  // `spinning_`. None may share a line with another, or with the members
+  // above that spinning workers read on every poll (`lanes_`, `engine_`).
+
+  /// Idle workers park here; `park_mu_` guards stop_.
+  alignas(64) std::mutex park_mu_;
+  std::condition_variable cv_work_;
+  bool stop_ = false;
+  /// Workers in their spin phase. See the class contract.
+  alignas(64) std::atomic<std::uint32_t> spinning_{0};
 
   /// Count of real (insert/delete) submissions — the AddShardListener
   /// gate; internal quiesce/snapshot markers do not count.
-  std::atomic<std::uint64_t> requests_submitted_{0};
+  alignas(64) std::atomic<std::uint64_t> requests_submitted_{0};
 
   /// Drop accounting for the bounded-retry Submit policy. Cold path only
   /// (a drop means the retries already burned their backoff budget), so a
   /// plain mutex; producers count drops here, never in a shard's record,
-  /// which only its worker writes.
+  /// which only the claim holder writes.
   mutable std::mutex drop_mu_;
   std::vector<std::uint64_t> dropped_ops_;  // per shard
   Status last_drop_status_;

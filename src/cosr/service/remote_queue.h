@@ -7,11 +7,11 @@
 namespace cosr {
 
 /// Lock-free MPSC hand-off list, llheap-style: any number of producers
-/// push nodes with a Treiber-stack CAS; the single owning consumer takes
-/// the *whole* list in one exchange and walks it in arrival order. This is
+/// push nodes with a Treiber-stack CAS; the single consumer takes the
+/// *whole* list in one exchange and walks it in arrival order. This is
 /// the per-shard "remote queue" of the concurrent facade, its one
 /// submission path — producers never touch a mutex on the hot path, and
-/// the owner pays one atomic exchange per drain regardless of how many
+/// the consumer pays one atomic exchange per drain regardless of how many
 /// batches landed.
 ///
 /// Memory-ordering argument (the whole of it — there are only two edges):
@@ -23,9 +23,14 @@ namespace cosr {
 ///   * TakeAll consumes with an acquire exchange. It synchronizes-with
 ///     every release CAS whose node it observes (each successful push is
 ///     part of the release sequence headed by the value the exchange
-///     reads), so the owner sees fully-constructed payloads. empty() uses
+///     reads), so the consumer sees fully-constructed payloads. empty() uses
 ///     an acquire load for the same reason, though callers only branch on
 ///     the null test.
+///
+/// All three are in fact seq_cst, which includes both edges. The
+/// concurrent facade's wake-up protocol reasons about the heads together
+/// with its own flags in one total order; on x86 the stronger order costs
+/// nothing (a locked CAS, an exchange and a plain load either way).
 ///
 /// Why ABA cannot bite: the push CAS never dereferences the old head — it
 /// only stores it into `node->next` — and the consumer's TakeAll is an
@@ -34,12 +39,13 @@ namespace cosr {
 ///
 /// Ownership protocol: the producer owns a node until its CAS succeeds;
 /// the queue owns it until TakeAll; the consumer owns (and deletes) it
-/// after. Nodes are heap-allocated by producers and freed by the owner —
+/// after. Nodes are heap-allocated by producers and freed by the consumer —
 /// records flow home to their shard, never back.
 ///
-/// Thread-safety: Push and empty() from any thread; TakeAll from the one
-/// owning consumer only (concurrent TakeAll calls would both be "the"
-/// owner — the single-consumer half of MPSC is the caller's contract).
+/// Thread-safety: Push and empty() from any thread; TakeAll from one
+/// consumer at a time (the single-consumer half of MPSC is the caller's
+/// contract). The consumer may change between takes when something
+/// orders them, as the concurrent facade's shard claim does.
 template <typename T>
 class RemoteQueue {
  public:
@@ -63,7 +69,7 @@ class RemoteQueue {
 
   /// Pushes `node` (ownership transfers to the queue). Returns true when
   /// the queue was empty before this push — the "I made it non-empty"
-  /// signal a producer uses to decide whether the owner needs a wakeup
+  /// signal a producer uses to decide whether a consumer needs a wakeup
   /// (pushes onto a non-empty list are covered by the notification of
   /// whoever made it non-empty).
   bool Push(Node* node) {
@@ -71,18 +77,18 @@ class RemoteQueue {
     do {
       node->next = old_head;
     } while (!head_.compare_exchange_weak(old_head, node,
-                                          std::memory_order_release,
+                                          std::memory_order_seq_cst,
                                           std::memory_order_relaxed));
     return old_head == nullptr;
   }
 
   /// Detaches the entire list and returns it in arrival (push) order —
-  /// the stack is reversed here, once, by the owner. Per-producer FIFO
+  /// the stack is reversed here, once, by the consumer. Per-producer FIFO
   /// follows: one producer's pushes CAS in program order, so they appear
   /// in the stack newest-first and come out oldest-first. Returns nullptr
   /// when nothing was pending. Caller walks `next` and deletes each node.
   Node* TakeAll() {
-    Node* node = head_.exchange(nullptr, std::memory_order_acquire);
+    Node* node = head_.exchange(nullptr, std::memory_order_seq_cst);
     Node* reversed = nullptr;
     while (node != nullptr) {
       Node* next = node->next;
@@ -94,7 +100,7 @@ class RemoteQueue {
   }
 
   bool empty() const {
-    return head_.load(std::memory_order_acquire) == nullptr;
+    return head_.load(std::memory_order_seq_cst) == nullptr;
   }
 
  private:

@@ -61,15 +61,18 @@ struct ShardOp {
 ///     that need an id -> shard map and the rebalance scan that calls
 ///     Migrate.
 ///   * kThreaded (ConcurrentShardedReallocator): each shard owns a private
-///     root and is executed only by its worker thread; logs attach to the
-///     private roots directly. Routing is by hash only.
+///     root, and a pool of worker threads executes the shards; a worker
+///     claims a shard before it drains it, so one shard runs on one thread
+///     at a time. Logs attach to the private roots directly. Routing is by
+///     hash only.
 /// Shard i's view is based at i * span in both modes, so placements,
 /// footprints and per-shard logs agree coordinate for coordinate.
 ///
 /// Thread-compatible per shard: all ops for shard s (Execute, Snapshot,
-/// record) must come from s's owner — the inline caller, or s's worker.
-/// Migrate touches two shards, so only the inline driver, which owns them
-/// all, calls it.
+/// record) must come from s's owner — the inline caller, or the worker
+/// holding s's claim. A claiming worker calls HandOff(s) first, so the
+/// debug fence follows the claim. Migrate touches two shards, so only the
+/// inline driver, which owns them all, calls it.
 class ShardEngine {
  public:
   /// The settings both facades share.
@@ -146,6 +149,10 @@ class ShardEngine {
   const ShardCounters& counters(std::uint32_t index) const {
     return counters_[index];
   }
+  /// Makes the calling thread shard `index`'s owner for the debug fence.
+  /// The threaded driver calls it when a worker takes the shard's claim,
+  /// which already orders it after the previous owner.
+  void HandOff(std::uint32_t index) { shards_[index].view->HandOff(); }
   /// Shard owner only: the shard's accounting record, for the fields its
   /// driver writes (the threaded driver's remote-batch counts).
   ShardStats::PerShard& record(std::uint32_t index) {

@@ -17,9 +17,9 @@ namespace cosr {
 ///
 /// Thread-compatible: a plain value snapshot, shared freely once made.
 /// ShardedReallocator::Stats() copies every shard on the caller's thread;
-/// ConcurrentShardedReallocator::Stats() copies each shard on its owning
-/// worker through a marker op that rides the shard's FIFO, so it is safe
-/// under live submission and exact once the facade is drained.
+/// ConcurrentShardedReallocator::Stats() copies each shard on the worker
+/// that drains it, through a marker op that rides the shard's FIFO, so it
+/// is safe under live submission and exact once the facade is drained.
 struct ShardStats {
   /// One shard's accounting. ShardEngine keeps one per shard, which the
   /// shard's owner writes in place as it executes ops (the counters and
@@ -60,8 +60,8 @@ struct ShardStats {
     /// (both facades).
     std::uint64_t peak_reserved_footprint = 0;
     /// Batched-submission accounting (concurrent facade only): remote
-    /// batches carrying requests that the owning worker drained from this
-    /// shard's RemoteQueue, and how many requests arrived inside them.
+    /// batches carrying requests that the facade's workers drained from
+    /// this shard's RemoteQueue, and how many requests arrived inside them.
     /// Every request rides that queue (a per-op Submit is a batch of one),
     /// so batched_ops == ops; ops / remote_batches is the batching
     /// factor.
@@ -137,9 +137,10 @@ struct ShardStats {
 /// threaded driver's readers cross threads. Sized and aligned to its own
 /// cache line so K shards never false-share.
 ///
-/// Thread-safe under the single-writer discipline: exactly one thread (the
-/// shard's owner — the caller on the inline facade, its worker thread on
-/// the concurrent one) stores, relaxed; any thread may load at any time.
+/// Thread-safe under the single-writer discipline: one thread at a time
+/// (the shard's owner — the caller on the inline facade, the worker
+/// holding the shard's claim on the concurrent one, each claim ordered
+/// after the last) stores, relaxed; any thread may load at any time.
 /// The two gauges agree with each other, and with the shard's
 /// ShardStats::PerShard, only after a drain barrier
 /// (ConcurrentShardedReallocator::Flush) establishes happens-before.

@@ -34,11 +34,13 @@ class CheckpointManager;
 /// Listeners are forwarded to the parent: observers always price physical
 /// activity in root (global) coordinates.
 ///
-/// Thread-compatible: one view must only be mutated by one thread (its
-/// shard's owner — the facade caller in single-threaded mode, the shard's
-/// worker in concurrent mode); debug builds CHECK-fail fast on a second
-/// mutating thread. Views over one *shared* parent additionally require
-/// all sibling mutations to be serialized (the parent itself is
+/// Thread-compatible: one view must only be mutated by one thread at a
+/// time (its shard's owner — the facade caller in single-threaded mode,
+/// whichever worker holds the shard's claim in concurrent mode); debug
+/// builds CHECK-fail fast on a mutation from any other thread. Ownership
+/// moves only through HandOff, which the concurrent facade's claim
+/// performs. Views over one *shared* parent additionally require all
+/// sibling mutations to be serialized (the parent itself is
 /// thread-compatible) — the concurrent facade avoids this entirely by
 /// giving every shard a private parent.
 class SubSpaceView final : public Space {
@@ -79,6 +81,11 @@ class SubSpaceView final : public Space {
                       const ExtentVisitor& fn) const override;
   bool SelfCheck() const override;
 
+  /// Makes the calling thread the view's owner for the debug fence. The
+  /// caller must already be serialized after the previous owner's last
+  /// mutation (the concurrent facade's shard claim).
+  void HandOff() { owner_fence_.HandOff(); }
+
   Space* parent() const { return parent_; }
   std::uint64_t base() const { return base_; }
   std::uint64_t span() const { return span_; }
@@ -97,7 +104,8 @@ class SubSpaceView final : public Space {
   void CheckMoveWritable(const Extent& from, const Extent& to) const;
 
   /// Debug fence for the thread-compatible contract: all mutations must
-  /// come from the thread that issued the first one.
+  /// come from the thread that issued the first one, or that took the view
+  /// over by HandOff since.
   OwnerThreadFence owner_fence_;
 
   Space* parent_;

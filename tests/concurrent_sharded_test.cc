@@ -12,6 +12,11 @@
 //    concurrently lose nothing: every accepted op executes exactly once.
 //  * Drain/shutdown ordering — Flush retires everything submitted before
 //    it; destruction drains pending queues before joining the workers.
+//  * Work-conserving drain — a shard wedged mid-op holds up no sibling:
+//    an idle worker claims any shard with queued work.
+//  * The ownership fence follows the claim — a view mutated by the thread
+//    that took it over passes; a mutation by any other thread dies (debug
+//    builds).
 //  * Statuses never vanish: tokens carry per-op results, fire-and-forget
 //    failures are counted per shard.
 //  * The spin-then-park hand-off — synchronous Insert/Delete from many
@@ -40,7 +45,9 @@
 #include "cosr/realloc/factory.h"
 #include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/sharded_reallocator.h"
+#include "cosr/service/sub_space_view.h"
 #include "cosr/storage/address_space.h"
+#include "cosr/storage/extent.h"
 #include "cosr/storage/simulated_disk.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
@@ -109,7 +116,7 @@ void RunConcurrentDifferential(const std::string& algorithm,
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 
-  // One meter per shard: listeners fire on the owning worker thread only,
+  // One meter per shard: a shard's listeners fire on one worker at a time,
   // so per-shard meters need no locking; they merge after the drain.
   std::vector<std::unique_ptr<CostMeter>> shard_meters;
   for (std::uint32_t i = 0; i < shard_count; ++i) {
@@ -172,6 +179,10 @@ TEST(ConcurrentDifferential, CostObliviousK8W4) {
   RunConcurrentDifferential("cost-oblivious", 8, 4, RoutingPolicy::kHashId, 11);
 }
 
+// K=8 over W=3 does not divide evenly: under static pinning it was the
+// 3/3/2 split. Workers now claim any shard with queued work, so here
+// shards change workers mid-run, and every per-shard outcome must still
+// match the sequential replay.
 TEST(ConcurrentDifferential, CostObliviousK8W3UnevenPinning) {
   RunConcurrentDifferential("cost-oblivious", 8, 3, RoutingPolicy::kHashId, 12);
 }
@@ -278,9 +289,9 @@ TEST(ConcurrentMpsc, MultipleProducersLoseNothing) {
   // and workers run: volume() and the summed reserved-footprint gauges
   // never exceed the bytes the producers insert (first-fit only extends
   // its end by appending an insert). Stats() must be callable under load
-  // too — its per-shard snapshots ride the queues on the owning workers,
-  // so this is race-free by construction (TSan runs this test in CI to
-  // hold that claim).
+  // too — its per-shard snapshots ride the shards' queues and run under
+  // the shards' claims, so this is race-free by construction (TSan runs
+  // this test in CI to hold that claim).
   std::uint64_t inserted_bytes = 0;
   for (std::uint64_t j = 0; j < kIdsPerProducer; ++j) {
     inserted_bytes += kProducers * (1 + (j * 2654435761u % 512));
@@ -406,6 +417,21 @@ TEST(ConcurrentMpsc, ReincarnationsKeepPerIdOrderUnderRaces) {
 
 // ------------------------------------------------ drain / shutdown ordering
 
+/// Stalls the worker draining its shard inside every OnPlace until
+/// released, so a test can wedge the pipeline deterministically.
+class StallingListener : public SpaceListener {
+ public:
+  void OnPlace(ObjectId, const Extent&) override {
+    entered.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+};
+
+
 TEST(ConcurrentDrain, FlushRetiresEverythingSubmittedBefore) {
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";
@@ -457,6 +483,94 @@ TEST(ConcurrentDrain, DestructorDrainsPendingQueuesBeforeJoining) {
     // No Flush: destruction itself must retire the queued tail.
   }
   EXPECT_EQ(counter.count.load(), kOps);
+}
+
+TEST(ConcurrentDrain, NoShardWaitsBehindAStalledSibling) {
+  // Shard 0 wedges inside its listener, as it would in a long flush. With
+  // K=3 and W=2, static pinning (shard i on worker i % 2) put shard 2 on
+  // shard 0's worker, so shard 2's ops waited for the wedge. Any idle
+  // worker now claims shard 2 and drains it.
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ConcurrentShardedReallocator::Options options;
+  options.shard_count = 3;
+  options.worker_threads = 2;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+  StallingListener stall;
+  concurrent->AddShardListener(0, &stall);
+  const auto next_id_on = [&](std::uint32_t shard, ObjectId id) {
+    while (concurrent->shard_for(id, 8) != shard) ++id;
+    return id;
+  };
+
+  const auto wedged =
+      concurrent->SubmitTracked(Request::Insert(next_id_on(0, 0), 8));
+  while (!stall.entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  constexpr int kOps = 16;
+  std::vector<std::shared_ptr<OpToken>> tokens;
+  ObjectId id = 0;
+  for (int i = 0; i < kOps; ++i) {
+    id = next_id_on(2, id + 1);
+    tokens.push_back(concurrent->SubmitTracked(Request::Insert(id, 8)));
+  }
+  const auto all_done = [&] {
+    for (const auto& token : tokens) {
+      if (!token->done()) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!all_done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(all_done()) << "shard 2's ops waited behind wedged shard 0";
+  EXPECT_FALSE(wedged->done());  // shard 0 stayed wedged throughout
+
+  stall.release.store(true, std::memory_order_release);
+  EXPECT_TRUE(wedged->Wait().ok());
+  for (const auto& token : tokens) EXPECT_TRUE(token->Wait().ok());
+  concurrent->Flush();
+  EXPECT_EQ(concurrent->volume(), (kOps + 1) * 8u);
+}
+
+// -------------------------------------------- ownership fence under claims
+
+TEST(ConcurrentOwnership, HandOffMovesTheFence) {
+  // The claim's hand-off makes the claiming thread the view's owner, so
+  // a shard may be mutated by one thread after another.
+  AddressSpace parent;
+  SubSpaceView view(&parent, 0, 1u << 20);
+  ASSERT_TRUE(view.TryPlace(1, Extent{0, 8}));
+  std::thread([&view] {
+    view.HandOff();
+    EXPECT_TRUE(view.TryPlace(2, Extent{8, 8}));
+  }).join();
+  view.HandOff();
+  EXPECT_TRUE(view.TryPlace(3, Extent{16, 8}));
+  EXPECT_EQ(view.object_count(), 3u);
+}
+
+TEST(ConcurrentOwnership, MutationWithoutHandOffDies) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the ownership fence is compiled out under NDEBUG";
+#else
+  // The main thread mutates first, then another thread takes the view
+  // over. The main thread no longer holds it, so its next mutation
+  // without a hand-off must CHECK-fail.
+  AddressSpace parent;
+  SubSpaceView view(&parent, 0, 1u << 20);
+  ASSERT_TRUE(view.TryPlace(1, Extent{0, 8}));
+  std::thread([&view] {
+    view.HandOff();
+    EXPECT_TRUE(view.TryPlace(2, Extent{8, 8}));
+  }).join();
+  EXPECT_DEATH(view.TryPlace(3, Extent{16, 8}), "owning thread");
+#endif
 }
 
 // ----------------------------------------------------- status propagation
@@ -563,20 +677,6 @@ TEST(ConcurrentStatus, SyncRoundTripsFromManyThreads) {
 
 // ------------------------------------------------- bounded-retry drop policy
 
-/// Stalls its shard's worker inside the first OnPlace until released, so a
-/// test can wedge the pipeline deterministically.
-class StallingListener : public SpaceListener {
- public:
-  void OnPlace(ObjectId, const Extent&) override {
-    entered.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  }
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-};
-
 TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";
@@ -595,15 +695,15 @@ TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
   StallingListener stall;
   concurrent->AddShardListener(0, &stall);
 
-  // Op 1 is picked up by the worker and wedges inside the listener; op 2
-  // then fills the worker's in-flight room.
+  // Op 1 is picked up by a worker and wedges inside the listener; op 2
+  // then fills the shard's in-flight room.
   ASSERT_TRUE(concurrent->Submit(Request::Insert(1, 8)).ok());
   while (!stall.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(concurrent->Submit(Request::Insert(2, 8)).ok());
 
-  // Op 3 finds the worker full, burns its bounded retries, and is dropped.
+  // Op 3 finds the shard full, burns its bounded retries, and is dropped.
   const Status dropped = concurrent->Submit(Request::Insert(3, 8));
   EXPECT_EQ(dropped.code(), StatusCode::kResourceExhausted);
 
@@ -689,7 +789,7 @@ TEST(ConcurrentDropPolicy, BatchDropsExactlyTheUndeliveredSuffix) {
 }
 
 TEST(ConcurrentDropPolicy, DefaultPolicyIsPureBackpressure) {
-  // With submit_max_retries at its default 0, a full worker blocks the
+  // With submit_max_retries at its default 0, a full shard blocks the
   // producer instead of dropping — the pre-existing contract.
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";

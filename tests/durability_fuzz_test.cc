@@ -47,7 +47,7 @@ std::vector<FuzzConfig> Configs() {
       }
     }
     // One concurrent (worker-thread) configuration per scenario: per-shard
-    // logs on private roots, checkpoint hooks firing on owning workers.
+    // logs on private roots, checkpoint hooks firing on claiming workers.
     FuzzConfig config;
     config.scenario = scenario;
     config.algorithm = "checkpointed";
