@@ -13,30 +13,38 @@
 //     strictly fewer records to the same checkpoint.
 //   * Crash-recovery fuzz — the same deterministic harness the tests gate
 //     on (record-boundary cuts, torn records, mid-batch tears across
-//     scenarios x algorithms x facades), now including group-commit
-//     policy cells whose crash surface covers unsynced checkpoint records
-//     and retired pre-compaction streams.
+//     scenarios x algorithms x shard counts on the inline driver),
+//     including group-commit policy cells whose crash surface covers
+//     unsynced checkpoint records and retired pre-compaction streams.
+//   * Driver log equality — the threaded driver against the inline one on
+//     the fuzz's smoke traces, per-op and batched submission, with and
+//     without a compacting policy: every shard's log bytes must match, so
+//     the inline crash points cover the threaded driver too.
 //
 // Writes BENCH_durability.json (run from the repo root to refresh the
-// committed artifact). --smoke shrinks sizes and asserts via exit code
+// committed artifact). The checkpointed file-sink cells run 5 trials each
+// and report the median one; a non-timing column that differs between
+// trials fails the run. --smoke shrinks sizes and asserts via exit code
 // that every injected crash point recovered exactly, that the run
 // injected >= 1000 points in total, that coalescing cells really coalesce
 // (syncs < checkpoints), that compacting cells commit rewrites and fuzz
-// the retired streams, and that compaction shrinks the replayed record
-// count — the CI durability gate.
+// the retired streams, that compaction shrinks the replayed record count,
+// and that every equality row is identical — the CI durability gate.
 //
 // Usage: exp_durability [--smoke]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "cosr/common/check.h"
-#include "cosr/durability/crash_fuzz.h"
 #include "cosr/durability/durability_hub.h"
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/realloc/factory.h"
@@ -45,6 +53,7 @@
 #include "cosr/storage/simulated_disk.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
+#include "support/crash_fuzz.h"
 
 namespace cosr {
 namespace {
@@ -123,6 +132,9 @@ bool DriveSingle(const std::string& algorithm, const Trace& trace,
   return true;
 }
 
+/// Trials per checkpointed file-sink cell; the row is the median one.
+constexpr int kFileTrials = 5;
+
 struct PolicyCell {
   const char* label;
   std::uint32_t max_unsynced;
@@ -163,24 +175,49 @@ bool RunOverhead(std::uint64_t operations, std::vector<OverheadRow>* rows) {
     }
     for (const std::string sink : {"memory", "file"}) {
       for (const PolicyCell& cell : kPolicies) {
-        OverheadRow row;
-        row.sink = sink;
-        row.policy = cell.label;
-        row.max_unsynced = cell.max_unsynced;
-        row.compaction_threshold = cell.compaction_threshold;
-        DurabilityHub::Options hub_options;
-        hub_options.group_commit.max_unsynced_checkpoints = cell.max_unsynced;
-        hub_options.group_commit.compaction_threshold_bytes =
-            cell.compaction_threshold;
-        if (sink == "file") {
-          hub_options.sink_kind = DurabilityHub::SinkKind::kFile;
-          hub_options.file_prefix =
-              "exp_durability_" + algorithm + "_" + cell.label + "_";
+        // The checkpointed file-sink cells carry the group-commit headline,
+        // a ratio of two fsync-bound rates: each runs kFileTrials times
+        // and reports its median trial.
+        const int trials =
+            sink == "file" && algorithm == "checkpointed" ? kFileTrials : 1;
+        std::vector<OverheadRow> runs(trials);
+        for (OverheadRow& run : runs) {
+          run.sink = sink;
+          run.policy = cell.label;
+          run.max_unsynced = cell.max_unsynced;
+          run.compaction_threshold = cell.compaction_threshold;
+          DurabilityHub::Options hub_options;
+          hub_options.group_commit.max_unsynced_checkpoints =
+              cell.max_unsynced;
+          hub_options.group_commit.compaction_threshold_bytes =
+              cell.compaction_threshold;
+          if (sink == "file") {
+            hub_options.sink_kind = DurabilityHub::SinkKind::kFile;
+            hub_options.file_prefix =
+                "exp_durability_" + algorithm + "_" + cell.label + "_";
+          }
+          DurabilityHub hub(hub_options);
+          ok &= DriveSingle(algorithm, trace, &hub, &run);
+          if (sink == "file") std::remove(hub.file_path(0).c_str());
+          if (!ok) return false;
         }
-        DurabilityHub hub(hub_options);
-        ok &= DriveSingle(algorithm, trace, &hub, &row);
-        if (sink == "file") std::remove(hub.file_path(0).c_str());
-        if (!ok) return false;
+        std::sort(runs.begin(), runs.end(),
+                  [](const OverheadRow& a, const OverheadRow& b) {
+                    return a.wall_seconds < b.wall_seconds;
+                  });
+        const OverheadRow row = runs[runs.size() / 2];
+        const auto counts = [](const OverheadRow& r) {
+          return std::tie(r.log_records, r.log_bytes, r.log_syncs,
+                          r.checkpoints, r.log_compactions);
+        };
+        for (const OverheadRow& run : runs) {
+          if (counts(run) != counts(row)) {
+            std::printf("OVERHEAD FAILURE %s/%s/%s: a non-timing column "
+                        "differs between trials\n",
+                        algorithm.c_str(), sink.c_str(), cell.label);
+            ok = false;
+          }
+        }
         // Sync accounting invariants: a sync only ever happens at a
         // checkpoint, and the coalescing window is honored exactly (the
         // tail of the last window legitimately stays unsynced).
@@ -350,7 +387,6 @@ bool RunRecovery(const std::vector<std::uint64_t>& op_counts,
 struct FuzzRow {
   CrashFuzzOptions options;
   CrashFuzzReport report;
-  std::string mode;            // "sharded" | "concurrent"
   std::string policy = "sync1";
 };
 
@@ -374,7 +410,7 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
              std::size_t* total_points) {
   std::printf("\nCrash-recovery fuzz (every injected point must recover the "
               "last-checkpointed state byte-for-byte):\n");
-  bench::Table table({"scenario", "algorithm", "facade", "K", "policy",
+  bench::Table table({"scenario", "algorithm", "K", "policy",
                       "points", "boundary", "torn", "mid-batch", "pre-compact",
                       "ckpts", "syncs", "compactions", "records",
                       "migrations", "objects verified"});
@@ -385,7 +421,6 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
     for (const std::string algorithm : {"checkpointed", "deamortized"}) {
       for (const std::uint32_t shards : {1u, 4u}) {
         FuzzRow row;
-        row.mode = "sharded";
         row.options.scenario = scenario;
         row.options.algorithm = algorithm;
         row.options.shard_count = shards;
@@ -394,22 +429,12 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
         rows->push_back(row);
       }
     }
-    FuzzRow row;
-    row.mode = "concurrent";
-    row.options.scenario = scenario;
-    row.options.algorithm = "checkpointed";
-    row.options.shard_count = 4;
-    row.options.concurrent = true;
-    row.options.seed = 3;
-    rows->push_back(row);
   }
   // Migration-active cells: the rebalancer drains victims across shards
   // during the drive, so crash points cut logs with migration records
-  // (source-side Delete, destination-side Place) in flight. Synchronous
-  // only: the threaded driver routes by hash only and never migrates.
+  // (source-side Delete, destination-side Place) in flight.
   for (const std::string algorithm : {"checkpointed", "deamortized"}) {
     FuzzRow row;
-    row.mode = "sharded";
     row.options.scenario = "zipf-churn";
     row.options.algorithm = algorithm;
     row.options.shard_count = 4;
@@ -424,7 +449,6 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
   // snapshot prefixes.
   {
     FuzzRow row;
-    row.mode = "sharded";
     row.options.scenario = "steady-churn";
     row.options.algorithm = "checkpointed";
     row.options.shard_count = 4;
@@ -436,7 +460,6 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
   }
   {
     FuzzRow row;
-    row.mode = "sharded";
     row.options.scenario = "ramp-collapse";
     row.options.algorithm = "deamortized";
     row.options.shard_count = 4;
@@ -449,11 +472,9 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
   }
   {
     FuzzRow row;
-    row.mode = "concurrent";
     row.options.scenario = "steady-churn";
     row.options.algorithm = "checkpointed";
     row.options.shard_count = 4;
-    row.options.concurrent = true;
     row.options.seed = 3;
     row.options.group_commit.max_unsynced_checkpoints = 4;
     row.options.group_commit.compaction_threshold_bytes = 4096;
@@ -464,10 +485,9 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
   for (FuzzRow& row : *rows) {
     const Status status = RunCrashFuzz(row.options, &row.report);
     if (!status.ok()) {
-      std::printf("FUZZ FAILURE %s/%s/%s K=%u: %s\n",
+      std::printf("FUZZ FAILURE %s/%s K=%u: %s\n",
                   row.options.scenario.c_str(), row.options.algorithm.c_str(),
-                  row.mode.c_str(), row.options.shard_count,
-                  status.ToString().c_str());
+                  row.options.shard_count, status.ToString().c_str());
       ok = false;
       continue;
     }
@@ -475,10 +495,10 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
     // The migration-active cells must actually migrate, or their crash
     // points degenerate into the plain sharded cells.
     if (row.options.rebalance && row.report.migrations == 0) {
-      std::printf("FUZZ FAILURE %s/%s/%s K=%u: rebalance cell ran with "
+      std::printf("FUZZ FAILURE %s/%s K=%u: rebalance cell ran with "
                   "zero migrations\n",
                   row.options.scenario.c_str(), row.options.algorithm.c_str(),
-                  row.mode.c_str(), row.options.shard_count);
+                  row.options.shard_count);
       ok = false;
     }
     // The policy cells must exercise what they claim: coalescing cells
@@ -509,7 +529,7 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
                   row.policy.c_str(), row.report.crash_points);
       ok = false;
     }
-    table.AddRow({row.options.scenario, row.options.algorithm, row.mode,
+    table.AddRow({row.options.scenario, row.options.algorithm,
                   std::to_string(row.options.shard_count), row.policy,
                   std::to_string(row.report.crash_points),
                   std::to_string(row.report.boundary_points),
@@ -528,19 +548,83 @@ bool RunFuzz(bool smoke, std::vector<FuzzRow>* rows,
   return ok;
 }
 
+// ------------------------------------------------------ driver log equality
+
+struct EqualityRow {
+  std::string scenario;
+  std::string policy;  // "sync1" | "gc4+compact"
+  DriverLogOptions options;
+  DriverLogReport report;
+  bool identical = false;
+};
+
+/// The threaded driver against the inline one over the fuzz's smoke
+/// traces (CompareDriverLogs): per-op Submit at W = 1, 2, 4 and SubmitMany
+/// in 32-op chunks, under sync1 and a coalescing, compacting policy.
+bool RunEquality(std::vector<EqualityRow>* rows) {
+  std::printf("\nThreaded vs inline driver logs (checkpointed K=4, 300 ops; "
+              "identical = every shard's live and retired streams, syncs, "
+              "compactions and checkpoints equal):\n");
+  bench::Table table({"scenario", "W", "submission", "policy", "records",
+                      "log bytes", "syncs", "compactions", "retired",
+                      "identical"});
+  GroupCommitPolicy gc4;
+  gc4.max_unsynced_checkpoints = 4;
+  gc4.compaction_threshold_bytes = 4096;
+  bool ok = true;
+  for (const char* scenario : {"steady-churn", "ramp-collapse",
+                               "bimodal-churn"}) {
+    Trace trace;
+    if (!FindFuzzTrace(scenario, &trace).ok()) return false;
+    for (const bool compact : {false, true}) {
+      for (const auto& [workers, chunk] :
+           {std::pair<std::uint32_t, std::size_t>{1, 0}, {2, 0}, {4, 0},
+            {4, 32}}) {
+        EqualityRow row;
+        row.scenario = scenario;
+        row.policy = compact ? "gc4+compact" : "sync1";
+        row.options.worker_threads = workers;
+        row.options.chunk = chunk;
+        if (compact) row.options.group_commit = gc4;
+        const Status status =
+            CompareDriverLogs(trace, row.options, &row.report);
+        row.identical = status.ok();
+        if (!row.identical) {
+          std::printf("EQUALITY FAILURE %s W=%u chunk=%zu %s: %s\n",
+                      scenario, workers, chunk, row.policy.c_str(),
+                      status.ToString().c_str());
+          ok = false;
+        }
+        table.AddRow({row.scenario, std::to_string(workers),
+                      chunk == 0 ? "per-op" : "batched", row.policy,
+                      std::to_string(row.report.records),
+                      std::to_string(row.report.bytes),
+                      std::to_string(row.report.syncs),
+                      std::to_string(row.report.compactions),
+                      std::to_string(row.report.retired_streams),
+                      row.identical ? "yes" : "NO"});
+        rows->push_back(row);
+      }
+    }
+  }
+  table.Print();
+  return ok;
+}
+
 // ----------------------------------------------------------------- the JSON
 
 void WriteJson(const std::vector<OverheadRow>& overhead,
                const std::vector<RecoveryRow>& recovery,
-               const std::vector<FuzzRow>& fuzz, std::size_t total_points,
-               bool smoke) {
+               const std::vector<FuzzRow>& fuzz,
+               const std::vector<EqualityRow>& equality,
+               std::size_t total_points, bool smoke) {
   std::FILE* json = std::fopen("BENCH_durability.json", "w");
   if (json == nullptr) {
     std::printf("cannot open BENCH_durability.json for writing\n");
     return;
   }
   std::fprintf(json,
-               "{\n  \"schema_version\": 3,\n  \"smoke\": %s,\n"
+               "{\n  \"schema_version\": 4,\n  \"smoke\": %s,\n"
                "  \"total_crash_points\": %zu,\n  \"rows\": [\n",
                smoke ? "true" : "false", total_points);
   bool first = true;
@@ -588,7 +672,7 @@ void WriteJson(const std::vector<OverheadRow>& overhead,
     std::fprintf(
         json,
         "%s    {\"section\": \"fuzz\", \"scenario\": \"%s\", "
-        "\"algorithm\": \"%s\", \"facade\": \"%s\", \"shards\": %u, "
+        "\"algorithm\": \"%s\", \"facade\": \"sharded\", \"shards\": %u, "
         "\"rebalance\": %s, \"policy\": \"%s\", \"crash_points\": %zu, "
         "\"boundary_points\": %zu, \"torn_points\": %zu, "
         "\"mid_batch_points\": %zu, \"pre_compaction_points\": %zu, "
@@ -597,8 +681,8 @@ void WriteJson(const std::vector<OverheadRow>& overhead,
         "\"recovered_records\": %llu, \"migrations\": %llu, "
         "\"objects_verified\": %zu}",
         first ? "" : ",\n", row.options.scenario.c_str(),
-        row.options.algorithm.c_str(), row.mode.c_str(),
-        row.options.shard_count, row.options.rebalance ? "true" : "false",
+        row.options.algorithm.c_str(), row.options.shard_count,
+        row.options.rebalance ? "true" : "false",
         row.policy.c_str(), row.report.crash_points,
         row.report.boundary_points, row.report.torn_points,
         row.report.mid_batch_points, row.report.pre_compaction_points,
@@ -612,10 +696,29 @@ void WriteJson(const std::vector<OverheadRow>& overhead,
         row.report.objects_verified);
     first = false;
   }
+  for (const EqualityRow& row : equality) {
+    std::fprintf(
+        json,
+        "%s    {\"section\": \"equality\", \"scenario\": \"%s\", "
+        "\"workers\": %u, \"submission\": \"%s\", \"policy\": \"%s\", "
+        "\"records\": %llu, \"bytes\": %llu, \"syncs\": %llu, "
+        "\"compactions\": %llu, \"retired_streams\": %llu, "
+        "\"identical\": %s}",
+        first ? "" : ",\n", row.scenario.c_str(), row.options.worker_threads,
+        row.options.chunk == 0 ? "per-op" : "batched", row.policy.c_str(),
+        static_cast<unsigned long long>(row.report.records),
+        static_cast<unsigned long long>(row.report.bytes),
+        static_cast<unsigned long long>(row.report.syncs),
+        static_cast<unsigned long long>(row.report.compactions),
+        static_cast<unsigned long long>(row.report.retired_streams),
+        row.identical ? "true" : "false");
+    first = false;
+  }
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_durability.json (%zu rows)\n",
-              overhead.size() + recovery.size() + fuzz.size());
+              overhead.size() + recovery.size() + fuzz.size() +
+                  equality.size());
 }
 
 }  // namespace
@@ -636,6 +739,7 @@ int main(int argc, char** argv) {
   std::vector<cosr::OverheadRow> overhead;
   std::vector<cosr::RecoveryRow> recovery;
   std::vector<cosr::FuzzRow> fuzz;
+  std::vector<cosr::EqualityRow> equality;
   std::size_t total_points = 0;
 
   bool ok = cosr::RunOverhead(smoke ? 8000 : 60000, &overhead);
@@ -645,12 +749,14 @@ int main(int argc, char** argv) {
                           &recovery);
   ok &= cosr::RunFuzz(smoke, &fuzz, &total_points);
   ok &= total_points >= 1000;
+  ok &= cosr::RunEquality(&equality);
 
-  cosr::WriteJson(overhead, recovery, fuzz, total_points, smoke);
+  cosr::WriteJson(overhead, recovery, fuzz, equality, total_points, smoke);
   cosr::bench::Verdict(
       ok,
       "every injected crash point recovered byte-for-byte (>= 1000 points); "
       "group-commit cells coalesced and compacted as configured; compaction "
-      "shrank replay; log overhead and recovery throughput recorded");
+      "shrank replay; threaded logs equal inline logs; log overhead and "
+      "recovery throughput recorded");
   return ok ? 0 : 1;
 }

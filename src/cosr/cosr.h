@@ -25,9 +25,7 @@
 #include "cosr/cost/cost_battery.h"           // IWYU pragma: export
 #include "cosr/cost/cost_function.h"          // IWYU pragma: export
 #include "cosr/db/block_translation_layer.h"  // IWYU pragma: export
-#include "cosr/durability/crash_fuzz.h"       // IWYU pragma: export
 #include "cosr/durability/durability_hub.h"   // IWYU pragma: export
-#include "cosr/durability/fault_injector.h"   // IWYU pragma: export
 #include "cosr/durability/log_record.h"       // IWYU pragma: export
 #include "cosr/durability/log_sink.h"         // IWYU pragma: export
 #include "cosr/durability/move_log.h"         // IWYU pragma: export

@@ -17,7 +17,7 @@ namespace cosr {
 /// a hub through ReallocatorSpec::durability makes the factory (and both
 /// sharded facades) journal every shard's storage events and checkpoints
 /// into the hub's logs; after the run (or a simulated crash) the caller
-/// reads the sinks back through FaultInjector / RecoveryManager.
+/// reads the sinks back and recovers them with RecoveryManager.
 ///
 /// Lifetime: the hub must outlive every space or facade wired to it — the
 /// logs are registered as raw listeners.

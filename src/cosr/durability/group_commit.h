@@ -20,15 +20,9 @@ namespace cosr {
 /// verifies both outcomes byte-for-byte.
 struct GroupCommitPolicy {
   /// Sync() once every N logged checkpoints. 1 (default) is the strict
-  /// PR 6 discipline: every checkpoint record is fsynced as it lands.
-  /// 0 disables the count trigger (max_unsynced_bytes only — with both
-  /// triggers off the log is never synced until the run ends, which is
-  /// only useful for pricing the no-sync ceiling).
+  /// discipline: every checkpoint record is fsynced as it lands. 0 never
+  /// syncs, which is only useful for pricing the no-sync ceiling.
   std::uint32_t max_unsynced_checkpoints = 1;
-
-  /// Additionally Sync() at a checkpoint once at least this many bytes
-  /// were appended since the last sync. 0 disables the byte trigger.
-  std::uint64_t max_unsynced_bytes = 0;
 
   /// Checkpoint-time log compaction: after a durable (synced) checkpoint,
   /// when at least this many bytes were appended since the last

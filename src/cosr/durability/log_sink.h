@@ -90,9 +90,9 @@ class LogSink {
 
 /// The in-memory sink used by tests and the fault-injection fuzz. Keeps the
 /// full byte stream plus the metadata crash simulation needs: the durable
-/// (synced) prefix length and the end offset of every appended record, so a
-/// FaultInjector can cut the stream at record boundaries, inside the final
-/// record (torn write), or mid-batch.
+/// (synced) prefix length and the end offset of every appended record, so
+/// the test-side fault injector (tests/support/) can cut the stream at
+/// record boundaries, inside the final record (torn write), or mid-batch.
 ///
 /// A committed rewrite truncates the live stream to the staged bytes —
 /// data_ and record_ends_ both reset, so neither grows without bound across

@@ -6,7 +6,6 @@ namespace cosr {
 
 void MoveLog::AppendScratch() {
   sink_->Append(scratch_.data(), scratch_.size());
-  unsynced_bytes_ += scratch_.size();
   bytes_since_compaction_ += scratch_.size();
   scratch_.clear();
   ++records_written_;
@@ -44,15 +43,12 @@ void MoveLog::LogCheckpoint(std::uint64_t seq) {
   AppendScratch();
   ++checkpoints_logged_;
   ++unsynced_checkpoints_;
-  const bool count_due = policy_.max_unsynced_checkpoints > 0 &&
-                         unsynced_checkpoints_ >=
-                             policy_.max_unsynced_checkpoints;
-  const bool bytes_due = policy_.max_unsynced_bytes > 0 &&
-                         unsynced_bytes_ >= policy_.max_unsynced_bytes;
-  if (!count_due && !bytes_due) return;
+  if (policy_.max_unsynced_checkpoints == 0 ||
+      unsynced_checkpoints_ < policy_.max_unsynced_checkpoints) {
+    return;
+  }
   sink_->Sync();
   unsynced_checkpoints_ = 0;
-  unsynced_bytes_ = 0;
   // Compaction only ever follows a sync: the snapshot it writes must be
   // the durable state, not a speculative tail.
   if (policy_.compaction_threshold_bytes > 0 &&

@@ -27,8 +27,8 @@ namespace cosr {
 ///     kCheckpoint record and — per the GroupCommitPolicy — issues the one
 ///     Sync() of the discipline. With the default policy every checkpoint
 ///     syncs; a coalescing policy defers the fsync across up to
-///     max_unsynced_checkpoints / max_unsynced_bytes checkpoints, trading
-///     a bounded durability window for one fsync per group.
+///     max_unsynced_checkpoints checkpoints, trading a bounded durability
+///     window for one fsync per group.
 ///
 /// Checkpoint-time compaction: when the policy sets
 /// compaction_threshold_bytes, a durable (just-synced) checkpoint whose log
@@ -125,7 +125,6 @@ class MoveLog final : public SpaceListener, public CheckpointDurabilityLog {
   std::uint64_t moves_logged_ = 0;
   std::uint64_t checkpoints_logged_ = 0;
   std::uint32_t unsynced_checkpoints_ = 0;
-  std::uint64_t unsynced_bytes_ = 0;
   std::uint64_t bytes_since_compaction_ = 0;
   std::uint64_t compactions_ = 0;
   std::uint64_t last_compaction_live_records_ = 0;

@@ -22,7 +22,6 @@
 #include "cosr/service/shard_stats.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/address_space.h"
-#include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/request.h"
 
 namespace cosr {
@@ -323,13 +322,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
   }
   const AddressSpace& shard_space(std::uint32_t index) const {
     return *roots_[index];
-  }
-  /// Shard `index`'s CheckpointManager (nullptr for unmanaged algorithms).
-  /// Mutating it (e.g. SetCheckpointHook) must happen before the first
-  /// Insert/Delete submission, like AddShardListener; hooks then fire on
-  /// the worker holding the shard's claim.
-  CheckpointManager* shard_manager(std::uint32_t index) const {
-    return engine_.shard_manager(index);
   }
   /// Any-time read: the shard's volume and reserved-footprint gauges.
   const ShardCounters& counters(std::uint32_t index) const {

@@ -38,7 +38,6 @@
 
 #include "cosr/common/random.h"
 #include "cosr/cost/cost_battery.h"
-#include "cosr/durability/crash_fuzz.h"
 #include "cosr/durability/durability_hub.h"
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/metrics/cost_meter.h"
@@ -999,15 +998,6 @@ TEST(ConcurrentFactory, NonHashModesAreRejected) {
   spec.routing = RoutingPolicy::kSizeClass;
   EXPECT_EQ(MakeConcurrentReallocator(spec, &concurrent).code(),
             StatusCode::kInvalidArgument);
-
-  // The crash fuzz's concurrent rebalance configuration is a Status, not
-  // an abort.
-  CrashFuzzOptions fuzz;
-  fuzz.shard_count = 4;
-  fuzz.concurrent = true;
-  fuzz.rebalance = true;
-  CrashFuzzReport report;
-  EXPECT_FALSE(RunCrashFuzz(fuzz, &report).ok());
 
   // Hash routing has no submit-time map, so an inner algorithm whose
   // inserts can fail on a fresh id (pma: uniform slot_size) is allowed;

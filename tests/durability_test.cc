@@ -16,12 +16,12 @@
 #include "cosr/core/deamortized_reallocator.h"
 #include "cosr/db/block_translation_layer.h"
 #include "cosr/durability/durability_hub.h"
-#include "cosr/durability/fault_injector.h"
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/realloc/factory.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/storage/simulated_disk.h"
+#include "support/fault_injector.h"
 
 namespace cosr {
 namespace {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cosr/durability/durability_hub.h"
@@ -17,13 +18,13 @@
 #include "cosr/durability/move_log.h"
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/realloc/factory.h"
-#include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/workload/trace.h"
 #include "cosr/workload/workload_generator.h"
+#include "support/crash_fuzz.h"
 
 namespace cosr {
 namespace {
@@ -359,20 +360,6 @@ TEST(MoveLogTest, GroupCommitCoalescesSyncsExactly) {
   EXPECT_LT(sink.synced_size(), sink.size());
 }
 
-TEST(MoveLogTest, GroupCommitByteTriggerForcesEarlySync) {
-  MemoryLogSink sink;
-  GroupCommitPolicy policy;
-  policy.max_unsynced_checkpoints = 1000;  // count trigger effectively off
-  policy.max_unsynced_bytes = 1;           // any appended byte forces sync
-  MoveLog log(&sink, policy);
-
-  log.OnPlace(1, Extent{0, 8});
-  EXPECT_EQ(sink.sync_count(), 0u);  // data records never sync directly
-  log.LogCheckpoint(1);
-  EXPECT_EQ(sink.sync_count(), 1u);  // byte trigger fired at the boundary
-  EXPECT_EQ(sink.synced_size(), sink.size());
-}
-
 TEST(MoveLogTest, DefaultPolicyIsByteIdenticalToExplicitOne) {
   MemoryLogSink default_sink;
   MemoryLogSink explicit_sink;
@@ -596,166 +583,111 @@ TEST(FileLogSinkTest, RewriteCommitsAtomicallyUnderTheSamePath) {
   EXPECT_EQ(on_disk.size(), compacted.size() + tail.size());
 }
 
-/// One seeded K=4 durable trace, checkpointed every 200 requests, through
-/// the synchronous facade over one shared parent (its logs ride one
-/// listener that forwards to the executing shard's log) and through the
-/// concurrent facade at W=1 (each log on its shard's private root). The
-/// per-shard logs must be byte-identical, and each must recover exactly
-/// its own shard's objects.
-void RunShardLogIdentity(const std::string& algorithm) {
-  SCOPED_TRACE(algorithm);
-  constexpr std::uint32_t kShards = 4;
-  constexpr std::uint64_t kSpan = 1ull << 22;
-  const Trace trace = MakeChurnTrace({.operations = 3000,
-                                      .target_live_volume = 1u << 15,
-                                      .min_size = 1,
-                                      .max_size = 512,
-                                      .seed = 41});
-
-  DurabilityHub sync_hub;
-  ReallocatorSpec spec;
-  spec.algorithm = algorithm;
-  spec.durability = &sync_hub;
-  AddressSpace parent;
-  ShardedReallocator::Options sync_options;
-  sync_options.shard_count = kShards;
-  sync_options.subrange_span = kSpan;
-  std::unique_ptr<ShardedReallocator> sync;
-  ASSERT_TRUE(
-      ShardedReallocator::Make(spec, sync_options, &parent, &sync).ok());
-
-  DurabilityHub concurrent_hub;
-  spec.durability = &concurrent_hub;
-  ConcurrentShardedReallocator::Options concurrent_options;
-  concurrent_options.shard_count = kShards;
-  concurrent_options.worker_threads = 1;
-  concurrent_options.subrange_span = kSpan;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(ConcurrentShardedReallocator::Make(spec, concurrent_options,
-                                                 &concurrent)
-                  .ok());
-
-  std::size_t index = 0;
-  for (const Request& request : trace.requests()) {
-    ASSERT_TRUE((request.type == Request::Type::kInsert
-                     ? sync->Insert(request.id, request.size)
-                     : sync->Delete(request.id))
-                    .ok());
-    ASSERT_TRUE(concurrent->Submit(request).ok());
-    if (++index % 200 == 0) {
-      sync->CheckpointAll();
-      concurrent->CheckpointAll();
-    }
-  }
-  sync->Quiesce();
-  sync->CheckpointAll();
-  concurrent->Quiesce();
-  concurrent->CheckpointAll();
-
-  ASSERT_EQ(sync_hub.log_count(), kShards);
-  ASSERT_EQ(concurrent_hub.log_count(), kShards);
-  const auto parent_snapshot = parent.Snapshot();
-  for (std::uint32_t i = 0; i < kShards; ++i) {
-    SCOPED_TRACE("shard " + std::to_string(i));
-    const std::vector<std::uint8_t>& log = sync_hub.memory_sink(i)->data();
-    EXPECT_GT(sync_hub.log(i)->checkpoints_logged(), 0u);
-    EXPECT_TRUE(log == concurrent_hub.memory_sink(i)->data());
-
-    std::vector<std::pair<ObjectId, Extent>> expected;
-    for (const auto& entry : parent_snapshot) {
-      if (entry.second.offset / kSpan == i) expected.push_back(entry);
-    }
-    ASSERT_FALSE(expected.empty());
-    AddressSpace recovered;
-    RecoveryResult result;
-    ASSERT_TRUE(
-        RecoveryManager::Recover(log.data(), log.size(), &recovered, &result)
-            .ok());
-    EXPECT_EQ(result.records_discarded, 0u);
-    EXPECT_TRUE(recovered.Snapshot() == expected);
-    EXPECT_TRUE(recovered.Snapshot() == concurrent->shard_space(i).Snapshot());
+/// Runs CompareDriverLogs: every shard's logs must be byte-identical
+/// between the two drivers and recover the threaded shard's objects.
+void ExpectDriversLogIdentically(const Trace& trace,
+                                 const DriverLogOptions& options) {
+  DriverLogReport report;
+  const Status status = CompareDriverLogs(trace, options, &report);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(report.checkpoints, 0u);
+  if (options.group_commit.compaction_threshold_bytes > 0) {
+    EXPECT_GT(report.retired_streams, 0u);
   }
 }
 
+// The crash fuzz enumerates crash points on the inline driver's logs only.
+// This carries them to the threaded driver: on the fuzz's smoke traces,
+// through per-op Submit at every worker count and through SubmitMany, with
+// and without a coalescing, compacting policy, each shard's log bytes are
+// the inline driver's.
 TEST(ShardLogWiringTest, DriversLogIdenticallyCheckpointed) {
-  RunShardLogIdentity("checkpointed");
+  GroupCommitPolicy gc4;
+  gc4.max_unsynced_checkpoints = 4;
+  gc4.compaction_threshold_bytes = 4096;
+  for (const char* scenario : {"steady-churn", "ramp-collapse",
+                               "bimodal-churn"}) {
+    Trace trace;
+    ASSERT_TRUE(FindFuzzTrace(scenario, &trace).ok());
+    for (const GroupCommitPolicy& policy : {GroupCommitPolicy{}, gc4}) {
+      for (const auto& [workers, chunk] :
+           {std::pair<std::uint32_t, std::size_t>{1, 0}, {2, 0}, {4, 0},
+            {4, 32}}) {
+        SCOPED_TRACE(std::string(scenario) + " W=" + std::to_string(workers) +
+                     " chunk=" + std::to_string(chunk) + " window=" +
+                     std::to_string(policy.max_unsynced_checkpoints));
+        DriverLogOptions options;
+        options.worker_threads = workers;
+        options.chunk = chunk;
+        options.group_commit = policy;
+        ExpectDriversLogIdentically(trace, options);
+      }
+    }
+  }
 }
 
+/// The seeded churn trace the compacted-log tests drive (K=4, deamortized,
+/// a 2048-byte compaction threshold).
+Trace CompactedLogTrace() {
+  return MakeChurnTrace({.operations = 6000,
+                         .target_live_volume = 1u << 15,
+                         .min_size = 1,
+                         .max_size = 512,
+                         .seed = 43});
+}
+
+// The threaded driver at W=2 on the drive whose inline logs are pinned to
+// golden digests below (both checkpoint every 200 requests), so its
+// compacted logs are pinned too.
 TEST(ShardLogWiringTest, DriversLogIdenticallyDeamortized) {
-  RunShardLogIdentity("deamortized");
+  const Trace trace = CompactedLogTrace();
+  DriverLogOptions options;
+  options.algorithm = "deamortized";
+  options.worker_threads = 2;
+  options.operations = trace.requests().size();
+  options.group_commit.compaction_threshold_bytes = 2048;
+  ExpectDriversLogIdentically(trace, options);
 }
 
-/// Per-shard digests of the compacted deamortized logs of RunCompactedLogs,
-/// recorded from the log that mirrored every live extent from its own
-/// event stream. Compaction now reads the shard's range of the space, in
-/// the same offset order, so the bytes must not change. Re-recorded when
-/// the record trailer became CRC32C; with every trailer zeroed, the logs
-/// were byte-identical to the earlier ones.
+/// Per-shard digests of the compacted deamortized logs of
+/// CompactedLogTrace, recorded from the log that mirrored every live extent
+/// from its own event stream. Compaction now reads the shard's range of
+/// the space, in the same offset order, so the bytes must not change.
+/// Re-recorded when the record trailer became CRC32C; with every trailer
+/// zeroed, the logs were byte-identical to the earlier ones.
 constexpr std::uint64_t kCompactedLogDigests[4] = {
     0x11922d99cd8c51e4ull, 0x4c51b2e8fd0caa2dull,
     0x27342b175a308fa5ull, 0xe009b200714a2104ull};
 
-/// Runs one seeded K=4 deamortized trace with a small compaction threshold
-/// through the inline facade (one shared parent) or the threaded one (a
-/// private root per shard, W=2). Each shard's log must compact, match its
-/// golden digest, and recover exactly that shard's objects.
-void RunCompactedLogs(bool threaded) {
-  SCOPED_TRACE(threaded ? "threaded" : "inline");
+// CompactedLogTrace through the inline facade over one shared parent,
+// checkpointed every 200 requests: each shard's log must compact, match
+// its golden digest, and recover exactly that shard's objects.
+TEST(ShardLogWiringTest, InlineCompactedLogsMatchGolden) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kSpan = 1ull << 22;
-  const Trace trace = MakeChurnTrace({.operations = 6000,
-                                      .target_live_volume = 1u << 15,
-                                      .min_size = 1,
-                                      .max_size = 512,
-                                      .seed = 43});
   DurabilityHub::Options hub_options;
   hub_options.group_commit.compaction_threshold_bytes = 2048;
   DurabilityHub hub(hub_options);
   ReallocatorSpec spec;
   spec.algorithm = "deamortized";
   spec.durability = &hub;
-
   AddressSpace parent;
-  std::unique_ptr<ShardedReallocator> inline_facade;
-  std::unique_ptr<ConcurrentShardedReallocator> threaded_facade;
-  if (threaded) {
-    ConcurrentShardedReallocator::Options options;
-    options.shard_count = kShards;
-    options.worker_threads = 2;
-    options.subrange_span = kSpan;
-    ASSERT_TRUE(
-        ConcurrentShardedReallocator::Make(spec, options, &threaded_facade)
-            .ok());
-  } else {
-    ShardedReallocator::Options options;
-    options.shard_count = kShards;
-    options.subrange_span = kSpan;
-    ASSERT_TRUE(
-        ShardedReallocator::Make(spec, options, &parent, &inline_facade).ok());
-  }
+  ShardedReallocator::Options options;
+  options.shard_count = kShards;
+  options.subrange_span = kSpan;
+  std::unique_ptr<ShardedReallocator> facade;
+  ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &facade).ok());
+  const Trace trace = CompactedLogTrace();
   std::size_t index = 0;
   for (const Request& request : trace.requests()) {
-    if (threaded) {
-      ASSERT_TRUE(threaded_facade->Submit(request).ok());
-    } else {
-      ASSERT_TRUE((request.type == Request::Type::kInsert
-                       ? inline_facade->Insert(request.id, request.size)
-                       : inline_facade->Delete(request.id))
-                      .ok());
-    }
-    if (++index % 200 == 0) {
-      threaded ? threaded_facade->CheckpointAll()
-               : inline_facade->CheckpointAll();
-    }
+    ASSERT_TRUE((request.type == Request::Type::kInsert
+                     ? facade->Insert(request.id, request.size)
+                     : facade->Delete(request.id))
+                    .ok());
+    if (++index % 200 == 0) facade->CheckpointAll();
   }
-  if (threaded) {
-    threaded_facade->Quiesce();
-    threaded_facade->CheckpointAll();
-    threaded_facade->Flush();
-  } else {
-    inline_facade->Quiesce();
-    inline_facade->CheckpointAll();
-  }
+  facade->Quiesce();
+  facade->CheckpointAll();
 
   ASSERT_EQ(hub.log_count(), kShards);
   for (std::uint32_t i = 0; i < kShards; ++i) {
@@ -765,14 +697,10 @@ void RunCompactedLogs(bool threaded) {
     EXPECT_EQ(BytesDigest(log), kCompactedLogDigests[i])
         << std::hex << BytesDigest(log);
 
-    const std::vector<std::pair<ObjectId, Extent>> shard_objects =
-        threaded ? threaded_facade->shard_space(i).Snapshot() : [&] {
-          std::vector<std::pair<ObjectId, Extent>> in_range;
-          for (const auto& entry : parent.Snapshot()) {
-            if (entry.second.offset / kSpan == i) in_range.push_back(entry);
-          }
-          return in_range;
-        }();
+    std::vector<std::pair<ObjectId, Extent>> shard_objects;
+    for (const auto& entry : parent.Snapshot()) {
+      if (entry.second.offset / kSpan == i) shard_objects.push_back(entry);
+    }
     ASSERT_FALSE(shard_objects.empty());
     AddressSpace recovered;
     RecoveryResult result;
@@ -782,14 +710,6 @@ void RunCompactedLogs(bool threaded) {
     EXPECT_EQ(result.records_discarded, 0u);
     EXPECT_TRUE(recovered.Snapshot() == shard_objects);
   }
-}
-
-TEST(ShardLogWiringTest, InlineCompactedLogsMatchGolden) {
-  RunCompactedLogs(/*threaded=*/false);
-}
-
-TEST(ShardLogWiringTest, ThreadedCompactedLogsMatchGolden) {
-  RunCompactedLogs(/*threaded=*/true);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "cosr/durability/crash_fuzz.h"
+#include "support/crash_fuzz.h"
 
 #include <algorithm>
 #include <map>
@@ -8,7 +8,6 @@
 
 #include "cosr/common/random.h"
 #include "cosr/durability/durability_hub.h"
-#include "cosr/durability/fault_injector.h"
 #include "cosr/durability/log_record.h"
 #include "cosr/durability/recovery_manager.h"
 #include "cosr/realloc/factory.h"
@@ -17,6 +16,7 @@
 #include "cosr/storage/address_space.h"
 #include "cosr/storage/simulated_disk.h"
 #include "cosr/workload/scenario.h"
+#include "support/fault_injector.h"
 
 namespace cosr {
 
@@ -193,17 +193,6 @@ RebalanceOptions AggressiveRebalance() {
   return options;
 }
 
-Status FindTrace(const std::string& name, Trace* out) {
-  ScenarioBatteryOptions battery_options = ScenarioBatteryOptions::Smoke();
-  for (const Scenario& scenario : MakeScenarioBattery(battery_options)) {
-    if (scenario.name == name) {
-      *out = scenario.trace;
-      return Status::Ok();
-    }
-  }
-  return Status::InvalidArgument("unknown scenario: " + name);
-}
-
 }  // namespace
 
 Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
@@ -216,14 +205,9 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
         "crash fuzz requires a checkpoint-managed algorithm, got " +
         options.algorithm);
   }
-  if (options.concurrent && options.rebalance) {
-    return Status::InvalidArgument(
-        "the threaded driver routes by hash only and never rebalances; "
-        "rebalance needs concurrent = false");
-  }
 
   Trace trace;
-  COSR_RETURN_IF_ERROR(FindTrace(options.scenario, &trace));
+  COSR_RETURN_IF_ERROR(FindFuzzTrace(options.scenario, &trace));
   const std::size_t operations =
       std::min(options.operations, trace.requests().size());
 
@@ -235,114 +219,44 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
   spec.epsilon = options.epsilon;
   spec.durability = &hub;
 
-  // Per-shard checkpoint-time snapshots, keyed by sequence number. Written
-  // by the thread driving the shard (the fuzz thread, or the worker holding
-  // the shard's claim in concurrent mode — one writer per map at a time,
-  // each drain ordered after the last); read after the facade drains.
+  AddressSpace parent;
+  ShardedReallocator::Options facade_options;
+  facade_options.shard_count = options.shard_count;
+  facade_options.routing = RoutingPolicy::kHashId;
+  facade_options.subrange_span = options.subrange_span;
+  facade_options.rebalance = options.rebalance;
+  facade_options.rebalance_options = AggressiveRebalance();
+  std::unique_ptr<ShardedReallocator> facade;
+  COSR_RETURN_IF_ERROR(
+      ShardedReallocator::Make(spec, facade_options, &parent, &facade));
+  // Per-shard checkpoint-time snapshots, keyed by sequence number.
   std::vector<std::map<std::uint64_t, StateSnapshot>> snapshots(
       options.shard_count);
-
-  // The facades differ in construction and snapshot source, but the drive
-  // loop and the fault phase are identical.
-  AddressSpace parent;  // sharded (shared-parent) mode only
-  std::unique_ptr<ShardedReallocator> sharded;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  Reallocator* facade = nullptr;
-
-  if (!options.concurrent) {
-    ShardedReallocator::Options facade_options;
-    facade_options.shard_count = options.shard_count;
-    facade_options.routing = RoutingPolicy::kHashId;
-    facade_options.subrange_span = options.subrange_span;
-    facade_options.rebalance = options.rebalance;
-    facade_options.rebalance_options = AggressiveRebalance();
-    COSR_RETURN_IF_ERROR(
-        ShardedReallocator::Make(spec, facade_options, &parent, &sharded));
-    for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-      const std::uint64_t base = std::uint64_t{i} * options.subrange_span;
-      const std::uint64_t end = base + options.subrange_span;
-      sharded->shard_manager(i)->SetCheckpointHook(
-          [&snapshots, &parent, i, base, end](std::uint64_t seq) {
-            snapshots[i][seq] = FilterRange(parent.Snapshot(), base, end);
-          });
-    }
-    facade = sharded.get();
-  } else {
-    ConcurrentShardedReallocator::Options facade_options;
-    facade_options.shard_count = options.shard_count;
-    facade_options.worker_threads = options.worker_threads;
-    facade_options.routing = RoutingPolicy::kHashId;
-    facade_options.subrange_span = options.subrange_span;
-    COSR_RETURN_IF_ERROR(
-        ConcurrentShardedReallocator::Make(spec, facade_options, &concurrent));
-    ConcurrentShardedReallocator* raw = concurrent.get();
-    for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-      raw->shard_manager(i)->SetCheckpointHook(
-          [&snapshots, raw, i](std::uint64_t seq) {
-            // Fires on the worker holding shard i's claim; the private
-            // root is only ever touched under that claim, so the read is
-            // race-free.
-            snapshots[i][seq] = raw->shard_space(i).Snapshot();
-          });
-    }
-    facade = concurrent.get();
+  for (std::uint32_t i = 0; i < options.shard_count; ++i) {
+    const std::uint64_t base = std::uint64_t{i} * options.subrange_span;
+    const std::uint64_t end = base + options.subrange_span;
+    facade->shard_manager(i)->SetCheckpointHook(
+        [&snapshots, &parent, i, base, end](std::uint64_t seq) {
+          snapshots[i][seq] = FilterRange(parent.Snapshot(), base, end);
+        });
   }
 
-  if (options.batched_submission) {
-    if (concurrent == nullptr) {
-      return Status::InvalidArgument(
-          "batched_submission requires concurrent mode");
-    }
-    // Batched drive: the same trace prefix through SubmitMany over the
-    // lock-free remote queues. Fire-and-forget, so per-op statuses land
-    // in failed_ops — checked after the drain (a valid trace from one
-    // producer must execute cleanly on both paths).
-    constexpr std::size_t kChunk = 32;
-    const std::vector<Request>& requests = trace.requests();
-    for (std::size_t r = 0; r < operations; r += kChunk) {
-      const std::size_t n = std::min(kChunk, operations - r);
-      std::size_t accepted = 0;
-      const Status status =
-          concurrent->SubmitMany(requests.data() + r, n, &accepted);
-      if (!status.ok() || accepted != n) {
-        return Status::Internal(
-            "batch at request " + std::to_string(r) +
-            " failed during the drive phase: " + status.ToString());
-      }
-    }
-    concurrent->Flush();
-    const ShardStats stats = concurrent->Stats();
-    for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-      if (stats.shards[i].failed_ops != 0) {
-        return Status::Internal(
-            "shard " + std::to_string(i) + " reported " +
-            std::to_string(stats.shards[i].failed_ops) +
-            " failed ops during the batched drive phase");
-      }
-    }
-  } else {
-    for (std::size_t r = 0; r < operations; ++r) {
-      const Request& request = trace.requests()[r];
-      const Status status =
-          request.type == Request::Type::kInsert
-              ? facade->Insert(request.id, request.size)
-              : facade->Delete(request.id);
-      if (!status.ok()) {
-        return Status::Internal("request " + std::to_string(r) +
-                                " failed during the drive phase: " +
-                                status.ToString());
-      }
+  for (std::size_t r = 0; r < operations; ++r) {
+    const Request& request = trace.requests()[r];
+    const Status status = request.type == Request::Type::kInsert
+                              ? facade->Insert(request.id, request.size)
+                              : facade->Delete(request.id);
+    if (!status.ok()) {
+      return Status::Internal("request " + std::to_string(r) +
+                              " failed during the drive phase: " +
+                              status.ToString());
     }
   }
   facade->Quiesce();
   // Force a final durable point so every log ends on a checkpoint record
   // and a full-log recovery reproduces the final state.
-  if (sharded != nullptr) {
-    sharded->CheckpointAll();
-    report->migrations = sharded->Stats().migrations;
-  } else {
-    concurrent->CheckpointAll();
-  }
+  facade->CheckpointAll();
+  report->migrations = facade->Stats().migrations;
 
   for (std::uint32_t i = 0; i < options.shard_count; ++i) {
     report->checkpoints += snapshots[i].size();
@@ -360,6 +274,137 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
   }
   report->crash_points = report->boundary_points + report->torn_points +
                          report->mid_batch_points;
+  return Status::Ok();
+}
+
+Status FindFuzzTrace(const std::string& name, Trace* out) {
+  ScenarioBatteryOptions battery_options = ScenarioBatteryOptions::Smoke();
+  for (const Scenario& scenario : MakeScenarioBattery(battery_options)) {
+    if (scenario.name == name) {
+      *out = scenario.trace;
+      return Status::Ok();
+    }
+  }
+  return Status::InvalidArgument("unknown scenario: " + name);
+}
+
+Status CompareDriverLogs(const Trace& trace, const DriverLogOptions& options,
+                         DriverLogReport* report) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::uint64_t kSpan = 1ull << 22;
+  constexpr std::size_t kCheckpointEvery = 200;
+  *report = DriverLogReport{};
+  DurabilityHub::Options hub_options;
+  hub_options.group_commit = options.group_commit;
+  DurabilityHub inline_hub(hub_options);
+  DurabilityHub threaded_hub(hub_options);
+  ReallocatorSpec spec;
+  spec.algorithm = options.algorithm;
+
+  AddressSpace parent;
+  ShardedReallocator::Options inline_options;
+  inline_options.shard_count = kShards;
+  inline_options.subrange_span = kSpan;
+  std::unique_ptr<ShardedReallocator> inline_driver;
+  spec.durability = &inline_hub;
+  COSR_RETURN_IF_ERROR(
+      ShardedReallocator::Make(spec, inline_options, &parent, &inline_driver));
+  ConcurrentShardedReallocator::Options threaded_options;
+  threaded_options.shard_count = kShards;
+  threaded_options.worker_threads = options.worker_threads;
+  threaded_options.subrange_span = kSpan;
+  std::unique_ptr<ConcurrentShardedReallocator> threaded;
+  spec.durability = &threaded_hub;
+  COSR_RETURN_IF_ERROR(
+      ConcurrentShardedReallocator::Make(spec, threaded_options, &threaded));
+
+  const std::vector<Request>& requests = trace.requests();
+  const std::size_t operations = std::min(options.operations, requests.size());
+  for (std::size_t r = 0; r < operations;) {
+    // A chunk never spans a checkpoint, so both drivers checkpoint after
+    // the same request.
+    const std::size_t n =
+        std::min({std::max<std::size_t>(options.chunk, 1), operations - r,
+                  kCheckpointEvery - r % kCheckpointEvery});
+    for (std::size_t i = r; i < r + n; ++i) {
+      const Request& request = requests[i];
+      const Status status =
+          request.type == Request::Type::kInsert
+              ? inline_driver->Insert(request.id, request.size)
+              : inline_driver->Delete(request.id);
+      if (!status.ok()) {
+        return Status::Internal("inline request " + std::to_string(i) +
+                                " failed: " + status.ToString());
+      }
+    }
+    std::size_t accepted = n;
+    const Status submitted =
+        options.chunk == 0
+            ? threaded->Submit(requests[r])
+            : threaded->SubmitMany(requests.data() + r, n, &accepted);
+    if (!submitted.ok() || accepted != n) {
+      return Status::Internal("threaded submission at request " +
+                              std::to_string(r) +
+                              " failed: " + submitted.ToString());
+    }
+    r += n;
+    if (r % kCheckpointEvery == 0) {
+      inline_driver->CheckpointAll();
+      threaded->CheckpointAll();
+    }
+  }
+  inline_driver->Quiesce();
+  inline_driver->CheckpointAll();
+  threaded->Quiesce();
+  threaded->CheckpointAll();
+  const ShardStats stats = threaded->Stats();
+
+  const auto same_stream = [](const MemoryLogSink::DiscardedStream& a,
+                              const MemoryLogSink::DiscardedStream& b) {
+    return a.data == b.data && a.record_ends == b.record_ends &&
+           a.synced_size == b.synced_size;
+  };
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    const std::string shard = "shard " + std::to_string(i) + ": ";
+    const MemoryLogSink& a = *inline_hub.memory_sink(i);
+    const MemoryLogSink& b = *threaded_hub.memory_sink(i);
+    if (stats.shards[i].failed_ops != 0 || stats.shards[i].dropped_ops != 0) {
+      return Status::Internal(shard + "the threaded driver failed or "
+                              "dropped ops");
+    }
+    if (a.data() != b.data() || a.record_ends() != b.record_ends()) {
+      return Status::Internal(shard + "live log streams differ");
+    }
+    if (!std::equal(a.discarded_streams().begin(),
+                    a.discarded_streams().end(),
+                    b.discarded_streams().begin(),
+                    b.discarded_streams().end(), same_stream)) {
+      return Status::Internal(shard + "retired log streams differ");
+    }
+    if (a.sync_count() != b.sync_count() ||
+        inline_hub.log(i)->compactions() !=
+            threaded_hub.log(i)->compactions() ||
+        inline_hub.log(i)->checkpoints_logged() !=
+            threaded_hub.log(i)->checkpoints_logged()) {
+      return Status::Internal(shard +
+                              "sync, compaction or checkpoint counts differ");
+    }
+    AddressSpace recovered;
+    RecoveryResult result;
+    COSR_RETURN_IF_ERROR(RecoveryManager::Recover(
+        a.data().data(), a.data().size(), &recovered, &result));
+    if (result.records_discarded != 0 ||
+        !(recovered.Snapshot() == threaded->shard_space(i).Snapshot())) {
+      return Status::Internal(shard + "the live log does not recover the "
+                              "threaded shard's objects");
+    }
+    report->retired_streams += a.discarded_streams().size();
+  }
+  report->records = inline_hub.total_records();
+  report->bytes = inline_hub.total_bytes();
+  report->syncs = inline_hub.total_syncs();
+  report->compactions = inline_hub.total_compactions();
+  report->checkpoints = inline_hub.total_checkpoints();
   return Status::Ok();
 }
 

@@ -1,5 +1,5 @@
-#ifndef COSR_DURABILITY_CRASH_FUZZ_H_
-#define COSR_DURABILITY_CRASH_FUZZ_H_
+#ifndef COSR_TESTS_SUPPORT_CRASH_FUZZ_H_
+#define COSR_TESTS_SUPPORT_CRASH_FUZZ_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -7,6 +7,7 @@
 
 #include "cosr/common/status.h"
 #include "cosr/durability/group_commit.h"
+#include "cosr/workload/trace.h"
 
 namespace cosr {
 
@@ -18,6 +19,11 @@ namespace cosr {
 /// last-checkpointed state exactly — map equality against the snapshot the
 /// checkpoint hook captured at that sequence number, plus byte-for-byte
 /// content verification through SimulatedDisk::VerifyObject.
+///
+/// The drive runs on the inline ShardedReallocator only. The threaded
+/// driver writes the same bytes to every shard's log (CompareDriverLogs
+/// below proves it per trace), and a recovery is a function of the log's
+/// bytes, so its crash points are these.
 struct CrashFuzzOptions {
   /// Scenario name from MakeScenarioBattery (Smoke sizes, fixed seed).
   std::string scenario = "steady-churn";
@@ -25,25 +31,12 @@ struct CrashFuzzOptions {
   std::string algorithm = "checkpointed";
   double epsilon = 0.25;
   std::uint32_t shard_count = 1;
-  /// false: ShardedReallocator over one shared parent (per-shard logs
-  /// behind the executing-shard forwarder). true:
-  /// ConcurrentShardedReallocator (per-shard logs on private roots,
-  /// driven by worker threads).
-  bool concurrent = false;
-  std::uint32_t worker_threads = 0;  // concurrent only; 0 = one per shard
-  /// Concurrent only: drive the trace through SubmitMany batches over the
-  /// lock-free remote queues instead of synchronous per-op calls, so the
-  /// durability wiring is fuzzed under the batched submission path too
-  /// (statuses are then checked via failed_ops after the drain).
-  bool batched_submission = false;
   /// Drive the trace with the cross-shard rebalancer active, so crash
   /// points land while migrations (a Delete journaled on the source
   /// shard's log + a Place journaled on the destination's) are in flight.
-  /// Enables the synchronous facade's rebalance scan (Options::rebalance)
+  /// Enables the inline facade's rebalance scan (Options::rebalance)
   /// every 25 requests, with thresholds scaled down so the smoke-size
-  /// traces actually migrate. Synchronous only: the concurrent facade
-  /// routes by hash only, so RunCrashFuzz returns InvalidArgument for
-  /// concurrent + rebalance.
+  /// traces actually migrate.
   bool rebalance = false;
   /// Trace prefix length to drive (a prefix of a valid trace is valid).
   std::size_t operations = 300;
@@ -61,7 +54,7 @@ struct CrashFuzzOptions {
   std::size_t torn_points_per_shard = 30;
   std::size_t mid_batch_points_per_shard = 30;
   /// Sync-coalescing + compaction policy for every shard's log. The
-  /// default (sync every checkpoint, no compaction) is the PR 6 contract;
+  /// default (sync every checkpoint, no compaction) is the strict discipline;
   /// coalescing policies add unsynced checkpoint records to the crash
   /// surface, and compacting policies add cuts inside retired
   /// pre-compaction streams and compacted snapshot streams.
@@ -91,6 +84,43 @@ struct CrashFuzzReport {
 /// a non-ok Status naming it. `report` is filled as far as the run got.
 Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report);
 
+/// The smoke-size battery scenario called `name`: the traces the crash
+/// fuzz drives.
+Status FindFuzzTrace(const std::string& name, Trace* out);
+
+/// One drive of the threaded driver against the inline one.
+struct DriverLogOptions {
+  std::string algorithm = "checkpointed";
+  std::uint32_t worker_threads = 1;
+  /// 0: per-op Submit. n > 0: SubmitMany in n-op chunks.
+  std::size_t chunk = 0;
+  /// Trace prefix length to drive.
+  std::size_t operations = 300;
+  GroupCommitPolicy group_commit;
+};
+
+/// Inline-hub totals of one CompareDriverLogs drive, all shards.
+struct DriverLogReport {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;  // live streams
+  std::uint64_t syncs = 0;
+  std::uint64_t compactions = 0;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t retired_streams = 0;  // discarded_streams() entries
+};
+
+/// Drives the inline ShardedReallocator and the threaded
+/// ConcurrentShardedReallocator (K=4, hash routing) over one trace prefix,
+/// each with its own DurabilityHub of memory sinks, with CheckpointAll on
+/// both every 200 requests and once more after Quiesce. Ok means every
+/// shard's logs are byte-identical: the live stream and its record ends,
+/// every stream a compaction retired, and the sync, compaction and
+/// checkpoint counts. The threaded driver must report zero failed ops,
+/// and each live log must recover exactly its threaded shard's objects.
+/// The first difference returns a non-ok Status naming it.
+Status CompareDriverLogs(const Trace& trace, const DriverLogOptions& options,
+                         DriverLogReport* report);
+
 }  // namespace cosr
 
-#endif  // COSR_DURABILITY_CRASH_FUZZ_H_
+#endif  // COSR_TESTS_SUPPORT_CRASH_FUZZ_H_

@@ -1,20 +1,8 @@
-#include "cosr/durability/fault_injector.h"
+#include "support/fault_injector.h"
 
 #include "cosr/common/check.h"
 
 namespace cosr {
-
-const char* FaultModeName(FaultMode mode) {
-  switch (mode) {
-    case FaultMode::kCrashAfterRecord:
-      return "crash-after-record";
-    case FaultMode::kTornFinalRecord:
-      return "torn-final-record";
-    case FaultMode::kCrashMidBatch:
-      return "crash-mid-batch";
-  }
-  return "unknown";
-}
 
 // Crash images are plain prefixes, NOT SurvivingPrefix: the injector
 // simulates a crash at the moment the cut point was written, when the sync

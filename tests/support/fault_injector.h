@@ -1,5 +1,5 @@
-#ifndef COSR_DURABILITY_FAULT_INJECTOR_H_
-#define COSR_DURABILITY_FAULT_INJECTOR_H_
+#ifndef COSR_TESTS_SUPPORT_FAULT_INJECTOR_H_
+#define COSR_TESTS_SUPPORT_FAULT_INJECTOR_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -8,15 +8,6 @@
 #include "cosr/durability/log_sink.h"
 
 namespace cosr {
-
-/// The crash shapes the fuzz loop injects.
-enum class FaultMode {
-  kCrashAfterRecord,  // clean cut exactly at a record boundary
-  kTornFinalRecord,   // cut inside the final surviving record
-  kCrashMidBatch,     // torn cut specifically inside a move-batch payload
-};
-
-const char* FaultModeName(FaultMode mode);
 
 /// Deterministically derives crashed log images from a completed log
 /// stream — a MemoryLogSink's live stream, or one of the pre-compaction
@@ -57,13 +48,13 @@ class FaultInjector {
   }
 
   /// The surviving stream for a clean crash immediately after record
-  /// `index` reached the medium (kCrashAfterRecord).
+  /// `index` reached the medium.
   std::vector<std::uint8_t> CrashAfterRecord(std::size_t index) const;
 
   /// The surviving stream when the crash tears record `index` apart:
   /// only `bytes_into` of its bytes (1 <= bytes_into < length) reached the
-  /// medium. This is kTornFinalRecord in general and kCrashMidBatch when
-  /// the record is a move batch and the cut lands in its payload.
+  /// medium: a torn final record, or a torn move batch when the record is
+  /// one and the cut lands in its payload.
   std::vector<std::uint8_t> TornRecord(std::size_t index,
                                        std::uint64_t bytes_into) const;
 
@@ -74,4 +65,4 @@ class FaultInjector {
 
 }  // namespace cosr
 
-#endif  // COSR_DURABILITY_FAULT_INJECTOR_H_
+#endif  // COSR_TESTS_SUPPORT_FAULT_INJECTOR_H_

@@ -254,8 +254,10 @@ def check_durability(data, path):
     # grid (policy/max_unsynced_checkpoints/compaction columns + sync wall
     # time), recovery rows carry a "compacted" flag whose replayed record
     # count must shrink, and fuzz rows gain policy cells with sync /
-    # compaction / pre-compaction-point accounting.
-    require(data.get("schema_version") == 3, path, "schema_version != 3")
+    # compaction / pre-compaction-point accounting. v4 fuzzes the inline
+    # driver only and adds "equality" rows: the threaded driver's per-shard
+    # logs against the inline driver's.
+    require(data.get("schema_version") == 4, path, "schema_version != 4")
     require(data.get("smoke") is False, path,
             "committed artifact is a --smoke run; regenerate full-size")
     # The PR's acceptance bar, re-asserted on the committed artifact: at
@@ -283,8 +285,12 @@ def check_durability(data, path):
                  "mid_batch_points", "pre_compaction_points", "checkpoints",
                  "syncs", "compactions", "log_records", "recovered_records",
                  "migrations", "objects_verified"}
+    equality_keys = {"scenario", "workers", "submission", "policy", "records",
+                     "bytes", "syncs", "compactions", "retired_streams",
+                     "identical"}
     for section, keys in (("overhead", overhead_keys),
-                          ("recovery", recovery_keys), ("fuzz", fuzz_keys)):
+                          ("recovery", recovery_keys), ("fuzz", fuzz_keys),
+                          ("equality", equality_keys)):
         rows = sections.get(section, [])
         require(rows, path, f"no '{section}' rows")
         for i, row in enumerate(rows):
@@ -345,12 +351,22 @@ def check_durability(data, path):
     facades = {(r["facade"], r["shards"]) for r in sections["fuzz"]}
     require(("sharded", 1) in facades, path, "fuzz sharded K=1 row missing")
     require(("sharded", 4) in facades, path, "fuzz sharded K=4 row missing")
-    require(("concurrent", 4) in facades, path,
-            "fuzz concurrent K=4 row missing")
     policy_cells = [r for r in sections["fuzz"] if r["policy"] != "sync1"]
     require(policy_cells, path, "no group-commit policy fuzz cells")
-    require(any(r["facade"] == "concurrent" for r in policy_cells), path,
-            "no concurrent group-commit fuzz cell")
+    # Crash points are enumerated on the inline driver's logs; the equality
+    # rows carry them to the threaded driver, under both submission paths
+    # and a policy that retires streams by compaction.
+    for row in sections["equality"]:
+        require(row["identical"] is True, path,
+                f"equality {row['scenario']} W={row['workers']} "
+                f"{row['submission']} {row['policy']}: threaded logs differ "
+                "from inline logs")
+    submissions = {r["submission"] for r in sections["equality"]}
+    require(submissions >= {"per-op", "batched"}, path,
+            "equality rows must cover per-op and batched submission")
+    require(any(r["compactions"] > 0 and r["retired_streams"] > 0
+                for r in sections["equality"]), path,
+            "no equality row with a compacting policy")
     for row in policy_cells:
         label = f"fuzz policy cell '{row['policy']}'"
         require(row["crash_points"] >= 1000, path,
@@ -367,9 +383,8 @@ def check_durability(data, path):
         require(row["syncs"] <= row["checkpoints"], path,
                 f"fuzz {row['scenario']}/{row['policy']}: more syncs than "
                 "checkpoints")
-        # Rebalance runs on the inline driver only (the threaded one routes
-        # by hash only), and a migration cell that never migrated fuzzes
-        # nothing the plain cells do not.
+        # Rebalance runs on the inline driver only, and a migration cell
+        # that never migrated fuzzes nothing the plain cells do not.
         if row["rebalance"]:
             require(row["facade"] == "sharded" and row["migrations"] > 0,
                     path, f"fuzz rebalance cell {row['scenario']}/"
