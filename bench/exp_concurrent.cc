@@ -34,6 +34,7 @@
 //
 // Usage: exp_concurrent [--smoke]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,7 +53,6 @@
 #include "cosr/metrics/latency_histogram.h"
 #include "cosr/realloc/factory.h"
 #include "cosr/service/concurrent_sharded_reallocator.h"
-#include "cosr/service/op_buffer.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/workload/scenario.h"
@@ -64,6 +64,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint32_t kShards = 8;
 constexpr std::uint32_t kWorkerCounts[] = {1, 2, 4, 8};
+// The batched closed-loop rows' SubmitMany slice: the batch size
+// perfbench's concurrent-churn workload sends.
+constexpr std::size_t kSubmitBatch = 64;
 // The burst grid's fixed shape: the mid-grid worker count, a queue bound
 // small enough for overload to bite within a smoke-size trace, bounded
 // backpressure (two backoff rounds) before a drop, and offered rates
@@ -82,8 +85,8 @@ struct Row {
   std::string algorithm;
   std::uint32_t workers = 0;  // 0 = single-threaded facade
   /// Concurrent rows only: per-op Submit (one remote-queue push per op,
-  /// a batch of one) vs OpBuffer/SubmitMany (one push per batch per
-  /// shard). Both ride the same per-shard lock-free queues.
+  /// a batch of one) vs kSubmitBatch-op SubmitMany slices (one push per
+  /// slice per shard). Both ride the same per-shard lock-free queues.
   bool batched = false;
   /// Open-loop burst rows: paced arrivals at offered_ratio x capacity.
   bool burst = false;
@@ -210,15 +213,16 @@ Row RunConcurrent(const Scenario& scenario, const std::string& algorithm,
 
   const auto start = Clock::now();
   if (batched) {
-    // The batched producer path: ops accumulate in a producer-local
-    // OpBuffer and go out as SubmitMany batches — one queue hop per batch
-    // per shard instead of one per op.
-    OpBuffer buffer(facade.get(), OpBuffer::kMaxCapacity);
-    for (const Request& request : scenario.trace.requests()) {
-      COSR_CHECK_OK(buffer.Add(request));
+    // The batched producer path: consecutive kSubmitBatch-op slices of
+    // the trace go out as SubmitMany batches — one queue hop per slice per
+    // shard instead of one per op.
+    const std::vector<Request>& requests = scenario.trace.requests();
+    for (std::size_t i = 0; i < requests.size(); i += kSubmitBatch) {
+      const std::size_t n = std::min(kSubmitBatch, requests.size() - i);
+      std::size_t accepted = 0;
+      COSR_CHECK_OK(facade->SubmitMany(requests.data() + i, n, &accepted));
+      COSR_CHECK_EQ(accepted, n);
     }
-    COSR_CHECK_OK(buffer.Flush());
-    COSR_CHECK_EQ(buffer.stats().ops_not_enqueued, 0u);
   } else {
     for (const Request& request : scenario.trace.requests()) {
       COSR_CHECK_OK(facade->Submit(request));

@@ -73,7 +73,7 @@ RunReport RunTrace(Reallocator& realloc, Space& space,
   // Deferred work runs outside any request window: in production it would
   // be spread across future updates, so it does not count toward any
   // single request's cost.
-  if (options.quiesce) realloc.Quiesce();
+  realloc.Quiesce();
 
   report.operations = op_index;
   report.moves = meter.moves();

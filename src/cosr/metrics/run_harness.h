@@ -23,8 +23,6 @@ struct RunOptions {
   /// Record a (operation, footprint, volume) sample every N requests
   /// (0 = never) into RunReport::timeline.
   std::uint64_t timeline_every = 0;
-  /// Run deferred work to completion after the last request.
-  bool quiesce = true;
 };
 
 /// Per-cost-function outcome of a run.
@@ -70,8 +68,9 @@ struct RunReport {
 };
 
 /// Replays `trace` against `realloc` (whose objects live in `space`),
-/// pricing all physical activity under `battery`. CHECK-fails on request
-/// errors (traces are expected to be valid).
+/// pricing all physical activity under `battery`, then runs its deferred
+/// work to completion (Quiesce). CHECK-fails on request errors (traces
+/// are expected to be valid).
 RunReport RunTrace(Reallocator& realloc, Space& space,
                    const Trace& trace, const CostBattery& battery,
                    const RunOptions& options = RunOptions());

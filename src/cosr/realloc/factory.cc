@@ -13,7 +13,6 @@
 #include "cosr/realloc/logging_compacting_reallocator.h"
 #include "cosr/realloc/packed_memory_array.h"
 #include "cosr/realloc/size_class_reallocator.h"
-#include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/service/sub_space_view.h"
 
@@ -61,11 +60,6 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
   if (space == nullptr || out == nullptr) {
     return Status::InvalidArgument("space and out must be non-null");
   }
-  if (spec.worker_threads != 0) {
-    return Status::InvalidArgument(
-        "worker_threads > 0 selects the concurrent facade, which owns its "
-        "per-shard spaces; build it with MakeConcurrentReallocator");
-  }
   if (spec.shard_count > 1) {
     ShardedReallocator::Options options;
     options.shard_count = spec.shard_count;
@@ -111,15 +105,11 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
   } else if (spec.algorithm == "buddy") {
     *out = std::make_unique<BuddyAllocator>(space);
   } else if (spec.algorithm == "log-compact") {
-    LoggingCompactingReallocator::Options options;
-    options.threshold = spec.threshold;
-    *out = std::make_unique<LoggingCompactingReallocator>(space, options);
+    *out = std::make_unique<LoggingCompactingReallocator>(space);
   } else if (spec.algorithm == "size-class") {
     *out = std::make_unique<SizeClassReallocator>(space);
   } else if (spec.algorithm == "pma") {
-    PackedMemoryArray::Options options;
-    options.slot_size = spec.slot_size;
-    *out = std::make_unique<PackedMemoryArray>(space, options);
+    *out = std::make_unique<PackedMemoryArray>(space);
   } else if (spec.algorithm == "oracle") {
     *out = std::make_unique<CompactingOracle>(space);
   } else if (spec.algorithm == "cost-oblivious") {
@@ -133,27 +123,11 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
   } else if (spec.algorithm == "deamortized") {
     DeamortizedReallocator::Options options;
     options.epsilon = spec.epsilon;
-    options.work_factor = spec.work_factor;
     *out = std::make_unique<DeamortizedReallocator>(space, options);
   } else {
     return Status::InvalidArgument("unknown algorithm: " + spec.algorithm);
   }
   return Status::Ok();
-}
-
-Status MakeConcurrentReallocator(
-    const ReallocatorSpec& spec,
-    std::unique_ptr<ConcurrentShardedReallocator>* out) {
-  if (spec.worker_threads == 0) {
-    return Status::InvalidArgument(
-        "spec.worker_threads == 0 means single-threaded; build that with "
-        "MakeReallocator");
-  }
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = spec.shard_count;
-  options.worker_threads = spec.worker_threads;
-  options.routing = spec.routing;
-  return ConcurrentShardedReallocator::Make(spec, options, out);
 }
 
 }  // namespace cosr

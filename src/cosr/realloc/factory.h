@@ -15,16 +15,14 @@ namespace cosr {
 class DurabilityHub;
 
 /// Construction parameters for MakeReallocator. Fields that an algorithm
-/// does not use are ignored.
+/// does not use are ignored; every other algorithm setting keeps the
+/// default of the algorithm's own Options.
 struct ReallocatorSpec {
   /// One of KnownAlgorithms(): "first-fit", "best-fit", "buddy",
-  /// "log-compact", "size-class", "oracle", "cost-oblivious",
+  /// "log-compact", "size-class", "pma", "oracle", "cost-oblivious",
   /// "checkpointed", "deamortized".
   std::string algorithm = "cost-oblivious";
-  double epsilon = 0.25;      // core variants
-  double work_factor = 4.0;   // deamortized
-  double threshold = 2.0;     // log-compact
-  std::uint64_t slot_size = 1;  // pma (sparse tables hold uniform objects)
+  double epsilon = 0.25;  // core variants
   /// Service layer: with shard_count > 1 the factory returns a
   /// ShardedReallocator routing over that many instances of `algorithm`,
   /// each on its own sub-range of `space` (which must then carry no
@@ -32,12 +30,6 @@ struct ReallocatorSpec {
   /// builds the plain single-instance algorithm.
   std::uint32_t shard_count = 1;
   RoutingPolicy routing = RoutingPolicy::kHashId;
-  /// Service layer, concurrent mode: with worker_threads >= 1 the facade
-  /// runs shard_count shards on that many worker threads. Concurrent
-  /// facades own their per-shard spaces, so they are built through
-  /// MakeConcurrentReallocator (no Space argument); MakeReallocator
-  /// rejects a spec with worker_threads != 0. 0 = single-threaded.
-  std::uint32_t worker_threads = 0;
   /// Durability tier: when non-null, every shard journals its storage
   /// events and checkpoints into the hub's per-shard MoveLogs (shard i
   /// writes log i; a single-instance build writes log 0). Requires a
@@ -50,26 +42,11 @@ struct ReallocatorSpec {
   DurabilityHub* durability = nullptr;
 };
 
-class ConcurrentShardedReallocator;
-
 /// Creates the named (re)allocator over `space`. Fails with
 /// InvalidArgument for unknown names and FailedPrecondition when the
 /// algorithm's checkpoint-manager requirement does not match the space.
 Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
                        std::unique_ptr<Reallocator>* out);
-
-/// Creates the concurrent sharded facade: spec.shard_count shards of
-/// spec.algorithm driven by spec.worker_threads worker threads. Fails with
-/// InvalidArgument when spec.worker_threads == 0 (that spec value means
-/// "single-threaded" — build it with MakeReallocator instead; callers
-/// wanting one worker per shard say so via
-/// ConcurrentShardedReallocator::Options directly) and when spec.routing
-/// is not kHashId (the threaded driver routes by hash only). The facade owns its
-/// per-shard spaces — that is why, unlike MakeReallocator, no Space is
-/// passed.
-Status MakeConcurrentReallocator(
-    const ReallocatorSpec& spec,
-    std::unique_ptr<ConcurrentShardedReallocator>* out);
 
 /// All algorithm names MakeReallocator accepts, in display order.
 const std::vector<std::string>& KnownAlgorithms();

@@ -6,13 +6,19 @@
 #include "cosr/common/math_util.h"
 
 namespace cosr {
+namespace {
+
+/// Root density bounds; the limits run from kTauRoot to 1 and from
+/// kRhoRoot to kRhoRoot / 2 at the leaves.
+constexpr double kTauRoot = 0.5;
+constexpr double kRhoRoot = 0.25;
+
+}  // namespace
 
 PackedMemoryArray::PackedMemoryArray(Space* space, Options options)
     : space_(space), options_(options) {
   COSR_CHECK(space_ != nullptr);
   COSR_CHECK(options_.slot_size >= 1);
-  COSR_CHECK(options_.tau_root > options_.rho_root);
-  COSR_CHECK(options_.tau_root <= 1.0 && options_.rho_root > 0.0);
 }
 
 int PackedMemoryArray::TreeHeight() const {
@@ -23,13 +29,13 @@ int PackedMemoryArray::TreeHeight() const {
 double PackedMemoryArray::MaxDensity(int depth) const {
   const int h = std::max(TreeHeight(), 1);
   const double t = static_cast<double>(depth) / static_cast<double>(h);
-  return options_.tau_root + (1.0 - options_.tau_root) * t;
+  return kTauRoot + (1.0 - kTauRoot) * t;
 }
 
 double PackedMemoryArray::MinDensity(int depth) const {
   const int h = std::max(TreeHeight(), 1);
   const double t = static_cast<double>(depth) / static_cast<double>(h);
-  return options_.rho_root - (options_.rho_root / 2.0) * t;
+  return kRhoRoot - (kRhoRoot / 2.0) * t;
 }
 
 std::vector<ObjectId> PackedMemoryArray::Collect(std::uint64_t start,

@@ -32,9 +32,6 @@ class PackedMemoryArray : public Reallocator {
     /// adapted to deal with different-sized objects" at linear cost — we
     /// keep the canonical uniform version).
     std::uint64_t slot_size = 1;
-    /// Root density bounds; leaves run from tau_root..1 and rho_root..~0.
-    double tau_root = 0.5;
-    double rho_root = 0.25;
   };
 
   PackedMemoryArray(Space* space, Options options);

@@ -224,9 +224,6 @@ Status ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
       " bounded retries; dropped batch suffix of " + std::to_string(dropped) +
       " ops");
   RecordDrop(shard, dropped, status);
-  for (std::size_t i = *delivered; i < total; ++i) {
-    if (items[i].token != nullptr) items[i].token->Complete(status);
-  }
   return status;
 }
 
@@ -240,23 +237,20 @@ void ConcurrentShardedReallocator::SubmitMarker(
 }
 
 Status ConcurrentShardedReallocator::Submit(const Request& op) {
-  return SubmitBatch(&op, 1, /*tokens=*/nullptr, /*may_drop=*/true,
-                     /*accepted=*/nullptr);
+  return SubmitBatch(&op, 1, /*token=*/nullptr, /*accepted=*/nullptr);
 }
 
 std::shared_ptr<OpToken> ConcurrentShardedReallocator::SubmitTracked(
     const Request& op) {
   auto token = std::make_shared<OpToken>();
-  // A token must retire, so a tracked single op never drops.
-  SubmitBatch(&op, 1, &token, /*may_drop=*/false, /*accepted=*/nullptr);
+  SubmitBatch(&op, 1, token, /*accepted=*/nullptr);
   return token;
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const Request* ops,
                                                 std::size_t count,
                                                 std::size_t* accepted) {
-  return SubmitBatch(ops, count, /*tokens=*/nullptr, /*may_drop=*/true,
-                     accepted);
+  return SubmitBatch(ops, count, /*token=*/nullptr, accepted);
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
@@ -264,22 +258,9 @@ Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
   return SubmitMany(ops.data(), ops.size(), accepted);
 }
 
-std::vector<std::shared_ptr<OpToken>>
-ConcurrentShardedReallocator::SubmitManyTracked(const Request* ops,
-                                                std::size_t count) {
-  std::vector<std::shared_ptr<OpToken>> tokens;
-  tokens.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    tokens.push_back(std::make_shared<OpToken>());
-  }
-  SubmitBatch(ops, count, tokens.data(), /*may_drop=*/true,
-              /*accepted=*/nullptr);
-  return tokens;
-}
-
 Status ConcurrentShardedReallocator::SubmitBatch(
-    const Request* ops, std::size_t count, std::shared_ptr<OpToken>* tokens,
-    bool may_drop, std::size_t* accepted) {
+    const Request* ops, std::size_t count,
+    const std::shared_ptr<OpToken>& token, std::size_t* accepted) {
   requests_submitted_.fetch_add(count, std::memory_order_relaxed);
   // One submit stamp for the whole batch: the batch is the submission
   // event, and a per-op clock read would cost more than the queue hop the
@@ -300,9 +281,10 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   std::vector<std::vector<Item>> buckets(shards);
   for (std::uint32_t s = 0; s < shards; ++s) buckets[s].reserve(sizes[s]);
   for (std::size_t i = 0; i < count; ++i) {
-    buckets[route[i]].push_back(
-        MakeItem(ops[i], submit_ns, tokens != nullptr ? tokens[i] : nullptr));
+    buckets[route[i]].push_back(MakeItem(ops[i], submit_ns, token));
   }
+  // A token must retire, so only a submission without one may drop.
+  const bool may_drop = token == nullptr;
   // A drop statuses the batch with the failure of the *earliest* op (in
   // batch order) that failed to deliver, across all shard buckets.
   std::size_t total_delivered = 0;

@@ -159,12 +159,12 @@ class OpToken {
 /// slot tables instead of one shared one.
 ///
 /// Thread-safety contract, per surface:
-///   * Submit / SubmitTracked / Insert / Delete / SubmitMany /
-///     SubmitManyTracked — thread-safe (MPSC: any number of producers).
-///     A per-op submission is a batch of one, so all of them share the
-///     shard's FIFO: one producer's ops for one shard execute in
-///     submission order whichever entry points it mixes; with producers
-///     racing, cross-producer order per shard is the queue arrival order.
+///   * Submit / SubmitTracked / Insert / Delete / SubmitMany —
+///     thread-safe (MPSC: any number of producers). A per-op submission
+///     is a batch of one, so all of them share the shard's FIFO: one
+///     producer's ops for one shard execute in submission order whichever
+///     entry points it mixes; with producers racing, cross-producer order
+///     per shard is the queue arrival order.
 ///   * Flush / Quiesce — thread-safe; they drain everything submitted
 ///     before the call (release/acquire on the completion counters).
 ///   * Stats — thread-safe even while other producers keep submitting:
@@ -215,17 +215,16 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// ResourceExhausted and the drop is recorded in Stats() (per-shard
     /// dropped_ops plus the facade-wide last_drop_status). Per-op
     /// tracked/synchronous submissions and internal markers always block
-    /// — a token must retire. SubmitMany batches (tracked or not) follow
-    /// the policy too: a batch that exhausts its retries drops exactly its
-    /// undelivered suffix, counted per shard, with any suffix tokens
-    /// completed as ResourceExhausted.
+    /// — a token must retire. SubmitMany batches follow the policy too: a
+    /// batch that exhausts its retries drops exactly its undelivered
+    /// suffix, counted per shard.
     std::size_t submit_max_retries = 0;
     std::chrono::microseconds submit_retry_backoff{50};
   };
 
   /// Builds K private shards, each an inner `inner_spec` reallocator (its
-  /// shard_count/worker_threads/routing fields are ignored), and starts the
-  /// W worker threads. Fails when the spec is unknown, options are
+  /// shard_count and routing fields are ignored), and starts the W worker
+  /// threads. Fails when the spec is unknown, options are
   /// degenerate, or options ask for non-hash routing.
   static Status Make(const ReallocatorSpec& inner_spec, const Options& options,
                      std::unique_ptr<ConcurrentShardedReallocator>* out);
@@ -259,12 +258,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
                     std::size_t* accepted = nullptr);
   Status SubmitMany(const std::vector<Request>& ops,
                     std::size_t* accepted = nullptr);
-
-  /// Like SubmitMany, but returns one completion token per op (position-
-  /// matched), each carrying the shard's status for its op; dropped-suffix
-  /// tokens complete with ResourceExhausted — statuses never vanish.
-  std::vector<std::shared_ptr<OpToken>> SubmitManyTracked(const Request* ops,
-                                                          std::size_t count);
 
   /// Blocks until every op submitted before this call has retired.
   void Flush();
@@ -362,20 +355,20 @@ class ConcurrentShardedReallocator final : public Reallocator {
   static Item MakeItem(const Request& op, std::uint64_t submit_ns,
                        std::shared_ptr<OpToken> token);
   /// The one submission path behind every public submit: buckets the
-  /// ops per shard, then Delivers each bucket. `tokens` is null or holds
-  /// `count` position-matched tokens; `may_drop` lets a full shard drop
-  /// under the bounded-retry policy (per-op tracked submissions pass
-  /// false). Returns the first drop in op order and reports the enqueued
-  /// count in `*accepted` (when non-null).
+  /// ops per shard, then Delivers each bucket. `token`, when non-null,
+  /// completes the one op of a tracked submission (count == 1); a token
+  /// must retire, so only a submission without one may drop under the
+  /// bounded-retry policy. Returns the first drop in op order and reports
+  /// the enqueued count in `*accepted` (when non-null).
   Status SubmitBatch(const Request* ops, std::size_t count,
-                     std::shared_ptr<OpToken>* tokens, bool may_drop,
+                     const std::shared_ptr<OpToken>& token,
                      std::size_t* accepted);
   /// Capacity-gated delivery of `items` (in order) to `shard`'s queue,
-  /// chunked to the room reserved. With `may_drop` and bounded retries
-  /// configured, gives up once the retries run out: the undelivered
-  /// suffix is counted per shard and its tokens complete with the drop
-  /// status, which is also returned. `*delivered` reports how many
-  /// leading items actually reached the queue.
+  /// chunked to the room reserved. With `may_drop` (never set for items
+  /// that carry tokens) and bounded retries configured, gives up once the
+  /// retries run out: the undelivered suffix is counted per shard and the
+  /// drop status returned. `*delivered` reports how many leading items
+  /// actually reached the queue.
   Status Deliver(std::uint32_t shard, std::vector<Item> items, bool may_drop,
                  std::size_t* delivered);
   /// Drains, runs a `kind` marker on every shard, and drains again.

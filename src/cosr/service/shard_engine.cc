@@ -75,7 +75,6 @@ Status ShardEngine::Init(const ReallocatorSpec& spec, const Options& options,
 
   ReallocatorSpec inner_spec = spec;
   inner_spec.shard_count = 1;  // the engine is the only sharding layer
-  inner_spec.worker_threads = 0;
   inner_spec.durability = nullptr;  // per-shard wiring happens here
 
   mode_ = mode;

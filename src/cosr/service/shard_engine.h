@@ -94,12 +94,12 @@ class ShardEngine {
   ShardEngine& operator=(const ShardEngine&) = delete;
 
   /// Validates `options` and builds the shards, each an inner `spec`
-  /// reallocator (its shard_count/worker_threads/routing fields are
-  /// ignored). `roots` holds the one shared parent (kInline) or one
-  /// private root per shard (kThreaded); no root may carry a
-  /// CheckpointManager, because each shard scopes its own. Fails when the
-  /// spec is unknown, `options` are degenerate, or durability is asked of
-  /// an algorithm that never checkpoints.
+  /// reallocator (its shard_count and routing fields are ignored).
+  /// `roots` holds the one shared parent (kInline) or one private root per
+  /// shard (kThreaded); no root may carry a CheckpointManager, because
+  /// each shard scopes its own. Fails when the spec is unknown, `options`
+  /// are degenerate, or durability is asked of an algorithm that never
+  /// checkpoints.
   Status Init(const ReallocatorSpec& spec, const Options& options, Mode mode,
               const std::vector<Space*>& roots);
 

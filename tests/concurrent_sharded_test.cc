@@ -730,9 +730,8 @@ TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
 TEST(ConcurrentDropPolicy, BatchDropsExactlyTheUndeliveredSuffix) {
   // The batched path's drop policy: when the bounded retries trip
   // mid-batch, the already-delivered prefix executes normally and
-  // EXACTLY the undelivered suffix is dropped — counted per shard, with
-  // every suffix token completed as ResourceExhausted (batches drop even
-  // when tracked; per-op tracked submissions still never drop).
+  // EXACTLY the undelivered suffix is dropped, counted per shard and in
+  // SubmitMany's `accepted`.
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";
   ConcurrentShardedReallocator::Options options;
@@ -760,19 +759,12 @@ TEST(ConcurrentDropPolicy, BatchDropsExactlyTheUndeliveredSuffix) {
   const std::vector<Request> batch = {
       Request::Insert(2, 8), Request::Insert(3, 8), Request::Insert(4, 8),
       Request::Insert(5, 8)};
-  std::vector<std::shared_ptr<OpToken>> tokens =
-      concurrent->SubmitManyTracked(batch.data(), batch.size());
-  ASSERT_EQ(tokens.size(), 4u);
-  // The suffix tokens are already complete — the drop happened at submit.
-  for (std::size_t i = 1; i < 4; ++i) {
-    ASSERT_TRUE(tokens[i]->done()) << "token " << i;
-    EXPECT_EQ(tokens[i]->Wait().code(), StatusCode::kResourceExhausted)
-        << "token " << i;
-  }
-  EXPECT_FALSE(tokens[0]->done());  // delivered, pending behind the stall
+  std::size_t accepted = 0;
+  EXPECT_EQ(concurrent->SubmitMany(batch, &accepted).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(accepted, 1u);
 
   stall.release.store(true, std::memory_order_release);
-  EXPECT_TRUE(tokens[0]->Wait().ok());
   concurrent->Flush();
 
   const ShardStats stats = concurrent->Stats();
@@ -909,43 +901,6 @@ TEST(ConcurrentDurability, PerShardLogsRecoverTheCheckpointedState) {
 
 // ----------------------------------------------------- factory / validation
 
-TEST(ConcurrentFactory, SpecPlumbingBuildsFacade) {
-  ReallocatorSpec spec;
-  spec.algorithm = "cost-oblivious";
-  spec.shard_count = 4;
-  spec.worker_threads = 2;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(MakeConcurrentReallocator(spec, &concurrent).ok());
-  EXPECT_EQ(std::string(concurrent->name()),
-            "concurrent-sharded[4x2,hash]/cost-oblivious");
-  EXPECT_EQ(concurrent->shard_count(), 4u);
-  EXPECT_EQ(concurrent->worker_threads(), 2u);
-  ASSERT_TRUE(concurrent->Insert(1, 100).ok());
-  EXPECT_EQ(concurrent->volume(), 100u);
-}
-
-TEST(ConcurrentFactory, ZeroWorkerThreadsMeansSingleThreadedElsewhere) {
-  // spec.worker_threads == 0 is documented as "not concurrent", so the
-  // concurrent entry point refuses it instead of guessing a thread count.
-  ReallocatorSpec spec;
-  spec.algorithm = "cost-oblivious";
-  spec.shard_count = 4;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  EXPECT_EQ(MakeConcurrentReallocator(spec, &concurrent).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ConcurrentFactory, MakeReallocatorRejectsWorkerThreads) {
-  AddressSpace space;
-  ReallocatorSpec spec;
-  spec.algorithm = "cost-oblivious";
-  spec.shard_count = 4;
-  spec.worker_threads = 4;
-  std::unique_ptr<Reallocator> realloc;
-  EXPECT_EQ(MakeReallocator(spec, &space, &realloc).code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(ConcurrentFactory, DegenerateOptionsFail) {
   ReallocatorSpec spec;
   spec.algorithm = "cost-oblivious";
@@ -971,6 +926,22 @@ TEST(ConcurrentFactory, DegenerateOptionsFail) {
   options = {};
   EXPECT_FALSE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+  EXPECT_TRUE(concurrent == nullptr);
+
+  // The inner spec's shard_count is ignored: Options alone shape the pool.
+  spec.algorithm = "cost-oblivious";
+  spec.shard_count = 16;
+  options = {};
+  options.shard_count = 4;
+  options.worker_threads = 2;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+  EXPECT_EQ(std::string(concurrent->name()),
+            "concurrent-sharded[4x2,hash]/cost-oblivious");
+  EXPECT_EQ(concurrent->shard_count(), 4u);
+  EXPECT_EQ(concurrent->worker_threads(), 2u);
+  ASSERT_TRUE(concurrent->Insert(1, 100).ok());
+  EXPECT_EQ(concurrent->volume(), 100u);
 }
 
 TEST(ConcurrentFactory, NonHashModesAreRejected) {
@@ -992,12 +963,6 @@ TEST(ConcurrentFactory, NonHashModesAreRejected) {
         << RoutingPolicyName(routing);
   }
   EXPECT_TRUE(concurrent == nullptr);
-
-  spec.shard_count = 4;
-  spec.worker_threads = 2;
-  spec.routing = RoutingPolicy::kSizeClass;
-  EXPECT_EQ(MakeConcurrentReallocator(spec, &concurrent).code(),
-            StatusCode::kInvalidArgument);
 
   // Hash routing has no submit-time map, so an inner algorithm whose
   // inserts can fail on a fresh id (pma: uniform slot_size) is allowed;

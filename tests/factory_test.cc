@@ -87,20 +87,6 @@ TEST(FactoryTest, NeedsManagerPredicate) {
   EXPECT_FALSE(AlgorithmNeedsCheckpointManager("first-fit"));
 }
 
-TEST(FactoryTest, SpecParametersApplied) {
-  AddressSpace space;
-  ReallocatorSpec spec;
-  spec.algorithm = "log-compact";
-  spec.threshold = 8.0;
-  std::unique_ptr<Reallocator> realloc;
-  ASSERT_TRUE(MakeReallocator(spec, &space, &realloc).ok());
-  // With threshold 8, a 2x footprint does not trigger compaction.
-  ASSERT_TRUE(realloc->Insert(1, 10).ok());
-  ASSERT_TRUE(realloc->Insert(2, 10).ok());
-  ASSERT_TRUE(realloc->Delete(1).ok());
-  EXPECT_EQ(realloc->reserved_footprint(), 20u);
-}
-
 TEST(FactoryTest, FirstAndBestFitReuseTheOldestGap) {
   // Lay out three same-size objects with live separators, then delete them
   // in the order B, A, C: three length-16 gaps at offsets 24, 0, 48 whose

@@ -117,7 +117,8 @@ TEST_P(PmaChurnTest, OrderAndDensityInvariantsUnderChurn) {
   ASSERT_TRUE(pma.SelfCheck());
   EXPECT_EQ(space.object_count(), live.size());
   // Footprint stays within a constant factor of the volume (root density
-  // bounds: between rho_root/2 and 1 of capacity is occupied).
+  // bounds: between half the root minimum density and 1 of capacity is
+  // occupied).
   if (!live.empty()) {
     EXPECT_LE(pma.reserved_footprint(), 16 * pma.volume());
   }

@@ -1,21 +1,19 @@
-// SubmitMany / OpBuffer — batched submission, proven against its oracles:
+// SubmitMany — batched submission, proven against its oracles:
 //
 //  * Differential grid (K x W, hash routing — the threaded driver's only
-//    policy): one trace driven through SubmitMany batches must land in exactly the per-shard stats that the
-//    same trace driven op-by-op through Submit and the single-threaded
-//    ShardedReallocator produce. At W=1 the guarantee sharpens to
-//    per-shard *event-sequence* equality — op-for-op, batching changes
-//    nothing. Both drives ride the shards' remote queues (a per-op Submit
-//    is a batch of one), so every op counts in batched_ops.
-//  * Multi-producer OpBuffers: K producers batching through thread-local
-//    buffers lose nothing — every op executes exactly once, per-shard
+//    policy): one trace driven through SubmitMany batches must land in
+//    exactly the per-shard stats that the same trace driven op-by-op
+//    through Submit and the single-threaded ShardedReallocator produce.
+//    At W=1 the guarantee sharpens to per-shard *event-sequence*
+//    equality — op-for-op, batching changes nothing. Both drives ride
+//    the shards' remote queues (a per-op Submit is a batch of one), so
+//    every op counts in batched_ops.
+//  * Multiple producers: K producers each sending their own SubmitMany
+//    chunks lose nothing — every op executes exactly once, per-shard
 //    conservation totals hold.
-//  * Drain ordering: mid-batch Flush() makes buffered ops visible;
-//    destructor flush drains the tail; auto-flush fires on fill.
-//  * Statuses never vanish: SubmitManyTracked position-matches tokens,
-//    each carrying the shard's verdict for its op (a failed op fails
-//    alone, the batch continues), and `accepted` reports exactly the
-//    enqueued count.
+//  * Statuses never vanish: each op's verdict is the shard's (a failed
+//    op fails alone, the batch continues, and the shard counts it), and
+//    `accepted` reports exactly the enqueued count.
 
 #include <atomic>
 #include <cstdint>
@@ -29,7 +27,6 @@
 
 #include "cosr/realloc/factory.h"
 #include "cosr/service/concurrent_sharded_reallocator.h"
-#include "cosr/service/op_buffer.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/workload/trace.h"
@@ -215,9 +212,9 @@ TEST(SubmitBatchDifferential, K4W4Hash) {
   RunBatchDifferential(4, 4, RoutingPolicy::kHashId, 33);
 }
 
-// ------------------------------------------------ multi-producer OpBuffers
+// ------------------------------------------------- multi-producer batches
 
-TEST(SubmitBatchMpsc, ProducerBuffersLoseNothing) {
+TEST(SubmitBatchMpsc, ProducerBatchesLoseNothing) {
   constexpr std::uint32_t kProducers = 4;
   constexpr std::uint64_t kIdsPerProducer = 3000;
 
@@ -231,31 +228,35 @@ TEST(SubmitBatchMpsc, ProducerBuffersLoseNothing) {
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 
-  // Each producer owns a disjoint id range and batches through its own
-  // OpBuffer: inserts everything, deletes the even ids
+  // Each producer owns a disjoint id range and sends it in kChunk-op
+  // SubmitMany batches: inserts everything, deletes the even ids
   // (insert-before-delete per id holds because one producer's ops on one
-  // shard flush in Add order and stay FIFO through the remote queue).
+  // shard keep batch order and stay FIFO through the remote queue).
+  constexpr std::size_t kChunk = 32;
   std::atomic<std::uint64_t> expected_volume{0};
   std::vector<std::thread> producers;
   for (std::uint32_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      OpBuffer buffer(concurrent.get(), /*capacity=*/32);
       const ObjectId base = ObjectId{p} * 1000000;
+      std::vector<Request> ops;
       std::uint64_t kept = 0;
       for (std::uint64_t j = 0; j < kIdsPerProducer; ++j) {
         const ObjectId id = base + j;
         const std::uint64_t size = 1 + (j * 2654435761u % 512);
-        ASSERT_TRUE(buffer.Insert(id, size).ok());
+        ops.push_back(Request::Insert(id, size));
         if (j % 2 == 0) {
-          ASSERT_TRUE(buffer.Delete(id).ok());
+          ops.push_back(Request::Delete(id));
         } else {
           kept += size;
         }
       }
-      ASSERT_TRUE(buffer.Flush().ok());
-      EXPECT_EQ(buffer.stats().ops_buffered, kIdsPerProducer * 3 / 2);
-      EXPECT_EQ(buffer.stats().ops_not_enqueued, 0u);
-      EXPECT_GT(buffer.stats().auto_flushes, 0u);
+      ASSERT_EQ(ops.size(), kIdsPerProducer * 3 / 2);
+      for (std::size_t i = 0; i < ops.size(); i += kChunk) {
+        const std::size_t n = std::min(kChunk, ops.size() - i);
+        std::size_t accepted = 0;
+        ASSERT_TRUE(concurrent->SubmitMany(ops.data() + i, n, &accepted).ok());
+        ASSERT_EQ(accepted, n);
+      }
       expected_volume.fetch_add(kept, std::memory_order_relaxed);
     });
   }
@@ -281,78 +282,9 @@ TEST(SubmitBatchMpsc, ProducerBuffersLoseNothing) {
   }
 }
 
-// --------------------------------------------------------- drain ordering
-
-TEST(SubmitBatchDrain, MidBatchFlushMakesBufferedOpsVisible) {
-  ReallocatorSpec spec;
-  spec.algorithm = "first-fit";
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = 4;
-  options.worker_threads = 2;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(
-      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
-
-  OpBuffer buffer(concurrent.get(), /*capacity=*/16);
-  EXPECT_EQ(buffer.capacity(), 16u);
-  for (ObjectId id = 0; id < 10; ++id) {
-    ASSERT_TRUE(buffer.Insert(id, 8).ok());
-  }
-  // Buffered ops are invisible until flushed — the facade's own barrier
-  // cannot see them.
-  EXPECT_EQ(buffer.pending(), 10u);
-  concurrent->Flush();
-  EXPECT_EQ(concurrent->volume(), 0u);
-
-  // Mid-batch Flush drains the buffer into the facade; the facade's
-  // barrier then covers them.
-  ASSERT_TRUE(buffer.Flush().ok());
-  EXPECT_EQ(buffer.pending(), 0u);
-  concurrent->Flush();
-  EXPECT_EQ(concurrent->volume(), 10u * 8);
-  EXPECT_EQ(buffer.stats().flushes, 1u);
-  EXPECT_EQ(buffer.stats().auto_flushes, 0u);
-
-  // Auto-flush on fill: the 16th Add flushes without an explicit call.
-  for (ObjectId id = 10; id < 26; ++id) {
-    ASSERT_TRUE(buffer.Insert(id, 8).ok());
-  }
-  EXPECT_EQ(buffer.pending(), 0u);
-  EXPECT_EQ(buffer.stats().auto_flushes, 1u);
-  concurrent->Flush();
-  EXPECT_EQ(concurrent->volume(), 26u * 8);
-}
-
-TEST(SubmitBatchDrain, DestructorFlushDrainsTheTail) {
-  ReallocatorSpec spec;
-  spec.algorithm = "first-fit";
-  ConcurrentShardedReallocator::Options options;
-  options.shard_count = 4;
-  options.worker_threads = 2;
-  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
-  ASSERT_TRUE(
-      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
-
-  {
-    OpBuffer buffer(concurrent.get());
-    for (ObjectId id = 0; id < 20; ++id) {
-      ASSERT_TRUE(buffer.Insert(id, 4).ok());
-    }
-    // No explicit Flush: destruction must hand the tail to the facade.
-  }
-  concurrent->Flush();
-  EXPECT_EQ(concurrent->volume(), 20u * 4);
-
-  // Capacity clamping: out-of-range requests snap to the documented band.
-  OpBuffer tiny(concurrent.get(), 1);
-  EXPECT_EQ(tiny.capacity(), OpBuffer::kMinCapacity);
-  OpBuffer huge(concurrent.get(), 1 << 20);
-  EXPECT_EQ(huge.capacity(), OpBuffer::kMaxCapacity);
-}
-
 // ------------------------------------------------------ status propagation
 
-TEST(SubmitBatchStatus, TrackedTokensPositionMatchAndRejectionsSkip) {
+TEST(SubmitBatchStatus, RejectionsFailAloneAndAcceptedCountsEnqueued) {
   ReallocatorSpec spec;
   spec.algorithm = "cost-oblivious";
   ConcurrentShardedReallocator::Options options;
@@ -371,32 +303,21 @@ TEST(SubmitBatchStatus, TrackedTokensPositionMatchAndRejectionsSkip) {
       Request::Insert(2, 700), Request::Delete(999),
       Request::Delete(1),      Request::Insert(3, 0),
   };
-  std::vector<std::shared_ptr<OpToken>> tokens =
-      concurrent->SubmitManyTracked(ops.data(), ops.size());
-  ASSERT_EQ(tokens.size(), ops.size());
-  EXPECT_TRUE(tokens[0]->Wait().ok());
-  EXPECT_EQ(tokens[1]->Wait().code(), StatusCode::kAlreadyExists);
-  EXPECT_TRUE(tokens[2]->Wait().ok());
-  EXPECT_EQ(tokens[3]->Wait().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(tokens[4]->Wait().ok());
-  EXPECT_EQ(tokens[5]->Wait().code(), StatusCode::kInvalidArgument);
-
-  // Fire-and-forget SubmitMany enqueues every op (nothing is judged at
-  // submit) and reports the exact accepted count.
+  // SubmitMany enqueues every op (nothing is judged at submit) and
+  // reports the exact accepted count.
   std::size_t accepted = 0;
   EXPECT_TRUE(concurrent->SubmitMany(ops, &accepted).ok());
   EXPECT_EQ(accepted, ops.size());
   concurrent->Flush();
-  // id 1 was deleted above, so now ops[0] succeeds and ops[1] duplicates
-  // it again; ops[2] collides with the still-live id 2; ops[3] and ops[5]
-  // fail as before. The shards counted the 3 tracked failures plus these
-  // 4.
+  // The shards counted the 3 failures; the other 3 ops ran.
   const ShardStats stats = concurrent->Stats();
-  std::uint64_t failed = 0;
+  std::uint64_t failed = 0, executed = 0;
   for (const ShardStats::PerShard& shard : stats.shards) {
     failed += shard.failed_ops;
+    executed += shard.ops;
   }
-  EXPECT_EQ(failed, 7u);
+  EXPECT_EQ(failed, 3u);
+  EXPECT_EQ(executed, ops.size());
   EXPECT_EQ(stats.volume, 700u);  // only id 2 is live
 }
 

@@ -130,7 +130,9 @@ def check_sharded(data, path):
 
 def check_concurrent(data, path):
     # v2 added the submit-path axis: every worker count is measured twice
-    # (per-op mutex queue vs batched lock-free remote queues), with the
+    # (per-op Submit vs batched SubmitMany; both ride the lock-free remote
+    # queues, though the committed per-op rows were measured over the
+    # since-deleted per-op mutex queue), with the
     # "submit" and "batched_ops" columns distinguishing the rows. v3 adds
     # per-op wall-clock latency columns on every row (total / queue-wait /
     # service split from the service layer's own histograms) and the
