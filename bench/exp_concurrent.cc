@@ -16,7 +16,7 @@
 // (submit -> completion), queue-wait (submit -> execution start), and
 // service (the inner reallocator call alone). The burst grid drives the
 // facade open-loop — timed arrivals at a fraction of the measured
-// closed-loop capacity, bounded queues, bounded-retry drops — and is where
+// closed-loop capacity, bounded queues, pure backpressure — and is where
 // the deamortization story becomes a latency claim: the checkpointed
 // (amortized) inner algorithm takes its rebuild spikes on the serving
 // path, the deamortized one spreads them, and the service-time p999/p50
@@ -28,9 +28,10 @@
 // ~20x and turns the run into the CI gate: the exit code asserts the W=1
 // concurrent mode matches the single-threaded facade's footprint/move/byte
 // counts exactly, that every W=1 op (per-op and batched) travelled the
-// remote queues, that no op failed in any closed-loop cell, and that
-// every cell's latency accounting is exact (tracked-op histogram counts ==
-// executed operations).
+// remote queues, that every burst row's paper-unit counts match its W=4
+// closed-loop calibration row exactly, that no op failed in any cell, and
+// that every cell's latency accounting is exact (tracked-op histogram
+// counts == operations).
 //
 // Usage: exp_concurrent [--smoke]
 
@@ -68,12 +69,10 @@ constexpr std::uint32_t kWorkerCounts[] = {1, 2, 4, 8};
 // perfbench's concurrent-churn workload sends.
 constexpr std::size_t kSubmitBatch = 64;
 // The burst grid's fixed shape: the mid-grid worker count, a queue bound
-// small enough for overload to bite within a smoke-size trace, bounded
-// backpressure (two backoff rounds) before a drop, and offered rates
-// straddling the measured closed-loop capacity.
+// small enough for overload to bite within a smoke-size trace, and offered
+// rates straddling the measured closed-loop capacity.
 constexpr std::uint32_t kBurstWorkers = 4;
 constexpr std::size_t kBurstQueueCapacity = 1024;
-constexpr std::size_t kBurstSubmitRetries = 2;
 constexpr std::size_t kBurstBatch = 32;
 constexpr double kBurstRatios[] = {0.5, 0.9, 1.2, 2.0};
 // The algorithms whose latency distributions the burst grid contrasts:
@@ -105,16 +104,13 @@ struct Row {
   std::uint64_t global_max_end = 0;
   std::uint64_t failed_ops = 0;
   std::uint64_t batched_ops = 0;  // ops that arrived via remote queues
-                                  // (every executed op, on both paths)
-  std::uint64_t dropped_ops = 0;  // bounded-retry drops (burst rows only)
+                                  // (every op, on both paths)
   std::vector<std::uint64_t> per_shard_reserved;
   std::vector<std::uint64_t> per_shard_peak;
   /// Wall-clock latency of executed insert/delete ops, merged over shards.
   LatencyHistogram lat_total;
   LatencyHistogram lat_queue;
   LatencyHistogram lat_service;
-
-  std::uint64_t executed() const { return operations - dropped_ops; }
 
   std::string Label() const {
     if (burst) {
@@ -261,12 +257,11 @@ Row RunConcurrent(const Scenario& scenario, const std::string& algorithm,
 }
 
 /// One open-loop burst cell: arrivals paced at `offered_ratio` x the
-/// measured closed-loop capacity against bounded queues with a
-/// bounded-retry drop policy. The producer never waits for completions —
-/// past saturation the queues fill, Submit burns its backoff budget, and
-/// the overflow is dropped (counted, never silent). Dropped inserts make
-/// some later deletes of the same id fail; burst rows therefore tolerate
-/// failed ops where the closed-loop grid forbids them.
+/// measured closed-loop capacity against bounded queues. The producer never
+/// waits for completions, only for room: past saturation the queues fill
+/// and the producer blocks until a drain frees room, then catches up with
+/// the schedule. Every op executes, and with one producer and hash routing
+/// each shard sees the same op stream as in the closed-loop run.
 Row RunBurst(const Scenario& scenario, const std::string& algorithm,
              bool batched, double offered_ratio, double capacity_ops_per_sec,
              const CostBattery& battery) {
@@ -276,7 +271,6 @@ Row RunBurst(const Scenario& scenario, const std::string& algorithm,
   options.shard_count = kShards;
   options.worker_threads = kBurstWorkers;
   options.queue_capacity = kBurstQueueCapacity;
-  options.submit_max_retries = kBurstSubmitRetries;
   std::unique_ptr<ConcurrentShardedReallocator> facade;
   COSR_CHECK_OK(ConcurrentShardedReallocator::Make(spec, options, &facade));
 
@@ -309,14 +303,14 @@ Row RunBurst(const Scenario& scenario, const std::string& algorithm,
         // A batched producer releases each chunk when its LAST op's
         // arrival time comes due — the batch is the submission event.
         pace(i, start);
-        facade->SubmitMany(chunk);  // drops are counted in Stats()
+        COSR_CHECK_OK(facade->SubmitMany(chunk));
         chunk.clear();
       }
     }
   } else {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       pace(i, start);
-      facade->Submit(requests[i]);  // non-ok = counted drop; keep going
+      COSR_CHECK_OK(facade->Submit(requests[i]));
     }
   }
   const double submit_wall =
@@ -345,7 +339,6 @@ Row RunBurst(const Scenario& scenario, const std::string& algorithm,
   row.volume_final = stats.volume;
   row.sum_reserved_final = stats.sum_reserved_footprint;
   row.global_max_end = stats.global_max_end;
-  row.dropped_ops = stats.dropped_ops;
   FillLatency(&row, stats);
   for (std::uint32_t s = 0; s < kShards; ++s) {
     row.per_shard_reserved.push_back(stats.shards[s].reserved_footprint);
@@ -354,10 +347,10 @@ Row RunBurst(const Scenario& scenario, const std::string& algorithm,
     row.failed_ops += stats.shards[s].failed_ops;
     row.batched_ops += stats.shards[s].batched_ops;
   }
-  // Achieved throughput = ops that actually executed over the full wall
-  // (submission window plus drain) — the number that stops tracking the
-  // offered rate at the collapse knee.
-  row.ops_per_sec = static_cast<double>(row.executed()) / wall;
+  // Achieved throughput = ops over the full wall (submission window plus
+  // drain) — the number that stops tracking the offered rate at the
+  // collapse knee.
+  row.ops_per_sec = static_cast<double>(row.operations) / wall;
   return row;
 }
 
@@ -446,7 +439,8 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
         static_cast<unsigned long long>(row.failed_ops),
         static_cast<unsigned long long>(row.batched_ops), row.offered_ratio,
         row.offered_ops_per_sec, row.submit_seconds,
-        static_cast<unsigned long long>(row.dropped_ops),
+        // dropped_ops: always 0 (nothing drops), kept for the schema.
+        0ull,
         static_cast<unsigned long long>(row.lat_total.count),
         static_cast<unsigned long long>(row.lat_total.Percentile(0.50)),
         static_cast<unsigned long long>(row.lat_total.Percentile(0.90)),
@@ -469,20 +463,23 @@ void WriteJson(const std::vector<Row>& rows, bool smoke) {
   std::printf("wrote BENCH_concurrent.json (%zu rows)\n", rows.size());
 }
 
-bool CheckW1Identity(const Row& facade, const Row& w1) {
+/// The paper-unit identity: `row` ran the same per-shard op streams as
+/// `reference`, so every footprint, move and byte count must match exactly.
+bool CheckIdentity(const Row& reference, const Row& row) {
   bool ok = true;
-  ok &= w1.moves == facade.moves;
-  ok &= w1.bytes_moved == facade.bytes_moved;
-  ok &= w1.bytes_placed == facade.bytes_placed;
-  ok &= w1.volume_final == facade.volume_final;
-  ok &= w1.sum_reserved_final == facade.sum_reserved_final;
-  ok &= w1.sum_peak_reserved == facade.sum_peak_reserved;
-  ok &= w1.global_max_end == facade.global_max_end;
-  ok &= w1.per_shard_reserved == facade.per_shard_reserved;
-  ok &= w1.per_shard_peak == facade.per_shard_peak;
+  ok &= row.moves == reference.moves;
+  ok &= row.bytes_moved == reference.bytes_moved;
+  ok &= row.bytes_placed == reference.bytes_placed;
+  ok &= row.volume_final == reference.volume_final;
+  ok &= row.sum_reserved_final == reference.sum_reserved_final;
+  ok &= row.sum_peak_reserved == reference.sum_peak_reserved;
+  ok &= row.global_max_end == reference.global_max_end;
+  ok &= row.per_shard_reserved == reference.per_shard_reserved;
+  ok &= row.per_shard_peak == reference.per_shard_peak;
   if (!ok) {
-    std::printf("  IDENTITY BROKEN: %s/%s W=1 vs facade\n",
-                w1.scenario.c_str(), w1.algorithm.c_str());
+    std::printf("  IDENTITY BROKEN: %s/%s %s vs %s\n", row.scenario.c_str(),
+                row.algorithm.c_str(), row.Label().c_str(),
+                reference.Label().c_str());
   }
   return ok;
 }
@@ -492,20 +489,19 @@ bool CheckW1Identity(const Row& facade, const Row& w1) {
 /// queue-wait only where a queue exists), and the split percentiles are
 /// mutually consistent.
 bool CheckLatencyAccounting(const Row& row) {
-  const std::uint64_t executed = row.executed();
   bool ok = true;
-  ok &= row.lat_total.count == executed;
-  ok &= row.lat_service.count == executed;
+  ok &= row.lat_total.count == row.operations;
+  ok &= row.lat_service.count == row.operations;
   // The sync facade has no queue: its queue-wait histogram must be empty.
-  ok &= row.lat_queue.count == (row.workers == 0 ? 0 : executed);
+  ok &= row.lat_queue.count == (row.workers == 0 ? 0 : row.operations);
   ok &= row.lat_total.Percentile(0.999) >= row.lat_total.Percentile(0.5);
   ok &= row.lat_total.max() >= row.lat_service.Percentile(0.5);
   if (!ok) {
     std::printf(
-        "  LATENCY ACCOUNTING BROKEN: %s/%s %s — executed %llu, counts "
+        "  LATENCY ACCOUNTING BROKEN: %s/%s %s — operations %llu, counts "
         "total %llu queue %llu service %llu\n",
         row.scenario.c_str(), row.algorithm.c_str(), row.Label().c_str(),
-        static_cast<unsigned long long>(executed),
+        static_cast<unsigned long long>(row.operations),
         static_cast<unsigned long long>(row.lat_total.count),
         static_cast<unsigned long long>(row.lat_queue.count),
         static_cast<unsigned long long>(row.lat_service.count));
@@ -594,26 +590,33 @@ int main(int argc, char** argv) {
   // load is stationary), checkpointed vs deamortized inner algorithms,
   // both submit styles. Capacity is calibrated per (algorithm, style) by a
   // closed-loop run at the same W — those calibration rows join the
-  // artifact as ordinary concurrent cells.
+  // artifact as ordinary concurrent cells. With one producer, hash routing
+  // and pure backpressure, every shard of a burst row executes the same op
+  // stream as in its calibration row, so their paper-unit counts must
+  // match exactly whatever the offered rate.
   const cosr::Scenario& burst_scenario = scenarios.front();
   COSR_CHECK_MSG(burst_scenario.name == "steady-churn",
                  "burst grid expects steady-churn first in the battery");
-  std::printf("\n-- burst: open-loop %s, W=%u, queue=%zu, retries=%zu --\n",
+  std::printf("\n-- burst: open-loop %s, W=%u, queue=%zu --\n",
               burst_scenario.name.c_str(), cosr::kBurstWorkers,
-              cosr::kBurstQueueCapacity, cosr::kBurstSubmitRetries);
+              cosr::kBurstQueueCapacity);
   cosr::bench::Table burst_table({"algorithm", "mode", "offered-k/s",
-                                  "achieved-k/s", "dropped", "p50 us",
-                                  "p999 us", "svc p999/p50"});
+                                  "achieved-k/s", "p50 us", "p999 us",
+                                  "svc p999/p50", "identity"});
   for (const char* algorithm : cosr::kBurstAlgorithms) {
     for (const bool batched : {false, true}) {
       rows.push_back(cosr::RunConcurrent(burst_scenario, algorithm,
                                          cosr::kBurstWorkers, batched,
                                          battery));
+      const std::size_t calibration = rows.size() - 1;
       const double capacity = rows.back().ops_per_sec;
       for (const double ratio : cosr::kBurstRatios) {
         rows.push_back(cosr::RunBurst(burst_scenario, algorithm, batched,
                                       ratio, capacity, battery));
         const cosr::Row& row = rows.back();
+        const bool identity = cosr::CheckIdentity(rows[calibration], row);
+        ok &= identity && rows[calibration].failed_ops == 0 &&
+              row.failed_ops == 0;
         const double svc_p50 =
             static_cast<double>(row.lat_service.Percentile(0.5));
         const double svc_tail_ratio =
@@ -625,10 +628,10 @@ int main(int argc, char** argv) {
             {algorithm, row.Label(),
              cosr::bench::Fmt(row.offered_ops_per_sec / 1000.0, 0),
              cosr::bench::Fmt(row.ops_per_sec / 1000.0, 0),
-             std::to_string(row.dropped_ops),
              cosr::bench::Fmt(row.lat_total.Percentile(0.5) / 1000.0, 1),
              cosr::bench::Fmt(row.lat_total.Percentile(0.999) / 1000.0, 1),
-             cosr::bench::Fmt(svc_tail_ratio, 1)});
+             cosr::bench::Fmt(svc_tail_ratio, 1),
+             identity ? "ok" : "BROKEN"});
       }
     }
   }
@@ -651,8 +654,8 @@ int main(int argc, char** argv) {
         ok = false;
         continue;
       }
-      const bool identity = cosr::CheckW1Identity(*facade, *w1);
-      const bool batched_identity = cosr::CheckW1Identity(*facade, *w1_batched);
+      const bool identity = cosr::CheckIdentity(*facade, *w1);
+      const bool batched_identity = cosr::CheckIdentity(*facade, *w1_batched);
       // Both W=1 rows must have routed every op through the remote
       // queues: there is no other path.
       bool all_remote = true;
@@ -677,17 +680,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Latency accounting must be exact in EVERY cell, burst included: the
-  // histograms count executed ops only, so operations - dropped must match
-  // all three counts (queue-wait empty on the sync facade).
+  // Latency accounting must be exact in EVERY cell, burst included: every
+  // op lands in all three histograms once (queue-wait empty on the sync
+  // facade).
   for (const cosr::Row& row : rows) ok &= cosr::CheckLatencyAccounting(row);
 
   cosr::WriteJson(rows, smoke);
   cosr::bench::Verdict(
       ok,
-      "all closed-loop cells ran with zero failed ops; W=1 concurrent mode "
-      "— per-op and batched — matches the single-threaded facade's "
-      "footprint/move/byte counts exactly with every op through the remote "
-      "queues; latency histogram counts match executed ops in every cell");
+      "all cells ran with zero failed ops; W=1 concurrent mode — per-op and "
+      "batched — matches the single-threaded facade's footprint/move/byte "
+      "counts exactly with every op through the remote queues; every burst "
+      "row matches its W=4 calibration row exactly; latency histogram "
+      "counts match operations in every cell");
   return ok ? 0 : 1;
 }

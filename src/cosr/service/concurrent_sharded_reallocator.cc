@@ -82,7 +82,6 @@ Status ConcurrentShardedReallocator::Make(
   const std::uint32_t shards = options.shard_count;
   const std::uint32_t workers =
       options.worker_threads == 0 ? shards : options.worker_threads;
-  facade->dropped_ops_.assign(shards, 0);
   for (std::uint32_t i = 0; i < shards; ++i) {
     facade->lanes_.push_back(std::make_unique<Lane>());
   }
@@ -122,14 +121,6 @@ ConcurrentShardedReallocator::Item ConcurrentShardedReallocator::MakeItem(
   item.op.submit_ns = submit_ns;
   item.token = std::move(token);
   return item;
-}
-
-void ConcurrentShardedReallocator::RecordDrop(std::uint32_t shard,
-                                              std::uint64_t count,
-                                              const Status& status) {
-  std::lock_guard<std::mutex> drop_lock(drop_mu_);
-  dropped_ops_[shard] += count;
-  last_drop_status_ = status;
 }
 
 bool ConcurrentShardedReallocator::HasRoom(const Lane& lane) const {
@@ -175,56 +166,31 @@ void ConcurrentShardedReallocator::Push(std::uint32_t shard,
   }
 }
 
-Status ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
-                                             std::vector<Item> items,
-                                             bool may_drop,
-                                             std::size_t* delivered) {
-  *delivered = 0;
+void ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
+                                           std::vector<Item> items) {
   const std::size_t total = items.size();
   Lane& lane = *lanes_[shard];
-  const bool droppable = may_drop && options_.submit_max_retries > 0;
-  auto backoff = options_.submit_retry_backoff;
-  std::size_t attempts = 0;
-  while (*delivered < total) {
-    const std::size_t granted = Reserve(lane, total - *delivered);
+  std::size_t delivered = 0;
+  while (delivered < total) {
+    const std::size_t granted = Reserve(lane, total - delivered);
     if (granted == 0) {
       std::unique_lock<std::mutex> lock(lane.mu);
-      const auto room = [&] { return HasRoom(lane); };
-      if (!droppable) {
-        lane.cv_space.wait(lock, room);
-        continue;
-      }
-      if (attempts == options_.submit_max_retries) break;  // drop suffix
-      ++attempts;
-      lane.cv_space.wait_for(lock, backoff, room);
-      backoff *= 2;
+      lane.cv_retired.wait(lock, [&] { return HasRoom(lane); });
       continue;
     }
-    // Chunked delivery: never push more than the room reserved, so a
-    // retry exhaustion drops exactly the undelivered suffix.
+    // Chunked delivery: never push more than the room reserved, so a batch
+    // larger than queue_capacity still respects the in-flight bound.
     if (granted == total) {
       Push(shard, std::move(items));
     } else {
-      const auto first =
-          items.begin() + static_cast<std::ptrdiff_t>(*delivered);
+      const auto first = items.begin() + static_cast<std::ptrdiff_t>(delivered);
       Push(shard, std::vector<Item>(
                       std::make_move_iterator(first),
                       std::make_move_iterator(
                           first + static_cast<std::ptrdiff_t>(granted))));
     }
-    *delivered += granted;
-    attempts = 0;
-    backoff = options_.submit_retry_backoff;
+    delivered += granted;
   }
-  if (*delivered == total) return Status::Ok();
-  const std::size_t dropped = total - *delivered;
-  Status status = Status::ResourceExhausted(
-      "shard " + std::to_string(shard) + " queue full after " +
-      std::to_string(options_.submit_max_retries) +
-      " bounded retries; dropped batch suffix of " + std::to_string(dropped) +
-      " ops");
-  RecordDrop(shard, dropped, status);
-  return status;
 }
 
 void ConcurrentShardedReallocator::SubmitMarker(
@@ -232,25 +198,27 @@ void ConcurrentShardedReallocator::SubmitMarker(
   std::vector<Item> items(1);
   items[0].op = op;
   items[0].token = std::move(token);
-  std::size_t delivered = 0;
-  Deliver(shard, std::move(items), /*may_drop=*/false, &delivered);
+  Deliver(shard, std::move(items));
 }
 
 Status ConcurrentShardedReallocator::Submit(const Request& op) {
-  return SubmitBatch(&op, 1, /*token=*/nullptr, /*accepted=*/nullptr);
+  SubmitBatch(&op, 1, /*token=*/nullptr);
+  return Status::Ok();
 }
 
 std::shared_ptr<OpToken> ConcurrentShardedReallocator::SubmitTracked(
     const Request& op) {
   auto token = std::make_shared<OpToken>();
-  SubmitBatch(&op, 1, token, /*accepted=*/nullptr);
+  SubmitBatch(&op, 1, token);
   return token;
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const Request* ops,
                                                 std::size_t count,
                                                 std::size_t* accepted) {
-  return SubmitBatch(ops, count, /*token=*/nullptr, accepted);
+  SubmitBatch(ops, count, /*token=*/nullptr);
+  if (accepted != nullptr) *accepted = count;
+  return Status::Ok();
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
@@ -258,9 +226,9 @@ Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
   return SubmitMany(ops.data(), ops.size(), accepted);
 }
 
-Status ConcurrentShardedReallocator::SubmitBatch(
+void ConcurrentShardedReallocator::SubmitBatch(
     const Request* ops, std::size_t count,
-    const std::shared_ptr<OpToken>& token, std::size_t* accepted) {
+    const std::shared_ptr<OpToken>& token) {
   requests_submitted_.fetch_add(count, std::memory_order_relaxed);
   // One submit stamp for the whole batch: the batch is the submission
   // event, and a per-op clock read would cost more than the queue hop the
@@ -283,31 +251,9 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   for (std::size_t i = 0; i < count; ++i) {
     buckets[route[i]].push_back(MakeItem(ops[i], submit_ns, token));
   }
-  // A token must retire, so only a submission without one may drop.
-  const bool may_drop = token == nullptr;
-  // A drop statuses the batch with the failure of the *earliest* op (in
-  // batch order) that failed to deliver, across all shard buckets.
-  std::size_t total_delivered = 0;
-  std::size_t first_error_index = count;
-  Status first_error;
   for (std::uint32_t s = 0; s < shards; ++s) {
-    if (buckets[s].empty()) continue;
-    std::size_t delivered = 0;
-    Status status = Deliver(s, std::move(buckets[s]), may_drop, &delivered);
-    total_delivered += delivered;
-    if (status.ok()) continue;
-    // Cold path: find the batch index of shard s's first undelivered op.
-    std::size_t seen = 0;
-    for (std::size_t i = 0; i < first_error_index; ++i) {
-      if (route[i] == s && seen++ == delivered) {
-        first_error_index = i;
-        first_error = std::move(status);
-        break;
-      }
-    }
+    if (!buckets[s].empty()) Deliver(s, std::move(buckets[s]));
   }
-  if (accepted != nullptr) *accepted = total_delivered;
-  return first_error;
 }
 
 void ConcurrentShardedReallocator::Flush() {
@@ -318,7 +264,7 @@ void ConcurrentShardedReallocator::Flush() {
     // always eventually completed.
     const std::uint64_t target =
         lane->submitted.load(std::memory_order_relaxed);
-    lane->cv_drained.wait(lock, [&] {
+    lane->cv_retired.wait(lock, [&] {
       return lane->completed.load(std::memory_order_acquire) >= target;
     });
   }
@@ -365,18 +311,7 @@ ShardStats ConcurrentShardedReallocator::Stats() {
     SubmitMarker(i, op, tokens.back());
   }
   for (const auto& token : tokens) token->Wait();
-
-  Status last_drop_status;
-  {
-    std::lock_guard<std::mutex> drop_lock(drop_mu_);
-    for (std::uint32_t i = 0; i < shard_count(); ++i) {
-      shards[i].dropped_ops = dropped_ops_[i];
-    }
-    last_drop_status = last_drop_status_;
-  }
-  ShardStats stats = ShardEngine::MergeStats(std::move(shards));
-  stats.last_drop_status = std::move(last_drop_status);
-  return stats;
+  return ShardEngine::MergeStats(std::move(shards));
 }
 
 void ConcurrentShardedReallocator::AddShardListener(std::uint32_t index,
@@ -441,13 +376,12 @@ bool ConcurrentShardedReallocator::TryDrain(std::uint32_t shard) {
     // count, every effect of the drain is visible to it.
     lane.completed.fetch_add(executed, std::memory_order_release);
     {
-      // Notify under the lock so a flusher can never check its predicate
-      // between our increment and our notify and then sleep forever.
+      // An empty critical section before the notify, so a producer or
+      // flusher can never check its predicate between our increment and
+      // our notify and then sleep forever.
       std::lock_guard<std::mutex> lock(lane.mu);
     }
-    lane.cv_drained.notify_all();
-    // Completions also free in-flight room for waiting producers.
-    lane.cv_space.notify_all();
+    lane.cv_retired.notify_all();
   }
   lane.claimed.store(false, std::memory_order_seq_cst);
   return executed > 0;

@@ -87,7 +87,7 @@ class OpToken {
 /// flush never holds up its siblings (work-conserving drain). The engine
 /// executes and accounts for the op exactly as the inline facade's does;
 /// this class keeps only what is about threads (queues, claims, parking,
-/// backpressure, the drop policy, tokens, Flush).
+/// backpressure, tokens, Flush).
 ///
 /// Claims. Each shard has one `claimed` flag. A worker takes it with an
 /// exchange, hands the shard's debug fence to itself
@@ -205,21 +205,8 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::uint32_t worker_threads = 0;
     /// Bound on each shard's in-flight ops (submitted - completed; the op
     /// executing right now counts). Producers block when the target shard
-    /// is full (backpressure, not drop).
+    /// is full (pure backpressure: every submitted op executes).
     std::size_t queue_capacity = 4096;
-    /// Overload policy for fire-and-forget Submit when the target shard
-    /// is full. 0 (default) keeps pure backpressure: block until room
-    /// frees up. With N >= 1 the producer retries up to N bounded waits
-    /// with doubling backoff (starting at submit_retry_backoff); if the
-    /// shard is still full the op is DROPPED: Submit returns
-    /// ResourceExhausted and the drop is recorded in Stats() (per-shard
-    /// dropped_ops plus the facade-wide last_drop_status). Per-op
-    /// tracked/synchronous submissions and internal markers always block
-    /// — a token must retire. SubmitMany batches follow the policy too: a
-    /// batch that exhausts its retries drops exactly its undelivered
-    /// suffix, counted per shard.
-    std::size_t submit_max_retries = 0;
-    std::chrono::microseconds submit_retry_backoff{50};
   };
 
   /// Builds K private shards, each an inner `inner_spec` reallocator (its
@@ -232,15 +219,13 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Drains all queues, then stops and joins the workers.
   ~ConcurrentShardedReallocator() override;
 
-  /// Fire-and-forget submission, a batch of one. Ok means "accepted and
-  /// enqueued"; the op's own outcome is the shard's status, counted in
-  /// its failed_ops if it fails. The only non-ok return is — with
-  /// Options::submit_max_retries > 0 — a ResourceExhausted drop after the
-  /// bounded backpressure retries ran out.
+  /// Fire-and-forget submission, a batch of one. Blocks while the target
+  /// shard is full, then enqueues the op; always returns Ok. The op's own
+  /// outcome is the shard's status, counted in its failed_ops if it fails.
   Status Submit(const Request& op);
 
   /// Like Submit, but returns a completion token carrying the op's final
-  /// Status, as the shard returned it. Never drops.
+  /// Status, as the shard returned it.
   std::shared_ptr<OpToken> SubmitTracked(const Request& op);
 
   /// Batched fire-and-forget submission: semantically `Submit(op)` for
@@ -248,12 +233,9 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// one lock-free push per target shard — the queue hop amortizes to
   /// noise against the ~0.6-1.5 us of per-op reallocation work.
   ///
-  /// Returns Ok when every op was enqueued; each op's own outcome is the
-  /// shard's status, counted in failed_ops. A bounded-retry drop (see
-  /// Options) stops that shard's delivery and drops the undelivered
-  /// suffix, counted in dropped_ops; the first dropped op's status in op
-  /// order is returned, and `*accepted` (when non-null) reports how many
-  /// ops were actually enqueued.
+  /// Blocks while a target shard is full, so every op is enqueued: always
+  /// returns Ok and sets `*accepted` (when non-null) to `count`. Each op's
+  /// own outcome is the shard's status, counted in failed_ops.
   Status SubmitMany(const Request* ops, std::size_t count,
                     std::size_t* accepted = nullptr);
   Status SubmitMany(const std::vector<Request>& ops,
@@ -341,8 +323,9 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> completed{0};
     std::mutex mu;
-    std::condition_variable cv_space;    // producers wait: in-flight room
-    std::condition_variable cv_drained;  // flushers wait: ops retired
+    /// Notified after every drain that retired ops: producers wait here
+    /// for in-flight room, flushers for their target count.
+    std::condition_variable cv_retired;
 
     /// Queued work and no worker draining it.
     bool claimable() const {
@@ -356,24 +339,16 @@ class ConcurrentShardedReallocator final : public Reallocator {
                        std::shared_ptr<OpToken> token);
   /// The one submission path behind every public submit: buckets the
   /// ops per shard, then Delivers each bucket. `token`, when non-null,
-  /// completes the one op of a tracked submission (count == 1); a token
-  /// must retire, so only a submission without one may drop under the
-  /// bounded-retry policy. Returns the first drop in op order and reports
-  /// the enqueued count in `*accepted` (when non-null).
-  Status SubmitBatch(const Request* ops, std::size_t count,
-                     const std::shared_ptr<OpToken>& token,
-                     std::size_t* accepted);
-  /// Capacity-gated delivery of `items` (in order) to `shard`'s queue,
-  /// chunked to the room reserved. With `may_drop` (never set for items
-  /// that carry tokens) and bounded retries configured, gives up once the
-  /// retries run out: the undelivered suffix is counted per shard and the
-  /// drop status returned. `*delivered` reports how many leading items
-  /// actually reached the queue.
-  Status Deliver(std::uint32_t shard, std::vector<Item> items, bool may_drop,
-                 std::size_t* delivered);
+  /// completes the one op of a tracked submission (count == 1).
+  void SubmitBatch(const Request* ops, std::size_t count,
+                   const std::shared_ptr<OpToken>& token);
+  /// Capacity-gated delivery of `items` (in order) to `shard`'s queue:
+  /// pushes a chunk as large as the room it reserves, and waits for room
+  /// whenever the shard is full, until every item is queued.
+  void Deliver(std::uint32_t shard, std::vector<Item> items);
   /// Drains, runs a `kind` marker on every shard, and drains again.
   void MarkEveryShard(ShardOpKind kind);
-  /// Delivers one internal marker op to `shard`; markers never drop.
+  /// Delivers one internal marker op to `shard`.
   void SubmitMarker(std::uint32_t shard, ShardOp op,
                     std::shared_ptr<OpToken> token = nullptr);
   /// Pushes `items` onto `shard`'s queue, waking a parked worker if the
@@ -383,8 +358,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// (0 when full).
   std::size_t Reserve(Lane& lane, std::size_t want) const;
   bool HasRoom(const Lane& lane) const;
-  void RecordDrop(std::uint32_t shard, std::uint64_t count,
-                  const Status& status);
   /// Whether some shard is claimable.
   bool Claimable() const;
   /// Claims `shard` if it has queued work and is unclaimed, executes
@@ -421,14 +394,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Count of real (insert/delete) submissions — the AddShardListener
   /// gate; internal quiesce/snapshot markers do not count.
   alignas(64) std::atomic<std::uint64_t> requests_submitted_{0};
-
-  /// Drop accounting for the bounded-retry Submit policy. Cold path only
-  /// (a drop means the retries already burned their backoff budget), so a
-  /// plain mutex; producers count drops here, never in a shard's record,
-  /// which only the claim holder writes.
-  mutable std::mutex drop_mu_;
-  std::vector<std::uint64_t> dropped_ops_;  // per shard
-  Status last_drop_status_;
 
   std::string name_;
 };

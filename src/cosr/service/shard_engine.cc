@@ -216,7 +216,6 @@ ShardStats ShardEngine::MergeStats(std::vector<ShardStats::PerShard> shards) {
   ShardStats stats;
   for (const ShardStats::PerShard& per : shards) {
     stats.volume += per.volume;
-    stats.dropped_ops += per.dropped_ops;
     stats.sum_reserved_footprint += per.reserved_footprint;
     stats.sum_subrange_footprint += per.space_footprint;
     stats.max_shard_end = std::max(stats.max_shard_end, per.space_footprint);

@@ -12,8 +12,9 @@
 namespace cosr {
 
 /// Knobs for hot-shard detection and migration batching: the rebalance
-/// scan ShardEngine runs for the inline sharded facade
-/// (Options::rebalance; the threaded driver rejects it).
+/// scan ShardedReallocator::Rebalance runs on the inline driver
+/// (ShardedReallocator::Options::rebalance). The threaded driver has no
+/// rebalance scan.
 struct RebalanceOptions {
   /// A shard is footprint-hot when its reserved frontier exceeds this
   /// multiple of the mean frontier across shards.

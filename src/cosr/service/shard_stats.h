@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cosr/common/status.h"
 #include "cosr/metrics/latency_histogram.h"
 
 namespace cosr {
@@ -52,10 +51,6 @@ struct ShardStats {
     /// nowhere.
     std::uint64_t ops = 0;
     std::uint64_t failed_ops = 0;
-    /// Fire-and-forget submissions dropped by the bounded-retry overflow
-    /// policy (concurrent facade with submit_max_retries > 0 only). The
-    /// producers count drops, so Stats() fills this into the copy.
-    std::uint64_t dropped_ops = 0;
     /// Peak of the shard's reserved footprint over its own op stream
     /// (both facades).
     std::uint64_t peak_reserved_footprint = 0;
@@ -92,10 +87,10 @@ struct ShardStats {
   std::vector<PerShard> shards;
 
   std::uint64_t volume = 0;
-  /// Sum of the shards' dropped_ops, with the Status of the most recent
-  /// drop (Ok when nothing was ever dropped).
+  /// Always 0: both drivers execute every submitted request (the threaded
+  /// one blocks its producers instead of dropping). Kept only for callers
+  /// that still check it.
   std::uint64_t dropped_ops = 0;
-  Status last_drop_status;
   /// Sum of the shards' reserved footprints: the additive-composition view
   /// (what the facade's reserved_footprint() reports, and the quantity the
   /// footprint-vs-K blowup experiments normalize).
