@@ -295,17 +295,12 @@ Row RunBurst(const Scenario& scenario, const std::string& algorithm,
 
   const auto start = Clock::now();
   if (batched) {
-    std::vector<Request> chunk;
-    chunk.reserve(kBurstBatch);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      chunk.push_back(requests[i]);
-      if (chunk.size() == kBurstBatch || i + 1 == requests.size()) {
-        // A batched producer releases each chunk when its LAST op's
-        // arrival time comes due — the batch is the submission event.
-        pace(i, start);
-        COSR_CHECK_OK(facade->SubmitMany(chunk));
-        chunk.clear();
-      }
+    for (std::size_t i = 0; i < requests.size(); i += kBurstBatch) {
+      const std::size_t n = std::min(kBurstBatch, requests.size() - i);
+      // A batched producer releases each chunk when its LAST op's
+      // arrival time comes due — the batch is the submission event.
+      pace(i + n - 1, start);
+      COSR_CHECK_OK(facade->SubmitMany(requests.data() + i, n));
     }
   } else {
     for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -14,10 +14,6 @@ const char* StatusCodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -14,8 +14,6 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kFailedPrecondition,
-  kOutOfRange,
-  kResourceExhausted,
   kInternal,
 };
 
@@ -38,12 +36,6 @@ class Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

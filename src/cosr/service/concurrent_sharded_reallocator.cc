@@ -34,14 +34,6 @@ bool SpinUntil(Ready ready) {
 
 }  // namespace
 
-const Status& OpToken::Wait() const {
-  if (!SpinUntil([&] { return done(); })) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return done(); });
-  }
-  return status_;
-}
-
 Status ConcurrentShardedReallocator::Make(
     const ReallocatorSpec& inner_spec, const Options& options,
     std::unique_ptr<ConcurrentShardedReallocator>* out) {
@@ -111,15 +103,13 @@ ConcurrentShardedReallocator::~ConcurrentShardedReallocator() {
 }
 
 ConcurrentShardedReallocator::Item ConcurrentShardedReallocator::MakeItem(
-    const Request& op, std::uint64_t submit_ns,
-    std::shared_ptr<OpToken> token) {
+    const Request& op, std::uint64_t submit_ns) {
   Item item;
   item.op.kind = op.type == Request::Type::kInsert ? ShardOpKind::kInsert
                                                    : ShardOpKind::kDelete;
   item.op.id = op.id;
   item.op.size = op.size;
   item.op.submit_ns = submit_ns;
-  item.token = std::move(token);
   return item;
 }
 
@@ -193,42 +183,21 @@ void ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
   }
 }
 
-void ConcurrentShardedReallocator::SubmitMarker(
-    std::uint32_t shard, ShardOp op, std::shared_ptr<OpToken> token) {
-  std::vector<Item> items(1);
-  items[0].op = op;
-  items[0].token = std::move(token);
-  Deliver(shard, std::move(items));
-}
-
 Status ConcurrentShardedReallocator::Submit(const Request& op) {
-  SubmitBatch(&op, 1, /*token=*/nullptr);
+  SubmitBatch(&op, 1);
   return Status::Ok();
-}
-
-std::shared_ptr<OpToken> ConcurrentShardedReallocator::SubmitTracked(
-    const Request& op) {
-  auto token = std::make_shared<OpToken>();
-  SubmitBatch(&op, 1, token);
-  return token;
 }
 
 Status ConcurrentShardedReallocator::SubmitMany(const Request* ops,
                                                 std::size_t count,
                                                 std::size_t* accepted) {
-  SubmitBatch(ops, count, /*token=*/nullptr);
+  SubmitBatch(ops, count);
   if (accepted != nullptr) *accepted = count;
   return Status::Ok();
 }
 
-Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
-                                                std::size_t* accepted) {
-  return SubmitMany(ops.data(), ops.size(), accepted);
-}
-
-void ConcurrentShardedReallocator::SubmitBatch(
-    const Request* ops, std::size_t count,
-    const std::shared_ptr<OpToken>& token) {
+void ConcurrentShardedReallocator::SubmitBatch(const Request* ops,
+                                               std::size_t count) {
   requests_submitted_.fetch_add(count, std::memory_order_relaxed);
   // One submit stamp for the whole batch: the batch is the submission
   // event, and a per-op clock read would cost more than the queue hop the
@@ -249,7 +218,7 @@ void ConcurrentShardedReallocator::SubmitBatch(
   std::vector<std::vector<Item>> buckets(shards);
   for (std::uint32_t s = 0; s < shards; ++s) buckets[s].reserve(sizes[s]);
   for (std::size_t i = 0; i < count; ++i) {
-    buckets[route[i]].push_back(MakeItem(ops[i], submit_ns, token));
+    buckets[route[i]].push_back(MakeItem(ops[i], submit_ns));
   }
   for (std::uint32_t s = 0; s < shards; ++s) {
     if (!buckets[s].empty()) Deliver(s, std::move(buckets[s]));
@@ -270,12 +239,34 @@ void ConcurrentShardedReallocator::Flush() {
   }
 }
 
+void ConcurrentShardedReallocator::Await(std::uint32_t shard,
+                                         const Completion& completion) {
+  const auto done = [&] {
+    return completion.done.load(std::memory_order_acquire);
+  };
+  if (SpinUntil(done)) return;
+  Lane& lane = *lanes_[shard];
+  std::unique_lock<std::mutex> lock(lane.mu);
+  lane.cv_retired.wait(lock, done);
+}
+
+Status ConcurrentShardedReallocator::RoundTrip(const Request& request) {
+  requests_submitted_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t shard = shard_for(request.id, request.size);
+  Completion completion;
+  Item item = MakeItem(request, MonotonicNanos());
+  item.completion = &completion;
+  Deliver(shard, {item});
+  Await(shard, completion);
+  return std::move(completion.status);
+}
+
 Status ConcurrentShardedReallocator::Insert(ObjectId id, std::uint64_t size) {
-  return SubmitTracked(Request::Insert(id, size))->Wait();
+  return RoundTrip(Request::Insert(id, size));
 }
 
 Status ConcurrentShardedReallocator::Delete(ObjectId id) {
-  return SubmitTracked(Request::Delete(id))->Wait();
+  return RoundTrip(Request::Delete(id));
 }
 
 std::uint64_t ConcurrentShardedReallocator::reserved_footprint() const {
@@ -286,31 +277,27 @@ std::uint64_t ConcurrentShardedReallocator::volume() const {
   return engine_.volume();
 }
 
-void ConcurrentShardedReallocator::MarkEveryShard(ShardOpKind kind) {
-  Flush();
-  ShardOp op;
-  op.kind = kind;
-  for (std::uint32_t i = 0; i < shard_count(); ++i) SubmitMarker(i, op);
-  Flush();
+void ConcurrentShardedReallocator::MarkEveryShard(
+    ShardOpKind kind, ShardStats::PerShard* snapshots) {
+  // Each shard's FIFO puts its marker behind every op submitted before
+  // this call, whichever entry point submitted it, and only the claim
+  // holder ever touches the shard's mutable state. So the marker runs
+  // race-free even while other producers keep submitting (their later ops
+  // simply land behind it), and no Flush is needed around it.
+  std::vector<Completion> completions(shard_count());
+  for (std::uint32_t i = 0; i < shard_count(); ++i) {
+    Item item;
+    item.op.kind = kind;
+    if (snapshots != nullptr) item.op.snapshot_out = &snapshots[i];
+    item.completion = &completions[i];
+    Deliver(i, {item});
+  }
+  for (std::uint32_t i = 0; i < shard_count(); ++i) Await(i, completions[i]);
 }
 
 ShardStats ConcurrentShardedReallocator::Stats() {
-  // Each shard is snapshotted by a queued marker op: the shard's FIFO puts
-  // the marker behind every op submitted before this call, whichever entry
-  // point submitted it, and only the claim holder ever touches the shard's
-  // mutable state, so the read is race-free even while other producers
-  // keep submitting (their later ops simply land behind the marker).
   std::vector<ShardStats::PerShard> shards(shard_count());
-  std::vector<std::shared_ptr<OpToken>> tokens;
-  tokens.reserve(shard_count());
-  for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    ShardOp op;
-    op.kind = ShardOpKind::kSnapshot;
-    op.snapshot_out = &shards[i];
-    tokens.push_back(std::make_shared<OpToken>());
-    SubmitMarker(i, op, tokens.back());
-  }
-  for (const auto& token : tokens) token->Wait();
+  MarkEveryShard(ShardOpKind::kSnapshot, shards.data());
   return ShardEngine::MergeStats(std::move(shards));
 }
 
@@ -364,7 +351,12 @@ bool ConcurrentShardedReallocator::TryDrain(std::uint32_t shard) {
     for (const Item& item : node->value) {
       Status status;
       now = engine_.Execute(shard, item.op, now, &status);
-      if (item.token != nullptr) item.token->Complete(std::move(status));
+      if (item.completion != nullptr) {
+        item.completion->status = std::move(status);
+        // The last touch: the waiter may return, and its stack frame go,
+        // as soon as it sees the flag.
+        item.completion->done.store(true, std::memory_order_release);
+      }
     }
     executed += node->value.size();
     auto* next = node->next;
@@ -376,9 +368,10 @@ bool ConcurrentShardedReallocator::TryDrain(std::uint32_t shard) {
     // count, every effect of the drain is visible to it.
     lane.completed.fetch_add(executed, std::memory_order_release);
     {
-      // An empty critical section before the notify, so a producer or
-      // flusher can never check its predicate between our increment and
-      // our notify and then sleep forever.
+      // An empty critical section before the notify, so a producer,
+      // flusher or waiting caller can never check its predicate between
+      // our increment (or `done` store) and our notify and then sleep
+      // forever.
       std::lock_guard<std::mutex> lock(lane.mu);
     }
     lane.cv_retired.notify_all();

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "cosr/common/status.h"
@@ -29,53 +28,15 @@ namespace cosr {
 struct ReallocatorSpec;
 
 /// How long a thread busy-polls before it parks on a condvar: an idle
-/// worker waiting for any shard to have claimable work, and the caller of
-/// a synchronous round trip waiting for its OpToken. A futex park/unpark
-/// pair costs ~10 us on a 4-vCPU x86 VM, while a warm worker serves one op
-/// in ~0.5 us, so an idle round trip that parks twice spends almost all of
+/// worker waiting for any shard to have claimable work, and a caller
+/// waiting for its op's completion (a synchronous Insert/Delete, or one
+/// shard's Quiesce/CheckpointAll/Stats marker). A futex park/unpark pair
+/// costs ~10 us on a 4-vCPU x86 VM, while a warm worker serves one op in
+/// ~0.5 us, so an idle round trip that parks twice spends almost all of
 /// its time waking threads. 50 us covers several back-to-back round trips
-/// and still bounds the CPU an idle thread burns before it sleeps.
+/// and still bounds the CPU an idle thread burns before it sleeps. Flush
+/// and the backpressure wait park at once: no latency path waits on them.
 inline constexpr std::chrono::microseconds kSpinBeforePark{50};
-
-/// Per-op completion handle for ConcurrentShardedReallocator::SubmitTracked.
-///
-/// Thread-safe: any thread may Wait()/done(); the facade worker that
-/// executes the op completes it exactly once. Completion writes the
-/// Status, then sets an atomic flag with release inside the mutex, then
-/// notifies. done() is one acquire load. Wait() spins on the flag for up
-/// to kSpinBeforePark and only then parks on the condvar (spin-then-park),
-/// so a short op is picked up without a thread wake-up. The Status
-/// reference returned by Wait() stays valid for the token's lifetime.
-///
-/// Lifetime: a spinning waiter may return, and drop its reference, as soon
-/// as the flag is set, while the completer is still inside Complete (it
-/// has yet to notify). The completer therefore always holds its own
-/// shared_ptr (the queued item's) across Complete; tokens are only ever
-/// made by make_shared, never raw or on the stack.
-class OpToken {
- public:
-  /// Blocks until the operation retires; returns its Status.
-  const Status& Wait() const;
-  /// Non-blocking poll.
-  bool done() const { return done_.load(std::memory_order_acquire); }
-
- private:
-  friend class ConcurrentShardedReallocator;
-
-  void Complete(Status status) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      status_ = std::move(status);
-      done_.store(true, std::memory_order_release);
-    }
-    cv_.notify_all();
-  }
-
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  Status status_;
-  std::atomic<bool> done_{false};
-};
 
 /// The concurrent execution mode of the service layer: the threaded driver
 /// of ShardEngine. K shards as in ShardedReallocator, driven by a pool of
@@ -87,7 +48,7 @@ class OpToken {
 /// flush never holds up its siblings (work-conserving drain). The engine
 /// executes and accounts for the op exactly as the inline facade's does;
 /// this class keeps only what is about threads (queues, claims, parking,
-/// backpressure, tokens, Flush).
+/// backpressure, completions, Flush).
 ///
 /// Claims. Each shard has one `claimed` flag. A worker takes it with an
 /// exchange, hands the shard's debug fence to itself
@@ -141,6 +102,20 @@ class OpToken {
 /// in place of "parked" the same argument shows every queue is drained
 /// before the last worker leaves.
 ///
+/// Completions. A caller that waits for an op (a synchronous
+/// Insert/Delete, or a Quiesce/CheckpointAll/Stats marker, one per shard)
+/// keeps a Completion on its own stack and queues the op with a raw
+/// pointer to it. The worker that executes the op writes the Status, then
+/// stores `done` with release, and never touches the completion again:
+/// that store is its last touch, so the caller may return, and its stack
+/// frame go, as soon as it sees the flag. The caller spins on `done` for
+/// kSpinBeforePark, then parks on the op's lane's `cv_retired` with `done`
+/// as the predicate. No wake-up is lost: the drain stores `done` before
+/// its empty critical section on the lane's `mu` and its notify_all, so a
+/// parking caller either sees the flag under `mu` or is already waiting
+/// when the notify comes. A marker needs no Flush around it: the shard's
+/// FIFO puts it behind every op submitted to that shard before the call.
+///
 /// Routing is hash-only: an op's shard is a pure function of its id, so no
 /// producer-side lock or id map exists on any submit path. Size-class and
 /// least-loaded routing and the rebalance scan live on the inline driver
@@ -159,14 +134,16 @@ class OpToken {
 /// slot tables instead of one shared one.
 ///
 /// Thread-safety contract, per surface:
-///   * Submit / SubmitTracked / Insert / Delete / SubmitMany —
+///   * Submit / Insert / Delete / SubmitMany —
 ///     thread-safe (MPSC: any number of producers). A per-op submission
 ///     is a batch of one, so all of them share the shard's FIFO: one
 ///     producer's ops for one shard execute in submission order whichever
 ///     entry points it mixes; with producers racing, cross-producer order
 ///     per shard is the queue arrival order.
-///   * Flush / Quiesce — thread-safe; they drain everything submitted
-///     before the call (release/acquire on the completion counters).
+///   * Flush / Quiesce / CheckpointAll — thread-safe; each returns once
+///     everything submitted before the call has retired (Flush by the
+///     lanes' completion counters, the other two by their markers'
+///     completions, both release/acquire).
 ///   * Stats — thread-safe even while other producers keep submitting:
 ///     each shard is snapshotted by the worker draining it, through a
 ///     marker op that rides the same FIFO, so it reflects every op
@@ -188,10 +165,11 @@ class OpToken {
 ///     while a listener shared across shards must be internally
 ///     synchronized.
 ///
-/// Statuses are reported through tokens (SubmitTracked) or, for
-/// fire-and-forget Submit, counted per shard in failed_ops — nothing fails
-/// silently. Duplicate inserts, missing deletes and zero sizes are the
-/// shard's verdict: they reach the shard like any other op and fail there.
+/// Statuses are returned by the synchronous Insert/Delete or, for
+/// fire-and-forget Submit/SubmitMany, counted per shard in failed_ops —
+/// nothing fails silently. Duplicate inserts, missing deletes and zero
+/// sizes are the shard's verdict: they reach the shard like any other op
+/// and fail there.
 class ConcurrentShardedReallocator final : public Reallocator {
  public:
   /// The shared shard settings (see ShardEngine::Options) plus the
@@ -224,10 +202,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// outcome is the shard's status, counted in its failed_ops if it fails.
   Status Submit(const Request& op);
 
-  /// Like Submit, but returns a completion token carrying the op's final
-  /// Status, as the shard returned it.
-  std::shared_ptr<OpToken> SubmitTracked(const Request& op);
-
   /// Batched fire-and-forget submission: semantically `Submit(op)` for
   /// each op in order. A batch costs its producer one routing pass plus
   /// one lock-free push per target shard — the queue hop amortizes to
@@ -238,18 +212,16 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// own outcome is the shard's status, counted in failed_ops.
   Status SubmitMany(const Request* ops, std::size_t count,
                     std::size_t* accepted = nullptr);
-  Status SubmitMany(const std::vector<Request>& ops,
-                    std::size_t* accepted = nullptr);
 
   /// Blocks until every op submitted before this call has retired.
   void Flush();
 
-  // Reallocator interface: synchronous semantics via an internal token
-  // round trip per op — correct from any thread. Both ends spin before
-  // they park (kSpinBeforePark), so a round trip through an idle facade
-  // costs ~2.5-3 us instead of the ~17-20 us of two thread wake-ups
-  // (K=8, W=3, 4-vCPU x86 VM); the throughput path is still
-  // Submit + Flush.
+  // Reallocator interface: synchronous semantics via one round trip per
+  // op through the shard's FIFO, waiting on a completion on the caller's
+  // stack — correct from any thread. Both ends spin before they park
+  // (kSpinBeforePark), so a round trip through an idle facade costs
+  // ~2.5-3 us instead of the ~17-20 us of two thread wake-ups (K=8, W=3,
+  // 4-vCPU x86 VM); the throughput path is still Submit + Flush.
   Status Insert(ObjectId id, std::uint64_t size) override;
   Status Delete(ObjectId id) override;
 
@@ -258,12 +230,13 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::uint64_t reserved_footprint() const override;
   std::uint64_t volume() const override;
 
-  /// Drains, then runs every shard's deferred work on a worker.
-  void Quiesce() override { MarkEveryShard(ShardOpKind::kQuiesce); }
-  /// Drains, then checkpoints every managed shard on a worker —
-  /// forcing a durable point on every per-shard move log when the facade
-  /// was built with a DurabilityHub. No-op for unmanaged shards.
-  void CheckpointAll() { MarkEveryShard(ShardOpKind::kCheckpoint); }
+  /// Runs every shard's deferred work on a worker, after every op
+  /// submitted before the call, and returns once all of it has retired.
+  void Quiesce() override { MarkEveryShard(ShardOpKind::kQuiesce, nullptr); }
+  /// Like Quiesce, but checkpoints every managed shard — forcing a durable
+  /// point on every per-shard move log when the facade was built with a
+  /// DurabilityHub. No-op for unmanaged shards.
+  void CheckpointAll() { MarkEveryShard(ShardOpKind::kCheckpoint, nullptr); }
   const char* name() const override { return name_.c_str(); }
 
   /// Snapshots per-shard and aggregate accounting via per-shard marker
@@ -304,10 +277,17 @@ class ConcurrentShardedReallocator final : public Reallocator {
   }
 
  private:
+  /// Where a waiting caller learns its op's outcome. It lives on the
+  /// caller's stack (see the class contract).
+  struct Completion {
+    Status status;
+    std::atomic<bool> done{false};
+  };
+
   /// One queued op. The queue it sits on names its shard.
   struct Item {
     ShardOp op;
-    std::shared_ptr<OpToken> token;  // null for fire-and-forget
+    Completion* completion = nullptr;  // null for fire-and-forget
   };
 
   /// One shard's queue, claim and in-flight accounting. `submitted` is
@@ -324,7 +304,8 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::atomic<std::uint64_t> completed{0};
     std::mutex mu;
     /// Notified after every drain that retired ops: producers wait here
-    /// for in-flight room, flushers for their target count.
+    /// for in-flight room, flushers for their target count, and waiting
+    /// callers for their completions.
     std::condition_variable cv_retired;
 
     /// Queued work and no worker draining it.
@@ -335,22 +316,23 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
-  static Item MakeItem(const Request& op, std::uint64_t submit_ns,
-                       std::shared_ptr<OpToken> token);
-  /// The one submission path behind every public submit: buckets the
-  /// ops per shard, then Delivers each bucket. `token`, when non-null,
-  /// completes the one op of a tracked submission (count == 1).
-  void SubmitBatch(const Request* ops, std::size_t count,
-                   const std::shared_ptr<OpToken>& token);
+  static Item MakeItem(const Request& op, std::uint64_t submit_ns);
+  /// The fire-and-forget submission path behind Submit and SubmitMany:
+  /// buckets the ops per shard, then Delivers each bucket.
+  void SubmitBatch(const Request* ops, std::size_t count);
   /// Capacity-gated delivery of `items` (in order) to `shard`'s queue:
   /// pushes a chunk as large as the room it reserves, and waits for room
   /// whenever the shard is full, until every item is queued.
   void Deliver(std::uint32_t shard, std::vector<Item> items);
-  /// Drains, runs a `kind` marker on every shard, and drains again.
-  void MarkEveryShard(ShardOpKind kind);
-  /// Delivers one internal marker op to `shard`.
-  void SubmitMarker(std::uint32_t shard, ShardOp op,
-                    std::shared_ptr<OpToken> token = nullptr);
+  /// Synchronous Insert/Delete: delivers `request` to its shard with a
+  /// completion on this stack, and returns the shard's verdict.
+  Status RoundTrip(const Request& request);
+  /// Delivers a `kind` marker to every shard, then awaits each. A
+  /// snapshot marker writes shard i's record to `snapshots[i]`.
+  void MarkEveryShard(ShardOpKind kind, ShardStats::PerShard* snapshots);
+  /// Blocks until `completion`, queued on `shard`, is done: spins for
+  /// kSpinBeforePark, then parks on the lane's `cv_retired`.
+  void Await(std::uint32_t shard, const Completion& completion);
   /// Pushes `items` onto `shard`'s queue, waking a parked worker if the
   /// queue was empty. The caller has already counted them in `submitted`.
   void Push(std::uint32_t shard, std::vector<Item> items);

@@ -1,8 +1,10 @@
 // Heap allocations per steady-state request. This binary replaces the
 // global operator new with a counting one, runs a 400k-request churn
-// (16 MiB live volume, seed 7) through the K=1 synchronous facade, and
+// (16 MiB live volume, seed 7) through the K=1 synchronous facade, or
+// through synchronous round trips on the K=8, W=3 threaded driver, and
 // gates the allocations made during the second half of the trace, per
-// request. The count is deterministic for a given seed, so the bounds are
+// request. The counter is global, so the threaded driver's workers count
+// too. The count is deterministic for a given seed, so the bounds are
 // exact gates, not timing tolerances.
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "cosr/durability/durability_hub.h"
 #include "cosr/realloc/factory.h"
+#include "cosr/service/concurrent_sharded_reallocator.h"
 #include "cosr/service/sharded_reallocator.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/workload/trace.h"
@@ -82,6 +85,7 @@ namespace {
 struct GateCase {
   const char* algorithm;
   bool file_log;
+  bool threaded;  // K=8, W=3 ConcurrentShardedReallocator, not K=1 inline
   double max_allocations_per_request;
 };
 
@@ -108,10 +112,22 @@ double SteadyStateAllocationsPerRequest(const GateCase& gate) {
     spec.durability = hub.get();
   }
   AddressSpace parent;
-  ShardedReallocator::Options options;
-  options.shard_count = 1;
-  std::unique_ptr<ShardedReallocator> facade;
-  const Status made = ShardedReallocator::Make(spec, options, &parent, &facade);
+  std::unique_ptr<Reallocator> facade;
+  Status made;
+  if (gate.threaded) {
+    ConcurrentShardedReallocator::Options options;
+    options.shard_count = 8;
+    options.worker_threads = 3;
+    std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+    made = ConcurrentShardedReallocator::Make(spec, options, &concurrent);
+    facade = std::move(concurrent);
+  } else {
+    ShardedReallocator::Options options;
+    options.shard_count = 1;
+    std::unique_ptr<ShardedReallocator> inline_facade;
+    made = ShardedReallocator::Make(spec, options, &parent, &inline_facade);
+    facade = std::move(inline_facade);
+  }
   EXPECT_TRUE(made.ok()) << made.ToString();
   if (!made.ok()) return 0.0;
 
@@ -141,7 +157,8 @@ TEST_P(AllocationGateTest, SteadyStateRequestsStayUnderTheBound) {
   const double per_request = SteadyStateAllocationsPerRequest(gate);
   RecordProperty("allocations_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, gate.max_allocations_per_request)
-      << gate.algorithm << (gate.file_log ? " + file log" : "");
+      << gate.algorithm << (gate.file_log ? " + file log" : "")
+      << (gate.threaded ? " threaded" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -150,18 +167,22 @@ INSTANTIATE_TEST_SUITE_P(
     // three, 28 with the file log; 5 for deamortized and 22 with the file
     // log (its flush log is a vector reused across flushes). Slot-table
     // growth and OffsetIndex page splits allocate nothing per request.
-    ::testing::Values(GateCase{"first-fit", false, 0.00005},
-                      GateCase{"cost-oblivious", false, 0.00005},
-                      GateCase{"checkpointed", false, 0.00005},
-                      GateCase{"checkpointed", true, 0.0003},
-                      GateCase{"deamortized", false, 0.00005},
-                      GateCase{"deamortized", true, 0.0003}),
+    // A threaded round trip queues one single-op item vector and one
+    // queue node; the completion it waits on is on the caller's stack.
+    ::testing::Values(GateCase{"first-fit", false, false, 0.00005},
+                      GateCase{"cost-oblivious", false, false, 0.00005},
+                      GateCase{"checkpointed", false, false, 0.00005},
+                      GateCase{"checkpointed", true, false, 0.0003},
+                      GateCase{"deamortized", false, false, 0.00005},
+                      GateCase{"deamortized", true, false, 0.0003},
+                      GateCase{"cost-oblivious", false, true, 2.01}),
     [](const ::testing::TestParamInfo<GateCase>& info) {
       std::string name = info.param.algorithm;
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + (info.param.file_log ? "_file_log" : "");
+      return name + (info.param.file_log ? "_file_log" : "") +
+             (info.param.threaded ? "_threaded" : "");
     });
 
 }  // namespace

@@ -10,19 +10,22 @@
 //    (the same zero-cost-wrapper identity the single-threaded facade pins).
 //  * MPSC under real contention — multiple producer threads submitting
 //    concurrently lose nothing: every submitted op executes exactly once.
-//  * Backpressure — a full shard blocks Submit, SubmitTracked and
+//  * Backpressure — a full shard blocks Submit, synchronous Insert and
 //    SubmitMany until a drain frees room; nothing is dropped.
 //  * Drain/shutdown ordering — Flush retires everything submitted before
-//    it; destruction drains pending queues before joining the workers.
+//    it; Quiesce and CheckpointAll need no Flush before them, since each
+//    shard's marker rides behind every op submitted before the call;
+//    destruction drains pending queues before joining the workers.
 //  * Work-conserving drain — a shard wedged mid-op holds up no sibling:
 //    an idle worker claims any shard with queued work.
 //  * The ownership fence follows the claim — a view mutated by the thread
 //    that took it over passes; a mutation by any other thread dies (debug
 //    builds).
-//  * Statuses never vanish: tokens carry per-op results, fire-and-forget
-//    failures are counted per shard.
+//  * Statuses never vanish: synchronous calls return the shard's verdict,
+//    fire-and-forget failures are counted per shard.
 //  * The spin-then-park hand-off — synchronous Insert/Delete from many
-//    threads, completing both mid-spin and after a park, loses nothing.
+//    threads, completing both mid-spin and after a park, next to a
+//    SubmitMany producer blocked on a small queue_capacity, loses nothing.
 //  * Hash routing only — Make (and the factory, and the crash fuzz that
 //    builds on it) reject size-class and least-loaded routing and
 //    rebalance with a Status, never an abort.
@@ -371,7 +374,9 @@ TEST(ConcurrentMpsc, ReincarnationsKeepPerIdOrderUnderRaces) {
           }
           batch.push_back(Request::Insert(id, final_size));
           std::size_t accepted = 0;
-          ASSERT_TRUE(concurrent->SubmitMany(batch, &accepted).ok());
+          ASSERT_TRUE(
+              concurrent->SubmitMany(batch.data(), batch.size(), &accepted)
+                  .ok());
           ASSERT_EQ(accepted, batch.size());  // pure backpressure: no drops
         } else {
           for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
@@ -443,16 +448,21 @@ TEST(ConcurrentDrain, FlushRetiresEverythingSubmittedBefore) {
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 
-  std::vector<std::shared_ptr<OpToken>> tokens;
   for (ObjectId id = 0; id < 2000; ++id) {
-    tokens.push_back(concurrent->SubmitTracked(Request::Insert(id, 16)));
+    ASSERT_TRUE(concurrent->Submit(Request::Insert(id, 16)).ok());
   }
   concurrent->Flush();
-  for (const auto& token : tokens) {
-    ASSERT_TRUE(token->done());  // Flush may not return before they retire
-    EXPECT_TRUE(token->Wait().ok());
-  }
+  // Read before anything else waits: the gauges are exact only if Flush
+  // returned after every op retired.
   EXPECT_EQ(concurrent->volume(), 2000u * 16);
+  const ShardStats stats = concurrent->Stats();
+  std::uint64_t ops = 0, failed = 0;
+  for (const ShardStats::PerShard& shard : stats.shards) {
+    ops += shard.ops;
+    failed += shard.failed_ops;
+  }
+  EXPECT_EQ(ops, 2000u);
+  EXPECT_EQ(failed, 0u);
 }
 
 class PlaceCounter : public SpaceListener {
@@ -506,36 +516,41 @@ TEST(ConcurrentDrain, NoShardWaitsBehindAStalledSibling) {
     return id;
   };
 
-  const auto wedged =
-      concurrent->SubmitTracked(Request::Insert(next_id_on(0, 0), 8));
+  // The wedged op is a synchronous Insert on a helper thread; so are
+  // shard 2's, on another, so a main thread that waits with a deadline
+  // can report a wedge instead of hanging.
+  std::atomic<bool> wedged_returned{false};
+  std::thread wedged([&] {
+    EXPECT_TRUE(concurrent->Insert(next_id_on(0, 0), 8).ok());
+    wedged_returned.store(true, std::memory_order_release);
+  });
   while (!stall.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   constexpr int kOps = 16;
-  std::vector<std::shared_ptr<OpToken>> tokens;
-  ObjectId id = 0;
-  for (int i = 0; i < kOps; ++i) {
-    id = next_id_on(2, id + 1);
-    tokens.push_back(concurrent->SubmitTracked(Request::Insert(id, 8)));
-  }
-  const auto all_done = [&] {
-    for (const auto& token : tokens) {
-      if (!token->done()) return false;
+  std::atomic<bool> siblings_returned{false};
+  std::thread siblings([&] {
+    ObjectId id = 0;
+    for (int i = 0; i < kOps; ++i) {
+      id = next_id_on(2, id + 1);
+      EXPECT_TRUE(concurrent->Insert(id, 8).ok());
     }
-    return true;
-  };
+    siblings_returned.store(true, std::memory_order_release);
+  });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!all_done() && std::chrono::steady_clock::now() < deadline) {
+  while (!siblings_returned.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(all_done()) << "shard 2's ops waited behind wedged shard 0";
-  EXPECT_FALSE(wedged->done());  // shard 0 stayed wedged throughout
+  EXPECT_TRUE(siblings_returned.load(std::memory_order_acquire))
+      << "shard 2's ops waited behind wedged shard 0";
+  // Shard 0 stayed wedged throughout.
+  EXPECT_FALSE(wedged_returned.load(std::memory_order_acquire));
 
   stall.release.store(true, std::memory_order_release);
-  EXPECT_TRUE(wedged->Wait().ok());
-  for (const auto& token : tokens) EXPECT_TRUE(token->Wait().ok());
-  concurrent->Flush();
+  siblings.join();
+  wedged.join();
   EXPECT_EQ(concurrent->volume(), (kOps + 1) * 8u);
 }
 
@@ -576,7 +591,7 @@ TEST(ConcurrentOwnership, MutationWithoutHandOffDies) {
 
 // ----------------------------------------------------- status propagation
 
-TEST(ConcurrentStatus, TokensCarryShardVerdicts) {
+TEST(ConcurrentStatus, SyncCallsCarryShardVerdicts) {
   ReallocatorSpec spec;
   spec.algorithm = "first-fit";
   ConcurrentShardedReallocator::Options options;
@@ -586,21 +601,14 @@ TEST(ConcurrentStatus, TokensCarryShardVerdicts) {
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 
-  EXPECT_TRUE(concurrent->SubmitTracked(Request::Insert(7, 100))->Wait().ok());
-  EXPECT_EQ(concurrent->SubmitTracked(Request::Insert(7, 50))->Wait().code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(concurrent->SubmitTracked(Request::Delete(999))->Wait().code(),
-            StatusCode::kNotFound);
-  EXPECT_TRUE(concurrent->SubmitTracked(Request::Delete(7))->Wait().ok());
-
-  // The synchronous Reallocator interface carries the same semantics.
+  // The synchronous Reallocator interface returns the shard's verdict.
   EXPECT_TRUE(concurrent->Insert(8, 10).ok());
   EXPECT_EQ(concurrent->Insert(8, 10).code(), StatusCode::kAlreadyExists);
   EXPECT_TRUE(concurrent->Delete(8).ok());
   EXPECT_EQ(concurrent->Delete(8).code(), StatusCode::kNotFound);
 
   // Fire-and-forget failures are counted, never silent — failed_ops tallies
-  // every non-ok op, so the 4 intentional failures above count too.
+  // every non-ok op, so the 2 intentional failures above count too.
   ASSERT_TRUE(concurrent->Submit(Request::Insert(9, 10)).ok());
   ASSERT_TRUE(concurrent->Submit(Request::Insert(9, 10)).ok());  // dup
   const ShardStats stats = concurrent->Stats();
@@ -608,23 +616,28 @@ TEST(ConcurrentStatus, TokensCarryShardVerdicts) {
   for (const ShardStats::PerShard& shard : stats.shards) {
     failed += shard.failed_ops;
   }
-  EXPECT_EQ(failed, 5u);
+  EXPECT_EQ(failed, 3u);
 }
 
 TEST(ConcurrentStatus, SyncRoundTripsFromManyThreads) {
   // Synchronous Insert/Delete from several threads at once, each call one
-  // token round trip. A seeded pattern of pauses longer than the spin
-  // window makes tokens complete both while their waiter spins and after
-  // it parked, and makes workers both catch work mid-spin and wake from a
-  // park — every hand-off path of the spin-then-park protocol.
+  // completion round trip. A seeded pattern of pauses longer than the spin
+  // window makes ops complete both while their waiter spins and after it
+  // parked, and makes workers both catch work mid-spin and wake from a
+  // park — every hand-off path of the spin-then-park protocol. A SubmitMany
+  // producer runs alongside at a small queue_capacity, so parked callers
+  // share each lane's cv_retired with a producer blocked for room.
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint64_t kCallsPerThread = 3000;
+  constexpr std::uint64_t kRounds = 100;
+  constexpr std::uint64_t kInsertsPerRound = 32;  // then delete the even ids
 
   ReallocatorSpec spec;
   spec.algorithm = "cost-oblivious";
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 8;
   options.worker_threads = 3;
+  options.queue_capacity = 4;
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
@@ -661,15 +674,46 @@ TEST(ConcurrentStatus, SyncRoundTripsFromManyThreads) {
       expected_volume.fetch_add(volume, std::memory_order_relaxed);
     });
   }
+  std::thread producer([&] {
+    Rng rng(99);
+    ObjectId next_id = ObjectId{kThreads} * 1000000;
+    std::uint64_t kept = 0;
+    std::vector<Request> batch;
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      batch.clear();
+      for (std::uint64_t i = 0; i < kInsertsPerRound; ++i) {
+        const std::uint64_t size = rng.UniformRange(1, 4096);
+        batch.push_back(Request::Insert(next_id + i, size));
+        if (i % 2 == 1) kept += size;
+      }
+      for (std::uint64_t i = 0; i < kInsertsPerRound; i += 2) {
+        batch.push_back(Request::Delete(next_id + i));
+      }
+      next_id += kInsertsPerRound;
+      std::size_t accepted = 0;
+      EXPECT_TRUE(
+          concurrent->SubmitMany(batch.data(), batch.size(), &accepted).ok());
+      EXPECT_EQ(accepted, batch.size());
+    }
+    expected_volume.fetch_add(kept, std::memory_order_relaxed);
+  });
   for (std::thread& caller : callers) caller.join();
+  producer.join();
+  concurrent->Flush();
 
+  constexpr std::uint64_t kOps =
+      kThreads * kCallsPerThread + kRounds * kInsertsPerRound * 3 / 2;
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(concurrent->volume(), expected_volume.load());
   const ShardStats stats = concurrent->Stats();
-  std::uint64_t ops = 0;
-  for (const ShardStats::PerShard& shard : stats.shards) ops += shard.ops;
-  EXPECT_EQ(ops, kThreads * kCallsPerThread);
-  EXPECT_EQ(stats.latency_total.count, kThreads * kCallsPerThread);
+  std::uint64_t ops = 0, failed = 0;
+  for (const ShardStats::PerShard& shard : stats.shards) {
+    ops += shard.ops;
+    failed += shard.failed_ops;
+  }
+  EXPECT_EQ(ops, kOps);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(stats.latency_total.count, kOps);
   for (std::uint32_t s = 0; s < concurrent->shard_count(); ++s) {
     EXPECT_TRUE(concurrent->shard_space(s).SelfCheck());
     EXPECT_TRUE(concurrent->shard_view(s).SelfCheck());
@@ -678,7 +722,7 @@ TEST(ConcurrentStatus, SyncRoundTripsFromManyThreads) {
 
 // ------------------------------------------------------------ backpressure
 
-TEST(ConcurrentBackpressure, FullShardBlocksSubmitAndTrackedUntilRoomFrees) {
+TEST(ConcurrentBackpressure, FullShardBlocksSubmitAndSyncCallsUntilRoomFrees) {
   // A full shard blocks its producers until a drain frees room; every
   // submitted op executes.
   ReallocatorSpec spec;
@@ -705,15 +749,15 @@ TEST(ConcurrentBackpressure, FullShardBlocksSubmitAndTrackedUntilRoomFrees) {
     EXPECT_TRUE(concurrent->Submit(Request::Insert(3, 8)).ok());
     accepted.fetch_add(1, std::memory_order_release);
   });
-  std::thread tracker([&] {
-    EXPECT_TRUE(concurrent->SubmitTracked(Request::Insert(4, 8))->Wait().ok());
+  std::thread caller([&] {
+    EXPECT_TRUE(concurrent->Insert(4, 8).ok());
     accepted.fetch_add(1, std::memory_order_release);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(accepted.load(std::memory_order_acquire), 0);
   stall.release.store(true, std::memory_order_release);
   submitter.join();
-  tracker.join();
+  caller.join();
   EXPECT_EQ(accepted.load(std::memory_order_acquire), 2);
   concurrent->Flush();
   const ShardStats stats = concurrent->Stats();
@@ -752,7 +796,8 @@ TEST(ConcurrentBackpressure, BatchBlocksUntilEveryOpIsQueued) {
   std::size_t accepted = 0;
   std::atomic<bool> returned{false};
   std::thread producer([&] {
-    EXPECT_TRUE(concurrent->SubmitMany(batch, &accepted).ok());
+    EXPECT_TRUE(
+        concurrent->SubmitMany(batch.data(), batch.size(), &accepted).ok());
     returned.store(true, std::memory_order_release);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -788,13 +833,13 @@ TEST(ConcurrentStatus, StatsSeesBatchedOpsSubmittedBefore) {
   StallingListener stall;
   concurrent->AddShardListener(0, &stall);
   const std::vector<Request> first = {Request::Insert(0, 8)};
-  ASSERT_TRUE(concurrent->SubmitMany(first).ok());
+  ASSERT_TRUE(concurrent->SubmitMany(first.data(), first.size()).ok());
   while (!stall.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   std::vector<Request> more;
   for (ObjectId id = 1; id <= 100; ++id) more.push_back(Request::Insert(id, 8));
-  ASSERT_TRUE(concurrent->SubmitMany(more).ok());
+  ASSERT_TRUE(concurrent->SubmitMany(more.data(), more.size()).ok());
 
   ShardStats stats;
   std::thread reader([&] { stats = concurrent->Stats(); });
@@ -822,11 +867,39 @@ TEST(ConcurrentDurability, PerShardLogsRecoverTheCheckpointedState) {
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
 
+  // Neither marker call has a Flush before it: each shard's marker rides
+  // behind every op submitted before the call, so the gauges and the op
+  // counts are exact the moment it returns.
   const Trace trace = TestTrace(31, 1500);
-  for (const Request& request : trace.requests()) {
-    ASSERT_TRUE(concurrent->Submit(request).ok());
-  }
+  const std::vector<Request>& requests = trace.requests();
+  std::unordered_map<ObjectId, std::uint64_t> live;
+  std::uint64_t live_volume = 0;
+  const auto submit = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(concurrent->Submit(requests[i]).ok());
+      if (requests[i].type == Request::Type::kInsert) {
+        live[requests[i].id] = requests[i].size;
+        live_volume += requests[i].size;
+      } else {
+        live_volume -= live[requests[i].id];
+        live.erase(requests[i].id);
+      }
+    }
+  };
+  const auto expect_exact = [&](std::uint64_t submitted) {
+    EXPECT_EQ(concurrent->volume(), live_volume);
+    const ShardStats stats = concurrent->Stats();
+    std::uint64_t ops = 0;
+    for (const ShardStats::PerShard& shard : stats.shards) ops += shard.ops;
+    EXPECT_EQ(ops, submitted);
+  };
+  const std::size_t half = requests.size() / 2;
+  submit(0, half);
+  concurrent->CheckpointAll();
+  expect_exact(half);
+  submit(half, requests.size());
   concurrent->Quiesce();
+  expect_exact(requests.size());
   concurrent->CheckpointAll();
 
   // Every shard's log ends on a checkpoint record, so a full-log recovery
@@ -922,7 +995,8 @@ TEST(ConcurrentFactory, NonHashModesAreRejected) {
 
   // Hash routing has no submit-time map, so an inner algorithm whose
   // inserts can fail on a fresh id (pma: uniform slot_size) is allowed;
-  // its failures surface through tokens as the shard's verdict.
+  // its failures surface through the synchronous calls as the shard's
+  // verdict.
   spec = {};
   spec.algorithm = "pma";
   options = {};
@@ -930,8 +1004,8 @@ TEST(ConcurrentFactory, NonHashModesAreRejected) {
   options.worker_threads = 2;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
-  EXPECT_TRUE(concurrent->SubmitTracked(Request::Insert(1, 1))->Wait().ok());
-  EXPECT_FALSE(concurrent->SubmitTracked(Request::Insert(2, 64))->Wait().ok());
+  EXPECT_TRUE(concurrent->Insert(1, 1).ok());
+  EXPECT_FALSE(concurrent->Insert(2, 64).ok());
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ TEST(StatusTest, FactoryCodesAreDistinct) {
   EXPECT_EQ(Status::AlreadyExists("x").code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
 }
 
@@ -35,12 +34,12 @@ TEST(StatusTest, EqualityComparesCodeOnly) {
 }
 
 Status FailsThenPropagates() {
-  COSR_RETURN_IF_ERROR(Status::OutOfRange("deep failure"));
+  COSR_RETURN_IF_ERROR(Status::FailedPrecondition("deep failure"));
   return Status::Ok();
 }
 
 TEST(StatusTest, ReturnIfErrorPropagates) {
-  EXPECT_EQ(FailsThenPropagates().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(FailsThenPropagates().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(StatusTest, StatusCodeNames) {

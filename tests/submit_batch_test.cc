@@ -306,7 +306,7 @@ TEST(SubmitBatchStatus, RejectionsFailAloneAndAcceptedCountsEnqueued) {
   // SubmitMany enqueues every op (nothing is judged at submit) and
   // reports the exact accepted count.
   std::size_t accepted = 0;
-  EXPECT_TRUE(concurrent->SubmitMany(ops, &accepted).ok());
+  EXPECT_TRUE(concurrent->SubmitMany(ops.data(), ops.size(), &accepted).ok());
   EXPECT_EQ(accepted, ops.size());
   concurrent->Flush();
   // The shards counted the 3 failures; the other 3 ops ran.
