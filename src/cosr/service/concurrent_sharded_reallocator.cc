@@ -1,7 +1,7 @@
 #include "cosr/service/concurrent_sharded_reallocator.h"
 
 #include <algorithm>
-#include <iterator>
+#include <numeric>
 #include <utility>
 
 #include "cosr/common/check.h"
@@ -31,6 +31,11 @@ bool SpinUntil(Ready ready) {
   }
   return true;
 }
+
+/// The most ops one pooled node carries: a larger grant goes out as
+/// several nodes, so a recycled node's vector never holds more than
+/// 256 * sizeof(ShardOp) = 10 KiB, whatever batch sizes it has seen.
+constexpr std::size_t kMaxOpsPerNode = 256;
 
 }  // namespace
 
@@ -102,15 +107,24 @@ ConcurrentShardedReallocator::~ConcurrentShardedReallocator() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-ConcurrentShardedReallocator::Item ConcurrentShardedReallocator::MakeItem(
-    const Request& op, std::uint64_t submit_ns) {
-  Item item;
-  item.op.kind = op.type == Request::Type::kInsert ? ShardOpKind::kInsert
-                                                   : ShardOpKind::kDelete;
-  item.op.id = op.id;
-  item.op.size = op.size;
-  item.op.submit_ns = submit_ns;
-  return item;
+ConcurrentShardedReallocator::Lane::~Lane() {
+  // `queue` and `free` delete their own leftovers.
+  for (Node* node = spare.load(std::memory_order_relaxed); node != nullptr;) {
+    Node* next = node->next;
+    delete node;
+    node = next;
+  }
+}
+
+ShardOp ConcurrentShardedReallocator::MakeOp(const Request& op,
+                                             std::uint64_t submit_ns) {
+  ShardOp shard_op;
+  shard_op.kind = op.type == Request::Type::kInsert ? ShardOpKind::kInsert
+                                                    : ShardOpKind::kDelete;
+  shard_op.id = op.id;
+  shard_op.size = op.size;
+  shard_op.submit_ns = submit_ns;
+  return shard_op;
 }
 
 bool ConcurrentShardedReallocator::HasRoom(const Lane& lane) const {
@@ -125,27 +139,47 @@ bool ConcurrentShardedReallocator::HasRoom(const Lane& lane) const {
 
 std::size_t ConcurrentShardedReallocator::Reserve(Lane& lane,
                                                   std::size_t want) const {
-  const std::uint64_t completed =
-      lane.completed.load(std::memory_order_acquire);
-  std::uint64_t submitted = lane.submitted.load(std::memory_order_relaxed);
   for (;;) {
-    const std::uint64_t in_flight = submitted - completed;  // see HasRoom
-    if (in_flight >= options_.queue_capacity) return 0;
-    const std::uint64_t granted = std::min<std::uint64_t>(
-        want, options_.queue_capacity - in_flight);
-    // A failed CAS reloads `submitted`, which only grows, so the stale
+    const std::uint64_t completed =
+        lane.completed.load(std::memory_order_acquire);
+    std::uint64_t submitted = lane.submitted.load(std::memory_order_relaxed);
+    // `submitted` - `completed` is the in-flight count (see HasRoom). A
+    // failed CAS reloads `submitted`, which only grows, so the stale
     // `completed` keeps erring on the safe side.
-    if (lane.submitted.compare_exchange_weak(submitted, submitted + granted,
-                                             std::memory_order_relaxed)) {
-      return static_cast<std::size_t>(granted);
+    while (submitted - completed < options_.queue_capacity) {
+      const std::uint64_t granted = std::min<std::uint64_t>(
+          want, options_.queue_capacity - (submitted - completed));
+      if (lane.submitted.compare_exchange_weak(submitted,
+                                               submitted + granted,
+                                               std::memory_order_relaxed)) {
+        return static_cast<std::size_t>(granted);
+      }
     }
+    std::unique_lock<std::mutex> lock(lane.mu);
+    lane.cv_retired.wait(lock, [&] { return HasRoom(lane); });
   }
 }
 
-void ConcurrentShardedReallocator::Push(std::uint32_t shard,
-                                        std::vector<Item> items) {
-  const bool was_empty = lanes_[shard]->queue.Push(
-      new RemoteQueue<std::vector<Item>>::Node(std::move(items)));
+ConcurrentShardedReallocator::Node* ConcurrentShardedReallocator::NodeFromPool(
+    Lane& lane) {
+  Node* chain = lane.spare.exchange(nullptr, std::memory_order_acquire);
+  if (chain == nullptr) chain = lane.free.TakeStack();
+  if (chain == nullptr) return new Node();
+  if (Node* rest = chain->next) {
+    // Another producer may have parked its own chain here meanwhile: its
+    // nodes go back onto the free stack, one push each.
+    Node* other = lane.spare.exchange(rest, std::memory_order_acq_rel);
+    while (other != nullptr) {
+      Node* next = other->next;
+      lane.free.Push(other);
+      other = next;
+    }
+  }
+  return chain;
+}
+
+void ConcurrentShardedReallocator::Push(std::uint32_t shard, Node* node) {
+  const bool was_empty = lanes_[shard]->queue.Push(node);
   // Empty -> non-empty is the only transition that can race a worker going
   // to sleep, and a spinning worker will see it (the class contract has
   // the argument). The empty critical section orders our push against
@@ -157,30 +191,32 @@ void ConcurrentShardedReallocator::Push(std::uint32_t shard,
 }
 
 void ConcurrentShardedReallocator::Deliver(std::uint32_t shard,
-                                           std::vector<Item> items) {
-  const std::size_t total = items.size();
+                                           const Request* ops,
+                                           const std::size_t* order,
+                                           std::size_t count,
+                                           std::uint64_t submit_ns) {
   Lane& lane = *lanes_[shard];
-  std::size_t delivered = 0;
-  while (delivered < total) {
-    const std::size_t granted = Reserve(lane, total - delivered);
-    if (granted == 0) {
-      std::unique_lock<std::mutex> lock(lane.mu);
-      lane.cv_retired.wait(lock, [&] { return HasRoom(lane); });
-      continue;
+  // Chunked delivery: never push more than the room reserved, so a batch
+  // larger than queue_capacity still respects the in-flight bound. The
+  // node is taken only once its room is, which bounds the pool.
+  for (std::size_t delivered = 0; delivered < count;) {
+    const std::size_t granted =
+        Reserve(lane, std::min(count - delivered, kMaxOpsPerNode));
+    Node* node = NodeFromPool(lane);
+    std::vector<ShardOp>& node_ops = node->value.ops;
+    node_ops.reserve(granted);  // exact: a node keeps its capacity
+    for (std::size_t k = delivered; k < delivered + granted; ++k) {
+      node_ops.push_back(MakeOp(ops[order[k]], submit_ns));
     }
-    // Chunked delivery: never push more than the room reserved, so a batch
-    // larger than queue_capacity still respects the in-flight bound.
-    if (granted == total) {
-      Push(shard, std::move(items));
-    } else {
-      const auto first = items.begin() + static_cast<std::ptrdiff_t>(delivered);
-      Push(shard, std::vector<Item>(
-                      std::make_move_iterator(first),
-                      std::make_move_iterator(
-                          first + static_cast<std::ptrdiff_t>(granted))));
-    }
+    Push(shard, node);
     delivered += granted;
   }
+}
+
+void ConcurrentShardedReallocator::DeliverWaiter(std::uint32_t shard,
+                                                 Node* node) {
+  Reserve(*lanes_[shard], 1);
+  Push(shard, node);
 }
 
 Status ConcurrentShardedReallocator::Submit(const Request& op) {
@@ -204,24 +240,38 @@ void ConcurrentShardedReallocator::SubmitBatch(const Request* ops,
   // batch exists to amortize. Taken before any backpressure wait, so the
   // recorded queue-wait includes producer-side stalls.
   const std::uint64_t submit_ns = MonotonicNanos();
-  // Bucket the batch per shard, preserving op order within each shard,
-  // and deliver each bucket with capacity-gated lock-free pushes — no
-  // producer-side lock anywhere. Routing once and counting first sizes
-  // every bucket with one allocation.
+  // Group the batch per shard with a stable counting sort, so each
+  // shard's ops keep their order, then deliver each shard's share with
+  // capacity-gated lock-free pushes — no producer-side lock anywhere. The
+  // scratch is this thread's, reused by every batch on any facade, so
+  // routing allocates only while it grows.
+  struct Scratch {
+    std::vector<std::uint32_t> route;  // op -> shard
+    std::vector<std::size_t> order;    // op indices grouped by shard
+    std::vector<std::size_t> first;    // shard -> its start in `order`
+  };
+  thread_local Scratch scratch;
   const std::uint32_t shards = shard_count();
-  std::vector<std::uint32_t> route(count);
-  std::vector<std::size_t> sizes(shards, 0);
+  scratch.route.resize(count);
+  scratch.order.resize(count);
+  scratch.first.assign(shards, 0);
   for (std::size_t i = 0; i < count; ++i) {
-    route[i] = shard_for(ops[i].id, ops[i].size);
-    ++sizes[route[i]];
+    scratch.route[i] = shard_for(ops[i].id, ops[i].size);
+    ++scratch.first[scratch.route[i]];
   }
-  std::vector<std::vector<Item>> buckets(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) buckets[s].reserve(sizes[s]);
-  for (std::size_t i = 0; i < count; ++i) {
-    buckets[route[i]].push_back(MakeItem(ops[i], submit_ns));
+  // Inclusive prefix sums, then a backwards fill: each shard's end
+  // counts down to its start.
+  std::partial_sum(scratch.first.begin(), scratch.first.end(),
+                   scratch.first.begin());
+  for (std::size_t i = count; i-- > 0;) {
+    scratch.order[--scratch.first[scratch.route[i]]] = i;
   }
   for (std::uint32_t s = 0; s < shards; ++s) {
-    if (!buckets[s].empty()) Deliver(s, std::move(buckets[s]));
+    const std::size_t end = s + 1 < shards ? scratch.first[s + 1] : count;
+    if (end > scratch.first[s]) {
+      Deliver(s, ops, scratch.order.data() + scratch.first[s],
+              end - scratch.first[s], submit_ns);
+    }
   }
 }
 
@@ -254,9 +304,10 @@ Status ConcurrentShardedReallocator::RoundTrip(const Request& request) {
   requests_submitted_.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t shard = shard_for(request.id, request.size);
   Completion completion;
-  Item item = MakeItem(request, MonotonicNanos());
-  item.completion = &completion;
-  Deliver(shard, {item});
+  completion.op = MakeOp(request, MonotonicNanos());
+  Node node;
+  node.value.completion = &completion;
+  DeliverWaiter(shard, &node);
   Await(shard, completion);
   return std::move(completion.status);
 }
@@ -285,12 +336,12 @@ void ConcurrentShardedReallocator::MarkEveryShard(
   // race-free even while other producers keep submitting (their later ops
   // simply land behind it), and no Flush is needed around it.
   std::vector<Completion> completions(shard_count());
+  std::vector<Node> nodes(shard_count());
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    Item item;
-    item.op.kind = kind;
-    if (snapshots != nullptr) item.op.snapshot_out = &snapshots[i];
-    item.completion = &completions[i];
-    Deliver(i, {item});
+    completions[i].op.kind = kind;
+    if (snapshots != nullptr) completions[i].op.snapshot_out = &snapshots[i];
+    nodes[i].value.completion = &completions[i];
+    DeliverWaiter(i, &nodes[i]);
   }
   for (std::uint32_t i = 0; i < shard_count(); ++i) Await(i, completions[i]);
 }
@@ -326,43 +377,52 @@ bool ConcurrentShardedReallocator::TryDrain(std::uint32_t shard) {
   // The exchange synchronizes-with the previous holder's release store
   // below, so every write of the previous drain happens-before this one.
   engine_.HandOff(shard);
-  const auto is_request = [](const Item& item) {
-    return item.op.kind == ShardOpKind::kInsert ||
-           item.op.kind == ShardOpKind::kDelete;
-  };
-  // Take the whole list in one exchange, then execute node by
-  // node in arrival order.
+  ShardStats::PerShard& record = engine_.record(shard);
+  // Take the whole list in one exchange, then execute node by node in
+  // arrival order. Batches are counted before they execute, so a
+  // snapshot marker later in the FIFO sees every earlier one.
   std::uint64_t executed = 0;
-  auto* node = lane.queue.TakeAll();
+  Node* node = lane.queue.TakeAll();
   while (node != nullptr) {
-    // Counted before executing, so a snapshot marker later in the FIFO
-    // sees every earlier batch. Marker nodes carry no requests and do not
-    // count.
-    const std::uint64_t node_requests = static_cast<std::uint64_t>(
-        std::count_if(node->value.begin(), node->value.end(), is_request));
-    if (node_requests > 0) {
-      ShardStats::PerShard& record = engine_.record(shard);
+    // Read first: a waiter's node is in the waiter's frame, which may go
+    // as soon as the `done` store below lands.
+    Node* const next = node->next;
+    Batch& batch = node->value;
+    if (batch.completion == nullptr) {
+      // A pooled node: fire-and-forget requests. One clock read per op,
+      // not two: each op's end timestamp is the next op's start (the
+      // worker runs them back to back).
       ++record.remote_batches;
-      record.batched_ops += node_requests;
-    }
-    // One clock read per item, not two: each op's end timestamp is the
-    // next op's start (the worker runs them back to back).
-    std::uint64_t now = MonotonicNanos();
-    for (const Item& item : node->value) {
-      Status status;
-      now = engine_.Execute(shard, item.op, now, &status);
-      if (item.completion != nullptr) {
-        item.completion->status = std::move(status);
-        // The last touch: the waiter may return, and its stack frame go,
-        // as soon as it sees the flag.
-        item.completion->done.store(true, std::memory_order_release);
+      record.batched_ops += batch.ops.size();
+      std::uint64_t now = MonotonicNanos();
+      for (const ShardOp& op : batch.ops) {
+        Status status;
+        now = engine_.Execute(shard, op, now, &status);
       }
+      executed += batch.ops.size();
+      batch.ops.clear();  // keeps its capacity for the next batch
+      lane.free.Push(node);
+    } else {
+      // A waiter's op. Markers carry no request and do not count.
+      Completion* completion = batch.completion;
+      if (completion->op.kind == ShardOpKind::kInsert ||
+          completion->op.kind == ShardOpKind::kDelete) {
+        ++record.remote_batches;
+        ++record.batched_ops;
+      }
+      engine_.Execute(shard, completion->op, MonotonicNanos(),
+                      &completion->status);
+      // The last touch of the node and the completion: the waiter may
+      // return, and its stack frame go, as soon as it sees the flag.
+      completion->done.store(true, std::memory_order_release);
+      ++executed;
     }
-    executed += node->value.size();
-    auto* next = node->next;
-    delete node;
     node = next;
   }
+  // Every op taken was reserved and is not yet counted in `completed`, so
+  // one drain never runs more than the in-flight cap. A recycled node that
+  // kept an old op would break this before it wrapped the in-flight count.
+  COSR_CHECK_LE(executed, options_.queue_capacity);
   if (executed > 0) {
     // The release pairs with Flush's acquire: once a flusher observes the
     // count, every effect of the drain is visible to it.

@@ -104,17 +104,20 @@ inline constexpr std::chrono::microseconds kSpinBeforePark{50};
 ///
 /// Completions. A caller that waits for an op (a synchronous
 /// Insert/Delete, or a Quiesce/CheckpointAll/Stats marker, one per shard)
-/// keeps a Completion on its own stack and queues the op with a raw
-/// pointer to it. The worker that executes the op writes the Status, then
-/// stores `done` with release, and never touches the completion again:
-/// that store is its last touch, so the caller may return, and its stack
-/// frame go, as soon as it sees the flag. The caller spins on `done` for
-/// kSpinBeforePark, then parks on the op's lane's `cv_retired` with `done`
-/// as the predicate. No wake-up is lost: the drain stores `done` before
-/// its empty critical section on the lane's `mu` and its notify_all, so a
-/// parking caller either sees the flag under `mu` or is already waiting
-/// when the notify comes. A marker needs no Flush around it: the shard's
-/// FIFO puts it behind every op submitted to that shard before the call.
+/// keeps a Completion, which holds the op, and the op's queue node in its
+/// own frame (on its stack, or in a vector that frame owns), and queues
+/// that node, which points at the completion. The worker reads the node's
+/// `next` before it executes the op; then it writes the Status, stores
+/// `done` with release, and never touches the node or the completion
+/// again: that store is its last touch, so the caller may return, and its
+/// stack frame go, as soon as it sees the flag. The caller spins on `done`
+/// for kSpinBeforePark, then parks on the op's lane's `cv_retired` with
+/// `done` as the predicate. No wake-up is lost: the drain stores `done`
+/// before its empty critical section on the lane's `mu` and its
+/// notify_all, so a parking caller either sees the flag under `mu` or is
+/// already waiting when the notify comes. A marker needs no Flush around
+/// it: the shard's FIFO puts it behind every op submitted to that shard
+/// before the call.
 ///
 /// Routing is hash-only: an op's shard is a pure function of its id, so no
 /// producer-side lock or id map exists on any submit path. Size-class and
@@ -203,9 +206,10 @@ class ConcurrentShardedReallocator final : public Reallocator {
   Status Submit(const Request& op);
 
   /// Batched fire-and-forget submission: semantically `Submit(op)` for
-  /// each op in order. A batch costs its producer one routing pass plus
-  /// one lock-free push per target shard — the queue hop amortizes to
-  /// noise against the ~0.6-1.5 us of per-op reallocation work.
+  /// each op in order. A batch costs its producer one routing pass plus,
+  /// per target shard, one recycled node from the shard's pool and one
+  /// lock-free push; once the pools cover the in-flight cap it allocates
+  /// nothing, and the worker frees nothing.
   ///
   /// Blocks while a target shard is full, so every op is enqueued: always
   /// returns Ok and sets `*accepted` (when non-null) to `count`. Each op's
@@ -277,27 +281,46 @@ class ConcurrentShardedReallocator final : public Reallocator {
   }
 
  private:
-  /// Where a waiting caller learns its op's outcome. It lives on the
-  /// caller's stack (see the class contract).
+  /// A waiting caller's op and where it learns the outcome. It lives in
+  /// the caller's frame, beside the op's queue node (see the class
+  /// contract).
   struct Completion {
+    ShardOp op;
     Status status;
     std::atomic<bool> done{false};
   };
 
-  /// One queued op. The queue it sits on names its shard.
-  struct Item {
-    ShardOp op;
-    Completion* completion = nullptr;  // null for fire-and-forget
+  /// One queue node's payload: ops for the shard whose queue it sits on.
+  /// A pooled node carries fire-and-forget requests in `ops`; a waiter's
+  /// node carries none and points at the waiter's Completion.
+  struct Batch {
+    std::vector<ShardOp> ops;
+    Completion* completion = nullptr;  // null for a pooled node
   };
+  using Node = RemoteQueue<Batch>::Node;
 
-  /// One shard's queue, claim and in-flight accounting. `submitted` is
-  /// reserved (Reserve) right before each push; `completed` counts every
-  /// executed op, published once per drain. Both are atomic, so Flush's
-  /// wait predicate and the capacity gate never need `mu`, which guards
-  /// only the condition waits. Aligned so two shards' hot atomics never
-  /// share a cache line.
+  /// One shard's queue, node pool, claim and in-flight accounting.
+  /// `submitted` is reserved (Reserve) right before each push; `completed`
+  /// counts every executed op, published once per drain. Both are atomic,
+  /// so Flush's wait predicate and the capacity gate never need `mu`,
+  /// which guards only the condition waits. Aligned so two shards' hot
+  /// atomics never share a cache line.
+  ///
+  /// The pool. The worker that drains a pooled node clears its `ops`
+  /// (the vector keeps its capacity) and pushes it onto `free`. A producer
+  /// that needs a node exchanges `spare` to null, refills it from `free`
+  /// with one TakeStack when it was empty, takes the chain's first node
+  /// and exchanges the rest back (NodeFromPool). No thread ever pops one
+  /// node with a compare, so RemoteQueue's ABA argument covers the pool
+  /// too. A node leaves the pool only after its ops are reserved, and is
+  /// back in it before that room is released, so a lane never holds more
+  /// than queue_capacity plus one node per producer.
   struct alignas(64) Lane {
-    RemoteQueue<std::vector<Item>> queue;
+    ~Lane();
+
+    RemoteQueue<Batch> queue;
+    RemoteQueue<Batch> free;
+    std::atomic<Node*> spare{nullptr};
     /// Set while one worker drains the shard (see the class contract).
     std::atomic<bool> claimed{false};
     std::atomic<std::uint64_t> submitted{0};
@@ -316,16 +339,23 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
-  static Item MakeItem(const Request& op, std::uint64_t submit_ns);
+  static ShardOp MakeOp(const Request& op, std::uint64_t submit_ns);
   /// The fire-and-forget submission path behind Submit and SubmitMany:
-  /// buckets the ops per shard, then Delivers each bucket.
+  /// gathers the ops per shard, then Delivers each shard's share.
   void SubmitBatch(const Request* ops, std::size_t count);
-  /// Capacity-gated delivery of `items` (in order) to `shard`'s queue:
-  /// pushes a chunk as large as the room it reserves, and waits for room
-  /// whenever the shard is full, until every item is queued.
-  void Deliver(std::uint32_t shard, std::vector<Item> items);
-  /// Synchronous Insert/Delete: delivers `request` to its shard with a
-  /// completion on this stack, and returns the shard's verdict.
+  /// Capacity-gated delivery of `ops[order[0..count)]`, in that order, to
+  /// `shard`'s queue: reserves room, waiting whenever the shard is full,
+  /// and pushes each grant as one node from the shard's pool, until every
+  /// op is queued.
+  void Deliver(std::uint32_t shard, const Request* ops,
+               const std::size_t* order, std::size_t count,
+               std::uint64_t submit_ns);
+  /// Takes a node from `lane`'s pool, allocating one when the pool is dry.
+  static Node* NodeFromPool(Lane& lane);
+  /// Queues a waiter's `node` on `shard` (one op of room), for Await.
+  void DeliverWaiter(std::uint32_t shard, Node* node);
+  /// Synchronous Insert/Delete: delivers `request` to its shard in a node
+  /// on this stack, and returns the shard's verdict.
   Status RoundTrip(const Request& request);
   /// Delivers a `kind` marker to every shard, then awaits each. A
   /// snapshot marker writes shard i's record to `snapshots[i]`.
@@ -333,11 +363,12 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// Blocks until `completion`, queued on `shard`, is done: spins for
   /// kSpinBeforePark, then parks on the lane's `cv_retired`.
   void Await(std::uint32_t shard, const Completion& completion);
-  /// Pushes `items` onto `shard`'s queue, waking a parked worker if the
-  /// queue was empty. The caller has already counted them in `submitted`.
-  void Push(std::uint32_t shard, std::vector<Item> items);
-  /// Claims up to `want` ops of `lane`'s in-flight room; returns how many
-  /// (0 when full).
+  /// Pushes `node` onto `shard`'s queue, waking a parked worker if the
+  /// queue was empty. The caller has already counted its ops in
+  /// `submitted`.
+  void Push(std::uint32_t shard, Node* node);
+  /// Claims up to `want` ops of `lane`'s in-flight room, waiting on
+  /// `cv_retired` while the shard is full; returns how many (>= 1).
   std::size_t Reserve(Lane& lane, std::size_t want) const;
   bool HasRoom(const Lane& lane) const;
   /// Whether some shard is claimable.

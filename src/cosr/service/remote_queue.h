@@ -20,12 +20,12 @@ namespace cosr {
 ///     producer wrote before the push — the node's payload, and anything
 ///     the payload points at — is sequenced before the CAS, so the release
 ///     makes it visible to whoever reads `head_` with acquire.
-///   * TakeAll consumes with an acquire exchange. It synchronizes-with
-///     every release CAS whose node it observes (each successful push is
-///     part of the release sequence headed by the value the exchange
-///     reads), so the consumer sees fully-constructed payloads. empty() uses
-///     an acquire load for the same reason, though callers only branch on
-///     the null test.
+///   * TakeAll (and TakeStack) consumes with an acquire exchange. It
+///     synchronizes-with every release CAS whose node it observes (each
+///     successful push is part of the release sequence headed by the
+///     value the exchange reads), so the consumer sees fully-constructed
+///     payloads. empty() uses an acquire load for the same reason, though
+///     callers only branch on the null test.
 ///
 /// All three are in fact seq_cst, which includes both edges. The
 /// concurrent facade's wake-up protocol reasons about the heads together
@@ -33,23 +33,30 @@ namespace cosr {
 /// nothing (a locked CAS, an exchange and a plain load either way).
 ///
 /// Why ABA cannot bite: the push CAS never dereferences the old head — it
-/// only stores it into `node->next` — and the consumer's TakeAll is an
-/// unconditional exchange, not a compare. A recycled node address showing
-/// up again is therefore harmless: no compare ever validates stale memory.
+/// only stores it into `node->next` — and the consumer's TakeAll (like
+/// TakeStack) is an unconditional exchange, not a compare. A recycled node
+/// address showing up again is therefore harmless: no compare ever
+/// validates stale memory.
 ///
 /// Ownership protocol: the producer owns a node until its CAS succeeds;
-/// the queue owns it until TakeAll; the consumer owns (and deletes) it
-/// after. Nodes are heap-allocated by producers and freed by the consumer —
-/// records flow home to their shard, never back.
+/// the queue owns it until TakeAll; the consumer owns it after. The queue
+/// neither allocates nor frees nodes on those paths (only its destructor
+/// deletes leftovers), so where a node lives and where it goes after the
+/// consumer is done with it is the caller's choice: the concurrent facade
+/// recycles its batch nodes onto a second RemoteQueue used as a free
+/// stack, and a waiting caller's one-op node sits on that caller's stack.
 ///
 /// Thread-safety: Push and empty() from any thread; TakeAll from one
 /// consumer at a time (the single-consumer half of MPSC is the caller's
 /// contract). The consumer may change between takes when something
-/// orders them, as the concurrent facade's shard claim does.
+/// orders them, as the concurrent facade's shard claim does. TakeStack,
+/// which promises no order, may run on any number of threads at once:
+/// each exchange detaches a disjoint chain.
 template <typename T>
 class RemoteQueue {
  public:
   struct Node {
+    Node() = default;
     explicit Node(T payload) : value(std::move(payload)) {}
     T value;
     Node* next = nullptr;
@@ -86,9 +93,11 @@ class RemoteQueue {
   /// the stack is reversed here, once, by the consumer. Per-producer FIFO
   /// follows: one producer's pushes CAS in program order, so they appear
   /// in the stack newest-first and come out oldest-first. Returns nullptr
-  /// when nothing was pending. Caller walks `next` and deletes each node.
+  /// when nothing was pending. The caller walks `next` and disposes of
+  /// each node; it must read a node's `next` before pushing that node
+  /// anywhere again.
   Node* TakeAll() {
-    Node* node = head_.exchange(nullptr, std::memory_order_seq_cst);
+    Node* node = TakeStack();
     Node* reversed = nullptr;
     while (node != nullptr) {
       Node* next = node->next;
@@ -97,6 +106,12 @@ class RemoteQueue {
       node = next;
     }
     return reversed;
+  }
+
+  /// Detaches the entire list newest-first, without reversing it: the
+  /// take for a free stack, where order does not matter.
+  Node* TakeStack() {
+    return head_.exchange(nullptr, std::memory_order_seq_cst);
   }
 
   bool empty() const {

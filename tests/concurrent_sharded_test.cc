@@ -9,7 +9,10 @@
 //  * K=1/W=1 is operation-for-operation identical to the bare algorithm
 //    (the same zero-cost-wrapper identity the single-threaded facade pins).
 //  * MPSC under real contention — multiple producer threads submitting
-//    concurrently lose nothing: every submitted op executes exactly once.
+//    concurrently lose nothing: every submitted op executes exactly once,
+//    also while recycled queue nodes change size between drains and
+//    every entry point (SubmitMany, Submit, Insert/Delete, Stats) shares
+//    the shards' FIFOs.
 //  * Backpressure — a full shard blocks Submit, synchronous Insert and
 //    SubmitMany until a drain frees room; nothing is dropped.
 //  * Drain/shutdown ordering — Flush retires everything submitted before
@@ -419,6 +422,115 @@ TEST(ConcurrentMpsc, ReincarnationsKeepPerIdOrderUnderRaces) {
     failed_after += shard.failed_ops;
   }
   EXPECT_EQ(failed_after, 0u);
+}
+
+/// Recycled queue nodes under every entry point at once: 4 producers mix
+/// SubmitMany batches of 1-200 ops, per-op Submit, synchronous
+/// Insert/Delete and Stats at an in-flight capacity of 4, so batches go
+/// out in chunks, each shard's pooled nodes carry 1 to 4 ops from one
+/// drain to the next, and waiters' stack nodes ride between them. Each
+/// producer inserts fresh ids and deletes its own live ones, so every op
+/// succeeds exactly when each runs once and in order: a recycled node that
+/// kept or lost an op shows in the exact per-shard op counts, failed_ops
+/// or the volume.
+TEST(ConcurrentMpsc, RecycledNodesCarryEveryEntryPointExactlyOnce) {
+  constexpr std::uint32_t kProducers = 4;
+  constexpr std::uint32_t kRounds = 400;
+
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ConcurrentShardedReallocator::Options options;
+  options.shard_count = 8;
+  options.worker_threads = 3;
+  options.queue_capacity = 4;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+  const std::uint32_t shards = concurrent->shard_count();
+
+  std::vector<std::vector<std::uint64_t>> expected_ops(
+      kProducers, std::vector<std::uint64_t>(shards, 0));
+  std::vector<std::uint64_t> expected_volume(kProducers, 0);
+  std::atomic<std::uint64_t> sync_failures{0};
+  std::vector<std::thread> producers;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Rng rng(500 + p);
+      ObjectId next_id = ObjectId{p} * 1000000;
+      std::vector<std::pair<ObjectId, std::uint64_t>> live;
+      std::uint64_t volume = 0;
+      // The next op of this producer's stream: a fresh insert, or a
+      // delete of one of its live ids.
+      const auto next_op = [&] {
+        Request request;
+        if (live.empty() || rng.Bernoulli(0.55)) {
+          const std::uint64_t size = rng.UniformRange(1, 512);
+          request = Request::Insert(next_id, size);
+          live.emplace_back(next_id++, size);
+          volume += size;
+        } else {
+          const std::size_t victim = rng.UniformU64(live.size());
+          request = Request::Delete(live[victim].first);
+          volume -= live[victim].second;
+          live[victim] = live.back();
+          live.pop_back();
+        }
+        ++expected_ops[p][concurrent->shard_for(request.id, request.size)];
+        return request;
+      };
+      std::vector<Request> batch;
+      for (std::uint32_t round = 0; round < kRounds; ++round) {
+        switch (rng.UniformU64(4)) {
+          case 0: {
+            batch.resize(rng.UniformRange(1, 200));
+            for (Request& request : batch) request = next_op();
+            std::size_t accepted = 0;
+            EXPECT_TRUE(
+                concurrent->SubmitMany(batch.data(), batch.size(), &accepted)
+                    .ok());
+            EXPECT_EQ(accepted, batch.size());
+            break;
+          }
+          case 1:
+            EXPECT_TRUE(concurrent->Submit(next_op()).ok());
+            break;
+          case 2: {
+            const Request request = next_op();
+            const Status status =
+                request.type == Request::Type::kInsert
+                    ? concurrent->Insert(request.id, request.size)
+                    : concurrent->Delete(request.id);
+            if (!status.ok()) {
+              sync_failures.fetch_add(1, std::memory_order_relaxed);
+            }
+            break;
+          }
+          default:
+            EXPECT_EQ(concurrent->Stats().shards.size(), shards);
+            break;
+        }
+      }
+      expected_volume[p] = volume;
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  concurrent->Flush();
+
+  const ShardStats stats = concurrent->Stats();
+  ASSERT_EQ(stats.shards.size(), shards);
+  EXPECT_EQ(sync_failures.load(), 0u);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    std::uint64_t ops = 0;
+    for (std::uint32_t p = 0; p < kProducers; ++p) ops += expected_ops[p][s];
+    EXPECT_EQ(stats.shards[s].ops, ops);
+    EXPECT_EQ(stats.shards[s].failed_ops, 0u);
+    EXPECT_TRUE(concurrent->shard_space(s).SelfCheck());
+  }
+  std::uint64_t volume = 0;
+  for (const std::uint64_t v : expected_volume) volume += v;
+  EXPECT_EQ(stats.volume, volume);
+  EXPECT_EQ(concurrent->volume(), volume);
 }
 
 // ------------------------------------------------ drain / shutdown ordering

@@ -3,8 +3,9 @@
 // take, empty/non-empty transition reporting, leftover cleanup), then
 // the concurrent contract: N producers push while the single owner
 // drains, and every pushed payload must come out exactly once, in
-// per-producer FIFO order. Run under TSan this is the memory-ordering
-// proof of the release-push / acquire-take pairing.
+// per-producer FIFO order, also when the owner hands the drained node
+// addresses back to the producers. Run under TSan this is the
+// memory-ordering proof of the release-push / acquire-take pairing.
 
 #include <atomic>
 #include <cstdint>
@@ -161,6 +162,83 @@ TEST(RemoteQueueTest, ConcurrentProducersDrainCompletely) {
   EXPECT_EQ(taken, std::uint64_t{kProducers} * kPerProducer);
   for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
   EXPECT_TRUE(queue.empty());
+}
+
+// The recycle shape of the concurrent facade's node pools, the one an
+// ABA bug would need: a fixed set of 16 nodes circulates. The owner
+// drains the queue and pushes every node back onto a free stack; each of
+// 4 producers takes that stack whole with TakeStack, keeps the chain,
+// and pushes its payloads in those nodes, so the same addresses come back
+// to the queue over and over, from different producers. Every payload
+// must still arrive exactly once and in per-producer FIFO order, and all
+// 16 nodes must be accounted for at the end.
+TEST(RemoteQueueTest, RecycledNodesKeepEveryPayloadOnceAndInOrder) {
+  constexpr int kProducers = 4;
+  constexpr int kNodes = 16;
+  constexpr std::uint32_t kPerProducer = 20000;
+  using Payload = std::pair<int, std::uint32_t>;  // (producer, seq)
+  using Node = RemoteQueue<Payload>::Node;
+  RemoteQueue<Payload> queue;
+  RemoteQueue<Payload> free_nodes;
+  for (int i = 0; i < kNodes; ++i) free_nodes.Push(new Node());
+
+  std::atomic<int> producers_done{0};
+  std::vector<Node*> leftovers(kProducers, nullptr);
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Node* chain = nullptr;
+      for (std::uint32_t i = 0; i < kPerProducer;) {
+        if (chain == nullptr) chain = free_nodes.TakeStack();
+        if (chain == nullptr) {
+          std::this_thread::yield();  // every node is queued or held
+          continue;
+        }
+        Node* node = chain;
+        chain = chain->next;
+        node->value = Payload(p, i++);
+        queue.Push(node);
+      }
+      leftovers[p] = chain;
+      producers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  std::vector<std::uint32_t> next_seq(kProducers, 0);
+  std::uint64_t taken = 0;
+  for (;;) {
+    const bool all_done =
+        producers_done.load(std::memory_order_acquire) == kProducers;
+    Node* node = queue.TakeAll();
+    if (node == nullptr && all_done) break;
+    while (node != nullptr) {
+      const auto [producer, seq] = node->value;
+      EXPECT_EQ(seq, next_seq[producer]);
+      ++next_seq[producer];
+      ++taken;
+      Node* next = node->next;  // read before the node goes back
+      free_nodes.Push(node);
+      node = next;
+    }
+  }
+  for (std::thread& t : producers) t.join();
+
+  EXPECT_EQ(taken, std::uint64_t{kProducers} * kPerProducer);
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
+  // Every node is back: on the free stack or in a producer's chain.
+  std::vector<Node*> chains = leftovers;
+  chains.push_back(free_nodes.TakeStack());
+  int nodes = 0;
+  for (Node* node : chains) {
+    while (node != nullptr) {
+      Node* next = node->next;
+      delete node;
+      node = next;
+      ++nodes;
+    }
+  }
+  EXPECT_EQ(nodes, kNodes);
 }
 
 }  // namespace
